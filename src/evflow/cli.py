@@ -295,6 +295,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the CLI; an unexpected exception is reported on one stderr line
+    and exits 2, so that exit 1 only ever means diagnostics."""
+    try:
+        return _main(argv)
+    except Exception as e:
+        detail = " ".join(f"{type(e).__name__}: {e}".split())
+        print(f"internal error: {detail}", file=sys.stderr)
+        return EXIT_ERROR
+
+
+def _main(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] not in ("ifds", "ide", "diff", "oracle") \
             and not argv[0].startswith("-"):

@@ -7,8 +7,9 @@ X > S > R > E and meet is the minimum, so X acts as "unreachable" and E
 as "every ordering constraint satisfied".
 
 A function over the chain is total and packs into one byte, two bits per
-output value.  There are only 256 such functions, so composition and
-meet are served from precomputed 256x256 tables.
+output value.  Registration, emission and invocation, closed under
+composition and meet together with the identity, give only seven such
+functions, so both operators are served from 7x7 tables built at import.
 """
 
 from __future__ import annotations
@@ -49,88 +50,49 @@ def mf_apply(f: int, s: HState) -> HState:
     return _HSTATES[(f >> (2 * s)) & 0b11]
 
 
-# The three generators, the identity and the constant-X top function.
+# The identity and the three generators.
 MF_ID = mf_pack(HState.X, HState.S, HState.R, HState.E)
 MF_REGISTER = mf_pack(HState.X, HState.R, HState.R, HState.E)
 MF_EMIT = mf_pack(HState.X, HState.S, HState.E, HState.E)
 MF_INVOKE = mf_pack(HState.X, HState.X, HState.X, HState.E)
-MF_TOP = mf_pack(HState.X, HState.X, HState.X, HState.X)
 
 _STATES = (HState.X, HState.S, HState.R, HState.E)
 
-_COMPOSE: bytes | None = None
-_MEET: bytes | None = None
+
+def _close_generators() -> tuple[tuple[int, ...], dict[int, int], dict[int, int]]:
+    """Close the identity and the generators under composition and meet,
+    and tabulate both operators over the closure, keyed `(g << 8) | f`."""
+
+    def compose(g: int, f: int) -> int:
+        return mf_pack(*(mf_apply(g, mf_apply(f, s)) for s in _STATES))
+
+    def meet(f: int, g: int) -> int:
+        return mf_pack(*(hstate_meet(mf_apply(f, s), mf_apply(g, s))
+                         for s in _STATES))
+
+    fns = {MF_ID, MF_REGISTER, MF_EMIT, MF_INVOKE}
+    while True:
+        more = {op(a, b) for op in (compose, meet) for a in fns for b in fns}
+        if more <= fns:
+            break
+        fns |= more
+    return (tuple(sorted(fns)),
+            {(g << 8) | f: compose(g, f) for g in fns for f in fns},
+            {(g << 8) | f: meet(g, f) for g in fns for f in fns})
 
 
-def _out(f: int, s: int) -> int:
-    return (f >> (2 * s)) & 0b11
-
-
-def mf_compose_def(g: int, f: int) -> int:
-    """g after f, computed directly from the definitions (no tables)."""
-    return (_out(g, _out(f, 0))
-            | (_out(g, _out(f, 1)) << 2)
-            | (_out(g, _out(f, 2)) << 4)
-            | (_out(g, _out(f, 3)) << 6))
-
-
-def mf_meet_def(f: int, g: int) -> int:
-    """Pointwise chain meet, computed directly from the definitions."""
-    return (min(_out(f, 0), _out(g, 0))
-            | (min(_out(f, 1), _out(g, 1)) << 2)
-            | (min(_out(f, 2), _out(g, 2)) << 4)
-            | (min(_out(f, 3), _out(g, 3)) << 6))
-
-
-def _build_tables() -> tuple[bytes, bytes]:
-    compose = bytearray(256 * 256)
-    meet = bytearray(256 * 256)
-    for g in range(256):
-        base = g << 8
-        for f in range(256):
-            compose[base | f] = mf_compose_def(g, f)
-            meet[base | f] = mf_meet_def(g, f)
-    return bytes(compose), bytes(meet)
-
-
-def _selfcheck(compose: bytes, meet: bytes) -> None:
-    # identities plus a fixed behavioral sample; the test suite covers the
-    # full 256x256 tables
-    for f in range(256):
-        assert compose[(MF_ID << 8) | f] == f
-        assert compose[(f << 8) | MF_ID] == f
-        assert meet[(f << 8) | f] == f
-    reg_then_emit = compose[(MF_EMIT << 8) | MF_REGISTER]
-    full = compose[(MF_INVOKE << 8) | reg_then_emit]
-    assert mf_apply(full, HState.S) == HState.E
-    assert mf_apply(compose[(MF_INVOKE << 8) | MF_REGISTER], HState.S) == HState.X
-    sample = 0x9E3779B9
-    for _ in range(1024):
-        sample = (sample * 0x41C64E6D + 0x3039) & 0xFFFFFFFF
-        g, f = (sample >> 16) & 0xFF, (sample >> 8) & 0xFF
-        for s in _STATES:
-            assert mf_apply(compose[(g << 8) | f], s) == \
-                mf_apply(g, mf_apply(f, s))
-            assert mf_apply(meet[(f << 8) | g], s) == \
-                hstate_meet(mf_apply(f, s), mf_apply(g, s))
-
-
-def _tables() -> tuple[bytes, bytes]:
-    global _COMPOSE, _MEET
-    if _COMPOSE is None or _MEET is None:
-        _COMPOSE, _MEET = _build_tables()
-        _selfcheck(_COMPOSE, _MEET)
-    return _COMPOSE, _MEET
+# Every chain function the generators can produce; seven of them.
+MF_CLOSURE, _COMPOSE, _MEET = _close_generators()
 
 
 def mf_compose(g: int, f: int) -> int:
-    """g after f, via the precomputed table."""
-    return _tables()[0][(g << 8) | f]
+    """g after f, for g and f in MF_CLOSURE."""
+    return _COMPOSE[(g << 8) | f]
 
 
 def mf_meet(f: int, g: int) -> int:
-    """Pointwise meet, via the precomputed table."""
-    return _tables()[1][(f << 8) | g]
+    """Pointwise meet, for f and g in MF_CLOSURE."""
+    return _MEET[(f << 8) | g]
 
 
 def mf_leq(f: int, g: int) -> bool:
@@ -144,7 +106,7 @@ def mf_format(f: int) -> str:
     return f"⟨X,S,R,E⟩→⟨{outs}⟩"
 
 
-MF_EMIT_REGISTER = mf_compose_def(MF_EMIT, MF_REGISTER)
+MF_EMIT_REGISTER = mf_compose(MF_EMIT, MF_REGISTER)
 
 
 class HandlerMicroFn:
@@ -199,24 +161,20 @@ def hmf_compose(g: HandlerMicroFn, f: HandlerMicroFn) -> HandlerMicroFn:
         return g
     if g.is_identity():
         return f
-    out: dict[str, int] = {}
-    for h in f._m.keys() | g._m.keys():
-        out[h] = mf_compose(g.mf_for(h), f.mf_for(h))
-    return HandlerMicroFn(out)
+    gm, fm = g._m, f._m
+    return HandlerMicroFn({
+        h: _COMPOSE[(gm.get(h, MF_ID) << 8) | fm.get(h, MF_ID)]
+        for h in fm.keys() | gm.keys()})
 
 
 def hmf_meet(f: HandlerMicroFn, g: HandlerMicroFn) -> HandlerMicroFn:
     """Pointwise meet per handler; absent entries meet as identity."""
     if f._m == g._m:
         return f
-    out: dict[str, int] = {}
-    for h in f._m.keys() | g._m.keys():
-        out[h] = mf_meet(f.mf_for(h), g.mf_for(h))
-    return HandlerMicroFn(out)
-
-
-def hmf_equal(f: HandlerMicroFn, g: HandlerMicroFn) -> bool:
-    return f == g
+    fm, gm = f._m, g._m
+    return HandlerMicroFn({
+        h: _MEET[(fm.get(h, MF_ID) << 8) | gm.get(h, MF_ID)]
+        for h in fm.keys() | gm.keys()})
 
 
 def hmf_leq(f: HandlerMicroFn, g: HandlerMicroFn) -> bool:
@@ -236,10 +194,6 @@ def all_s(handlers) -> dict[str, HState]:
 def hsm_meet(a: dict[str, HState], b: dict[str, HState]) -> dict[str, HState]:
     """Pointwise meet of two handler-state maps over the same handlers."""
     return {h: hstate_meet(s, b[h]) for h, s in a.items()}
-
-
-def hsm_leq(a: dict[str, HState], b: dict[str, HState]) -> bool:
-    return all(s <= b[h] for h, s in a.items())
 
 
 def hsm_format(m: dict[str, HState]) -> str:

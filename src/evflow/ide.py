@@ -7,9 +7,10 @@ callee transformers back to matching return sites.  Phase 2 pushes
 lattice values from the entry environment through procedure starts and
 call sites, then evaluates every jump function on the start values.
 
-The value lattice is a map from handlers to chain states, so the whole
-computation degenerates to plain reachability when every label is the
-identity.
+The value lattice is a map from handlers to chain states.  Labels only
+decide which facts to filter, never which exploded nodes are reached, so
+the plain IFDS result is a readout of any solve over the same exploded
+supergraph; `solve_ifds` is the identity-labelled case.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .event_lattice import (
     hmf_meet,
     hsm_meet,
 )
-from .ifds import ExplodedSupergraph, ZERO
+from .ifds import ExplodedSupergraph, IfdsResult, ZERO
 from .supergraph import EdgeRole
 
 
@@ -87,6 +88,20 @@ class IdeResult:
     def reachable_facts(self, node: str) -> frozenset[int]:
         return frozenset(d for d in self.envs.get(node, {}) if d != ZERO)
 
+    def plain(self) -> IfdsResult:
+        """The plain result: the reached nodes and their non-zero facts.
+
+        Each jump function is one path edge (d1, n, d2) of the plain
+        tabulation, which steps each path edge once.
+        """
+        facts = {n: frozenset(d for d in env if d != ZERO)
+                 for n, env in self.envs.items()}
+        path_edges = self.stats["jump_functions"]
+        return IfdsResult({n: ds for n, ds in facts.items() if ds},
+                          frozenset(self.envs),
+                          {"worklist_steps": path_edges,
+                           "path_edges": path_edges})
+
 
 def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
               init: dict[int, dict[str, HState]] | None = None,
@@ -123,8 +138,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         new = f if old is None else hmf_meet(old, f)
         if old is not None and new == old:
             return
-        if check_descent and old is not None:
-            assert hmf_leq(new, old), "jump function must only descend"
+        if check_descent and old is not None and not hmf_leq(new, old):
+            raise AssertionError("jump function must only descend")
         jump[key] = new
         max_label_entries = max(max_label_entries, len(new))
         by_target[(n, d2)].add(d1)
@@ -241,6 +256,15 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         "jump_functions": len(jump),
         "max_label_entries": max_label_entries,
     }, jump_table=dict(jump) if keep_jump_table else None)
+
+
+def solve_ifds(xsg: ExplodedSupergraph,
+               ide: IdeResult | None = None) -> IfdsResult:
+    """The plain IFDS result over `xsg`, read off `ide` (a solve over any
+    labelling of `xsg`) or, without one, off the identity-labelled solve."""
+    if ide is None:
+        ide = solve_ide(LabeledExplodedSupergraph.identity(xsg))
+    return ide.plain()
 
 
 def format_jump_table(result: IdeResult) -> str:

@@ -1,23 +1,23 @@
 """Distributive flow functions as representation relations, the exploded
-supergraph, a worklist tabulation solver and a brute-force oracle.
+supergraph, the plain result type and a brute-force oracle.
 
 Facts are small integers; index 0 is the tautological fact that holds
 everywhere and seeds the analysis.  A flow function is stored as the
 canonical bipartite relation over (D u {0})^2; meet is union of edges
 and composition is the relational join, both re-canonicalized.
 
-The tabulation solver computes, per node, the facts reachable from
-<entry, 0> along call/return-balanced paths, treating event-loop
-dispatches as calls that return to the loop node and the end of
-top-level as a call into the loop that never returns.
+The plain result holds, per node, the facts reachable from <entry, 0>
+along call/return-balanced paths, treating event-loop dispatches as calls
+that return to the loop node and the end of top-level as a call into the
+loop that never returns.  It is read off the IDE solve (`ide.solve_ifds`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .supergraph import Edge, EdgeRole, Supergraph
+from .supergraph import EdgeRole, Supergraph
 
 ZERO = 0
 
@@ -140,9 +140,6 @@ class ExplodedSupergraph:
             for d1, d2 in sorted(self.rel_of[edge.eid]):
                 yield (edge.src, d1), (edge.dst, d2)
 
-    def exploded_node_count(self) -> int:
-        return len(self.graph.nodes) * (len(self.domain) + 1)
-
 
 def explode(graph: Supergraph, domain: FactDomain, flow_for) -> ExplodedSupergraph:
     """Build the exploded supergraph from a per-edge flow-function factory."""
@@ -164,125 +161,6 @@ class IfdsResult:
 
     def names_at(self, node: str, domain: FactDomain) -> frozenset[str]:
         return domain.names_of(self.facts_at(node))
-
-
-def solve_ifds(xsg: ExplodedSupergraph, entry: str | None = None) -> IfdsResult:
-    """Worklist tabulation over the exploded supergraph.
-
-    Path edges (d1, n, d2) record that <n, d2> is reachable from
-    <start_p, d1> in n's procedure; procedure summaries plug callee
-    effects into callers at matching return sites.
-    """
-    g = xsg.graph
-    succ = xsg.succ
-    entry = entry or g.entry()
-
-    path_edges: set[tuple[int, str, int]] = set()
-    work: deque[tuple[int, str, int]] = deque()
-    # (callee_start, entry fact) -> {(call node, fact at call, return site)}
-    incoming: dict[tuple[str, int], set] = defaultdict(set)
-    # (proc start, entry fact) -> facts seen at the proc's end node
-    summaries: dict[tuple[str, int], set[int]] = defaultdict(set)
-    # (node, fact) -> set of source facts with a path edge into it
-    rev: dict[tuple[str, int], set[int]] = defaultdict(set)
-    steps = 0
-
-    def propagate(d1: int, n: str, d2: int) -> None:
-        key = (d1, n, d2)
-        if key not in path_edges:
-            path_edges.add(key)
-            rev[(n, d2)].add(d1)
-            work.append(key)
-
-    def apply_return(end_node: str, ret_site: str, d_exit: int,
-                     caller_node: str, d_call: int) -> None:
-        ret_edge = g.edge_between(end_node, ret_site)
-        for d5 in succ[ret_edge.eid].get(d_exit, ()):
-            for d3 in tuple(rev[(caller_node, d_call)]):
-                propagate(d3, ret_site, d5)
-
-    propagate(ZERO, entry, ZERO)
-    while work:
-        d1, n, d2 = work.popleft()
-        steps += 1
-        proc = g.proc_of(n)
-        if g.is_exit(n):
-            start = g.start_of(proc)
-            summaries[(start, d1)].add(d2)
-            for caller_node, d_call, ret_site in tuple(incoming[(start, d1)]):
-                if ret_site is None:
-                    continue
-                apply_return(n, ret_site, d2, caller_node, d_call)
-        for edge in g.out_edges(n):
-            if edge.role is EdgeRole.RETURN:
-                continue  # consumed by exit processing
-            if edge.role is EdgeRole.CALL:
-                callee_start = edge.dst
-                callee_end = g.end_of(g.proc_of(callee_start))
-                for d3 in succ[edge.eid].get(d2, ()):
-                    key = (callee_start, d3)
-                    incoming[key].add((n, d2, edge.ret_site))
-                    propagate(d3, callee_start, d3)
-                    if edge.ret_site is not None:
-                        for d4 in tuple(summaries[key]):
-                            apply_return(callee_end, edge.ret_site, d4, n, d2)
-            else:
-                for d3 in succ[edge.eid].get(d2, ()):
-                    propagate(d1, edge.dst, d3)
-
-    facts: dict[str, set[int]] = defaultdict(set)
-    reachable: set[str] = set()
-    for d1, n, d2 in path_edges:
-        reachable.add(n)
-        if d2 != ZERO:
-            facts[n].add(d2)
-    return IfdsResult(
-        {n: frozenset(ds) for n, ds in facts.items()},
-        frozenset(reachable),
-        {"worklist_steps": steps, "path_edges": len(path_edges)},
-    )
-
-
-def _edge_stack_effect(edge: Edge, g: Supergraph):
-    """('push', frame) | ('pop', frame) | None for valid-path tracking."""
-    if edge.role is EdgeRole.CALL:
-        return ("push", (edge.dst, edge.ret_site))
-    if edge.role is EdgeRole.RETURN:
-        return ("pop", (g.start_of(g.proc_of(edge.src)), edge.dst))
-    return None
-
-
-def iter_valid_paths(g: Supergraph, entry: str, max_len: int,
-                     path_budget: int):
-    """Depth-first enumeration of call/return-balanced paths from entry.
-
-    Yields (path, node) for every path prefix, where path is the tuple of
-    edges taken.  Unmatched calls may stay open; a return edge is taken
-    only when it matches the innermost open call.
-    """
-    explored = 0
-
-    def walk(node: str, stack: tuple, path: tuple):
-        nonlocal explored
-        yield path, node
-        if len(path) >= max_len:
-            return
-        for edge in g.out_edges(node):
-            effect = _edge_stack_effect(edge, g)
-            if effect is None:
-                new_stack = stack
-            elif effect[0] == "push":
-                new_stack = stack + (effect[1],)
-            else:
-                if not stack or stack[-1] != effect[1]:
-                    continue
-                new_stack = stack[:-1]
-            explored += 1
-            if explored > path_budget:
-                raise PathBudgetExceededError(path_budget)
-            yield from walk(edge.dst, new_stack, path + (edge,))
-
-    yield from walk(entry, (), ())
 
 
 def mvp_bruteforce(g: Supergraph, flow, entry: str | None = None,
@@ -319,15 +197,15 @@ def mvp_bruteforce(g: Supergraph, flow, entry: str | None = None,
             return
         seen.add(key)
         for edge in g.out_edges(node):
-            effect = _edge_stack_effect(edge, g)
-            if effect is None:
-                new_stack = stack
-            elif effect[0] == "push":
-                new_stack = stack + (effect[1],)
-            else:
-                if not stack or stack[-1] != effect[1]:
-                    continue
+            if edge.role is EdgeRole.CALL:
+                new_stack = stack + ((edge.dst, edge.ret_site),)
+            elif edge.role is EdgeRole.RETURN:
+                frame = (g.start_of(g.proc_of(edge.src)), edge.dst)
+                if not stack or stack[-1] != frame:
+                    continue  # returns only to the innermost open call
                 new_stack = stack[:-1]
+            else:
+                new_stack = stack
             explored += 1
             if explored > path_budget:
                 raise PathBudgetExceededError(path_budget)

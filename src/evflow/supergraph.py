@@ -119,7 +119,6 @@ class Supergraph:
         self.nodes: dict[str, Node] = {}
         self.edges: list[Edge] = []
         self._out: dict[str, list[Edge]] = {}
-        self._in: dict[str, list[Edge]] = {}
         self._by_endpoints: dict[tuple[str, str], Edge] = {}
         self.funcs: dict[str, tuple[str, str]] = {}  # proc -> (start, end)
         self.handlers: tuple[str, ...] = ()
@@ -127,7 +126,6 @@ class Supergraph:
     def add_node(self, node: Node) -> str:
         self.nodes[node.id] = node
         self._out.setdefault(node.id, [])
-        self._in.setdefault(node.id, [])
         return node.id
 
     def add_edge(self, src: str, dst: str, kind: EdgeKind, role: EdgeRole,
@@ -136,15 +134,11 @@ class Supergraph:
         edge = Edge(len(self.edges), src, dst, kind, role, sid, ret_site, handler)
         self.edges.append(edge)
         self._out[src].append(edge)
-        self._in[dst].append(edge)
         self._by_endpoints[(src, dst)] = edge
         return edge
 
     def out_edges(self, node_id: str) -> list[Edge]:
         return self._out[node_id]
-
-    def in_edges(self, node_id: str) -> list[Edge]:
-        return self._in[node_id]
 
     def edge_between(self, src: str, dst: str) -> Edge:
         return self._by_endpoints[(src, dst)]

@@ -27,8 +27,9 @@ from .ide import (
     LabeledExplodedSupergraph,
     MissingAnnotationError,
     solve_ide,
+    solve_ifds,
 )
-from .ifds import ExplodedSupergraph, IfdsResult, ZERO, explode, solve_ifds
+from .ifds import ExplodedSupergraph, IfdsResult, ZERO, explode
 from .lang.ast import Program
 from .supergraph import BuildResult, EventAnnotation, build_supergraph
 from .uninit import UninitProblem
@@ -119,15 +120,16 @@ class EventAwareAnalysis:
 def analyze_event_aware(program: Program, model: EventModel | None = None,
                         problem: UninitProblem | None = None,
                         check_descent: bool = False) -> EventAwareAnalysis:
-    """Run the plain and the event-aware analysis over one program."""
+    """Run the event-aware analysis over one program and read the plain
+    result off the same solve."""
     model = model or EventModel.default()
     build = build_supergraph(program, model)
     if problem is None:
         problem = UninitProblem(program, build.graph, model=model)
     xsg = explode(build.graph, problem.domain, problem.flow_for)
-    ifds_result = solve_ifds(xsg)
     labeled = transform(xsg, build.annotations, build.handlers)
     ide_result = solve_ide(labeled, check_descent=check_descent)
+    ifds_result = solve_ifds(xsg, ide_result)
     filtered = untransform(ide_result)
     return EventAwareAnalysis(program, build, problem, xsg, labeled,
                               ifds_result, ide_result, filtered,

@@ -13,6 +13,22 @@ from evflow.supergraph import EdgeRole, build_supergraph
 from evflow.uninit import UninitProblem
 
 
+def _out(f, s):
+    return (f >> (2 * s)) & 0b11
+
+
+def mf_compose_def(g, f):
+    """g after f on packed chain functions, straight from the bit layout
+    (two bits per input state, the image of state s at bits 2s..2s+1)."""
+    return sum(_out(g, _out(f, s)) << (2 * s) for s in range(4))
+
+
+def mf_meet_def(f, g):
+    """Pointwise chain meet on packed chain functions: the unsigned min of
+    each two-bit image."""
+    return sum(min(_out(f, s), _out(g, s)) << (2 * s) for s in range(4))
+
+
 def pipeline(program, model=None):
     """parse-result -> (build result, uninit problem, exploded graph)."""
     build = build_supergraph(program, model)

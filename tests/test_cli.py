@@ -169,3 +169,22 @@ def test_oracle_suite_small(capsys):
 
 def test_usage_error_exit_code():
     assert main(["diff"]) == EXIT_ERROR
+
+
+def _assert_internal_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_deep_nesting_is_an_internal_error(tmp_path, capsys):
+    f = tmp_path / "deep.evl"
+    f.write_text("var x = " + "(" * 3000 + "1" + ")" * 3000 + ";\n")
+    assert main(["diff", str(f)]) == EXIT_ERROR
+    _assert_internal_error(capsys)
+
+
+def test_oracle_crash_is_an_internal_error(tmp_path, capsys):
+    (tmp_path / "rec.evl").write_text("fn f() { f(); }\nf();\n")
+    assert main(["oracle", str(tmp_path)]) == EXIT_ERROR
+    _assert_internal_error(capsys)

@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from evflow.event_lattice import HState
 from evflow.ide import LabeledExplodedSupergraph, solve_ide
-from evflow.ifds import ZERO, solve_ifds
+from evflow.ifds import PathBudgetExceededError, ZERO, mvp_bruteforce
 from evflow.lang import parse
-from evflow.randgen import SMALL, gen_source
+from evflow.randgen import GenParams, SMALL, gen_source
 from evflow.transform import analyze_event_aware, transform
 
+from conftest import CORPUS_NAMES, load_corpus_entry
 from helpers import brute_force_ide, pipeline
 
 S, R, E, X = HState.S, HState.R, HState.E, HState.X
@@ -43,26 +49,56 @@ def test_door_zero_row_feasible(door):
         {"hdlOpen": E, "hdlClose": E}
 
 
+def _brute(xsg):
+    return mvp_bruteforce(xsg.graph, xsg.rel_of, max_len=40,
+                          path_budget=100_000)
+
+
 def test_identity_labels_degenerate_to_ifds(door, dirstat, timer, server):
     for program, model in (door, dirstat, timer, server):
         build, problem, xsg = pipeline(program, model)
-        ifds = solve_ifds(xsg)
+        brute = _brute(xsg)
         labeled = LabeledExplodedSupergraph.identity(xsg, build.handlers)
         ide = solve_ide(labeled)
-        for node in set(ifds.reachable) | set(ide.envs):
-            assert ide.reachable_facts(node) == ifds.facts_at(node), node
-        assert set(ide.envs) == ifds.reachable
+        for node in set(brute.reachable) | set(ide.envs):
+            assert ide.reachable_facts(node) == brute.facts_at(node), node
+        assert set(ide.envs) == brute.reachable
 
 
 def test_identity_degeneracy_on_random_programs():
+    checked = 0
     for i in range(30):
         program = parse(gen_source(f"degen:{i}", SMALL))
         build, problem, xsg = pipeline(program)
-        ifds = solve_ifds(xsg)
+        try:
+            brute = _brute(xsg)
+        except PathBudgetExceededError:
+            continue
+        checked += 1
         ide = solve_ide(LabeledExplodedSupergraph.identity(xsg, build.handlers))
-        assert set(ide.envs) == ifds.reachable
-        for node in ifds.reachable:
-            assert ide.reachable_facts(node) == ifds.facts_at(node)
+        assert set(ide.envs) == brute.reachable
+        for node in brute.reachable:
+            assert ide.reachable_facts(node) == brute.facts_at(node)
+    assert checked >= 20
+
+
+def _plain_readouts_agree(program, model=None):
+    build, problem, xsg = pipeline(program, model)
+    labeled = solve_ide(transform(xsg, build.annotations, build.handlers))
+    identity = solve_ide(LabeledExplodedSupergraph.identity(xsg, build.handlers))
+    a, b = labeled.plain(), identity.plain()
+    return (a.facts, a.reachable, a.stats) == (b.facts, b.reachable, b.stats)
+
+
+def test_labels_do_not_change_the_plain_readout():
+    # the fact the single tabulation rests on: event labels decide which
+    # facts to filter, never which exploded nodes are reached
+    for name in CORPUS_NAMES:
+        assert _plain_readouts_agree(*load_corpus_entry(name)), name
+    params = GenParams(allow_while=True)
+    for i in range(300):
+        source = gen_source(f"readout:{i}", params)
+        assert _plain_readouts_agree(parse(source)), source
 
 
 def test_path_oracle_door(door):
@@ -121,11 +157,33 @@ def test_jump_functions_descend_and_fixpoint(door, dirstat):
         assert r1.stats["jump_functions"] == r2.stats["jump_functions"]
 
 
+def test_descent_check_survives_python_O():
+    # a solve that must descend (door merges paths) with every descent
+    # declared invalid: the check has to fire even with asserts stripped
+    code = (
+        "import evflow.ide as ide\n"
+        "from conftest import load_corpus_entry\n"
+        "from helpers import pipeline\n"
+        "from evflow.transform import transform\n"
+        "build, _, xsg = pipeline(*load_corpus_entry('door'))\n"
+        "labeled = transform(xsg, build.annotations, build.handlers)\n"
+        "ide.hmf_leq = lambda new, old: False\n"
+        "try:\n"
+        "    ide.solve_ide(labeled, check_descent=True)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+    tests = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=f"{tests.parent / 'src'}{os.pathsep}{tests}")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          timeout=60)
+    assert done.returncode == 0
+
+
 def test_environments_only_for_reachable(door):
     program, model = door
     build, problem, xsg, labeled, result = ide_for(program, model)
-    ifds = solve_ifds(xsg)
-    assert set(result.envs) == ifds.reachable
+    assert set(result.envs) == _brute(xsg).reachable
 
 
 def test_label_sizes_bounded_by_handlers(door, dirstat, timer, server):

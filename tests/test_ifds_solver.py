@@ -1,12 +1,11 @@
 import pytest
 
+from evflow.ide import solve_ifds
 from evflow.ifds import (
     PathBudgetExceededError,
     ZERO,
     identity_rel,
-    iter_valid_paths,
     mvp_bruteforce,
-    solve_ifds,
     exploded_dot,
 )
 from evflow.lang import parse
@@ -197,31 +196,6 @@ def test_bruteforce_excludes_unbalanced_path():
     result = mvp_bruteforce(g, rel_of, "start:main", max_len=10)
     assert 1 in result.facts_at("ret:main:0")
     assert not result.is_reachable("bad:main")
-    paths = list(iter_valid_paths(g, "start:main", 10, 10_000))
-    assert all(node != "bad:main" for _, node in paths)
-
-
-def test_dyck_validator_on_enumerated_paths(door):
-    program, model = door
-    _, _, xsg = pipeline(program, model)
-    g = xsg.graph
-    checked = 0
-    for path, _node in iter_valid_paths(g, g.entry(), 14, 50_000):
-        # independent balance re-check
-        stack = []
-        ok = True
-        for e in path:
-            if e.role is EdgeRole.CALL:
-                stack.append((e.dst, e.ret_site))
-            elif e.role is EdgeRole.RETURN:
-                frame = (g.start_of(g.proc_of(e.src)), e.dst)
-                if not stack or stack[-1] != frame:
-                    ok = False
-                    break
-                stack.pop()
-        assert ok, [f"{e.src}->{e.dst}" for e in path]
-        checked += 1
-    assert checked > 100
 
 
 def test_budget_raises():

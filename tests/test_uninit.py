@@ -8,7 +8,7 @@ from evflow.supergraph import EdgeKind, node_for_sid
 from evflow.uninit import report_uses
 
 from helpers import pipeline
-from evflow.ifds import solve_ifds
+from evflow.ide import solve_ifds
 
 
 def edge_after(program, graph, pred):
