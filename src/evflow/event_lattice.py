@@ -34,7 +34,7 @@ class HState(IntEnum):
 
 def hstate_meet(a: HState, b: HState) -> HState:
     """Meet on the chain X > S > R > E: the lower of the two states."""
-    return HState(min(a, b))
+    return min(a, b)
 
 
 def mf_pack(fx: HState, fs: HState, fr: HState, fe: HState) -> int:

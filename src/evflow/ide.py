@@ -111,54 +111,113 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
 
     `init` maps entry facts to their starting handler-state maps; by
     default the tautological fact starts with every handler in S.
+
+    Every transformer the solve touches is interned in a table that lives
+    as long as the solve: one canonical `HandlerMicroFn` per distinct
+    function, named by a dense int id.  The solver carries the ids, so
+    comparing two jump functions compares two ints, and compose and meet
+    run once per distinct pair of ids.
     """
     xsg = lxsg.xsg
     g = xsg.graph
     succ = xsg.succ
-    label = lxsg.labels
     entry = entry or g.entry()
     if init is None:
         init = {ZERO: all_s(lxsg.handlers)}
 
+    # --- the per-solve intern table and operator memos ---
+    fns: list[HandlerMicroFn] = []          # id -> canonical function
+    ids: dict[HandlerMicroFn, int] = {}     # function -> id
+    compose_memo: dict[tuple[int, int], int] = {}
+    meet_memo: dict[tuple[int, int], int] = {}
+
+    def intern(f: HandlerMicroFn) -> int:
+        fid = ids.get(f)
+        if fid is None:
+            fid = ids[f] = len(fns)
+            fns.append(f)
+        return fid
+
+    ID = intern(HMF_ID)
+
+    def compose(g_id: int, f_id: int) -> int:
+        """g after f."""
+        if f_id == ID:
+            return g_id
+        if g_id == ID:
+            return f_id
+        key = (g_id, f_id)
+        h_id = compose_memo.get(key)
+        if h_id is None:
+            h_id = compose_memo[key] = intern(hmf_compose(fns[g_id], fns[f_id]))
+        return h_id
+
+    def meet(f_id: int, g_id: int) -> int:
+        if f_id == g_id:
+            return f_id
+        key = (f_id, g_id) if f_id < g_id else (g_id, f_id)
+        h_id = meet_memo.get(key)
+        if h_id is None:
+            h_id = meet_memo[key] = intern(hmf_meet(fns[f_id], fns[g_id]))
+        return h_id
+
+    label = {eid: intern(f) for eid, f in lxsg.labels.items()}
+
     # --- phase 1: jump functions ---
-    jump: dict[tuple[int, str, int], HandlerMicroFn] = {}
+    jump: dict[tuple[int, str, int], int] = {}
     work: deque[tuple[int, str, int]] = deque()
-    incoming: dict[tuple[str, int], set] = defaultdict(set)
+    # Insertion-ordered dicts used as sets: iteration order, and with it
+    # the step counts, must not depend on string hashing.
+    # (callee start, entry fact) -> {(call node, call fact, return site,
+    # call edge id): None}, for calls that return
+    incoming: dict[tuple[str, int], dict[tuple, None]] = defaultdict(dict)
     # (callee start, entry fact) -> {exit fact: summary transformer}
-    summaries: dict[tuple[str, int], dict[int, HandlerMicroFn]] = \
-        defaultdict(dict)
-    by_target: dict[tuple[str, int], set[int]] = defaultdict(set)
+    summaries: dict[tuple[str, int], dict[int, int]] = defaultdict(dict)
+    by_target: dict[tuple[str, int], dict[int, None]] = defaultdict(dict)
     steps = 0
     max_label_entries = 0
 
-    def propagate(d1: int, n: str, d2: int, f: HandlerMicroFn) -> None:
+    def propagate(d1: int, n: str, d2: int, f: int) -> None:
         nonlocal max_label_entries
         key = (d1, n, d2)
         old = jump.get(key)
-        new = f if old is None else hmf_meet(old, f)
-        if old is not None and new == old:
-            return
-        if check_descent and old is not None and not hmf_leq(new, old):
-            raise AssertionError("jump function must only descend")
+        if old is None:
+            new = f
+        else:
+            new = meet(old, f)
+            if new == old:
+                return
+            if check_descent and not hmf_leq(fns[new], fns[old]):
+                raise AssertionError("jump function must only descend")
         jump[key] = new
-        max_label_entries = max(max_label_entries, len(new))
-        by_target[(n, d2)].add(d1)
+        if len(fns[new]) > max_label_entries:
+            max_label_entries = len(fns[new])
+        by_target[(n, d2)][d1] = None
         work.append(key)
 
     def apply_return(end_node: str, ret_site: str, d_exit: int,
-                     f_summary: HandlerMicroFn, caller_node: str,
-                     d_call: int, call_label: HandlerMicroFn) -> None:
+                     f_summary: int, caller_node: str,
+                     d_call: int, call_label: int) -> None:
         ret_edge = g.edge_between(end_node, ret_site)
-        ret_label = label[ret_edge.eid]
-        through = hmf_compose(ret_label, hmf_compose(f_summary, call_label))
+        through = compose(label[ret_edge.eid], compose(f_summary, call_label))
+        # through o f_caller, once per caller fact d3 rather than once per
+        # (d5, d3) pair; built on the first d5
+        callers = None
         for d5 in succ[ret_edge.eid].get(d_exit, ()):
-            for d3 in tuple(by_target[(caller_node, d_call)]):
-                f_caller = jump[(d3, caller_node, d_call)]
-                propagate(d3, ret_site, d5, hmf_compose(through, f_caller))
+            if callers is None:
+                callers = [(d3, compose(through, jump[(d3, caller_node, d_call)]))
+                           for d3 in by_target[(caller_node, d_call)]]
+            for d3, f_return in callers:
+                propagate(d3, ret_site, d5, f_return)
+            if d5 == d_call and ret_site == caller_node:
+                # a dispatch returns into the event loop it was called
+                # from, so these propagations may have lowered the very
+                # jump functions `callers` was built from
+                callers = None
 
-    propagate(ZERO, entry, ZERO, HMF_ID)
+    propagate(ZERO, entry, ZERO, ID)
     for d in init:
-        propagate(d, entry, d, HMF_ID)
+        propagate(d, entry, d, ID)
     while work:
         key = work.popleft()
         d1, n, d2 = key
@@ -168,13 +227,11 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         if g.is_exit(n):
             start = g.start_of(proc)
             old = summaries[(start, d1)].get(d2)
-            merged = f if old is None else hmf_meet(old, f)
-            if old is None or merged != old:
+            merged = f if old is None else meet(old, f)
+            if merged != old:
                 summaries[(start, d1)][d2] = merged
                 for caller_node, d_call, ret_site, call_eid in \
                         tuple(incoming[(start, d1)]):
-                    if ret_site is None:
-                        continue
                     apply_return(n, ret_site, d2, merged, caller_node,
                                  d_call, label[call_eid])
         for edge in g.out_edges(n):
@@ -185,14 +242,14 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
                 callee_end = g.end_of(g.proc_of(callee_start))
                 for d3 in succ[edge.eid].get(d2, ()):
                     ckey = (callee_start, d3)
-                    incoming[ckey].add((n, d2, edge.ret_site, edge.eid))
-                    propagate(d3, callee_start, d3, HMF_ID)
+                    propagate(d3, callee_start, d3, ID)
                     if edge.ret_site is not None:
+                        incoming[ckey][(n, d2, edge.ret_site, edge.eid)] = None
                         for d4, f_summary in tuple(summaries[ckey].items()):
                             apply_return(callee_end, edge.ret_site, d4,
                                          f_summary, n, d2, label[edge.eid])
             else:
-                f_step = hmf_compose(label[edge.eid], f)
+                f_step = compose(label[edge.eid], f)
                 for d3 in succ[edge.eid].get(d2, ()):
                     propagate(d1, edge.dst, d3, f_step)
 
@@ -218,11 +275,19 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
             if edge.src not in call_sites:
                 calls_in_proc[g.proc_of(edge.src)].append(edge.src)
             call_sites[edge.src].append(edge)
-    from_start: dict[tuple[int, str], dict[int, HandlerMicroFn]] = \
-        defaultdict(dict)
+    from_start: dict[tuple[int, str], dict[int, int]] = defaultdict(dict)
     for (d1, n, d2), f in jump.items():
         if n in call_sites:
             from_start[(d1, n)][d2] = f
+
+    def image(images: dict[int, dict[str, HState]], f: int,
+              value: dict[str, HState]) -> dict[str, HState]:
+        """f applied to `value`, memoized in `images`, which maps function
+        ids to their images of that one value."""
+        out = images.get(f)
+        if out is None:
+            out = images[f] = hmf_apply(fns[f], value)
+        return out
 
     for d, value in init.items():
         meet_value(entry, d, value)
@@ -230,23 +295,28 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         n, d = vwork.popleft()
         vsteps += 1
         value = val[(n, d)]
+        # a value is popped once per change, so the memo lives for a pop
+        images: dict[int, dict[str, HState]] = {}
         if n in starts:
             for c in calls_in_proc.get(g.proc_of(n), ()):
                 for d2, f in from_start[(d, c)].items():
-                    meet_value(c, d2, hmf_apply(f, value))
+                    meet_value(c, d2, image(images, f, value))
         if n in call_sites:
             for edge in call_sites[n]:
-                edge_label = label[edge.eid]
                 for d3 in succ[edge.eid].get(d, ()):
-                    meet_value(edge.dst, d3, hmf_apply(edge_label, value))
+                    meet_value(edge.dst, d3,
+                               image(images, label[edge.eid], value))
 
     # --- final readout: every jump function applied to its start value ---
     envs: dict[str, dict[int, dict[str, HState]]] = defaultdict(dict)
+    readout: dict[tuple[str, int], dict[int, dict[str, HState]]] = \
+        defaultdict(dict)
     for (d1, n, d2), f in jump.items():
-        start_value = val.get((g.start_of(g.proc_of(n)), d1))
+        skey = (g.start_of(g.proc_of(n)), d1)
+        start_value = val.get(skey)
         if start_value is None:
             continue
-        value = hmf_apply(f, start_value)
+        value = image(readout[skey], f, start_value)
         table = envs[n]
         table[d2] = hsm_meet(table[d2], value) if d2 in table else value
 
@@ -255,7 +325,11 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         "phase2_steps": vsteps,
         "jump_functions": len(jump),
         "max_label_entries": max_label_entries,
-    }, jump_table=dict(jump) if keep_jump_table else None)
+        "compositions": len(compose_memo),
+        "meets": len(meet_memo),
+        "distinct_functions": len(fns),
+    }, jump_table={k: fns[f] for k, f in jump.items()}
+        if keep_jump_table else None)
 
 
 def solve_ifds(xsg: ExplodedSupergraph,

@@ -109,6 +109,12 @@ def _render(value) -> str:
 
 
 _MAX_EMIT_DEPTH = 64
+# Calls, handler invocations and the bodies of `if` and `while` each run
+# one level deeper on the Python stack.  A run nested deeper than this
+# stands in for a stack overflow and is reported as truncation; with the
+# parser's nesting bound it keeps the interpreter under Python's default
+# recursion limit.
+_MAX_CALL_DEPTH = 128
 
 
 class _Interp:
@@ -124,6 +130,7 @@ class _Interp:
         self.registered: dict[str, str] = {}  # handler -> event, first wins
         self.pending: list[str] = []
         self.emit_depth = 0
+        self.depth = 0  # bodies being run
 
     # -- variable access --
 
@@ -255,8 +262,14 @@ class _Interp:
             pass
 
     def _run_body(self, body, func: str, frame: dict) -> None:
-        for s in body:
-            self.exec_stmt(s, func, frame)
+        if self.depth >= _MAX_CALL_DEPTH:
+            raise _Truncated()
+        self.depth += 1
+        try:
+            for s in body:
+                self.exec_stmt(s, func, frame)
+        finally:
+            self.depth -= 1
 
     def _step(self, s: Stmt) -> None:
         self.trace.steps += 1

@@ -140,12 +140,21 @@ def _unescape(raw: str, line: int, col: int, file: str) -> str:
     return "".join(out)
 
 
+# The parser, the supergraph builder, the checks and the interpreter all
+# walk blocks and expressions recursively, so nesting is bounded to keep
+# each of them under Python's default recursion limit.  Blocks, open
+# parentheses and unary operators each add a level while they are being
+# parsed; an expression adds the depth of its operator tree.
+MAX_NESTING = 64
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], file: str, next_sid: int):
         self.tokens = tokens
         self.pos = 0
         self.file = file
         self.next_sid = next_sid
+        self.depth = 0  # blocks, parentheses and unary operators open
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -164,6 +173,19 @@ class _Parser:
     def at(self, kind: str, text: str | None = None) -> bool:
         tok = self.peek()
         return tok.kind == kind and (text is None or tok.text == text)
+
+    def nest(self, tok: Token, extra: int) -> None:
+        """Raise unless `extra` more levels at `tok` stay within
+        MAX_NESTING."""
+        if self.depth + extra > MAX_NESTING:
+            raise ParseError(tok.line, tok.col,
+                             f"nesting deeper than {MAX_NESTING} levels",
+                             self.file)
+
+    def enter(self, tok: Token) -> None:
+        """Enter one level of nesting at `tok`; the caller leaves it."""
+        self.nest(tok, 1)
+        self.depth += 1
 
     def sid(self) -> int:
         s = self.next_sid
@@ -197,11 +219,12 @@ class _Parser:
                             line=start.line, file=self.file)
 
     def block(self) -> list[Stmt]:
-        self.take("op", "{")
+        self.enter(self.take("op", "{"))
         body: list[Stmt] = []
         while not self.at("op", "}"):
             body.append(self.statement())
         self.take("op", "}")
+        self.depth -= 1
         return body
 
     # -- statements --
@@ -317,46 +340,58 @@ class _Parser:
     _BIN_LEVELS = (("||",), ("&&",), ("==", "!="),
                    ("<", "<=", ">", ">="), ("+", "-"), ("*", "/", "%"))
 
-    def expression(self, level: int = 0) -> Expr:
+    def expression(self) -> Expr:
+        return self.binary(0)[0]
+
+    # Each method below returns an expression with the depth of its
+    # operator tree: 0 for a leaf.
+
+    def binary(self, level: int) -> tuple[Expr, int]:
         if level == len(self._BIN_LEVELS):
             return self.unary()
         ops = self._BIN_LEVELS[level]
-        left = self.expression(level + 1)
+        left, depth = self.binary(level + 1)
         while self.at("op") and self.peek().text in ops:
-            op = self.take("op").text
-            right = self.expression(level + 1)
-            left = Binary(op, left, right)
-        return left
+            tok = self.take("op")
+            right, right_depth = self.binary(level + 1)
+            left, depth = Binary(tok.text, left, right), \
+                1 + max(depth, right_depth)
+            self.nest(tok, depth)
+        return left, depth
 
-    def unary(self) -> Expr:
+    def unary(self) -> tuple[Expr, int]:
         if self.at("op", "-") or self.at("op", "!"):
-            op = self.take("op").text
-            return Unary(op, self.unary())
+            tok = self.take("op")
+            self.enter(tok)
+            operand, depth = self.unary()
+            self.depth -= 1
+            return Unary(tok.text, operand), depth + 1
         return self.primary()
 
-    def primary(self) -> Expr:
+    def primary(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "int":
             self.take("int")
-            return IntLit(int(tok.text))
+            return IntLit(int(tok.text)), 0
         if tok.kind == "string":
             self.take("string")
-            return StrLit(_unescape(tok.text, tok.line, tok.col, self.file))
+            return StrLit(_unescape(tok.text, tok.line, tok.col, self.file)), 0
         if tok.kind in ("true", "false"):
             self.take(tok.kind)
-            return BoolLit(tok.kind == "true")
+            return BoolLit(tok.kind == "true"), 0
         if tok.kind == "ident":
             self.take("ident")
             if self.at("op", "("):
                 raise ParseError(tok.line, tok.col,
                                  "calls are statements, not expressions",
                                  self.file)
-            return Var(tok.text)
+            return Var(tok.text), 0
         if tok.kind == "op" and tok.text == "(":
-            self.take("op", "(")
-            e = self.expression()
+            self.enter(self.take("op", "("))
+            inner = self.binary(0)
+            self.depth -= 1
             self.take("op", ")")
-            return e
+            return inner
         raise ParseError(tok.line, tok.col,
                          f"expected an expression, found '{tok.text or 'eof'}'",
                          self.file)

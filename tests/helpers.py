@@ -29,6 +29,26 @@ def mf_meet_def(f, g):
     return sum(min(_out(f, s), _out(g, s)) << (2 * s) for s in range(4))
 
 
+def chain_source(h, g, l, a=7, b=3):
+    """The synthetic chain program: handler h_i does `l` assignments
+    g[(a*i+j) % g] = g[(b*i+j) % g] + j, then an if/print on two globals,
+    then registers and emits h_{i+1}; top-level registers and emits h0."""
+    lines = []
+    for i in range(h):
+        lines.append(f"fn h{i}() {{")
+        for j in range(l):
+            lines.append(f"  g{(a * i + j) % g} = g{(b * i + j) % g} + {j};")
+        p, q = (a * i + l) % g, (b * i + l) % g
+        lines.append(f"  if (g{p} < g{q}) {{ print(g{p}); }}")
+        if i + 1 < h:
+            lines.append(f'  register("e{i + 1}", h{i + 1});')
+            lines.append(f'  emit("e{i + 1}");')
+        lines.append("}")
+    lines.extend(f"var g{k};" for k in range(g))
+    lines += ['register("e0", h0);', 'emit("e0");']
+    return "\n".join(lines) + "\n"
+
+
 def pipeline(program, model=None):
     """parse-result -> (build result, uninit problem, exploded graph)."""
     build = build_supergraph(program, model)

@@ -177,14 +177,52 @@ def _assert_internal_error(capsys):
     assert "Traceback" not in err
 
 
-def test_deep_nesting_is_an_internal_error(tmp_path, capsys):
-    f = tmp_path / "deep.evl"
-    f.write_text("var x = " + "(" * 3000 + "1" + ")" * 3000 + ";\n")
-    assert main(["diff", str(f)]) == EXIT_ERROR
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    from evflow import cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli, "analyze_event_aware", crash)
+    assert main(["diff", corpus_path("door.evl")]) == EXIT_ERROR
     _assert_internal_error(capsys)
 
 
-def test_oracle_crash_is_an_internal_error(tmp_path, capsys):
+def _nested_ifs(n: int) -> str:
+    return "if (true) { " * n + "print(1);" + " }" * n + "\n"
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    for name, source in (
+            ("parens", "var x = " + "(" * 3000 + "1" + ")" * 3000 + ";\n"),
+            ("ifs", _nested_ifs(1200)),
+            ("sum", "var x = 1;\nvar y = " + " + ".join(["x"] * 5000) + ";\n")):
+        f = tmp_path / f"{name}.evl"
+        f.write_text(source)
+        assert main(["diff", str(f)]) == EXIT_ERROR, name
+        captured = capsys.readouterr()
+        assert "nesting deeper than" in captured.out, name
+        assert "internal error" not in captured.err, name
+
+
+def test_nesting_at_the_limit_runs_through_diff_and_oracle(tmp_path, capsys):
+    from evflow.lang.parser import MAX_NESTING
+    (tmp_path / "ifs.evl").write_text(
+        "var x;\nfn f() { " + _nested_ifs(MAX_NESTING - 1) + "}\n"
+        "if (true) { f(); }\nx = 1;\n")
+    (tmp_path / "parens.evl").write_text(
+        "var x;\nvar y = " + "(" * (MAX_NESTING - 1) + "x + 1" +
+        ")" * (MAX_NESTING - 1) + ";\n")
+    assert main(["diff", str(tmp_path / "ifs.evl")]) == EXIT_CLEAN
+    assert main(["diff", str(tmp_path / "parens.evl")]) == EXIT_DIAGNOSTICS
+    assert main(["oracle", str(tmp_path), "--count", "0"]) == EXIT_CLEAN
+    out = capsys.readouterr().out
+    assert "corpus ifs.evl: ok" in out and "corpus parens.evl: ok" in out
+
+
+def test_oracle_self_recursion_prints_its_result(tmp_path, capsys):
     (tmp_path / "rec.evl").write_text("fn f() { f(); }\nf();\n")
-    assert main(["oracle", str(tmp_path)]) == EXIT_ERROR
-    _assert_internal_error(capsys)
+    assert main(["oracle", str(tmp_path), "--count", "0"]) == EXIT_CLEAN
+    captured = capsys.readouterr()
+    assert "corpus rec.evl: ok" in captured.out
+    assert captured.err == ""

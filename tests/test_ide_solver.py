@@ -13,7 +13,7 @@ from evflow.randgen import GenParams, SMALL, gen_source
 from evflow.transform import analyze_event_aware, transform
 
 from conftest import CORPUS_NAMES, load_corpus_entry
-from helpers import brute_force_ide, pipeline
+from helpers import brute_force_ide, chain_source, pipeline
 
 S, R, E, X = HState.S, HState.R, HState.E, HState.X
 
@@ -178,6 +178,47 @@ def test_descent_check_survives_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           timeout=60)
     assert done.returncode == 0
+
+
+def _chain_labeled(h, g):
+    build, _, xsg = pipeline(parse(chain_source(h, g, 4)))
+    return transform(xsg, build.annotations, build.handlers)
+
+
+def test_lattice_operators_run_once_per_distinct_pair():
+    labeled = _chain_labeled(10, 20)
+    first = solve_ide(labeled)
+    second = solve_ide(labeled)
+    # compose is asked for on every propagation, but only a few hundred
+    # distinct pairs occur
+    assert 0 < first.stats["compositions"] < 1000
+    assert first.stats["meets"] > 0
+    assert first.stats["distinct_functions"] > len(labeled.handlers)
+    # nothing outlives a solve: a second one redoes every evaluation
+    assert second.stats == first.stats
+    assert second.envs == first.envs
+
+
+def test_stats_do_not_depend_on_string_hashing():
+    code = (
+        "import json\n"
+        "from helpers import chain_source, pipeline\n"
+        "from evflow.lang import parse\n"
+        "from evflow.ide import solve_ide\n"
+        "from evflow.transform import transform\n"
+        "build, _, xsg = pipeline(parse(chain_source(6, 12, 4)))\n"
+        "labeled = transform(xsg, build.annotations, build.handlers)\n"
+        "print(json.dumps(solve_ide(labeled).stats, sort_keys=True))\n")
+    tests = Path(__file__).parent
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=f"{tests.parent / 'src'}{os.pathsep}{tests}")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_environments_only_for_reachable(door):

@@ -67,6 +67,13 @@ def test_step_limit_truncates():
     assert trace.steps == 51
 
 
+def test_unbounded_recursion_truncates():
+    trace = interpret(parse("fn f() { f(); } f();"))
+    assert trace.truncated and trace.error is None
+    nested = "fn f() { if (true) { while (true) { f(); } } } f();"
+    assert interpret(parse(nested)).truncated
+
+
 def test_runtime_type_error_recorded():
     trace = interpret(parse('var x; x = 1 ; print(x); x = 2; if (true) {} '
                             'print("a"); emit("nothing");'))

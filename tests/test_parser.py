@@ -83,6 +83,23 @@ def test_parse_error_carries_position():
     assert err.value.col >= 8
 
 
+@pytest.mark.parametrize("nest", [
+    lambda n: "var x = " + "(" * (n - 1) + "1 + 1" + ")" * (n - 1) + ";",
+    lambda n: "var x = " + "- " * n + "1;",
+    lambda n: "var x = 1; var y = " + " + ".join(["x"] * (n + 1)) + ";",
+    lambda n: "if (true) { " * n + "print(1);" + " }" * n,
+    lambda n: "var x = 1;\n" + "if (true) { " * (n - 1) + "print(-x);" +
+    " }" * (n - 1),
+], ids=["parens", "unary", "sum", "ifs", "ifs-then-unary"])
+def test_nesting_bound(nest):
+    from evflow.lang.parser import MAX_NESTING
+    parse(nest(MAX_NESTING))
+    too_deep = nest(MAX_NESTING + 1)
+    with pytest.raises(ParseError, match="nesting deeper than") as err:
+        parse(too_deep)
+    assert err.value.line == too_deep.count("\n") + 1
+
+
 def test_roundtrip_through_pretty_printer(door, dirstat, timer, server):
     for program, model in (door, dirstat, timer, server):
         src = to_source(program)
