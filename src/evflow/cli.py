@@ -50,6 +50,8 @@ class Report:
     diagnostics: list[dict] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+    # the run stopped on an input error, which `warnings` holds
+    input_error: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -68,6 +70,8 @@ class Report:
         red = "\x1b[31m" if color else ""
         dim = "\x1b[2m" if color else ""
         reset = "\x1b[0m" if color else ""
+        if self.input_error:
+            return "".join(f"{red}error: {w}{reset}\n" for w in self.warnings)
         lines = []
         for w in self.warnings:
             lines.append(f"{dim}warning: {w}{reset}")
@@ -118,9 +122,8 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
         program = parse_files(cfg.inputs, model=model)
         analysis = analyze_event_aware(program, model)
     except (EvlError, EventModelError, OSError) as e:
-        report = Report(files=list(cfg.inputs), mode=cfg.mode)
-        report.warnings.append(str(e))
-        return EXIT_ERROR, report
+        return EXIT_ERROR, Report(files=list(cfg.inputs), mode=cfg.mode,
+                                  warnings=[str(e)], input_error=True)
 
     if cfg.dump_supergraph:
         Path(cfg.dump_supergraph).write_text(
@@ -176,11 +179,11 @@ def packaged_corpus_dir() -> Path:
 
 
 def iter_corpus(directory: Path):
+    """(file name, source, event-model path or None) per corpus program."""
     for evl in sorted(directory.glob("*.evl")):
         model_path = evl.parent / f"{evl.stem}.model.json"
-        model = EventModel.from_json_file(model_path) \
-            if model_path.exists() else EventModel.default()
-        yield evl.name, evl.read_text(encoding="utf-8"), model
+        yield (evl.name, evl.read_text(encoding="utf-8"),
+               str(model_path) if model_path.exists() else None)
 
 
 def check_program(source: str, model: EventModel, schedules: int,
@@ -232,29 +235,34 @@ def run_oracle_suite(cfg: RunConfig, out=None) -> int:
         return EXIT_ERROR
     failures = 0
     checked = 0
-    for name, source, model in iter_corpus(corpus):
-        violations = check_program(source, model, cfg.schedules, name)
+
+    def fail(head: str, violations: list[str], source: str) -> None:
+        nonlocal failures
+        failures += 1
+        print(f"{head}: FAIL", file=out)
+        for v in violations:
+            print(f"  {v}", file=out)
+        print("  counterexample:\n" +
+              "\n".join("    " + l for l in source.splitlines()), file=out)
+
+    for name, source, model_path in iter_corpus(corpus):
+        try:
+            violations = check_program(source, _load_model(model_path),
+                                       cfg.schedules, name)
+        except (EvlError, EventModelError) as e:
+            violations = [f"error: {e}"]
         checked += 1
-        status = "ok" if not violations else "FAIL"
-        print(f"corpus {name}: {status}", file=out)
         if violations:
-            failures += 1
-            for v in violations:
-                print(f"  {v}", file=out)
-            print("  counterexample:\n" +
-                  "\n".join("    " + l for l in source.splitlines()), file=out)
+            fail(f"corpus {name}", violations, source)
+        else:
+            print(f"corpus {name}: ok", file=out)
     params = GenParams(allow_while=True)
     for i in range(cfg.random_count):
         source = gen_source(f"{cfg.seed}:{i}", params)
         violations = check_program(source, EventModel.default(), cfg.schedules)
         checked += 1
         if violations:
-            failures += 1
-            print(f"random {cfg.seed}:{i}: FAIL", file=out)
-            for v in violations:
-                print(f"  {v}", file=out)
-            print("  counterexample:\n" +
-                  "\n".join("    " + l for l in source.splitlines()), file=out)
+            fail(f"random {cfg.seed}:{i}", violations, source)
     print(f"random programs: {cfg.random_count} checked "
           f"(seed {cfg.seed}, schedule bound {cfg.schedules})", file=out)
     print(f"oracle suite: {checked - failures}/{checked} passed", file=out)

@@ -116,7 +116,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
     as long as the solve: one canonical `HandlerMicroFn` per distinct
     function, named by a dense int id.  The solver carries the ids, so
     comparing two jump functions compares two ints, and compose and meet
-    run once per distinct pair of ids.
+    run once per distinct pair of ids.  The supergraph is compiled into
+    per-node tables first, so the worklist loops make no graph calls.
     """
     xsg = lxsg.xsg
     g = xsg.graph
@@ -127,6 +128,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
 
     # --- the per-solve intern table and operator memos ---
     fns: list[HandlerMicroFn] = []          # id -> canonical function
+    size: list[int] = []                    # id -> handlers it touches
     ids: dict[HandlerMicroFn, int] = {}     # function -> id
     compose_memo: dict[tuple[int, int], int] = {}
     meet_memo: dict[tuple[int, int], int] = {}
@@ -136,6 +138,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         if fid is None:
             fid = ids[f] = len(fns)
             fns.append(f)
+            size.append(len(f))
         return fid
 
     ID = intern(HMF_ID)
@@ -163,17 +166,51 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
 
     label = {eid: intern(f) for eid, f in lxsg.labels.items()}
 
+    # --- the supergraph compiled into per-node tables ---
+    proc_start = {n: g.start_of(node.func) for n, node in g.nodes.items()}
+    # exit node -> start of its procedure
+    exit_start = {end: start for proc, (start, end) in g.funcs.items()
+                  if g.proc_of(end) == proc}
+    # node -> its non-return out-edges as (is_call, eid, dst, label id,
+    # successor table, return site, callee end)
+    steps_from: dict[str, tuple[tuple, ...]] = {}
+    # (callee end, return site) -> (label id, successor table) of the
+    # return edge
+    returns: dict[tuple[str, str], tuple[int, dict]] = {}
+    for n in g.nodes:
+        row = []
+        for edge in g.out_edges(n):
+            if edge.role is EdgeRole.RETURN:
+                continue
+            is_call = edge.role is EdgeRole.CALL
+            callee_end = g.end_of(g.proc_of(edge.dst)) if is_call else None
+            row.append((is_call, edge.eid, edge.dst, label[edge.eid],
+                        succ[edge.eid], edge.ret_site, callee_end))
+            if is_call and edge.ret_site is not None:
+                ret_edge = g.edge_between(callee_end, edge.ret_site)
+                returns[(callee_end, edge.ret_site)] = (
+                    label[ret_edge.eid], succ[ret_edge.eid])
+        steps_from[n] = tuple(row)
+    # in the order of their first call edge
+    call_sites = dict.fromkeys(e.src for e in g.edges
+                               if e.role is EdgeRole.CALL)
+
     # --- phase 1: jump functions ---
     jump: dict[tuple[int, str, int], int] = {}
     work: deque[tuple[int, str, int]] = deque()
     # Insertion-ordered dicts used as sets: iteration order, and with it
     # the step counts, must not depend on string hashing.
     # (callee start, entry fact) -> {(call node, call fact, return site,
-    # call edge id): None}, for calls that return
-    incoming: dict[tuple[str, int], dict[tuple, None]] = defaultdict(dict)
+    # call edge id): call label id}, for calls that return
+    incoming: dict[tuple[str, int], dict[tuple, int]] = defaultdict(dict)
     # (callee start, entry fact) -> {exit fact: summary transformer}
     summaries: dict[tuple[str, int], dict[int, int]] = defaultdict(dict)
-    by_target: dict[tuple[str, int], dict[int, None]] = defaultdict(dict)
+    # (call site, call fact) -> {start fact: jump function}
+    by_target: dict[tuple[str, int], dict[int, int]] = defaultdict(dict)
+    # (call site, call fact) -> {through: [(start fact, through o jump)]};
+    # dropped whenever a jump function at that call site changes, so a
+    # cached list always equals a rebuilt one
+    fanout: dict[tuple[str, int], dict[int, list]] = {}
     steps = 0
     max_label_entries = 0
 
@@ -190,29 +227,39 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
             if check_descent and not hmf_leq(fns[new], fns[old]):
                 raise AssertionError("jump function must only descend")
         jump[key] = new
-        if len(fns[new]) > max_label_entries:
-            max_label_entries = len(fns[new])
-        by_target[(n, d2)][d1] = None
+        if size[new] > max_label_entries:
+            max_label_entries = size[new]
+        if n in call_sites:
+            by_target[(n, d2)][d1] = new
+            fanout.pop((n, d2), None)
         work.append(key)
 
     def apply_return(end_node: str, ret_site: str, d_exit: int,
                      f_summary: int, caller_node: str,
                      d_call: int, call_label: int) -> None:
-        ret_edge = g.edge_between(end_node, ret_site)
-        through = compose(label[ret_edge.eid], compose(f_summary, call_label))
+        ret_label, ret_succ = returns[(end_node, ret_site)]
+        through = compose(ret_label, compose(f_summary, call_label))
         # through o f_caller, once per caller fact d3 rather than once per
-        # (d5, d3) pair; built on the first d5
+        # (d5, d3) pair; looked up on the first d5
         callers = None
-        for d5 in succ[ret_edge.eid].get(d_exit, ()):
+        for d5 in ret_succ.get(d_exit, ()):
             if callers is None:
-                callers = [(d3, compose(through, jump[(d3, caller_node, d_call)]))
-                           for d3 in by_target[(caller_node, d_call)]]
+                site = (caller_node, d_call)
+                cached = fanout.get(site)
+                if cached is None:
+                    cached = fanout[site] = {}
+                callers = cached.get(through)
+                if callers is None:
+                    callers = cached[through] = [
+                        (d3, compose(through, f_caller))
+                        for d3, f_caller in by_target[site].items()]
             for d3, f_return in callers:
                 propagate(d3, ret_site, d5, f_return)
             if d5 == d_call and ret_site == caller_node:
                 # a dispatch returns into the event loop it was called
                 # from, so these propagations may have lowered the very
-                # jump functions `callers` was built from
+                # jump functions `callers` was built from; look it up
+                # again, which rebuilds it if they did
                 callers = None
 
     propagate(ZERO, entry, ZERO, ID)
@@ -223,35 +270,33 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         d1, n, d2 = key
         f = jump[key]
         steps += 1
-        proc = g.proc_of(n)
-        if g.is_exit(n):
-            start = g.start_of(proc)
-            old = summaries[(start, d1)].get(d2)
+        start = exit_start.get(n)
+        if start is not None:
+            skey = (start, d1)
+            exits = summaries[skey]
+            old = exits.get(d2)
             merged = f if old is None else meet(old, f)
             if merged != old:
-                summaries[(start, d1)][d2] = merged
-                for caller_node, d_call, ret_site, call_eid in \
-                        tuple(incoming[(start, d1)]):
+                exits[d2] = merged
+                for (caller_node, d_call, ret_site, _), call_label in \
+                        tuple(incoming[skey].items()):
                     apply_return(n, ret_site, d2, merged, caller_node,
-                                 d_call, label[call_eid])
-        for edge in g.out_edges(n):
-            if edge.role is EdgeRole.RETURN:
-                continue
-            if edge.role is EdgeRole.CALL:
-                callee_start = edge.dst
-                callee_end = g.end_of(g.proc_of(callee_start))
-                for d3 in succ[edge.eid].get(d2, ()):
-                    ckey = (callee_start, d3)
-                    propagate(d3, callee_start, d3, ID)
-                    if edge.ret_site is not None:
-                        incoming[ckey][(n, d2, edge.ret_site, edge.eid)] = None
+                                 d_call, call_label)
+        for is_call, eid, dst, lab, targets, ret_site, callee_end \
+                in steps_from[n]:
+            if is_call:
+                for d3 in targets.get(d2, ()):
+                    ckey = (dst, d3)
+                    propagate(d3, dst, d3, ID)
+                    if ret_site is not None:
+                        incoming[ckey][(n, d2, ret_site, eid)] = lab
                         for d4, f_summary in tuple(summaries[ckey].items()):
-                            apply_return(callee_end, edge.ret_site, d4,
-                                         f_summary, n, d2, label[edge.eid])
+                            apply_return(callee_end, ret_site, d4,
+                                         f_summary, n, d2, lab)
             else:
-                f_step = compose(label[edge.eid], f)
-                for d3 in succ[edge.eid].get(d2, ()):
-                    propagate(d1, edge.dst, d3, f_step)
+                f_step = f if lab == ID else compose(lab, f)
+                for d3 in targets.get(d2, ()):
+                    propagate(d1, dst, d3, f_step)
 
     # --- phase 2: values at procedure starts and call sites ---
     val: dict[tuple[str, int], dict[str, HState]] = {}
@@ -267,14 +312,9 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         vwork.append((n, d))
 
     # jump functions from each procedure start, grouped by call site
-    starts = {g.start_of(p) for p in g.funcs}
-    call_sites: dict[str, list] = defaultdict(list)
-    calls_in_proc: dict[str, list[str]] = defaultdict(list)
-    for edge in g.edges:
-        if edge.role is EdgeRole.CALL:
-            if edge.src not in call_sites:
-                calls_in_proc[g.proc_of(edge.src)].append(edge.src)
-            call_sites[edge.src].append(edge)
+    calls_from_start: dict[str, list[str]] = defaultdict(list)
+    for n in call_sites:
+        calls_from_start[proc_start[n]].append(n)
     from_start: dict[tuple[int, str], dict[int, int]] = defaultdict(dict)
     for (d1, n, d2), f in jump.items():
         if n in call_sites:
@@ -297,26 +337,31 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         value = val[(n, d)]
         # a value is popped once per change, so the memo lives for a pop
         images: dict[int, dict[str, HState]] = {}
-        if n in starts:
-            for c in calls_in_proc.get(g.proc_of(n), ()):
-                for d2, f in from_start[(d, c)].items():
-                    meet_value(c, d2, image(images, f, value))
+        for c in calls_from_start.get(n, ()):
+            for d2, f in from_start[(d, c)].items():
+                meet_value(c, d2, image(images, f, value))
         if n in call_sites:
-            for edge in call_sites[n]:
-                for d3 in succ[edge.eid].get(d, ()):
-                    meet_value(edge.dst, d3,
-                               image(images, label[edge.eid], value))
+            for is_call, _, dst, lab, targets, _, _ in steps_from[n]:
+                if is_call:
+                    for d3 in targets.get(d, ()):
+                        meet_value(dst, d3, image(images, lab, value))
 
     # --- final readout: every jump function applied to its start value ---
     envs: dict[str, dict[int, dict[str, HState]]] = defaultdict(dict)
-    readout: dict[tuple[str, int], dict[int, dict[str, HState]]] = \
-        defaultdict(dict)
+    # one image memo per distinct start value, shared by every (start,
+    # fact) pair that holds that value
+    by_value: dict[tuple, dict[int, dict[str, HState]]] = {}
+    readout: dict[tuple[str, int], dict[int, dict[str, HState]]] = {}
     for (d1, n, d2), f in jump.items():
-        skey = (g.start_of(g.proc_of(n)), d1)
+        skey = (proc_start[n], d1)
         start_value = val.get(skey)
         if start_value is None:
             continue
-        value = image(readout[skey], f, start_value)
+        images = readout.get(skey)
+        if images is None:
+            images = readout[skey] = by_value.setdefault(
+                tuple(start_value.items()), {})
+        value = image(images, f, start_value)
         table = envs[n]
         table[d2] = hsm_meet(table[d2], value) if d2 in table else value
 

@@ -128,12 +128,23 @@ class ExplodedSupergraph:
         missing = [e.eid for e in graph.edges if e.eid not in rel_of]
         if missing:
             raise ValueError(f"edges without a flow relation: {missing}")
+        # edge id -> {source fact: ascending successor facts}, one table
+        # per distinct relation object
         self.succ: dict[int, dict[int, tuple[int, ...]]] = {}
+        tables: dict[int, dict[int, tuple[int, ...]]] = {}
         for eid, rel in rel_of.items():
-            by_src: dict[int, list[int]] = defaultdict(list)
-            for d1, d2 in sorted(rel):
-                by_src[d1].append(d2)
-            self.succ[eid] = {d1: tuple(ds) for d1, ds in by_src.items()}
+            table = tables.get(id(rel))
+            if table is None:
+                by_src: dict[int, list[int]] = {}
+                for d1, d2 in rel:
+                    ds = by_src.get(d1)
+                    if ds is None:
+                        by_src[d1] = [d2]
+                    else:
+                        ds.append(d2)
+                table = tables[id(rel)] = {
+                    d1: tuple(sorted(by_src[d1])) for d1 in sorted(by_src)}
+            self.succ[eid] = table
 
     def iter_exploded_edges(self):
         for edge in self.graph.edges:

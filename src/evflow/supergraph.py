@@ -152,9 +152,6 @@ class Supergraph:
     def end_of(self, proc: str) -> str:
         return self.funcs[proc][1]
 
-    def is_exit(self, node_id: str) -> bool:
-        return self.end_of(self.proc_of(node_id)) == node_id
-
     def entry(self) -> str:
         return self.start_of(TOP_LEVEL)
 

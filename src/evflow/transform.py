@@ -80,12 +80,18 @@ def untransform(result: IdeResult) -> FilteredResult:
     """Keep a fact at a node only if its map sends no handler to X."""
     facts: dict[str, frozenset[int]] = {}
     provenance: dict[tuple[str, int], dict[str, HState]] = {}
+    # the readout shares one map between many (node, fact) pairs, and
+    # `result` keeps every map alive, so each is tested once by its id
+    infeasible: dict[int, bool] = {}
     for node, env in result.envs.items():
         kept = set()
         for d, hsm in env.items():
             if d == ZERO:
                 continue
-            if any(state == HState.X for state in hsm.values()):
+            bad = infeasible.get(id(hsm))
+            if bad is None:
+                bad = infeasible[id(hsm)] = HState.X in hsm.values()
+            if bad:
                 provenance[(node, d)] = hsm
             else:
                 kept.add(d)

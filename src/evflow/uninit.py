@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ifds import FactDomain, RepRelation, ZERO, canon_rel
+from .ifds import FactDomain, RepRelation, ZERO
 from .lang.ast import (
     Assign,
     Call,
@@ -30,7 +30,12 @@ from .supergraph import EdgeKind, NodeKind, Supergraph
 
 
 class UninitProblem:
-    """Flow-function factory for one program over one supergraph."""
+    """Flow-function factory for one program over one supergraph.
+
+    Every relation it builds is canonical by construction: the only pairs
+    from 0 are (0, 0) and generated facts, and no other fact flows into a
+    generated one.
+    """
 
     def __init__(self, program: Program, graph: Supergraph,
                  model=None, scopes: Scopes | None = None):
@@ -41,6 +46,12 @@ class UninitProblem:
         self.domain = FactDomain(self.scopes.all_facts())
         self._globals = frozenset(
             self.domain.index_of(n) for n in self.scopes.globals)
+        # shared by every edge they label, so the exploded supergraph
+        # builds one successor table for each
+        self._identity = frozenset(
+            {(ZERO, ZERO), *((d, d) for d in self.domain.indices())})
+        self._globals_only = frozenset(
+            {(ZERO, ZERO), *((d, d) for d in self._globals)})
         self._cache: dict[int, RepRelation] = {}
 
     # -- helpers --
@@ -48,28 +59,19 @@ class UninitProblem:
     def _idx(self, func: str, name: str) -> int:
         return self.domain.index_of(self.scopes.qualify(func, name))
 
-    def _identity_pairs(self) -> set[tuple[int, int]]:
-        return {(ZERO, ZERO), *((d, d) for d in self.domain.indices())}
-
     def _assign_rel(self, func: str, target: str, value_expr) -> RepRelation:
         target_i = self._idx(func, target)
-        sources = {self._idx(func, v) for v in expr_vars(value_expr)}
-        pairs = {(ZERO, ZERO)}
-        for d in self.domain.indices():
-            if d != target_i:
-                pairs.add((d, d))
-            if d in sources:
-                pairs.add((d, target_i))
-        return canon_rel(pairs)
+        pairs = [(ZERO, ZERO)]
+        pairs.extend((d, d) for d in self.domain.indices() if d != target_i)
+        pairs.extend((self._idx(func, v), target_i)
+                     for v in expr_vars(value_expr))
+        return frozenset(pairs)
 
     def _gen_rel(self, gens: frozenset[int]) -> RepRelation:
-        pairs = {(ZERO, ZERO)}
-        pairs.update((ZERO, d) for d in gens)
-        pairs.update((d, d) for d in self.domain.indices() if d not in gens)
-        return canon_rel(pairs)
-
-    def _globals_only(self) -> RepRelation:
-        return frozenset({(ZERO, ZERO), *((d, d) for d in self._globals)})
+        pairs = [(ZERO, ZERO)]
+        pairs.extend((ZERO, d) for d in gens)
+        pairs.extend((d, d) for d in self.domain.indices() if d not in gens)
+        return frozenset(pairs)
 
     def _locals_of(self, func: str) -> frozenset[int]:
         sc = self.scopes
@@ -92,7 +94,7 @@ class UninitProblem:
             return self._call_rel(edge)
         if kind in (EdgeKind.RETURN, EdgeKind.TO_EVENT_LOOP,
                     EdgeKind.DISPATCH):
-            return self._globals_only()
+            return self._globals_only
         if kind is EdgeKind.CALL_TO_RETURN:
             caller_locals = self._locals_of(g.proc_of(edge.src))
             non_global = caller_locals - self._globals
@@ -106,7 +108,7 @@ class UninitProblem:
                              for n in sc.locals_by_func.get(src.func, ()))
             return self._gen_rel(locs)
         if src.kind is not NodeKind.STMT:
-            return canon_rel(self._identity_pairs())
+            return self._identity
         stmt = self.program.stmt(src.sid)
         if isinstance(stmt, VarDecl):
             if stmt.init is None:
@@ -115,12 +117,12 @@ class UninitProblem:
             return self._assign_rel(src.func, stmt.name, stmt.init)
         if isinstance(stmt, Assign):
             return self._assign_rel(src.func, stmt.name, stmt.value)
-        return canon_rel(self._identity_pairs())
+        return self._identity
 
     def _call_rel(self, edge) -> RepRelation:
         # globals cross into the callee; parameters are bound from the
         # variables read by their actuals
-        pairs = set(self._globals_only())
+        pairs = set(self._globals_only)
         if edge.kind is EdgeKind.CALL and edge.sid is not None:
             stmt = self.program.stmt(edge.sid)
             if isinstance(stmt, Call) and self.program.has_function(stmt.callee):
@@ -130,7 +132,7 @@ class UninitProblem:
                     p_i = self._idx(callee.name, param)
                     for v in expr_vars(actual):
                         pairs.add((self._idx(caller, v), p_i))
-        return canon_rel(pairs)
+        return frozenset(pairs)
 
     # -- reporting --
 

@@ -226,3 +226,50 @@ def test_oracle_self_recursion_prints_its_result(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "corpus rec.evl: ok" in captured.out
     assert captured.err == ""
+
+
+def test_oracle_goes_on_past_a_corpus_file_that_does_not_parse(
+        tmp_path, capsys):
+    deep = "var x = " + "(" * 100 + "1" + ")" * 100 + ";\n"
+    (tmp_path / "deep.evl").write_text(deep)
+    (tmp_path / "door.evl").write_text(
+        (packaged_corpus_dir() / "door.evl").read_text(encoding="utf-8"))
+    status = main(["oracle", str(tmp_path), "--count", "2"])
+    captured = capsys.readouterr()
+    assert status == EXIT_DIAGNOSTICS
+    assert captured.err == ""
+    out = captured.out
+    assert "corpus deep.evl: FAIL" in out
+    assert "nesting deeper than" in out
+    assert "    " + deep.strip() in out  # the counterexample source
+    assert "corpus door.evl: ok" in out
+    assert "random programs: 2 checked" in out
+    assert "oracle suite: 3/4 passed" in out
+
+
+def _assert_text_input_error(captured, message: str):
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.out
+    assert message in lines[0]
+    assert "reported" not in captured.out and "nodes=" not in captured.out
+    assert captured.err == ""
+
+
+def test_text_report_on_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "broken.evl"
+    f.write_text("var ;")
+    assert main(["diff", str(f)]) == EXIT_ERROR
+    _assert_text_input_error(capsys.readouterr(), "broken.evl")
+
+
+def test_text_report_on_a_missing_file(capsys):
+    assert main(["diff", "/nonexistent/x.evl"]) == EXIT_ERROR
+    _assert_text_input_error(capsys.readouterr(), "no such file")
+
+
+def test_json_report_on_an_input_error_lists_it_as_a_warning(capsys):
+    assert main(["diff", "--format", "json",
+                 "/nonexistent/x.evl"]) == EXIT_ERROR
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["warnings"] == ["no such file: /nonexistent/x.evl"]
+    assert doc["diagnostics"] == [] and doc["stats"] == {}

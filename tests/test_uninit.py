@@ -1,14 +1,18 @@
 import itertools
 import random
+from pathlib import Path
 
-from evflow.ifds import ZERO, apply_rel
+from evflow.ifds import ZERO, apply_rel, canon_rel
 from evflow.lang import interpret, parse
 from evflow.lang.ast import Assign, VarDecl, iter_stmts
+from evflow.randgen import GenParams, gen_source
 from evflow.supergraph import EdgeKind, node_for_sid
 from evflow.uninit import report_uses
 
 from helpers import pipeline
 from evflow.ide import solve_ifds
+
+from conftest import CORPUS_NAMES, load_corpus_entry
 
 
 def edge_after(program, graph, pred):
@@ -173,3 +177,34 @@ def test_interpreter_agreement_with_branches_is_superset():
                for r in trace.uninit_reads()}
     assert dynamic <= static
     assert dynamic  # this one actually fires at run time
+
+
+def _table_programs():
+    for name in CORPUS_NAMES:
+        yield name, *load_corpus_entry(name)
+    for evl in sorted((Path(__file__).parent / "golden").glob("*.evl")):
+        yield evl.name, parse(evl.read_text(encoding="utf-8")), None
+    params = GenParams(allow_while=True)
+    for i in range(200):
+        yield f"tables:{i}", parse(gen_source(f"tables:{i}", params)), None
+
+
+def test_relations_are_canonical_and_successor_tables_match_them():
+    """Flow relations are built canonical, and each successor table,
+    however it is built or shared, is the grouping of the sorted
+    relation by source fact."""
+    checked = 0
+    for tag, program, model in _table_programs():
+        _, problem, xsg = pipeline(program, model)
+        for e in xsg.graph.edges:
+            rel = problem.flow_for(e)
+            assert canon_rel(rel) == rel, (tag, e)
+            table: dict[int, list[int]] = {}
+            for d1, d2 in sorted(xsg.rel_of[e.eid]):
+                table.setdefault(d1, []).append(d2)
+            expected = {d1: tuple(ds) for d1, ds in table.items()}
+            succ = xsg.succ[e.eid]
+            assert succ == expected, (tag, e)
+            assert list(succ) == sorted(succ), (tag, e)
+        checked += 1
+    assert checked == len(CORPUS_NAMES) + 3 + 200
