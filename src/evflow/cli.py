@@ -15,7 +15,14 @@ from pathlib import Path
 from .event_lattice import HState
 from .eventmodel import EventModel, EventModelError
 from .ifds import exploded_dot
-from .lang import EvlError, check_trace_ordering, explore_schedules, parse, parse_files
+from .lang import (
+    EvlError,
+    check_trace_ordering,
+    explore_schedules,
+    parse,
+    parse_files,
+    read_source,
+)
 from .lang.ast import Scopes
 from .randgen import GenParams, gen_source
 from .supergraph import supergraph_dot
@@ -179,11 +186,10 @@ def packaged_corpus_dir() -> Path:
 
 
 def iter_corpus(directory: Path):
-    """(file name, source, event-model path or None) per corpus program."""
+    """(program path, event-model path or None) per corpus program."""
     for evl in sorted(directory.glob("*.evl")):
         model_path = evl.parent / f"{evl.stem}.model.json"
-        yield (evl.name, evl.read_text(encoding="utf-8"),
-               str(model_path) if model_path.exists() else None)
+        yield evl, str(model_path) if model_path.exists() else None
 
 
 def check_program(source: str, model: EventModel, schedules: int,
@@ -242,20 +248,24 @@ def run_oracle_suite(cfg: RunConfig, out=None) -> int:
         print(f"{head}: FAIL", file=out)
         for v in violations:
             print(f"  {v}", file=out)
-        print("  counterexample:\n" +
-              "\n".join("    " + l for l in source.splitlines()), file=out)
+        if source:
+            print("  counterexample:\n" +
+                  "\n".join("    " + l for l in source.splitlines()),
+                  file=out)
 
-    for name, source, model_path in iter_corpus(corpus):
+    for evl, model_path in iter_corpus(corpus):
+        source = ""
         try:
+            source = read_source(evl)
             violations = check_program(source, _load_model(model_path),
-                                       cfg.schedules, name)
+                                       cfg.schedules, evl.name)
         except (EvlError, EventModelError) as e:
             violations = [f"error: {e}"]
         checked += 1
         if violations:
-            fail(f"corpus {name}", violations, source)
+            fail(f"corpus {evl.name}", violations, source)
         else:
-            print(f"corpus {name}: ok", file=out)
+            print(f"corpus {evl.name}: ok", file=out)
     params = GenParams(allow_while=True)
     for i in range(cfg.random_count):
         source = gen_source(f"{cfg.seed}:{i}", params)

@@ -100,6 +100,9 @@ class EventModel:
                 doc = json.load(fh)
             except json.JSONDecodeError as e:
                 raise EventModelError(f"{path}: invalid JSON: {e}") from e
+            except UnicodeDecodeError as e:
+                raise EventModelError(f"{path}: not valid UTF-8 ({e.reason} "
+                                      f"at byte {e.start})") from e
         if not isinstance(doc, dict):
             raise EventModelError(f"{path}: expected a JSON object")
         return cls.from_dict(doc)

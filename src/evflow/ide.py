@@ -71,7 +71,8 @@ class IdeResult:
     """Per node, the environment: fact -> handler-state map.
 
     The tautological fact's row is kept under index 0; environments exist
-    exactly for the nodes phase 1 reached.
+    exactly for the nodes phase 1 reached.  Equal maps are one shared
+    dict, so a caller must copy a map before changing it.
     """
 
     envs: dict[str, dict[int, dict[str, HState]]]
@@ -118,6 +119,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
     comparing two jump functions compares two ints, and compose and meet
     run once per distinct pair of ids.  The supergraph is compiled into
     per-node tables first, so the worklist loops make no graph calls.
+    Phase 2 and the readout intern handler-state maps the same way, and
+    every environment value is the canonical dict of its map.
     """
     xsg = lxsg.xsg
     g = xsg.graph
@@ -298,18 +301,60 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
                 for d3 in targets.get(d2, ()):
                     propagate(d1, dst, d3, f_step)
 
+    # --- the per-solve intern table of handler-state maps ---
+    # A solve meets and maps only a handful of distinct maps, so each gets
+    # one canonical dict and a dense int id, and `hmf_apply` and
+    # `hsm_meet` run once per distinct pair of ids.  The key is the item
+    # tuple, not the values alone: a custom `init` may list the handlers
+    # in another order.
+    maps: list[dict[str, HState]] = []      # id -> canonical map
+    uses: list[int] = []                    # id -> env entries holding it
+    map_ids: dict[tuple, int] = {}          # item tuple -> id
+    apply_memo: dict[tuple[int, int], int] = {}
+    map_meet_memo: dict[tuple[int, int], int] = {}
+
+    def intern_map(m: dict[str, HState]) -> int:
+        key = tuple(m.items())
+        mid = map_ids.get(key)
+        if mid is None:
+            mid = map_ids[key] = len(maps)
+            maps.append(m)
+            uses.append(0)
+        return mid
+
+    def apply(f: int, mid: int) -> int:
+        if f == ID:
+            return mid
+        key = (f, mid)
+        out = apply_memo.get(key)
+        if out is None:
+            out = apply_memo[key] = intern_map(hmf_apply(fns[f], maps[mid]))
+        return out
+
+    def meet_map(a: int, b: int) -> int:
+        if a == b:
+            return a
+        key = (a, b) if a < b else (b, a)
+        out = map_meet_memo.get(key)
+        if out is None:
+            out = map_meet_memo[key] = intern_map(
+                hsm_meet(maps[key[0]], maps[key[1]]))
+        return out
+
     # --- phase 2: values at procedure starts and call sites ---
-    val: dict[tuple[str, int], dict[str, HState]] = {}
+    val: dict[tuple[str, int], int] = {}
     vwork: deque[tuple[str, int]] = deque()
     vsteps = 0
 
-    def meet_value(n: str, d: int, value: dict[str, HState]) -> None:
-        old = val.get((n, d))
-        new = value if old is None else hsm_meet(old, value)
-        if old is not None and new == old:
-            return
-        val[(n, d)] = new
-        vwork.append((n, d))
+    def meet_value(n: str, d: int, value: int) -> None:
+        key = (n, d)
+        old = val.get(key)
+        if old is not None:
+            value = meet_map(old, value)
+            if value == old:
+                return
+        val[key] = value
+        vwork.append(key)
 
     # jump functions from each procedure start, grouped by call site
     calls_from_start: dict[str, list[str]] = defaultdict(list)
@@ -320,50 +365,40 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         if n in call_sites:
             from_start[(d1, n)][d2] = f
 
-    def image(images: dict[int, dict[str, HState]], f: int,
-              value: dict[str, HState]) -> dict[str, HState]:
-        """f applied to `value`, memoized in `images`, which maps function
-        ids to their images of that one value."""
-        out = images.get(f)
-        if out is None:
-            out = images[f] = hmf_apply(fns[f], value)
-        return out
-
     for d, value in init.items():
-        meet_value(entry, d, value)
+        meet_value(entry, d, intern_map(dict(value)))
     while vwork:
-        n, d = vwork.popleft()
+        n, d = key = vwork.popleft()
         vsteps += 1
-        value = val[(n, d)]
-        # a value is popped once per change, so the memo lives for a pop
-        images: dict[int, dict[str, HState]] = {}
+        value = val[key]
         for c in calls_from_start.get(n, ()):
             for d2, f in from_start[(d, c)].items():
-                meet_value(c, d2, image(images, f, value))
+                meet_value(c, d2, apply(f, value))
         if n in call_sites:
             for is_call, _, dst, lab, targets, _, _ in steps_from[n]:
                 if is_call:
                     for d3 in targets.get(d, ()):
-                        meet_value(dst, d3, image(images, lab, value))
+                        meet_value(dst, d3, apply(lab, value))
 
     # --- final readout: every jump function applied to its start value ---
     envs: dict[str, dict[int, dict[str, HState]]] = defaultdict(dict)
-    # one image memo per distinct start value, shared by every (start,
-    # fact) pair that holds that value
-    by_value: dict[tuple, dict[int, dict[str, HState]]] = {}
-    readout: dict[tuple[str, int], dict[int, dict[str, HState]]] = {}
     for (d1, n, d2), f in jump.items():
-        skey = (proc_start[n], d1)
-        start_value = val.get(skey)
+        start_value = val.get((proc_start[n], d1))
         if start_value is None:
             continue
-        images = readout.get(skey)
-        if images is None:
-            images = readout[skey] = by_value.setdefault(
-                tuple(start_value.items()), {})
-        value = image(images, f, start_value)
+        mid = start_value if f == ID else apply(f, start_value)
         table = envs[n]
-        table[d2] = hsm_meet(table[d2], value) if d2 in table else value
+        old = table.get(d2)
+        if old is None:
+            table[d2] = maps[mid]
+            uses[mid] += 1
+            continue
+        old_id = map_ids[tuple(old.items())]
+        new_id = meet_map(old_id, mid)
+        if new_id != old_id:
+            table[d2] = maps[new_id]
+            uses[old_id] -= 1
+            uses[new_id] += 1
 
     return IdeResult(dict(envs), lxsg.handlers, {
         "phase1_steps": steps,
@@ -373,6 +408,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         "compositions": len(compose_memo),
         "meets": len(meet_memo),
         "distinct_functions": len(fns),
+        "distinct_maps": len(uses) - uses.count(0),
     }, jump_table={k: fns[f] for k, f in jump.items()}
         if keep_jump_table else None)
 

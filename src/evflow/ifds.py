@@ -116,6 +116,28 @@ def identity_rel(domain: FactDomain) -> RepRelation:
     return frozenset({(ZERO, ZERO), *((d, d) for d in domain.indices())})
 
 
+def _patched_table(base: dict[int, tuple[int, ...]], ident: RepRelation,
+                   rel: RepRelation) -> dict[int, tuple[int, ...]]:
+    """The successor table of `rel`, {source: ascending successors} with
+    ascending keys, from `base`, the table of the identity `ident`."""
+    table = base.copy()
+    for d, _ in ident - rel:
+        del table[d]
+    new_key = False
+    added: dict[int, list[int]] = {}
+    for d1, d2 in sorted(rel - ident):
+        added.setdefault(d1, []).append(d2)
+    for d1, ds in added.items():
+        if d1 in table:     # keeps its own (d1, d1) pair
+            table[d1] = tuple(sorted((d1, *ds)))
+        else:
+            table[d1] = tuple(ds)
+            new_key = True
+    if new_key:
+        table = {d: table[d] for d in sorted(table)}
+    return table
+
+
 class ExplodedSupergraph:
     """Supergraph with one canonical relation per edge; the exploded node
     and edge sets are derived views."""
@@ -129,21 +151,17 @@ class ExplodedSupergraph:
         if missing:
             raise ValueError(f"edges without a flow relation: {missing}")
         # edge id -> {source fact: ascending successor facts}, one table
-        # per distinct relation object
+        # per distinct relation object.  Each table is the identity's
+        # table patched where the relation differs from the identity, so
+        # building it costs the pairs that differ, not the domain size.
+        ident = identity_rel(domain)
+        base = {d: (d,) for d in (ZERO, *domain.indices())}
         self.succ: dict[int, dict[int, tuple[int, ...]]] = {}
         tables: dict[int, dict[int, tuple[int, ...]]] = {}
         for eid, rel in rel_of.items():
             table = tables.get(id(rel))
             if table is None:
-                by_src: dict[int, list[int]] = {}
-                for d1, d2 in rel:
-                    ds = by_src.get(d1)
-                    if ds is None:
-                        by_src[d1] = [d2]
-                    else:
-                        ds.append(d2)
-                table = tables[id(rel)] = {
-                    d1: tuple(sorted(by_src[d1])) for d1 in sorted(by_src)}
+                table = tables[id(rel)] = _patched_table(base, ident, rel)
             self.succ[eid] = table
 
     def iter_exploded_edges(self):

@@ -489,6 +489,16 @@ def parse(source: str, *, filename: str = "<input>", model=None) -> Program:
     return _assemble([unit], [filename], model)
 
 
+def read_source(path) -> str:
+    """The text of an EVL file; a file that is not UTF-8 is an EvlError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise EvlError(f"{path}: not valid UTF-8 ({e.reason} at byte "
+                       f"{e.start})") from e
+
+
 def parse_files(paths, *, model=None) -> Program:
     """Parse several files into one program with a single top-level."""
     units = []
@@ -496,8 +506,7 @@ def parse_files(paths, *, model=None) -> Program:
     next_sid = 0
     for path in paths:
         path = str(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
+        source = read_source(path)
         parser = _Parser(tokenize(source, path), path, next_sid)
         units.append(parser.parse_unit())
         files.append(path)

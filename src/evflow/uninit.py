@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ifds import FactDomain, RepRelation, ZERO
+from .ifds import FactDomain, RepRelation, ZERO, identity_rel
 from .lang.ast import (
     Assign,
     Call,
@@ -47,9 +47,9 @@ class UninitProblem:
         self._globals = frozenset(
             self.domain.index_of(n) for n in self.scopes.globals)
         # shared by every edge they label, so the exploded supergraph
-        # builds one successor table for each
-        self._identity = frozenset(
-            {(ZERO, ZERO), *((d, d) for d in self.domain.indices())})
+        # builds one successor table for each; gen and assign relations
+        # are copies of the identity with a few pairs swapped
+        self._identity = identity_rel(self.domain)
         self._globals_only = frozenset(
             {(ZERO, ZERO), *((d, d) for d in self._globals)})
         self._cache: dict[int, RepRelation] = {}
@@ -60,18 +60,13 @@ class UninitProblem:
         return self.domain.index_of(self.scopes.qualify(func, name))
 
     def _assign_rel(self, func: str, target: str, value_expr) -> RepRelation:
-        target_i = self._idx(func, target)
-        pairs = [(ZERO, ZERO)]
-        pairs.extend((d, d) for d in self.domain.indices() if d != target_i)
-        pairs.extend((self._idx(func, v), target_i)
-                     for v in expr_vars(value_expr))
-        return frozenset(pairs)
+        t = self._idx(func, target)
+        return self._identity.difference(((t, t),)).union(
+            (self._idx(func, v), t) for v in expr_vars(value_expr))
 
     def _gen_rel(self, gens: frozenset[int]) -> RepRelation:
-        pairs = [(ZERO, ZERO)]
-        pairs.extend((ZERO, d) for d in gens)
-        pairs.extend((d, d) for d in self.domain.indices() if d not in gens)
-        return frozenset(pairs)
+        return self._identity.difference((d, d) for d in gens).union(
+            (ZERO, d) for d in gens)
 
     def _locals_of(self, func: str) -> frozenset[int]:
         sc = self.scopes

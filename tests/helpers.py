@@ -29,6 +29,24 @@ def mf_meet_def(f, g):
     return sum(min(_out(f, s), _out(g, s)) << (2 * s) for s in range(4))
 
 
+def gen_rel_def(domain, gens):
+    """The relation that generates `gens` from 0 and keeps every other
+    fact, built pair by pair over the whole domain."""
+    pairs = [(ZERO, ZERO)]
+    pairs.extend((ZERO, d) for d in gens)
+    pairs.extend((d, d) for d in domain.indices() if d not in gens)
+    return frozenset(pairs)
+
+
+def assign_rel_def(domain, target, reads):
+    """The relation of `target = <expression reading reads>`, built pair
+    by pair over the whole domain."""
+    pairs = [(ZERO, ZERO)]
+    pairs.extend((d, d) for d in domain.indices() if d != target)
+    pairs.extend((v, target) for v in reads)
+    return frozenset(pairs)
+
+
 def chain_source(h, g, l, a=7, b=3):
     """The synthetic chain program: handler h_i does `l` assignments
     g[(a*i+j) % g] = g[(b*i+j) % g] + j, then an if/print on two globals,

@@ -273,3 +273,41 @@ def test_json_report_on_an_input_error_lists_it_as_a_warning(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["warnings"] == ["no such file: /nonexistent/x.evl"]
     assert doc["diagnostics"] == [] and doc["stats"] == {}
+
+
+# a string literal holding two bytes that do not decode as UTF-8
+NOT_UTF8 = b'var x = "\xff\xfe";\n'
+
+
+def test_diff_on_a_file_that_is_not_utf8(tmp_path, capsys):
+    f = tmp_path / "bad.evl"
+    f.write_bytes(NOT_UTF8)
+    assert main(["diff", str(f)]) == EXIT_ERROR
+    _assert_text_input_error(capsys.readouterr(),
+                             f"{f}: not valid UTF-8")
+
+
+def test_event_model_that_is_not_utf8(tmp_path, capsys):
+    m = tmp_path / "bad.model.json"
+    m.write_bytes(b'{"registrations": ["\xff"]}')
+    assert main(["diff", corpus_path("door.evl"),
+                 "--event-model", str(m)]) == EXIT_ERROR
+    _assert_text_input_error(capsys.readouterr(),
+                             f"{m}: not valid UTF-8")
+
+
+def test_oracle_goes_on_past_a_corpus_file_that_is_not_utf8(
+        tmp_path, capsys):
+    (tmp_path / "bad.evl").write_bytes(NOT_UTF8)
+    (tmp_path / "door.evl").write_text(
+        (packaged_corpus_dir() / "door.evl").read_text(encoding="utf-8"))
+    status = main(["oracle", str(tmp_path), "--count", "2"])
+    captured = capsys.readouterr()
+    assert status == EXIT_DIAGNOSTICS
+    assert captured.err == ""
+    out = captured.out
+    assert "corpus bad.evl: FAIL" in out
+    assert "bad.evl: not valid UTF-8" in out
+    assert "corpus door.evl: ok" in out
+    assert "random programs: 2 checked" in out
+    assert "oracle suite: 3/4 passed" in out

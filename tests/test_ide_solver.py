@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from evflow.event_lattice import HState
+from evflow.event_lattice import HState, all_s
 from evflow.ide import LabeledExplodedSupergraph, solve_ide
 from evflow.ifds import PathBudgetExceededError, ZERO, mvp_bruteforce
 from evflow.lang import parse
@@ -259,3 +259,42 @@ def test_custom_init_environment(door):
     result = solve_ide(labeled, init=init)
     value = result.value(build.graph.start_of("hdlOpen"), txt)
     assert value == {"hdlOpen": E, "hdlClose": S}
+
+
+def _interning_programs():
+    for name in CORPUS_NAMES:
+        yield load_corpus_entry(name)
+    params = GenParams(allow_while=True)
+    for i in range(200):
+        yield parse(gen_source(f"maps:{i}", params)), None
+
+
+def test_environment_maps_are_interned():
+    """Equal maps in the environments are one dict, `distinct_maps` counts
+    them, and a second solve starts from empty intern tables."""
+    for program, model in _interning_programs():
+        _, _, _, labeled, result = ide_for(program, model)
+        maps = [m for env in result.envs.values() for m in env.values()]
+        distinct = {tuple(sorted(m.items())) for m in maps}
+        assert len({id(m) for m in maps}) == len(distinct)
+        assert result.stats["distinct_maps"] == len(distinct)
+        again = solve_ide(labeled)
+        assert again.stats == result.stats
+        assert again.envs == result.envs
+
+
+def test_init_maps_in_any_handler_order(door):
+    """Maps are interned by their items, not their values alone: the same
+    handler states listed in another order give the same environments."""
+    program, model = door
+    _, problem, _, labeled, default = ide_for(program, model)
+    h0, h1 = labeled.handlers
+    reverse = dict(reversed(all_s(labeled.handlers).items()))
+    assert solve_ide(labeled, init={ZERO: reverse}).envs == default.envs
+    txt = problem.domain.index_of("txt")
+    # both maps list the values (R, S), in two different handler orders
+    mixed = {ZERO: {h0: R, h1: S}, txt: {h1: R, h0: S}}
+    ordered = {ZERO: {h0: R, h1: S}, txt: {h0: S, h1: R}}
+    mixed_envs = solve_ide(labeled, init=mixed).envs
+    assert mixed_envs == solve_ide(labeled, init=ordered).envs
+    assert mixed_envs[labeled.xsg.graph.entry()][txt] == {h0: S, h1: R}

@@ -2,6 +2,8 @@ import pytest
 
 from evflow.ide import solve_ifds
 from evflow.ifds import (
+    ExplodedSupergraph,
+    FactDomain,
     PathBudgetExceededError,
     ZERO,
     identity_rel,
@@ -280,3 +282,38 @@ def test_exploded_dot(door):
     assert dot.startswith("digraph exploded {")
     assert "rank=same" in dot
     assert "txt" in dot
+
+
+def _grouped(rel):
+    table = {}
+    for d1, d2 in sorted(rel):
+        table.setdefault(d1, []).append(d2)
+    return [(d1, tuple(ds)) for d1, ds in table.items()]
+
+
+def test_successor_tables_far_from_the_identity():
+    """Each successor table, patched from the identity's, is the grouping
+    of the sorted relation by source, keys in ascending order; edges that
+    share a relation object share its table."""
+    g = _manual_two_node_graph()
+    domain = FactDomain(["a", "b", "c", "d"])
+    ident = identity_rel(domain)
+    no_zero = frozenset({(1, 2), (3, 3), (4, 1)})
+    # sources 1 and 2 lose their diagonal, 4 keeps it and gains 1 and 3
+    off_diagonal = frozenset({(ZERO, ZERO), (ZERO, 4), (2, 1), (2, 3),
+                              (1, 3), (3, 3), (4, 4), (4, 1), (4, 3)})
+    rels = [no_zero, off_diagonal, frozenset(set(ident)), ident,
+            ident - {(2, 2)} | {(1, 2), (3, 2)}, frozenset(), off_diagonal]
+    assert len(rels) == len(g.edges)
+    rel_of = {e.eid: rel for e, rel in zip(g.edges, rels)}
+    xsg = ExplodedSupergraph(g, domain, rel_of)
+    for eid, rel in rel_of.items():
+        assert list(xsg.succ[eid].items()) == _grouped(rel), rel
+    assert xsg.succ[g.edges[1].eid] is xsg.succ[g.edges[6].eid]
+
+    empty = FactDomain([])
+    rels = [frozenset({(ZERO, ZERO)}), frozenset()] * 4
+    rel_of = {e.eid: rel for e, rel in zip(g.edges, rels)}
+    xsg = ExplodedSupergraph(g, empty, rel_of)
+    for eid, rel in rel_of.items():
+        assert list(xsg.succ[eid].items()) == _grouped(rel), rel

@@ -4,12 +4,12 @@ from pathlib import Path
 
 from evflow.ifds import ZERO, apply_rel, canon_rel
 from evflow.lang import interpret, parse
-from evflow.lang.ast import Assign, VarDecl, iter_stmts
+from evflow.lang.ast import Assign, VarDecl, expr_vars, iter_stmts
 from evflow.randgen import GenParams, gen_source
-from evflow.supergraph import EdgeKind, node_for_sid
+from evflow.supergraph import EdgeKind, NodeKind, node_for_sid
 from evflow.uninit import report_uses
 
-from helpers import pipeline
+from helpers import assign_rel_def, gen_rel_def, pipeline
 from evflow.ide import solve_ifds
 
 from conftest import CORPUS_NAMES, load_corpus_entry
@@ -208,3 +208,46 @@ def test_relations_are_canonical_and_successor_tables_match_them():
             assert list(succ) == sorted(succ), (tag, e)
         checked += 1
     assert checked == len(CORPUS_NAMES) + 3 + 200
+
+
+def _definitional_rel(problem, edge):
+    """The gen or assign relation of an intra edge, built pair by pair,
+    or None for an edge that neither generates nor assigns."""
+    if edge.kind is not EdgeKind.INTRA:
+        return None
+    node = problem.graph.nodes[edge.src]
+    domain = problem.domain
+
+    def idx(name):
+        return domain.index_of(problem.scopes.qualify(node.func, name))
+
+    if node.kind is NodeKind.START:
+        locs = problem.scopes.locals_by_func.get(node.func, ())
+        return gen_rel_def(domain, {domain.index_of(n) for n in locs})
+    if node.kind is not NodeKind.STMT:
+        return None
+    stmt = problem.program.stmt(node.sid)
+    if isinstance(stmt, VarDecl) and stmt.init is None:
+        return gen_rel_def(domain, {idx(stmt.name)})
+    if isinstance(stmt, VarDecl):
+        value = stmt.init
+    elif isinstance(stmt, Assign):
+        value = stmt.value
+    else:
+        return None
+    return assign_rel_def(domain, idx(stmt.name),
+                          [idx(v) for v in expr_vars(value)])
+
+
+def test_gen_and_assign_relations_match_their_definitions():
+    """The identity-patched gen and assign relations equal the ones built
+    pair by pair over the domain."""
+    checked = 0
+    for tag, program, model in _table_programs():
+        _, problem, xsg = pipeline(program, model)
+        for e in xsg.graph.edges:
+            expected = _definitional_rel(problem, e)
+            if expected is not None:
+                assert problem.flow_for(e) == expected, (tag, e)
+                checked += 1
+    assert checked > 1000
