@@ -124,11 +124,9 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
     started = time.perf_counter()
     try:
         model = _load_model(cfg.event_model)
-        if len(cfg.inputs) == 1 and not os.path.exists(cfg.inputs[0]):
-            raise EvlError(f"no such file: {cfg.inputs[0]}")
         program = parse_files(cfg.inputs, model=model)
         analysis = analyze_event_aware(program, model)
-    except (EvlError, EventModelError, OSError) as e:
+    except (EvlError, EventModelError) as e:
         return EXIT_ERROR, Report(files=list(cfg.inputs), mode=cfg.mode,
                                   warnings=[str(e)], input_error=True)
 
@@ -157,7 +155,7 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
         entry = {"file": d.file, "line": d.line, "var": d.var,
                  "status": status}
         if status == "filtered":
-            hsm = analysis.filtered.provenance[(d.node, fact)]
+            hsm = analysis.ide.envs[d.node][fact]
             entry["handler_states"] = _hsm_json(hsm)
         diagnostics.append(entry)
 
@@ -189,7 +187,7 @@ def iter_corpus(directory: Path):
     """(program path, event-model path or None) per corpus program."""
     for evl in sorted(directory.glob("*.evl")):
         model_path = evl.parent / f"{evl.stem}.model.json"
-        yield evl, str(model_path) if model_path.exists() else None
+        yield evl, str(model_path) if os.path.lexists(model_path) else None
 
 
 def check_program(source: str, model: EventModel, schedules: int,
@@ -281,6 +279,13 @@ def run_oracle_suite(cfg: RunConfig, out=None) -> int:
 
 # --- argument parsing -------------------------------------------------------
 
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evflow",
@@ -305,9 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                            "the corpus and random programs")
     oracle.add_argument("inputs", nargs="*", metavar="corpus_dir")
     oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument("--schedules", type=int, default=6,
+    oracle.add_argument("--schedules", type=_count, default=6,
                         help="max dispatch decisions explored per program")
-    oracle.add_argument("--count", type=int, default=100,
+    oracle.add_argument("--count", type=_count, default=100,
                         help="number of random programs")
     return parser
 

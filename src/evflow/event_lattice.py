@@ -194,8 +194,3 @@ def all_s(handlers) -> dict[str, HState]:
 def hsm_meet(a: dict[str, HState], b: dict[str, HState]) -> dict[str, HState]:
     """Pointwise meet of two handler-state maps over the same handlers."""
     return {h: hstate_meet(s, b[h]) for h, s in a.items()}
-
-
-def hsm_format(m: dict[str, HState]) -> str:
-    body = ", ".join(f"{h}: {s}" for h, s in sorted(m.items()))
-    return "{" + body + "}"

@@ -95,14 +95,17 @@ class EventModel:
 
     @classmethod
     def from_json_file(cls, path) -> "EventModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise EventModelError(f"{path}: invalid JSON: {e}") from e
-            except UnicodeDecodeError as e:
-                raise EventModelError(f"{path}: not valid UTF-8 ({e.reason} "
-                                      f"at byte {e.start})") from e
+        except json.JSONDecodeError as e:
+            raise EventModelError(f"{path}: invalid JSON: {e}") from e
+        except UnicodeDecodeError as e:
+            raise EventModelError(f"{path}: not valid UTF-8 ({e.reason} "
+                                  f"at byte {e.start})") from e
+        except OSError as e:
+            raise EventModelError(f"{path}: cannot read ({e.strerror or e})"
+                                  ) from e
         if not isinstance(doc, dict):
             raise EventModelError(f"{path}: expected a JSON object")
         return cls.from_dict(doc)
@@ -115,14 +118,6 @@ class EventModel:
 
     def emission_for(self, callee: str) -> EmissionSpec | None:
         return self._emissions.get(callee)
-
-    @property
-    def registrations(self) -> tuple[RegistrationSpec, ...]:
-        return tuple(self._registrations.values())
-
-    @property
-    def emissions(self) -> tuple[EmissionSpec, ...]:
-        return tuple(self._emissions.values())
 
     # -- call-site operand extraction --
 

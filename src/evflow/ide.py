@@ -57,9 +57,6 @@ class LabeledExplodedSupergraph:
         if missing:
             raise MissingAnnotationError(missing[0])
 
-    def label_of(self, eid: int) -> HandlerMicroFn:
-        return self.labels[eid]
-
     @classmethod
     def identity(cls, xsg: ExplodedSupergraph,
                  handlers: tuple[str, ...] = ()) -> "LabeledExplodedSupergraph":
@@ -76,42 +73,13 @@ class IdeResult:
     """
 
     envs: dict[str, dict[int, dict[str, HState]]]
-    handlers: tuple[str, ...]
     stats: dict = field(default_factory=dict)
-    jump_table: dict[tuple[int, str, int], HandlerMicroFn] | None = None
-
-    def env(self, node: str) -> dict[int, dict[str, HState]]:
-        return self.envs.get(node, {})
-
-    def value(self, node: str, fact: int) -> dict[str, HState] | None:
-        return self.envs.get(node, {}).get(fact)
-
-    def reachable_facts(self, node: str) -> frozenset[int]:
-        return frozenset(d for d in self.envs.get(node, {}) if d != ZERO)
-
-    def plain(self) -> IfdsResult:
-        """The plain result: the reached nodes and their non-zero facts.
-
-        Each jump function is one path edge (d1, n, d2) of the plain
-        tabulation, which steps each path edge once.
-        """
-        facts = {n: frozenset(d for d in env if d != ZERO)
-                 for n, env in self.envs.items()}
-        path_edges = self.stats["jump_functions"]
-        return IfdsResult({n: ds for n, ds in facts.items() if ds},
-                          frozenset(self.envs),
-                          {"worklist_steps": path_edges,
-                           "path_edges": path_edges})
 
 
-def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
-              init: dict[int, dict[str, HState]] | None = None,
-              check_descent: bool = False,
-              keep_jump_table: bool = False) -> IdeResult:
-    """Meet-over-valid-paths values for every reachable exploded node.
-
-    `init` maps entry facts to their starting handler-state maps; by
-    default the tautological fact starts with every handler in S.
+def solve_ide(lxsg: LabeledExplodedSupergraph,
+              check_descent: bool = False) -> IdeResult:
+    """Meet-over-valid-paths values for every reachable exploded node,
+    from the tautological fact at the entry with every handler in S.
 
     Every transformer the solve touches is interned in a table that lives
     as long as the solve: one canonical `HandlerMicroFn` per distinct
@@ -125,9 +93,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
     xsg = lxsg.xsg
     g = xsg.graph
     succ = xsg.succ
-    entry = entry or g.entry()
-    if init is None:
-        init = {ZERO: all_s(lxsg.handlers)}
+    entry = g.entry()
 
     # --- the per-solve intern table and operator memos ---
     fns: list[HandlerMicroFn] = []          # id -> canonical function
@@ -266,8 +232,6 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
                 callers = None
 
     propagate(ZERO, entry, ZERO, ID)
-    for d in init:
-        propagate(d, entry, d, ID)
     while work:
         key = work.popleft()
         d1, n, d2 = key
@@ -304,9 +268,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
     # --- the per-solve intern table of handler-state maps ---
     # A solve meets and maps only a handful of distinct maps, so each gets
     # one canonical dict and a dense int id, and `hmf_apply` and
-    # `hsm_meet` run once per distinct pair of ids.  The key is the item
-    # tuple, not the values alone: a custom `init` may list the handlers
-    # in another order.
+    # `hsm_meet` run once per distinct pair of ids.
     maps: list[dict[str, HState]] = []      # id -> canonical map
     uses: list[int] = []                    # id -> env entries holding it
     map_ids: dict[tuple, int] = {}          # item tuple -> id
@@ -365,8 +327,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         if n in call_sites:
             from_start[(d1, n)][d2] = f
 
-    for d, value in init.items():
-        meet_value(entry, d, intern_map(dict(value)))
+    meet_value(entry, ZERO, intern_map(all_s(lxsg.handlers)))
     while vwork:
         n, d = key = vwork.popleft()
         vsteps += 1
@@ -400,7 +361,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
             uses[old_id] -= 1
             uses[new_id] += 1
 
-    return IdeResult(dict(envs), lxsg.handlers, {
+    return IdeResult(dict(envs), {
         "phase1_steps": steps,
         "phase2_steps": vsteps,
         "jump_functions": len(jump),
@@ -409,25 +370,23 @@ def solve_ide(lxsg: LabeledExplodedSupergraph, entry: str | None = None,
         "meets": len(meet_memo),
         "distinct_functions": len(fns),
         "distinct_maps": len(uses) - uses.count(0),
-    }, jump_table={k: fns[f] for k, f in jump.items()}
-        if keep_jump_table else None)
+    })
 
 
 def solve_ifds(xsg: ExplodedSupergraph,
                ide: IdeResult | None = None) -> IfdsResult:
-    """The plain IFDS result over `xsg`, read off `ide` (a solve over any
-    labelling of `xsg`) or, without one, off the identity-labelled solve."""
+    """The plain IFDS result over `xsg`: the reached nodes and their
+    non-zero facts, read off `ide` (a solve over any labelling of `xsg`)
+    or, without one, off the identity-labelled solve.
+
+    Each jump function is one path edge (d1, n, d2) of the plain
+    tabulation, which steps each path edge once.
+    """
     if ide is None:
         ide = solve_ide(LabeledExplodedSupergraph.identity(xsg))
-    return ide.plain()
-
-
-def format_jump_table(result: IdeResult) -> str:
-    """Stable text dump of the phase-1 jump functions for debugging."""
-    if result.jump_table is None:
-        raise ValueError("solve with keep_jump_table=True to dump the table")
-    lines = []
-    for (d1, n, d2), f in sorted(result.jump_table.items(),
-                                 key=lambda kv: (kv[0][1], kv[0][0], kv[0][2])):
-        lines.append(f"{n}: {d1} -> {d2}  {f!r}")
-    return "\n".join(lines) + "\n"
+    facts = {n: frozenset(d for d in env if d != ZERO)
+             for n, env in ide.envs.items()}
+    path_edges = ide.stats["jump_functions"]
+    return IfdsResult({n: ds for n, ds in facts.items() if ds},
+                      frozenset(ide.envs),
+                      {"worklist_steps": path_edges, "path_edges": path_edges})

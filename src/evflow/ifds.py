@@ -1,10 +1,10 @@
 """Distributive flow functions as representation relations, the exploded
-supergraph, the plain result type and a brute-force oracle.
+supergraph, the fact-set result type and a brute-force oracle.
 
 Facts are small integers; index 0 is the tautological fact that holds
 everywhere and seeds the analysis.  A flow function is stored as the
-canonical bipartite relation over (D u {0})^2; meet is union of edges
-and composition is the relational join, both re-canonicalized.
+canonical bipartite relation over (D u {0})^2 that its client builds;
+the solver only looks successors up, it never composes relations.
 
 The plain result holds, per node, the facts reachable from <entry, 0>
 along call/return-balanced paths, treating event-loop dispatches as calls
@@ -59,32 +59,6 @@ class FactDomain:
         return frozenset(self._names[i - 1] for i in indices)
 
 
-def canon_rel(pairs) -> RepRelation:
-    """Canonical form: always contains (0,0); drops any (d1,d2) with d1 != 0
-    whose target is already generated from 0."""
-    gen = {d2 for d1, d2 in pairs if d1 == ZERO and d2 != ZERO}
-    out = {(ZERO, ZERO)}
-    for d1, d2 in pairs:
-        if d1 == ZERO:
-            if d2 != ZERO:
-                out.add((ZERO, d2))
-        elif d2 != ZERO and d2 not in gen:
-            out.add((d1, d2))
-    return frozenset(out)
-
-
-def rep_relation(f, domain: FactDomain) -> RepRelation:
-    """Canonical relation of a distributive set function f: 2^D -> 2^D."""
-    empty_image = frozenset(f(frozenset()))
-    pairs = {(ZERO, ZERO)}
-    pairs.update((ZERO, d) for d in empty_image)
-    for d1 in domain.indices():
-        for d2 in f(frozenset((d1,))):
-            if d2 not in empty_image:
-                pairs.add((d1, d2))
-    return frozenset(pairs)
-
-
 def apply_rel(r: RepRelation, s) -> frozenset[int]:
     """Evaluate the represented function on a subset of D (union meet)."""
     out = set()
@@ -94,22 +68,6 @@ def apply_rel(r: RepRelation, s) -> frozenset[int]:
         if d1 == ZERO or d1 in s:
             out.add(d2)
     return frozenset(out)
-
-
-def compose_rel(r1: RepRelation, r2: RepRelation) -> RepRelation:
-    """Relation of (g o f) where r1 represents f and r2 represents g."""
-    by_src = defaultdict(set)
-    for d1, d2 in r2:
-        by_src[d1].add(d2)
-    joined = set()
-    for x, y in r1:
-        for z in by_src.get(y, ()):
-            joined.add((x, z))
-    return canon_rel(joined)
-
-
-def meet_rel(r1: RepRelation, r2: RepRelation) -> RepRelation:
-    return canon_rel(r1 | r2)
 
 
 def identity_rel(domain: FactDomain) -> RepRelation:
@@ -178,6 +136,10 @@ def explode(graph: Supergraph, domain: FactDomain, flow_for) -> ExplodedSupergra
 
 @dataclass
 class IfdsResult:
+    """Per reached node, a set of non-zero facts: the plain result, or the
+    facts the event-aware filter keeps.  Nodes without facts have no
+    entry in `facts`."""
+
     facts: dict[str, frozenset[int]]
     reachable: frozenset[str]
     stats: dict = field(default_factory=dict)
@@ -185,28 +147,17 @@ class IfdsResult:
     def facts_at(self, node: str) -> frozenset[int]:
         return self.facts.get(node, frozenset())
 
-    def is_reachable(self, node: str) -> bool:
-        return node in self.reachable
 
-    def names_at(self, node: str, domain: FactDomain) -> frozenset[str]:
-        return domain.names_of(self.facts_at(node))
-
-
-def mvp_bruteforce(g: Supergraph, flow, entry: str | None = None,
-                   max_len: int = 40, path_budget: int = 100_000) -> IfdsResult:
+def mvp_bruteforce(g: Supergraph, rel_of: dict[int, RepRelation],
+                   entry: str | None = None, max_len: int = 40,
+                   path_budget: int = 100_000) -> IfdsResult:
     """Definitional oracle: enumerate valid paths up to max_len, apply the
     composed flow function of each to the empty set, union per node.
 
-    `flow` is either a dict from edge id to relation or a callable on
-    edges.  Intended for small graphs only; raises PathBudgetExceededError
-    when enumeration outgrows the budget.
+    Intended for small graphs only; raises PathBudgetExceededError when
+    enumeration outgrows the budget.
     """
     entry = entry or g.entry()
-    if callable(flow):
-        rel_of = {e.eid: flow(e) for e in g.edges}
-    else:
-        rel_of = flow
-
     facts: dict[str, set[int]] = defaultdict(set)
     reachable: set[str] = set()
     # memo avoids re-walking suffixes for identical (node, facts, stack)

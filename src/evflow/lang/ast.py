@@ -228,9 +228,6 @@ class Scopes:
     def qualify(self, func: str, name: str) -> str:
         return self._res[(func, name)]
 
-    def maybe_qualify(self, func: str, name: str) -> str | None:
-        return self._res.get((func, name))
-
     def all_facts(self) -> tuple[str, ...]:
         out = list(self.globals)
         for f in sorted(self.locals_by_func):

@@ -490,13 +490,18 @@ def parse(source: str, *, filename: str = "<input>", model=None) -> Program:
 
 
 def read_source(path) -> str:
-    """The text of an EVL file; a file that is not UTF-8 is an EvlError."""
+    """The text of an EVL file; a file that cannot be read or is not UTF-8
+    is an EvlError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as e:
         raise EvlError(f"{path}: not valid UTF-8 ({e.reason} at byte "
                        f"{e.start})") from e
+    except FileNotFoundError as e:
+        raise EvlError(f"no such file: {path}") from e
+    except OSError as e:
+        raise EvlError(f"{path}: cannot read ({e.strerror or e})") from e
 
 
 def parse_files(paths, *, model=None) -> Program:

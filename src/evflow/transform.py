@@ -5,7 +5,8 @@ The labeling never touches graph structure: registration, emission,
 callback-style registration and dispatch edges get the matching
 per-handler chain function; every other edge keeps the identity.  The
 projection drops any fact whose handler-state map sends some handler to
-the infeasible state, remembering the offending map for reporting.
+the infeasible state; that map stays in the solve's environments, where
+a report reads it.
 """
 
 from __future__ import annotations
@@ -60,26 +61,9 @@ def transform(xsg: ExplodedSupergraph, annotations: EventAnnotation,
     return LabeledExplodedSupergraph(xsg, labels, handlers)
 
 
-@dataclass
-class FilteredResult:
-    """Fact sets surviving the feasibility filter, plus the offending
-    handler-state map for every fact the filter removed."""
-
-    facts: dict[str, frozenset[int]]
-    provenance: dict[tuple[str, int], dict[str, HState]]
-    handlers: tuple[str, ...]
-
-    def facts_at(self, node: str) -> frozenset[int]:
-        return self.facts.get(node, frozenset())
-
-    def excluded_at(self, node: str) -> dict[int, dict[str, HState]]:
-        return {d: m for (n, d), m in self.provenance.items() if n == node}
-
-
-def untransform(result: IdeResult) -> FilteredResult:
+def untransform(result: IdeResult) -> IfdsResult:
     """Keep a fact at a node only if its map sends no handler to X."""
     facts: dict[str, frozenset[int]] = {}
-    provenance: dict[tuple[str, int], dict[str, HState]] = {}
     # the readout shares one map between many (node, fact) pairs, and
     # `result` keeps every map alive, so each is tested once by its id
     infeasible: dict[int, bool] = {}
@@ -91,18 +75,18 @@ def untransform(result: IdeResult) -> FilteredResult:
             bad = infeasible.get(id(hsm))
             if bad is None:
                 bad = infeasible[id(hsm)] = HState.X in hsm.values()
-            if bad:
-                provenance[(node, d)] = hsm
-            else:
+            if not bad:
                 kept.add(d)
         if kept:
             facts[node] = frozenset(kept)
-    return FilteredResult(facts, provenance, result.handlers)
+    return IfdsResult(facts, frozenset(result.envs))
 
 
 @dataclass
 class EventAwareAnalysis:
-    """Both solutions of one problem instance, for diffing."""
+    """Both solutions of one problem instance, for diffing.  The
+    handler-state map of a fact the filter dropped is
+    `ide.envs[node][fact]`."""
 
     program: Program
     build: BuildResult
@@ -111,7 +95,7 @@ class EventAwareAnalysis:
     labeled: LabeledExplodedSupergraph
     ifds: IfdsResult
     ide: IdeResult
-    filtered: FilteredResult
+    filtered: IfdsResult
     warnings: list = field(default_factory=list)
 
     @property
@@ -124,14 +108,12 @@ class EventAwareAnalysis:
 
 
 def analyze_event_aware(program: Program, model: EventModel | None = None,
-                        problem: UninitProblem | None = None,
                         check_descent: bool = False) -> EventAwareAnalysis:
     """Run the event-aware analysis over one program and read the plain
     result off the same solve."""
     model = model or EventModel.default()
     build = build_supergraph(program, model)
-    if problem is None:
-        problem = UninitProblem(program, build.graph, model=model)
+    problem = UninitProblem(program, build.graph, model=model)
     xsg = explode(build.graph, problem.domain, problem.flow_for)
     labeled = transform(xsg, build.annotations, build.handlers)
     ide_result = solve_ide(labeled, check_descent=check_descent)

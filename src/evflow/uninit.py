@@ -3,8 +3,8 @@
 The fact domain is every declared variable, alpha-renamed so locals of
 different functions never collide.  Declarations act like JS var
 hoisting: a function's locals become possibly-uninitialized on the edge
-leaving its start node, and a declaration with an initializer behaves
-like an assignment.  Reads inside conditions, prints and call arguments
+leaving its start node, a declaration with an initializer behaves like
+an assignment, and one without is the identity.  Reads inside conditions, prints and call arguments
 do not transform facts; they are reporting sites.
 """
 
@@ -105,10 +105,7 @@ class UninitProblem:
         if src.kind is not NodeKind.STMT:
             return self._identity
         stmt = self.program.stmt(src.sid)
-        if isinstance(stmt, VarDecl):
-            if stmt.init is None:
-                return self._gen_rel(
-                    frozenset((self._idx(src.func, stmt.name),)))
+        if isinstance(stmt, VarDecl) and stmt.init is not None:
             return self._assign_rel(src.func, stmt.name, stmt.init)
         if isinstance(stmt, Assign):
             return self._assign_rel(src.func, stmt.name, stmt.value)
@@ -175,10 +172,6 @@ class Diagnostic:
     qualified: str
     line: int
     file: str
-
-    def render(self) -> str:
-        where = f"{self.file}:" if self.file else ""
-        return f"{where}{self.line}: variable '{self.var}' may be uninitialized"
 
 
 def report_uses(problem: UninitProblem, facts: dict[str, frozenset[int]]

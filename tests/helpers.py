@@ -29,6 +29,20 @@ def mf_meet_def(f, g):
     return sum(min(_out(f, s), _out(g, s)) << (2 * s) for s in range(4))
 
 
+def canon_rel_def(pairs):
+    """The canonical form of a relation: it holds (0, 0), and no pair
+    (d1, d2) with d1 != 0 whose target is already generated from 0."""
+    gen = {d2 for d1, d2 in pairs if d1 == ZERO and d2 != ZERO}
+    out = {(ZERO, ZERO)}
+    for d1, d2 in pairs:
+        if d1 == ZERO:
+            if d2 != ZERO:
+                out.add((ZERO, d2))
+        elif d2 != ZERO and d2 not in gen:
+            out.add((d1, d2))
+    return frozenset(out)
+
+
 def gen_rel_def(domain, gens):
     """The relation that generates `gens` from 0 and keeps every other
     fact, built pair by pair over the whole domain."""

@@ -67,9 +67,9 @@ def test_criterion_1_door():
     filtered_diags = report_uses(analysis.problem, analysis.filtered.facts)
     assert filtered_diags == []
 
-    assert analysis.ide.value(g.start_of("hdlOpen"), txt) == \
+    assert analysis.ide.envs[g.start_of("hdlOpen")][txt] == \
         {"hdlOpen": E, "hdlClose": S}
-    assert analysis.ide.value(g.start_of("hdlClose"), txt) == \
+    assert analysis.ide.envs[g.start_of("hdlClose")][txt] == \
         {"hdlOpen": E, "hdlClose": X}
     _passed(1, "door: filtered false positive, exact state maps",
             started, 1.0)
@@ -100,9 +100,9 @@ def test_criterion_2_dirstat():
     assert hmf_apply(feasible, all_s(("f", "h"))) == {"f": E, "h": E}
     # the solver agrees: the tautological row at the reading node meets to
     # the feasible map
-    assert analysis.ide.value(add, ZERO) == {"f": E, "h": E}
+    assert analysis.ide.envs[add][ZERO] == {"f": E, "h": E}
     # and the infeasible path is why sum was filtered
-    assert analysis.filtered.provenance[(add, sum_i)] == {"f": E, "h": X}
+    assert analysis.ide.envs[add][sum_i] == {"f": E, "h": X}
     _passed(2, "dirstat: sum filtered, feasible path all-E", started, 1.0)
 
 
@@ -119,7 +119,7 @@ def test_criterion_3_timer_and_server():
         read = _assign_node(analysis, var)
         assert fact in analysis.ifds.facts_at(read), name
         assert fact not in analysis.filtered.facts_at(read), name
-        assert analysis.filtered.provenance[(read, fact)] == expected, name
+        assert analysis.ide.envs[read][fact] == expected, name
     _passed(3, "timer/server: filtered with exact infeasible maps",
             started, 1.0)
 
@@ -233,8 +233,7 @@ def test_criterion_7_oracle_equivalence():
         ide = solve_ide(LabeledExplodedSupergraph.identity(
             xsg, build.handlers))
         assert set(ide.envs) == brute.reachable
-        for node in brute.reachable:
-            assert ide.reachable_facts(node) == brute.facts_at(node)
+        assert solve_ifds(xsg, ide).facts == brute.facts
     assert checked >= 50
     _passed(7, f"oracle equivalence on {checked} enumerable programs",
             started, 30.0)

@@ -106,15 +106,17 @@ def test_json_report_roundtrips():
 
 
 def test_fact_accounting_in_diff_mode():
+    from evflow.event_lattice import HState
     from evflow.transform import analyze_event_aware
     from conftest import load_corpus_entry
     for name in ("door", "dirstat", "timer", "server"):
         program, model = load_corpus_entry(name)
         analysis = analyze_event_aware(program, model)
         for node in analysis.ifds.reachable:
+            excluded = [d for d, hsm in analysis.ide.envs[node].items()
+                        if d and HState.X in hsm.values()]
             assert len(analysis.ifds.facts_at(node)) == \
-                len(analysis.filtered.facts_at(node)) + \
-                len(analysis.filtered.excluded_at(node))
+                len(analysis.filtered.facts_at(node)) + len(excluded)
 
 
 def test_dumps_written(tmp_path):
@@ -267,6 +269,13 @@ def test_text_report_on_a_missing_file(capsys):
     _assert_text_input_error(capsys.readouterr(), "no such file")
 
 
+def test_text_report_on_a_missing_second_file(capsys):
+    assert main(["diff", corpus_path("door.evl"),
+                 "/nonexistent/x.evl"]) == EXIT_ERROR
+    _assert_text_input_error(capsys.readouterr(),
+                             "no such file: /nonexistent/x.evl")
+
+
 def test_json_report_on_an_input_error_lists_it_as_a_warning(capsys):
     assert main(["diff", "--format", "json",
                  "/nonexistent/x.evl"]) == EXIT_ERROR
@@ -311,3 +320,34 @@ def test_oracle_goes_on_past_a_corpus_file_that_is_not_utf8(
     assert "corpus door.evl: ok" in out
     assert "random programs: 2 checked" in out
     assert "oracle suite: 3/4 passed" in out
+
+
+def test_oracle_goes_on_past_unreadable_files(tmp_path, capsys):
+    (tmp_path / "gone.evl").symlink_to(tmp_path / "nowhere.evl")
+    (tmp_path / "door.evl").write_text(
+        (packaged_corpus_dir() / "door.evl").read_text(encoding="utf-8"))
+    (tmp_path / "door.model.json").mkdir()
+    (tmp_path / "ok.evl").write_text("var x = 1;\nprint(x);\n")
+    (tmp_path / "timer.evl").write_text("print(1);\n")
+    (tmp_path / "timer.model.json").symlink_to(tmp_path / "nowhere.json")
+    status = main(["oracle", str(tmp_path), "--count", "0"])
+    captured = capsys.readouterr()
+    assert status == EXIT_DIAGNOSTICS
+    assert captured.err == ""
+    out = captured.out
+    assert "corpus gone.evl: FAIL" in out
+    assert f"error: no such file: {tmp_path / 'gone.evl'}" in out
+    assert "corpus door.evl: FAIL" in out
+    assert "door.model.json: cannot read (Is a directory)" in out
+    assert "corpus timer.evl: FAIL" in out
+    assert "timer.model.json: cannot read (No such file or directory)" in out
+    assert "corpus ok.evl: ok" in out
+    assert "oracle suite: 1/4 passed" in out
+
+
+def test_oracle_rejects_negative_counts(capsys):
+    for option in ("--count", "--schedules"):
+        assert main(["oracle", option, "-3"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: expected a count, got '-3'" in captured.err

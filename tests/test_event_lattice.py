@@ -189,11 +189,6 @@ def test_hsm_meet_pointwise():
     assert hsm_meet(a, b) == {"h1": HState.R, "h2": HState.E}
 
 
-def test_hsm_format():
-    from evflow.event_lattice import hsm_format
-    assert hsm_format({"b": HState.X, "a": HState.E}) == "{a: E, b: X}"
-
-
 def test_pack_roundtrip():
     for f in range(256):
         assert mf_pack(*(mf_apply(f, s) for s in STATES)) == f

@@ -3,10 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from evflow.event_lattice import HState, all_s
-from evflow.ide import LabeledExplodedSupergraph, solve_ide
+from evflow.event_lattice import HState
+from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import PathBudgetExceededError, ZERO, mvp_bruteforce
 from evflow.lang import parse
 from evflow.randgen import GenParams, SMALL, gen_source
@@ -31,11 +29,11 @@ def test_door_environment_maps(door):
     g = build.graph
     txt = problem.domain.index_of("txt")
     # the feasible path into hdlOpen keeps the close handler untouched
-    assert result.value(g.start_of("hdlOpen"), txt) == \
+    assert result.envs[g.start_of("hdlOpen")][txt] == \
         {"hdlOpen": E, "hdlClose": S}
     # reaching hdlClose with txt still uninitialized needs an impossible
     # early invocation
-    assert result.value(g.start_of("hdlClose"), txt) == \
+    assert result.envs[g.start_of("hdlClose")][txt] == \
         {"hdlOpen": E, "hdlClose": X}
 
 
@@ -45,7 +43,7 @@ def test_door_zero_row_feasible(door):
     g = build.graph
     # control reaches hdlClose feasibly, so the tautological row meets to
     # a map without X
-    assert result.value(g.start_of("hdlClose"), ZERO) == \
+    assert result.envs[g.start_of("hdlClose")][ZERO] == \
         {"hdlOpen": E, "hdlClose": E}
 
 
@@ -60,8 +58,9 @@ def test_identity_labels_degenerate_to_ifds(door, dirstat, timer, server):
         brute = _brute(xsg)
         labeled = LabeledExplodedSupergraph.identity(xsg, build.handlers)
         ide = solve_ide(labeled)
+        plain = solve_ifds(xsg, ide)
         for node in set(brute.reachable) | set(ide.envs):
-            assert ide.reachable_facts(node) == brute.facts_at(node), node
+            assert plain.facts_at(node) == brute.facts_at(node), node
         assert set(ide.envs) == brute.reachable
 
 
@@ -77,8 +76,9 @@ def test_identity_degeneracy_on_random_programs():
         checked += 1
         ide = solve_ide(LabeledExplodedSupergraph.identity(xsg, build.handlers))
         assert set(ide.envs) == brute.reachable
+        plain = solve_ifds(xsg, ide)
         for node in brute.reachable:
-            assert ide.reachable_facts(node) == brute.facts_at(node)
+            assert plain.facts_at(node) == brute.facts_at(node)
     assert checked >= 20
 
 
@@ -86,7 +86,7 @@ def _plain_readouts_agree(program, model=None):
     build, problem, xsg = pipeline(program, model)
     labeled = solve_ide(transform(xsg, build.annotations, build.handlers))
     identity = solve_ide(LabeledExplodedSupergraph.identity(xsg, build.handlers))
-    a, b = labeled.plain(), identity.plain()
+    a, b = solve_ifds(xsg, labeled), solve_ifds(xsg, identity)
     return (a.facts, a.reachable, a.stats) == (b.facts, b.reachable, b.stats)
 
 
@@ -112,12 +112,12 @@ def test_path_oracle_door(door):
     g = xsg.graph
     for node in (g.start_of("hdlOpen"), g.start_of("hdlClose")):
         for d, hsm in oracle[node].items():
-            got = result.value(node, d)
+            got = result.envs[node].get(d)
             assert got is not None
             assert all(got[h] <= hsm[h] for h in build.handlers)
     txt = problem.domain.index_of("txt")
     assert oracle[g.start_of("hdlClose")][txt] == \
-        result.value(g.start_of("hdlClose"), txt)
+        result.envs[g.start_of("hdlClose")][txt]
 
 
 def test_path_oracle_equivalence_random():
@@ -143,7 +143,7 @@ def test_path_oracle_equivalence_random():
             if deeper[node] != table:
                 continue  # not yet saturated at this horizon
             for d, hsm in table.items():
-                assert result.value(node, d) == hsm, (i, node, d)
+                assert result.envs[node].get(d) == hsm, (i, node, d)
     assert checked >= 15
 
 
@@ -236,31 +236,6 @@ def test_label_sizes_bounded_by_handlers(door, dirstat, timer, server):
         assert analysis.ide.stats["max_label_entries"] <= max(1, n_handlers)
 
 
-def test_jump_table_dump(door):
-    from evflow.ide import format_jump_table
-    program, model = door
-    build, problem, xsg = pipeline(program, model)
-    labeled = transform(xsg, build.annotations, build.handlers)
-    result = solve_ide(labeled, keep_jump_table=True)
-    text = format_jump_table(result)
-    assert "start:hdlOpen" in text
-    assert text == format_jump_table(solve_ide(labeled, keep_jump_table=True))
-    with pytest.raises(ValueError):
-        format_jump_table(solve_ide(labeled))
-
-
-def test_custom_init_environment(door):
-    program, model = door
-    build, problem, xsg, labeled, _ = ide_for(program, model)
-    txt = problem.domain.index_of("txt")
-    # start the tautological row at R for hdlOpen: the later register is
-    # absorbed and emit("open") still reaches E
-    init = {ZERO: {"hdlOpen": R, "hdlClose": S}}
-    result = solve_ide(labeled, init=init)
-    value = result.value(build.graph.start_of("hdlOpen"), txt)
-    assert value == {"hdlOpen": E, "hdlClose": S}
-
-
 def _interning_programs():
     for name in CORPUS_NAMES:
         yield load_corpus_entry(name)
@@ -282,19 +257,3 @@ def test_environment_maps_are_interned():
         assert again.stats == result.stats
         assert again.envs == result.envs
 
-
-def test_init_maps_in_any_handler_order(door):
-    """Maps are interned by their items, not their values alone: the same
-    handler states listed in another order give the same environments."""
-    program, model = door
-    _, problem, _, labeled, default = ide_for(program, model)
-    h0, h1 = labeled.handlers
-    reverse = dict(reversed(all_s(labeled.handlers).items()))
-    assert solve_ide(labeled, init={ZERO: reverse}).envs == default.envs
-    txt = problem.domain.index_of("txt")
-    # both maps list the values (R, S), in two different handler orders
-    mixed = {ZERO: {h0: R, h1: S}, txt: {h1: R, h0: S}}
-    ordered = {ZERO: {h0: R, h1: S}, txt: {h0: S, h1: R}}
-    mixed_envs = solve_ide(labeled, init=mixed).envs
-    assert mixed_envs == solve_ide(labeled, init=ordered).envs
-    assert mixed_envs[labeled.xsg.graph.entry()][txt] == {h0: S, h1: R}

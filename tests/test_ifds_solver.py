@@ -6,6 +6,7 @@ from evflow.ifds import (
     FactDomain,
     PathBudgetExceededError,
     ZERO,
+    apply_rel,
     identity_rel,
     mvp_bruteforce,
     exploded_dot,
@@ -24,6 +25,23 @@ from evflow.supergraph import (
 from evflow.uninit import report_uses
 
 from helpers import pipeline
+
+
+def test_apply_reference_relation():
+    domain = FactDomain(["x", "y", "z"])
+    x, y, z = (domain.index_of(v) for v in "xyz")
+    r = frozenset({(ZERO, ZERO), (y, x), (y, y), (z, x), (z, z)})
+    assert apply_rel(r, {y}) == frozenset({x, y})
+    assert apply_rel(r, frozenset()) == frozenset()
+    assert apply_rel(r, {x}) == frozenset()
+
+
+def test_domain_validation():
+    with pytest.raises(ValueError):
+        FactDomain(["a", "a"])
+    d = FactDomain(["p", "q"])
+    assert d.name_of(d.index_of("q")) == "q"
+    assert d.names_of({1, 2}) == frozenset({"p", "q"})
 
 
 def node_of_assign(program, graph, pred):
@@ -58,7 +76,7 @@ def test_door_ifds_reports_concat(door):
     result = solve_ifds(xsg)
     concat = node_of_assign(program, build.graph,
                             lambda s: s.name == "txt" and "world" in str(s.value))
-    assert "txt" in result.names_at(concat, problem.domain)
+    assert problem.domain.index_of("txt") in result.facts_at(concat)
     diags = report_uses(problem, result.facts)
     assert any(d.var == "txt" and d.node == concat for d in diags)
 
@@ -68,7 +86,7 @@ def test_dirstat_ifds_reports_sum(dirstat):
     build, problem, xsg = pipeline(program, model)
     result = solve_ifds(xsg)
     add = node_of_assign(program, build.graph, lambda s: s.name == "sum")
-    assert "sum" in result.names_at(add, problem.domain)
+    assert problem.domain.index_of("sum") in result.facts_at(add)
 
 
 def test_callee_initialization_kills_global():
@@ -134,7 +152,7 @@ def test_unreachable_nodes_flagged():
     build, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
     dead_start = build.graph.start_of("dead")
-    assert not result.is_reachable(dead_start)
+    assert dead_start not in result.reachable
     assert result.facts_at(dead_start) == frozenset()
 
 
@@ -197,7 +215,7 @@ def test_bruteforce_excludes_unbalanced_path():
     rel_of[call_eid] = gen
     result = mvp_bruteforce(g, rel_of, "start:main", max_len=10)
     assert 1 in result.facts_at("ret:main:0")
-    assert not result.is_reachable("bad:main")
+    assert "bad:main" not in result.reachable
 
 
 def test_budget_raises():

@@ -8,6 +8,7 @@ from evflow.event_lattice import (
     MF_REGISTER,
 )
 from evflow.ide import MissingAnnotationError
+from evflow.ifds import ZERO
 from evflow.lang import interpret, parse
 from evflow.lang.ast import Assign, Register, RegisterAsync, iter_stmts
 from evflow.supergraph import EdgeKind, EventAnnotation, node_for_sid
@@ -50,7 +51,7 @@ def test_register_edge_label(door):
     program, build, xsg, labeled = labeled_for(door)
     edge = find_edge(build, program,
                      lambda s: isinstance(s, Register) and s.event == "open")
-    hmf = labeled.label_of(edge.eid)
+    hmf = labeled.labels[edge.eid]
     assert hmf.touched() == {"hdlOpen": MF_REGISTER}
 
 
@@ -58,7 +59,7 @@ def test_emit_register_label(dirstat):
     program, build, xsg, labeled = labeled_for(dirstat)
     edge = find_edge(build, program,
                      lambda s: isinstance(s, RegisterAsync) and s.handler == "f")
-    assert labeled.label_of(edge.eid).touched() == {"f": MF_EMIT_REGISTER}
+    assert labeled.labels[edge.eid].touched() == {"f": MF_EMIT_REGISTER}
 
 
 def test_plain_edges_identity(door):
@@ -66,14 +67,14 @@ def test_plain_edges_identity(door):
     edge = find_edge(build, program,
                      lambda s: isinstance(s, Assign) and s.name == "txt"
                      and "Hello" in str(s.value))
-    assert labeled.label_of(edge.eid).is_identity()
+    assert labeled.labels[edge.eid].is_identity()
 
 
 def test_dispatch_edges_invoke(door):
     program, build, xsg, labeled = labeled_for(door)
     for edge in build.graph.edges:
         if edge.kind is EdgeKind.DISPATCH:
-            assert labeled.label_of(edge.eid).touched() == \
+            assert labeled.labels[edge.eid].touched() == \
                 {edge.handler: MF_INVOKE}
 
 
@@ -83,10 +84,10 @@ def test_emit_call_and_c2r_labels(door):
                   if e.kind is EdgeKind.CALL and e.dst == "loop"]
     assert emit_calls
     for e in emit_calls:
-        hmf = labeled.label_of(e.eid)
+        hmf = labeled.labels[e.eid]
         assert set(hmf.touched().values()) == {MF_EMIT}
         c2r = build.graph.edge_between(e.src, e.ret_site)
-        assert labeled.label_of(c2r.eid) == hmf
+        assert labeled.labels[c2r.eid] == hmf
 
 
 def test_transform_preserves_structure(door):
@@ -117,7 +118,7 @@ def test_untransform_door(door):
     txt = analysis.domain.index_of("txt")
     assert txt in analysis.ifds.facts_at(concat)
     assert txt not in analysis.filtered.facts_at(concat)
-    assert analysis.filtered.provenance[(concat, txt)] == \
+    assert analysis.ide.envs[concat][txt] == \
         {"hdlOpen": E, "hdlClose": X}
 
 
@@ -130,7 +131,7 @@ def test_untransform_dirstat(dirstat):
     sum_i = analysis.domain.index_of("sum")
     assert sum_i in analysis.ifds.facts_at(add)
     assert sum_i not in analysis.filtered.facts_at(add)
-    assert analysis.filtered.provenance[(add, sum_i)] == {"f": E, "h": X}
+    assert analysis.ide.envs[add][sum_i] == {"f": E, "h": X}
 
 
 def test_untransform_vacuous_without_handlers():
@@ -140,7 +141,8 @@ def test_untransform_vacuous_without_handlers():
     for node in analysis.ifds.reachable:
         assert analysis.filtered.facts_at(node) == \
             analysis.ifds.facts_at(node)
-    assert analysis.filtered.provenance == {}
+    assert not any(X in hsm.values() for env in analysis.ide.envs.values()
+                   for hsm in env.values())
 
 
 def test_timer_and_server_filtering(timer, server):
@@ -156,7 +158,7 @@ def test_timer_and_server_filtering(timer, server):
         fact = analysis.domain.index_of(var)
         assert fact in analysis.ifds.facts_at(read)
         assert fact not in analysis.filtered.facts_at(read)
-        assert analysis.filtered.provenance[(read, fact)] == expected_map
+        assert analysis.ide.envs[read][fact] == expected_map
 
 
 def test_genuine_bug_survives_filtering(door):
@@ -221,5 +223,6 @@ def test_fact_accounting(door, dirstat, timer, server):
         for node in analysis.ifds.reachable:
             ifds_n = len(analysis.ifds.facts_at(node))
             kept = len(analysis.filtered.facts_at(node))
-            dropped = len(analysis.filtered.excluded_at(node))
+            dropped = sum(1 for d, hsm in analysis.ide.envs[node].items()
+                          if d != ZERO and X in hsm.values())
             assert ifds_n == kept + dropped, node

@@ -2,14 +2,14 @@ import itertools
 import random
 from pathlib import Path
 
-from evflow.ifds import ZERO, apply_rel, canon_rel
+from evflow.ifds import ZERO, apply_rel
 from evflow.lang import interpret, parse
 from evflow.lang.ast import Assign, VarDecl, expr_vars, iter_stmts
 from evflow.randgen import GenParams, gen_source
 from evflow.supergraph import EdgeKind, NodeKind, node_for_sid
 from evflow.uninit import report_uses
 
-from helpers import assign_rel_def, gen_rel_def, pipeline
+from helpers import assign_rel_def, canon_rel_def, gen_rel_def, pipeline
 from evflow.ide import solve_ifds
 
 from conftest import CORPUS_NAMES, load_corpus_entry
@@ -38,12 +38,25 @@ def test_assignment_relation_is_reference_shape():
 
 
 def test_var_decl_generates():
+    # hoisting generates x on the edge leaving the start node; the
+    # declaration itself, without an initializer, changes nothing
     program = parse("var a; var x; print(a);")
     _, problem, xsg = pipeline(program)
     edge = edge_after(program, xsg.graph,
                       lambda s: isinstance(s, VarDecl) and s.name == "x")
     a, x = problem.domain.index_of("a"), problem.domain.index_of("x")
-    assert xsg.rel_of[edge.eid] == frozenset({(ZERO, ZERO), (ZERO, x), (a, a)})
+    assert xsg.rel_of[edge.eid] == frozenset({(ZERO, ZERO), (a, a), (x, x)})
+    start = next(e for e in xsg.graph.out_edges(xsg.graph.entry()))
+    assert (ZERO, x) in xsg.rel_of[start.eid]
+
+
+def test_redeclaration_after_assignment_keeps_the_value():
+    # `var g;` after `g = 1;` does not make g uninitialized again, and no
+    # run reads it unset
+    program = parse("g = 1;\nvar g;\nprint(g);\n")
+    _, problem, xsg = pipeline(program)
+    assert report_uses(problem, solve_ifds(xsg).facts) == []
+    assert interpret(program).uninit_reads() == []
 
 
 def test_constant_assignment_kills():
@@ -125,7 +138,6 @@ def test_diagnostics_carry_position():
     result = solve_ifds(xsg)
     d = report_uses(problem, result.facts)[0]
     assert (d.file, d.line, d.var) == ("demo.evl", 2, "x")
-    assert d.render() == "demo.evl:2: variable 'x' may be uninitialized"
 
 
 def test_interpreter_agreement_straight_line():
@@ -198,7 +210,7 @@ def test_relations_are_canonical_and_successor_tables_match_them():
         _, problem, xsg = pipeline(program, model)
         for e in xsg.graph.edges:
             rel = problem.flow_for(e)
-            assert canon_rel(rel) == rel, (tag, e)
+            assert canon_rel_def(rel) == rel, (tag, e)
             table: dict[int, list[int]] = {}
             for d1, d2 in sorted(xsg.rel_of[e.eid]):
                 table.setdefault(d1, []).append(d2)
@@ -227,9 +239,7 @@ def _definitional_rel(problem, edge):
     if node.kind is not NodeKind.STMT:
         return None
     stmt = problem.program.stmt(node.sid)
-    if isinstance(stmt, VarDecl) and stmt.init is None:
-        return gen_rel_def(domain, {idx(stmt.name)})
-    if isinstance(stmt, VarDecl):
+    if isinstance(stmt, VarDecl) and stmt.init is not None:
         value = stmt.init
     elif isinstance(stmt, Assign):
         value = stmt.value
