@@ -114,6 +114,13 @@ def _load_model(path: str | None) -> EventModel:
     return EventModel.from_json_file(path)
 
 
+def _dump(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise EvlError(f"{path}: cannot write ({e.strerror or e})") from e
+
+
 def _hsm_json(hsm: dict[str, HState]) -> dict[str, str]:
     return {h: s.name for h, s in sorted(hsm.items())}
 
@@ -126,17 +133,14 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
         model = _load_model(cfg.event_model)
         program = parse_files(cfg.inputs, model=model)
         analysis = analyze_event_aware(program, model)
+        if cfg.dump_supergraph:
+            _dump(cfg.dump_supergraph, supergraph_dot(
+                analysis.build.graph, analysis.build.annotations))
+        if cfg.dump_exploded:
+            _dump(cfg.dump_exploded, exploded_dot(analysis.xsg))
     except (EvlError, EventModelError) as e:
         return EXIT_ERROR, Report(files=list(cfg.inputs), mode=cfg.mode,
                                   warnings=[str(e)], input_error=True)
-
-    if cfg.dump_supergraph:
-        Path(cfg.dump_supergraph).write_text(
-            supergraph_dot(analysis.build.graph, analysis.build.annotations),
-            encoding="utf-8")
-    if cfg.dump_exploded:
-        Path(cfg.dump_exploded).write_text(exploded_dot(analysis.xsg),
-                                           encoding="utf-8")
 
     ifds_diags = report_uses(analysis.problem, analysis.ifds.facts)
     filtered_facts = analysis.filtered.facts

@@ -3,8 +3,10 @@
 An event model says which callees register handlers (and at which
 argument positions the event name and the handler sit, and whether the
 emission is implicit, callback-style) and which callees emit events.
-The EVL primitives are pre-seeded; a JSON config extends the model for
-library-style functions that have no EVL body.
+The EVL primitives are pre-seeded: the parser turns them into calls, so
+every stage reads their semantics from these specs, like those of any
+callee.  A JSON config extends the model for library-style functions
+that have no EVL body.
 """
 
 from __future__ import annotations
@@ -66,31 +68,24 @@ class EventModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "EventModel":
         registrations = []
-        for entry in doc.get("registrations", ()):
-            callee = entry["callee"]
-            if callee in _RESERVED:
-                raise EventModelError(f"'{callee}' is a built-in primitive")
-            event_arg = entry.get("event_arg")
-            handler_arg = entry["handler_arg"]
-            implicit = bool(entry.get("implicit_emit", False))
-            if event_arg is not None and event_arg < 0:
-                raise EventModelError(f"negative event_arg for '{callee}'")
-            if handler_arg < 0:
-                raise EventModelError(f"negative handler_arg for '{callee}'")
-            if event_arg == handler_arg and event_arg is not None:
+        for entry in _section(doc, "registrations"):
+            callee = _callee(entry, "registrations")
+            event_arg = _position(entry, "event_arg", callee, optional=True)
+            handler_arg = _position(entry, "handler_arg", callee)
+            implicit = entry.get("implicit_emit", False)
+            if not isinstance(implicit, bool):
+                raise EventModelError(
+                    f"'{callee}': implicit_emit must be true or false")
+            if event_arg == handler_arg:
                 raise EventModelError(
                     f"event_arg and handler_arg collide for '{callee}'")
             registrations.append(
                 RegistrationSpec(callee, event_arg, handler_arg, implicit))
         emissions = []
-        for entry in doc.get("emissions", ()):
-            callee = entry["callee"]
-            if callee in _RESERVED:
-                raise EventModelError(f"'{callee}' is a built-in primitive")
-            event_arg = entry["event_arg"]
-            if event_arg < 0:
-                raise EventModelError(f"negative event_arg for '{callee}'")
-            emissions.append(EmissionSpec(callee, event_arg))
+        for entry in _section(doc, "emissions"):
+            callee = _callee(entry, "emissions")
+            emissions.append(
+                EmissionSpec(callee, _position(entry, "event_arg", callee)))
         return cls(tuple(registrations), tuple(emissions))
 
     @classmethod
@@ -113,53 +108,72 @@ class EventModel:
     def classifies(self, callee: str) -> bool:
         return callee in self._registrations or callee in self._emissions
 
-    def registration_for(self, callee: str) -> RegistrationSpec | None:
-        return self._registrations.get(callee)
+    def operand_args(self, callee: str) -> tuple[int | None, ...]:
+        """Argument positions of a classified callee that hold the event
+        name or the handler: names, not values the call reads."""
+        reg = self._registrations.get(callee)
+        if reg is not None:
+            return reg.event_arg, reg.handler_arg
+        emi = self._emissions.get(callee)
+        return (emi.event_arg,) if emi is not None else ()
 
-    def emission_for(self, callee: str) -> EmissionSpec | None:
-        return self._emissions.get(callee)
+    def event_op(self, call):
+        """The event operation of a call to a classified callee:
+        ("reg", event, handler, implicit_emit) or ("emit", event); None
+        if the model does not classify the callee."""
+        reg = self._registrations.get(call.callee)
+        if reg is not None:
+            handler = _operand(call, reg.handler_arg, Var,
+                               "a function name").name
+            if reg.event_arg is None:
+                event = synthetic_event(handler)
+            else:
+                event = _operand(call, reg.event_arg, StrLit,
+                                 "a string literal").value
+            return "reg", event, handler, reg.implicit_emit
+        emi = self._emissions.get(call.callee)
+        if emi is not None:
+            return "emit", _operand(call, emi.event_arg, StrLit,
+                                    "a string literal").value
+        return None
 
-    # -- call-site operand extraction --
 
-    def registration_operands(self, call) -> tuple[str, str, bool]:
-        """Resolve (event, handler, implicit_emit) for a classified call."""
-        from .lang.ast import StrLit, Var
+def _operand(call, pos: int, node_type, what: str):
+    """The argument at `pos`, which must be a `node_type` node."""
+    if pos >= len(call.args) or not isinstance(call.args[pos], node_type):
+        raise EventModelError(f"line {call.line}: '{call.callee}' needs "
+                              f"{what} at argument {pos}")
+    return call.args[pos]
 
-        spec = self._registrations[call.callee]
-        if spec.handler_arg >= len(call.args):
-            raise EventModelError(
-                f"line {call.line}: '{call.callee}' needs a handler at "
-                f"argument {spec.handler_arg}")
-        handler_expr = call.args[spec.handler_arg]
-        if not isinstance(handler_expr, Var):
-            raise EventModelError(
-                f"line {call.line}: handler argument of '{call.callee}' "
-                f"must be a function name")
-        handler = handler_expr.name
-        if spec.event_arg is None:
-            return synthetic_event(handler), handler, spec.implicit_emit
-        if spec.event_arg >= len(call.args):
-            raise EventModelError(
-                f"line {call.line}: '{call.callee}' needs an event name at "
-                f"argument {spec.event_arg}")
-        event_expr = call.args[spec.event_arg]
-        if not isinstance(event_expr, StrLit):
-            raise EventModelError(
-                f"line {call.line}: event argument of '{call.callee}' "
-                f"must be a string literal")
-        return event_expr.value, handler, spec.implicit_emit
 
-    def emission_operand(self, call) -> str:
-        from .lang.ast import StrLit
+def _section(doc: dict, name: str) -> list:
+    entries = doc.get(name, [])
+    if not isinstance(entries, list) or \
+            not all(isinstance(e, dict) for e in entries):
+        raise EventModelError(f"'{name}' must be a list of objects")
+    return entries
 
-        spec = self._emissions[call.callee]
-        if spec.event_arg >= len(call.args):
-            raise EventModelError(
-                f"line {call.line}: '{call.callee}' needs an event name at "
-                f"argument {spec.event_arg}")
-        event_expr = call.args[spec.event_arg]
-        if not isinstance(event_expr, StrLit):
-            raise EventModelError(
-                f"line {call.line}: event argument of '{call.callee}' "
-                f"must be a string literal")
-        return event_expr.value
+
+def _callee(entry: dict, section: str) -> str:
+    callee = entry.get("callee")
+    if not isinstance(callee, str):
+        raise EventModelError(f"an entry of '{section}' has no callee name")
+    if callee in _RESERVED:
+        raise EventModelError(f"'{callee}' is a built-in primitive")
+    return callee
+
+
+def _position(entry: dict, key: str, callee: str, optional: bool = False):
+    """A 0-based argument position; None only where it is optional."""
+    value = entry.get(key)
+    if value is None and optional:
+        return None
+    if type(value) is not int or value < 0:
+        got = f"got {json.dumps(value)}" if key in entry else "missing"
+        raise EventModelError(
+            f"'{callee}': {key} must be a non-negative integer ({got})")
+    return value
+
+
+# imported last because evflow.lang imports this module
+from .lang.ast import StrLit, Var  # noqa: E402

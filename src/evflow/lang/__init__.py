@@ -5,15 +5,12 @@ from .ast import (
     Binary,
     BoolLit,
     Call,
-    Emit,
     Expr,
     FunctionDecl,
     If,
     IntLit,
     Print,
     Program,
-    Register,
-    RegisterAsync,
     Return,
     Stmt,
     StrLit,

@@ -111,6 +111,10 @@ class While(Stmt):
 
 @dataclass(frozen=True)
 class Call(Stmt):
+    """A call to a declared function or to a callee the event model
+    classifies, the primitives `register`, `emit` and `register_async`
+    among them."""
+
     sid: int
     line: int
     file: str
@@ -124,32 +128,6 @@ class Print(Stmt):
     line: int
     file: str
     value: Expr
-
-
-@dataclass(frozen=True)
-class Register(Stmt):
-    sid: int
-    line: int
-    file: str
-    event: str
-    handler: str
-
-
-@dataclass(frozen=True)
-class Emit(Stmt):
-    sid: int
-    line: int
-    file: str
-    event: str
-
-
-@dataclass(frozen=True)
-class RegisterAsync(Stmt):
-    sid: int
-    line: int
-    file: str
-    handler: str
-    args: tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
@@ -331,13 +309,6 @@ def _stmt(s: Stmt, indent: int, out: list[str]) -> None:
         out.append(f"{pad}{s.callee}({args});")
     elif isinstance(s, Print):
         out.append(f"{pad}print({_expr(s.value)});")
-    elif isinstance(s, Register):
-        out.append(f'{pad}register("{s.event}", {s.handler});')
-    elif isinstance(s, Emit):
-        out.append(f'{pad}emit("{s.event}");')
-    elif isinstance(s, RegisterAsync):
-        rest = "".join(", " + _expr(a) for a in s.args)
-        out.append(f"{pad}register_async({s.handler}{rest});")
     elif isinstance(s, Return):
         out.append(f"{pad}return;")
     else:

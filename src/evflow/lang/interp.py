@@ -16,14 +16,11 @@ from .ast import (
     Binary,
     BoolLit,
     Call,
-    Emit,
     Expr,
     If,
     IntLit,
     Print,
     Program,
-    Register,
-    RegisterAsync,
     Return,
     Stmt,
     StrLit,
@@ -34,7 +31,7 @@ from .ast import (
     resolve_scopes,
 )
 from .parser import EvlError
-from ..eventmodel import EventModel, synthetic_event
+from ..eventmodel import EventModel
 
 
 class EvlRuntimeError(EvlError):
@@ -297,14 +294,6 @@ class _Interp:
         elif isinstance(s, Print):
             value = self.eval(s.value, func, frame, s.sid, s.line)
             self.trace.events.append(Output(_render(value)))
-        elif isinstance(s, Register):
-            self._register(s.handler, s.event, enqueue=False)
-        elif isinstance(s, Emit):
-            self._emit(s.event)
-        elif isinstance(s, RegisterAsync):
-            for a in s.args:
-                self.eval(a, func, frame, s.sid, s.line)
-            self._register(s.handler, synthetic_event(s.handler), enqueue=True)
         elif isinstance(s, Return):
             raise _ReturnSignal()
         elif isinstance(s, Call):
@@ -322,23 +311,18 @@ class _Interp:
                     f"got {len(values)}", s.line)
             self._run_function(fn, values)
             return
-        reg = self.model.registration_for(s.callee)
-        if reg is not None:
-            event, handler, implicit = self.model.registration_operands(s)
-            for i, a in enumerate(s.args):
-                if i not in (reg.event_arg, reg.handler_arg):
-                    self.eval(a, func, frame, s.sid, s.line)
-            self._register(handler, event, enqueue=implicit)
-            return
-        emi = self.model.emission_for(s.callee)
-        if emi is not None:
-            event = self.model.emission_operand(s)
-            for i, a in enumerate(s.args):
-                if i != emi.event_arg:
-                    self.eval(a, func, frame, s.sid, s.line)
-            self._emit(event)
-            return
-        raise EvlRuntimeError(f"call to unknown function '{s.callee}'", s.line)
+        op = self.model.event_op(s)
+        if op is None:
+            raise EvlRuntimeError(f"call to unknown function '{s.callee}'",
+                                  s.line)
+        names = self.model.operand_args(s.callee)
+        for i, a in enumerate(s.args):
+            if i not in names:
+                self.eval(a, func, frame, s.sid, s.line)
+        if op[0] == "reg":
+            self._register(op[2], op[1], enqueue=op[3])
+        else:
+            self._emit(op[1])
 
     def _drain(self) -> None:
         decision = 0
@@ -410,33 +394,21 @@ def check_trace_ordering(program: Program, trace: ExecutionTrace,
     registered: dict[str, str] = {}
     state: dict[str, str] = {}  # handler -> "R" | "E"
     violations: list[str] = []
-
-    def do_register(handler: str, event: str, implicit: bool) -> None:
-        if handler in registered:
-            return
-        registered[handler] = event
-        state[handler] = "E" if implicit else "R"
-
-    def do_emit(event: str) -> None:
-        for h, e in registered.items():
-            if e == event and state[h] == "R":
-                state[h] = "E"
-
     for ev in trace.events:
         if isinstance(ev, StmtExec):
             s = program.stmt(ev.sid)
-            if isinstance(s, Register):
-                do_register(s.handler, s.event, implicit=False)
-            elif isinstance(s, RegisterAsync):
-                do_register(s.handler, synthetic_event(s.handler), implicit=True)
-            elif isinstance(s, Emit):
-                do_emit(s.event)
-            elif isinstance(s, Call) and not program.has_function(s.callee):
-                if model.registration_for(s.callee) is not None:
-                    event, handler, implicit = model.registration_operands(s)
-                    do_register(handler, event, implicit)
-                elif model.emission_for(s.callee) is not None:
-                    do_emit(model.emission_operand(s))
+            if not isinstance(s, Call) or program.has_function(s.callee):
+                continue
+            op = model.event_op(s)
+            if op is None:
+                continue
+            if op[0] == "reg" and op[2] not in registered:
+                registered[op[2]] = op[1]
+                state[op[2]] = "E" if op[3] else "R"
+            elif op[0] == "emit":
+                for h, e in registered.items():
+                    if e == op[1] and state[h] == "R":
+                        state[h] = "E"
         elif isinstance(ev, HandlerInvoked):
             if state.get(ev.handler) != "E":
                 violations.append(

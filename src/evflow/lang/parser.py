@@ -10,15 +10,12 @@ from .ast import (
     Binary,
     BoolLit,
     Call,
-    Emit,
     Expr,
     FunctionDecl,
     If,
     IntLit,
     Print,
     Program,
-    Register,
-    RegisterAsync,
     Return,
     Stmt,
     StrLit,
@@ -30,6 +27,7 @@ from .ast import (
     expr_vars,
     iter_stmts,
 )
+from ..eventmodel import EventModel
 
 
 class EvlError(Exception):
@@ -248,34 +246,8 @@ class _Parser:
             self.take("op", ")")
             self.take("op", ";")
             return Print(self.sid(), tok.line, self.file, value)
-        if tok.kind == "register":
-            self.take("register")
-            self.take("op", "(")
-            event = self.string_literal("event name")
-            self.take("op", ",")
-            handler = self.take("ident").text
-            self.take("op", ")")
-            self.take("op", ";")
-            return Register(self.sid(), tok.line, self.file, event, handler)
-        if tok.kind == "emit":
-            self.take("emit")
-            self.take("op", "(")
-            event = self.string_literal("event name")
-            self.take("op", ")")
-            self.take("op", ";")
-            return Emit(self.sid(), tok.line, self.file, event)
-        if tok.kind == "register_async":
-            self.take("register_async")
-            self.take("op", "(")
-            handler = self.take("ident").text
-            args: list[Expr] = []
-            while self.at("op", ","):
-                self.take("op", ",")
-                args.append(self.expression())
-            self.take("op", ")")
-            self.take("op", ";")
-            return RegisterAsync(self.sid(), tok.line, self.file,
-                                 handler, tuple(args))
+        if tok.kind in ("register", "emit", "register_async"):
+            return self.event_primitive(tok)
         if tok.kind == "ident":
             name = self.take("ident").text
             if self.at("op", "("):
@@ -295,6 +267,25 @@ class _Parser:
         raise ParseError(tok.line, tok.col,
                          f"expected a statement, found '{tok.text or 'eof'}'",
                          self.file)
+
+    def event_primitive(self, tok: Token) -> Stmt:
+        """`register("e", h);`, `emit("e");` or `register_async(h, ...);`
+        as a call, whose event semantics the model's built-in specs give."""
+        self.take(tok.kind)
+        self.take("op", "(")
+        args: list[Expr] = []
+        if tok.kind != "register_async":
+            args.append(StrLit(self.string_literal("event name")))
+        if tok.kind != "emit":
+            if args:
+                self.take("op", ",")
+            args.append(Var(self.take("ident").text))
+        while tok.kind == "register_async" and self.at("op", ","):
+            self.take("op", ",")
+            args.append(self.expression())
+        self.take("op", ")")
+        self.take("op", ";")
+        return Call(self.sid(), tok.line, self.file, tok.kind, tuple(args))
 
     def var_decl(self) -> Stmt:
         tok = self.take("var")
@@ -397,32 +388,29 @@ class _Parser:
                          self.file)
 
 
-def _call_reads(s: Call, declared: set[str], model) -> tuple[str, ...]:
-    """Variables read by a call's arguments.  Event-name and handler
-    operands of model-classified calls are literals, not reads."""
-    skip: set[int] = set()
-    if s.callee not in declared and model is not None:
-        reg = model.registration_for(s.callee)
-        emi = model.emission_for(s.callee)
-        if reg is not None:
-            skip = {reg.event_arg, reg.handler_arg}
-        elif emi is not None:
-            skip = {emi.event_arg}
-    return tuple(v for i, a in enumerate(s.args) if i not in skip
-                 for v in expr_vars(a))
+def stmt_reads(s: Stmt, program: Program, model: EventModel
+               ) -> tuple[str, ...]:
+    """Variables a statement reads, in source order.  An assignment's
+    target is not read, and the event-name and handler operands of an
+    event call are names, not reads."""
+    if isinstance(s, VarDecl):
+        return expr_vars(s.init) if s.init is not None else ()
+    if isinstance(s, Assign):
+        return expr_vars(s.value)
+    if isinstance(s, (If, While)):
+        return expr_vars(s.cond)
+    if isinstance(s, Print):
+        return expr_vars(s.value)
+    if isinstance(s, Call):
+        skip = () if program.has_function(s.callee) \
+            else model.operand_args(s.callee)
+        return tuple(v for i, a in enumerate(s.args) if i not in skip
+                     for v in expr_vars(a))
+    return ()
 
 
-def _check_classified_call(s: Call, declared: set[str], model) -> None:
-    if model.registration_for(s.callee) is not None:
-        _event, handler, _implicit = model.registration_operands(s)
-        if handler not in declared or handler == TOP_LEVEL:
-            raise UnknownHandlerError(handler, s.line)
-    elif model.emission_for(s.callee) is not None:
-        model.emission_operand(s)
-
-
-def _validate(program: Program, model) -> None:
-    declared = {f.name for f in program.functions}
+def _validate(program: Program, model: EventModel) -> None:
+    declared = {f.name for f in program.functions if f.name != TOP_LEVEL}
     for f in program.functions:
         seen: set[str] = set()
         scope = set(f.params)
@@ -436,36 +424,23 @@ def _validate(program: Program, model) -> None:
                 seen.add(s.name)
                 scope.add(s.name)
         for s in iter_stmts(f.body):
-            reads: tuple[str, ...] = ()
-            if isinstance(s, VarDecl) and s.init is not None:
-                reads = expr_vars(s.init)
-            elif isinstance(s, Assign):
-                reads = expr_vars(s.value) + (s.name,)
-            elif isinstance(s, (If, While)):
-                reads = expr_vars(s.cond)
-            elif isinstance(s, Print):
-                reads = expr_vars(s.value)
-            elif isinstance(s, RegisterAsync):
-                reads = tuple(v for a in s.args for v in expr_vars(a))
-            elif isinstance(s, Call):
-                reads = _call_reads(s, declared, model)
+            reads = stmt_reads(s, program, model)
+            if isinstance(s, Assign):
+                reads += (s.name,)
             for name in reads:
                 if name not in scope:
                     raise UndeclaredVariableError(name, f.name, s.line)
-            if isinstance(s, (Register, RegisterAsync)):
-                if s.handler not in declared or s.handler == TOP_LEVEL:
-                    raise UnknownHandlerError(s.handler, s.line)
-            if isinstance(s, Call):
-                known = s.callee in declared or (
-                    model is not None and model.classifies(s.callee))
-                if not known or s.callee == TOP_LEVEL:
-                    raise UnresolvedCalleeError(s.callee, s.line)
-                if s.callee not in declared:
-                    _check_classified_call(s, declared, model)
+            if not isinstance(s, Call) or s.callee in declared:
+                continue
+            op = model.event_op(s)
+            if op is None:
+                raise UnresolvedCalleeError(s.callee, s.line)
+            if op[0] == "reg" and op[2] not in declared:
+                raise UnknownHandlerError(op[2], s.line)
 
 
 def _assemble(units: list[tuple[list[FunctionDecl], list[Stmt]]],
-              files: list[str], model) -> Program:
+              files: list[str], model: EventModel) -> Program:
     functions: list[FunctionDecl] = []
     top: list[Stmt] = []
     names: set[str] = set()
@@ -483,10 +458,11 @@ def _assemble(units: list[tuple[list[FunctionDecl], list[Stmt]]],
 
 
 def parse(source: str, *, filename: str = "<input>", model=None) -> Program:
-    """Parse one EVL source text into a validated program."""
+    """Parse one EVL source text into a validated program; `model`
+    defaults to the built-in event model."""
     parser = _Parser(tokenize(source, filename), filename, next_sid=0)
     unit = parser.parse_unit()
-    return _assemble([unit], [filename], model)
+    return _assemble([unit], [filename], model or EventModel.default())
 
 
 def read_source(path) -> str:
@@ -516,4 +492,4 @@ def parse_files(paths, *, model=None) -> Program:
         units.append(parser.parse_unit())
         files.append(path)
         next_sid = parser.next_sid
-    return _assemble(units, files, model)
+    return _assemble(units, files, model or EventModel.default())

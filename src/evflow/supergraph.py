@@ -16,16 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .eventmodel import EventModel, EventModelError, synthetic_event
+from .eventmodel import EventModel, EventModelError
 from .lang.ast import (
     Assign,
     Call,
-    Emit,
     If,
     Print,
     Program,
-    Register,
-    RegisterAsync,
     Return,
     Stmt,
     TOP_LEVEL,
@@ -182,35 +179,22 @@ def handler_registry(program: Program,
     out: dict[str, set[str]] = {}
     for f in program.functions:
         for s in iter_stmts(f.body):
-            if isinstance(s, Register):
-                out.setdefault(s.event, set()).add(s.handler)
-            elif isinstance(s, RegisterAsync):
-                out.setdefault(synthetic_event(s.handler), set()).add(s.handler)
-            elif isinstance(s, Call) and not program.has_function(s.callee):
-                if model.registration_for(s.callee) is not None:
-                    event, handler, _ = model.registration_operands(s)
-                    out.setdefault(event, set()).add(handler)
+            behavior = _classify_stmt(s, program, model)
+            if behavior is not None and behavior[0] == "reg":
+                out.setdefault(behavior[1], set()).add(behavior[2])
     return {e: frozenset(hs) for e, hs in out.items()}
 
 
 def _classify_stmt(s: Stmt, program: Program, model: EventModel):
     """Event behavior of one statement: ("reg", event, handler, implicit),
     ("emit", event), or None."""
-    if isinstance(s, Register):
-        return ("reg", s.event, s.handler, False)
-    if isinstance(s, RegisterAsync):
-        return ("reg", synthetic_event(s.handler), s.handler, True)
-    if isinstance(s, Call) and not program.has_function(s.callee):
-        if model.registration_for(s.callee) is not None:
-            event, handler, implicit = model.registration_operands(s)
-            return ("reg", event, handler, implicit)
-        if model.emission_for(s.callee) is not None:
-            return ("emit", model.emission_operand(s))
+    if not isinstance(s, Call) or program.has_function(s.callee):
+        return None
+    behavior = model.event_op(s)
+    if behavior is None:
         raise EventModelError(
             f"line {s.line}: call to '{s.callee}' has no event semantics")
-    if isinstance(s, Emit):
-        return ("emit", s.event)
-    return None
+    return behavior
 
 
 class _Builder:
@@ -376,10 +360,6 @@ def _stmt_text(s: Stmt) -> str:
         return f"{s.name} = ..."
     if isinstance(s, Print):
         return "print"
-    if isinstance(s, Register):
-        return f'register "{s.event}" {s.handler}'
-    if isinstance(s, RegisterAsync):
-        return f"register_async {s.handler}"
     if isinstance(s, Call):
         return f"{s.callee}(...)"
     return type(s).__name__.lower()

@@ -12,20 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .eventmodel import EventModel
 from .ifds import FactDomain, RepRelation, ZERO, identity_rel
 from .lang.ast import (
     Assign,
     Call,
-    If,
-    Print,
     Program,
-    RegisterAsync,
     Scopes,
     VarDecl,
-    While,
     expr_vars,
     resolve_scopes,
 )
+from .lang.parser import stmt_reads
 from .supergraph import EdgeKind, NodeKind, Supergraph
 
 
@@ -41,7 +39,7 @@ class UninitProblem:
                  model=None, scopes: Scopes | None = None):
         self.program = program
         self.graph = graph
-        self.model = model
+        self.model = model or EventModel.default()
         self.scopes = scopes or resolve_scopes(program)
         self.domain = FactDomain(self.scopes.all_facts())
         self._globals = frozenset(
@@ -134,29 +132,8 @@ class UninitProblem:
             return ()
         if node.kind not in (NodeKind.STMT, NodeKind.CALL_SITE):
             return ()
-        stmt = self.program.stmt(node.sid)
-        names: tuple[str, ...] = ()
-        if isinstance(stmt, VarDecl) and stmt.init is not None:
-            names = expr_vars(stmt.init)
-        elif isinstance(stmt, Assign):
-            names = expr_vars(stmt.value)
-        elif isinstance(stmt, (If, While)):
-            names = expr_vars(stmt.cond)
-        elif isinstance(stmt, Print):
-            names = expr_vars(stmt.value)
-        elif isinstance(stmt, Call):
-            skip: set[int | None] = set()
-            if not self.program.has_function(stmt.callee) and self.model:
-                reg = self.model.registration_for(stmt.callee)
-                emi = self.model.emission_for(stmt.callee)
-                if reg is not None:
-                    skip = {reg.event_arg, reg.handler_arg}
-                elif emi is not None:
-                    skip = {emi.event_arg}
-            names = tuple(v for i, a in enumerate(stmt.args) if i not in skip
-                          for v in expr_vars(a))
-        elif isinstance(stmt, RegisterAsync):
-            names = tuple(v for a in stmt.args for v in expr_vars(a))
+        names = stmt_reads(self.program.stmt(node.sid), self.program,
+                           self.model)
         seen: list[int] = []
         for name in names:
             i = self._idx(node.func, name)

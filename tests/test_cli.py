@@ -351,3 +351,56 @@ def test_oracle_rejects_negative_counts(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {option}: expected a count, got '-3'" in captured.err
+
+
+def test_unwritable_dump_path_is_an_input_error(tmp_path, capsys):
+    for option in ("--dump-supergraph", "--dump-exploded"):
+        path = tmp_path / "missing" / "x.dot"
+        assert main(["diff", corpus_path("door.evl"),
+                     option, str(path)]) == EXIT_ERROR
+        _assert_text_input_error(capsys.readouterr(),
+                                 f"{path}: cannot write")
+
+
+def test_malformed_event_models_are_input_errors(tmp_path):
+    f = tmp_path / "p.evl"
+    f.write_text("print(1);")
+    cases = [
+        ({"event_arg": 0, "handler_arg": 1}, "has no callee name"),
+        ({"callee": "on", "event_arg": "0", "handler_arg": 1},
+         "'on': event_arg must be a non-negative integer"),
+        ({"callee": "on", "event_arg": 0, "handler_arg": 1.5},
+         "'on': handler_arg must be a non-negative integer"),
+    ]
+    for entry, message in cases:
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"registrations": [entry]}))
+        status, report = run(RunConfig([str(f)], mode="diff",
+                                       event_model=str(m)))
+        assert status == EXIT_ERROR and report.input_error, entry
+        assert len(report.warnings) == 1 and message in report.warnings[0]
+
+
+def _comparable(report) -> tuple:
+    """A report without its timing and its file names."""
+    stats = {k: v for k, v in report.stats.items() if k != "wall_ms"}
+    diagnostics = [{k: v for k, v in d.items() if k != "file"}
+                   for d in report.diagnostics]
+    return diagnostics, report.warnings, stats
+
+
+def test_model_callees_behave_like_the_primitives(tmp_path):
+    source = (packaged_corpus_dir() / "door.evl").read_text(encoding="utf-8")
+    f = tmp_path / "door.evl"
+    f.write_text(source.replace("register(", "on(").replace("emit(", "fire("))
+    m = tmp_path / "door.model.json"
+    m.write_text(json.dumps({
+        "registrations": [{"callee": "on", "event_arg": 0, "handler_arg": 1,
+                           "implicit_emit": False}],
+        "emissions": [{"callee": "fire", "event_arg": 0}]}))
+    for mode in ("ifds", "ide", "diff"):
+        primitives = run(RunConfig([corpus_path("door.evl")], mode=mode))
+        callees = run(RunConfig([str(f)], mode=mode, event_model=str(m)))
+        assert primitives[0] == callees[0]
+        assert _comparable(primitives[1]) == _comparable(callees[1])
+    assert primitives[1].diagnostics  # the diff mode run compared some

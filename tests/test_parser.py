@@ -5,8 +5,9 @@ from evflow.lang import (
     Binary,
     DuplicateFunctionError,
     DuplicateVariableError,
+    Call,
     ParseError,
-    Register,
+    StrLit,
     TOP_LEVEL,
     UndeclaredVariableError,
     UnknownHandlerError,
@@ -41,8 +42,8 @@ def test_door_program_structure(door):
     names = [f.name for f in program.functions]
     assert sorted(names) == sorted(["hdlOpen", "hdlClose", TOP_LEVEL])
     open_body = program.function("hdlOpen").body
-    assert any(isinstance(s, Register) and s.handler == "hdlClose"
-               for s in open_body)
+    assert any(isinstance(s, Call) and s.callee == "register"
+               and s.args[1] == Var("hdlClose") for s in open_body)
 
 
 def test_precedence():
@@ -138,9 +139,32 @@ def test_multi_file_concatenation(tmp_path):
 def test_register_async_extra_args():
     p = parse("fn h() { print(1); }\nvar d;\nregister_async(h, d + 1, 2);")
     stmt = p.top_level.body[1]
-    assert stmt.handler == "h"
-    assert len(stmt.args) == 2
+    assert stmt.args[0] == Var("h")
+    assert len(stmt.args) == 3
     assert to_source(parse(to_source(p))) == to_source(p)
+
+
+@pytest.mark.parametrize("escaped,event", [
+    ('a\\"b', 'a"b'), ("a\\\\b", "a\\b"), ("a\\nb", "a\nb")])
+def test_event_names_survive_the_pretty_printer(escaped, event):
+    program = parse(f'fn h() {{ print(1); }}\nregister("{escaped}", h);\n'
+                    f'emit("{escaped}");\n')
+    again = parse(to_source(program))
+    register, emit = again.top_level.body
+    assert register.args == (StrLit(event), Var("h"))
+    assert emit.args == (StrLit(event),)
+    assert to_source(again) == to_source(program)
+
+
+@pytest.mark.parametrize("source", [
+    "fn emit() { print(1); }",
+    "var register;",
+    'emit("e", 1);',
+    'fn h() { print(1); }\nregister("e", h, 1);',
+])
+def test_event_primitives_keep_their_syntax(source):
+    with pytest.raises(ParseError):
+        parse(source)
 
 
 def test_scope_resolution():

@@ -14,7 +14,7 @@ from evflow.supergraph import (
     node_for_sid,
     supergraph_dot,
 )
-from evflow.lang.ast import Emit, Register, RegisterAsync, iter_stmts
+from evflow.lang.ast import Call, StrLit, Var, iter_stmts
 
 
 def ops_of(result, eid):
@@ -49,7 +49,8 @@ def test_door_build(door):
 
     # register("open", hdlOpen) annotates its out-edge
     edge = stmt_out_edge(result, program,
-                         lambda s: isinstance(s, Register) and s.event == "open")
+                         lambda s: getattr(s, "callee", None) == "register"
+                         and s.args[0] == StrLit("open"))
     assert ops_of(result, edge.eid) == (EventOp("register", "hdlOpen"),)
 
     # dispatch edges exist for both handlers and carry invoke
@@ -90,7 +91,8 @@ def test_dirstat_emit_register_annotations(dirstat):
     for handler in ("f", "h"):
         edge = stmt_out_edge(
             result, program,
-            lambda s: isinstance(s, RegisterAsync) and s.handler == handler)
+            lambda s: getattr(s, "callee", None) == "register_async"
+            and s.args[0] == Var(handler))
         assert ops_of(result, edge.eid) == (EventOp("emit_register", handler),)
 
 
@@ -222,7 +224,7 @@ def test_node_for_sid_maps_calls_to_call_sites(door):
     program, model = door
     g = build_supergraph(program, model).graph
     emits = [s for f in program.functions for s in iter_stmts(f.body)
-             if isinstance(s, Emit)]
+             if isinstance(s, Call) and s.callee == "emit"]
     for s in emits:
         node = node_for_sid(g, program, s.sid)
         assert g.nodes[node].kind is NodeKind.CALL_SITE

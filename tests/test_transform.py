@@ -10,7 +10,7 @@ from evflow.event_lattice import (
 from evflow.ide import MissingAnnotationError
 from evflow.ifds import ZERO
 from evflow.lang import interpret, parse
-from evflow.lang.ast import Assign, Register, RegisterAsync, iter_stmts
+from evflow.lang.ast import Assign, StrLit, Var, iter_stmts
 from evflow.supergraph import EdgeKind, EventAnnotation, node_for_sid
 from evflow.transform import analyze_event_aware, transform
 
@@ -50,7 +50,8 @@ def find_edge(build, program, pred):
 def test_register_edge_label(door):
     program, build, xsg, labeled = labeled_for(door)
     edge = find_edge(build, program,
-                     lambda s: isinstance(s, Register) and s.event == "open")
+                     lambda s: getattr(s, "callee", None) == "register"
+                     and s.args[0] == StrLit("open"))
     hmf = labeled.labels[edge.eid]
     assert hmf.touched() == {"hdlOpen": MF_REGISTER}
 
@@ -58,7 +59,8 @@ def test_register_edge_label(door):
 def test_emit_register_label(dirstat):
     program, build, xsg, labeled = labeled_for(dirstat)
     edge = find_edge(build, program,
-                     lambda s: isinstance(s, RegisterAsync) and s.handler == "f")
+                     lambda s: getattr(s, "callee", None) == "register_async"
+                     and s.args[0] == Var("f"))
     assert labeled.labels[edge.eid].touched() == {"f": MF_EMIT_REGISTER}
 
 
