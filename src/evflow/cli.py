@@ -132,10 +132,10 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
     try:
         model = _load_model(cfg.event_model)
         program = parse_files(cfg.inputs, model=model)
-        analysis = analyze_event_aware(program, model)
+        analysis = analyze_event_aware(program)
         if cfg.dump_supergraph:
             _dump(cfg.dump_supergraph, supergraph_dot(
-                analysis.build.graph, analysis.build.annotations))
+                analysis.build.graph, analysis.build.ops))
         if cfg.dump_exploded:
             _dump(cfg.dump_exploded, exploded_dot(analysis.xsg))
     except (EvlError, EventModelError) as e:
@@ -175,7 +175,7 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
     }
     report = Report(files=list(cfg.inputs), mode=cfg.mode,
                     diagnostics=diagnostics,
-                    warnings=[str(w) for w in analysis.warnings],
+                    warnings=[str(w) for w in analysis.build.warnings],
                     stats=stats)
     reported = any(d["status"] == "reported" for d in diagnostics)
     return (EXIT_DIAGNOSTICS if reported else EXIT_CLEAN), report
@@ -200,7 +200,7 @@ def check_program(source: str, model: EventModel, schedules: int,
     program; returns human-readable violations."""
     violations: list[str] = []
     program = parse(source, filename=filename, model=model)
-    analysis = analyze_event_aware(program, model, check_descent=True)
+    analysis = analyze_event_aware(program, check_descent=True)
 
     for node in set(analysis.ifds.facts) | set(analysis.filtered.facts):
         extra = analysis.filtered.facts_at(node) - analysis.ifds.facts_at(node)

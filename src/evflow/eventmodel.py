@@ -3,10 +3,12 @@
 An event model says which callees register handlers (and at which
 argument positions the event name and the handler sit, and whether the
 emission is implicit, callback-style) and which callees emit events.
-The EVL primitives are pre-seeded: the parser turns them into calls, so
-every stage reads their semantics from these specs, like those of any
-callee.  A JSON config extends the model for library-style functions
-that have no EVL body.
+The EVL primitives are pre-seeded: the parser turns them into calls
+that these specs classify like those of any callee.  The parser's
+validation classifies every call once and records the result in the
+program, which the analysis reads; the interpreter and its trace check
+classify calls on their own.  A JSON config extends the model for
+library-style functions that have no EVL body.
 """
 
 from __future__ import annotations

@@ -30,13 +30,7 @@ from .event_lattice import (
     hsm_meet,
 )
 from .ifds import ExplodedSupergraph, IfdsResult, ZERO
-from .supergraph import EdgeRole
-
-
-class MissingAnnotationError(Exception):
-    def __init__(self, eid: int):
-        self.eid = eid
-        super().__init__(f"edge {eid} has no annotation entry")
+from .supergraph import EdgeKind
 
 
 @dataclass
@@ -50,12 +44,6 @@ class LabeledExplodedSupergraph:
     xsg: ExplodedSupergraph
     labels: dict[int, HandlerMicroFn]
     handlers: tuple[str, ...]
-
-    def __post_init__(self):
-        missing = [e.eid for e in self.xsg.graph.edges
-                   if e.eid not in self.labels]
-        if missing:
-            raise MissingAnnotationError(missing[0])
 
     @classmethod
     def identity(cls, xsg: ExplodedSupergraph,
@@ -149,9 +137,9 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     for n in g.nodes:
         row = []
         for edge in g.out_edges(n):
-            if edge.role is EdgeRole.RETURN:
+            if edge.kind is EdgeKind.RETURN:
                 continue
-            is_call = edge.role is EdgeRole.CALL
+            is_call = edge.kind is EdgeKind.CALL
             callee_end = g.end_of(g.proc_of(edge.dst)) if is_call else None
             row.append((is_call, edge.eid, edge.dst, label[edge.eid],
                         succ[edge.eid], edge.ret_site, callee_end))
@@ -162,7 +150,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         steps_from[n] = tuple(row)
     # in the order of their first call edge
     call_sites = dict.fromkeys(e.src for e in g.edges
-                               if e.role is EdgeRole.CALL)
+                               if e.kind is EdgeKind.CALL)
 
     # --- phase 1: jump functions ---
     jump: dict[tuple[int, str, int], int] = {}

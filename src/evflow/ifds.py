@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .supergraph import EdgeRole, Supergraph
+from .supergraph import EdgeKind, Supergraph
 
 ZERO = 0
 
@@ -177,9 +177,9 @@ def mvp_bruteforce(g: Supergraph, rel_of: dict[int, RepRelation],
             return
         seen.add(key)
         for edge in g.out_edges(node):
-            if edge.role is EdgeRole.CALL:
+            if edge.kind is EdgeKind.CALL:
                 new_stack = stack + ((edge.dst, edge.ret_site),)
-            elif edge.role is EdgeRole.RETURN:
+            elif edge.kind is EdgeKind.RETURN:
                 frame = (g.start_of(g.proc_of(edge.src)), edge.dst)
                 if not stack or stack[-1] != frame:
                     continue  # returns only to the innermost open call

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 TOP_LEVEL = "top-level"
 
@@ -148,9 +149,17 @@ class FunctionDecl:
 
 @dataclass(frozen=True)
 class Program:
-    """All declared functions plus the synthetic top-level function."""
+    """All declared functions plus the synthetic top-level function.
+
+    `events` maps the sid of each call the event model classifies to its
+    event operation, ("reg", event, handler, implicit_emit) or ("emit",
+    event), and the argument positions that hold names, not reads.  The
+    parser's validation fills it; the analysis reads event semantics from
+    it alone.
+    """
 
     functions: tuple[FunctionDecl, ...]
+    events: dict = field(default_factory=dict, compare=False, repr=False)
     _by_name: dict = field(default_factory=dict, compare=False, repr=False)
     _by_sid: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -175,6 +184,10 @@ class Program:
 
     def func_of_stmt(self, sid: int) -> str:
         return self._by_sid[sid][0]
+
+    @cached_property
+    def scopes(self) -> Scopes:
+        return resolve_scopes(self)
 
 
 def iter_stmts(body):

@@ -28,7 +28,6 @@ from .ast import (
     Var,
     VarDecl,
     While,
-    resolve_scopes,
 )
 from .parser import EvlError
 from ..eventmodel import EventModel
@@ -118,7 +117,7 @@ class _Interp:
     def __init__(self, program: Program, schedule, step_limit: int,
                  model: EventModel):
         self.program = program
-        self.scopes = resolve_scopes(program)
+        self.scopes = program.scopes
         self.model = model
         self.step_limit = step_limit
         self.choices = schedule.indices if isinstance(schedule, Choices) else ()
@@ -304,12 +303,7 @@ class _Interp:
     def _exec_call(self, s: Call, func: str, frame: dict) -> None:
         if self.program.has_function(s.callee):
             values = [self.eval(a, func, frame, s.sid, s.line) for a in s.args]
-            fn = self.program.function(s.callee)
-            if len(values) != len(fn.params):
-                raise EvlRuntimeError(
-                    f"'{s.callee}' takes {len(fn.params)} arguments, "
-                    f"got {len(values)}", s.line)
-            self._run_function(fn, values)
+            self._run_function(self.program.function(s.callee), values)
             return
         op = self.model.event_op(s)
         if op is None:

@@ -388,8 +388,7 @@ class _Parser:
                          self.file)
 
 
-def stmt_reads(s: Stmt, program: Program, model: EventModel
-               ) -> tuple[str, ...]:
+def stmt_reads(s: Stmt, program: Program) -> tuple[str, ...]:
     """Variables a statement reads, in source order.  An assignment's
     target is not read, and the event-name and handler operands of an
     event call are names, not reads."""
@@ -402,14 +401,15 @@ def stmt_reads(s: Stmt, program: Program, model: EventModel
     if isinstance(s, Print):
         return expr_vars(s.value)
     if isinstance(s, Call):
-        skip = () if program.has_function(s.callee) \
-            else model.operand_args(s.callee)
+        skip = program.events[s.sid][1] if s.sid in program.events else ()
         return tuple(v for i, a in enumerate(s.args) if i not in skip
                      for v in expr_vars(a))
     return ()
 
 
 def _validate(program: Program, model: EventModel) -> None:
+    """Check names, call arities and event operands, and record the event
+    operation of every call the model classifies in `program.events`."""
     declared = {f.name for f in program.functions if f.name != TOP_LEVEL}
     for f in program.functions:
         seen: set[str] = set()
@@ -424,19 +424,34 @@ def _validate(program: Program, model: EventModel) -> None:
                 seen.add(s.name)
                 scope.add(s.name)
         for s in iter_stmts(f.body):
-            reads = stmt_reads(s, program, model)
+            if isinstance(s, Call):
+                _check_call(s, program, model, declared)
+            reads = stmt_reads(s, program)
             if isinstance(s, Assign):
                 reads += (s.name,)
             for name in reads:
                 if name not in scope:
                     raise UndeclaredVariableError(name, f.name, s.line)
-            if not isinstance(s, Call) or s.callee in declared:
-                continue
-            op = model.event_op(s)
-            if op is None:
-                raise UnresolvedCalleeError(s.callee, s.line)
-            if op[0] == "reg" and op[2] not in declared:
-                raise UnknownHandlerError(op[2], s.line)
+
+
+def _check_call(s: Call, program: Program, model: EventModel,
+                declared: set[str]) -> None:
+    if s.callee in declared:
+        params = program.function(s.callee).params
+        if len(s.args) != len(params):
+            raise EvlError(f"line {s.line}: '{s.callee}' takes "
+                           f"{len(params)} arguments, got {len(s.args)}")
+        return
+    op = model.event_op(s)
+    if op is None:
+        raise UnresolvedCalleeError(s.callee, s.line)
+    if op[0] == "reg":
+        if op[2] not in declared:
+            raise UnknownHandlerError(op[2], s.line)
+        if program.function(op[2]).params:
+            raise EvlError(f"line {s.line}: handler '{op[2]}' takes "
+                           f"parameters; handlers take none")
+    program.events[s.sid] = op, model.operand_args(s.callee)
 
 
 def _assemble(units: list[tuple[list[FunctionDecl], list[Stmt]]],

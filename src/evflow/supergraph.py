@@ -4,11 +4,12 @@ Each function contributes a start node, an end node and one node per
 statement; calls split into a call-site/return-site pair.  A single
 event-loop node acts as a zero-length procedure of its own: explicit
 emissions call into it and return to the emitter, the end of top-level
-tail-calls into it, and dispatch edges leave it for every statically
-registered handler, returning to it when the handler ends.
+calls into it with no return site, and dispatch calls leave it for every
+statically registered handler, whose end returns to it.
 
-Edges that perform event operations carry annotations naming the
-operation and the handler; everything else is unannotated.
+The event operations of each edge are read off the program's record of
+classified calls (`Program.events`) and kept per edge id; most edges
+have none.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .eventmodel import EventModel, EventModelError
 from .lang.ast import (
     Assign,
     Call,
@@ -28,9 +28,7 @@ from .lang.ast import (
     TOP_LEVEL,
     VarDecl,
     While,
-    iter_stmts,
 )
-from .lang.parser import UnknownHandlerError
 
 EVENT_LOOP = "loop"
 LOOP_PROC = "@loop"
@@ -50,15 +48,6 @@ class EdgeKind(Enum):
     CALL = "call"
     RETURN = "return"
     CALL_TO_RETURN = "call-to-return"
-    TO_EVENT_LOOP = "to-event-loop"
-    DISPATCH = "dispatch"
-
-
-# How the solvers treat an edge when matching calls with returns.
-class EdgeRole(Enum):
-    NORMAL = "normal"
-    CALL = "call"
-    RETURN = "return"
 
 
 @dataclass(frozen=True)
@@ -77,38 +66,14 @@ class Edge:
     src: str
     dst: str
     kind: EdgeKind
-    role: EdgeRole
     sid: int | None = None       # statement the edge originates from
-    ret_site: str | None = None  # for call-role edges; None means no return
-    handler: str | None = None   # for dispatch edges
+    ret_site: str | None = None  # for call edges; None means no return
 
 
 @dataclass(frozen=True)
 class EventOp:
     kind: str      # "register" | "emit" | "invoke" | "emit_register"
     handler: str
-
-
-class EventAnnotation:
-    """Total map from edge ids to (possibly empty) event-operation tuples."""
-
-    def __init__(self, ops_by_eid: dict[int, tuple[EventOp, ...]],
-                 all_eids: frozenset[int]):
-        self._ops = ops_by_eid
-        self._eids = all_eids
-
-    def ops(self, eid: int) -> tuple[EventOp, ...]:
-        return self._ops.get(eid, ())
-
-    def covers(self, eid: int) -> bool:
-        return eid in self._eids
-
-    @property
-    def eids(self) -> frozenset[int]:
-        return self._eids
-
-    def annotated(self) -> dict[int, tuple[EventOp, ...]]:
-        return dict(self._ops)
 
 
 class Supergraph:
@@ -118,17 +83,15 @@ class Supergraph:
         self._out: dict[str, list[Edge]] = {}
         self._by_endpoints: dict[tuple[str, str], Edge] = {}
         self.funcs: dict[str, tuple[str, str]] = {}  # proc -> (start, end)
-        self.handlers: tuple[str, ...] = ()
 
     def add_node(self, node: Node) -> str:
         self.nodes[node.id] = node
         self._out.setdefault(node.id, [])
         return node.id
 
-    def add_edge(self, src: str, dst: str, kind: EdgeKind, role: EdgeRole,
-                 sid: int | None = None, ret_site: str | None = None,
-                 handler: str | None = None) -> Edge:
-        edge = Edge(len(self.edges), src, dst, kind, role, sid, ret_site, handler)
+    def add_edge(self, src: str, dst: str, kind: EdgeKind,
+                 sid: int | None = None, ret_site: str | None = None) -> Edge:
+        edge = Edge(len(self.edges), src, dst, kind, sid, ret_site)
         self.edges.append(edge)
         self._out[src].append(edge)
         self._by_endpoints[(src, dst)] = edge
@@ -166,53 +129,33 @@ class UnknownEventWarning:
 @dataclass
 class BuildResult:
     graph: Supergraph
-    annotations: EventAnnotation
+    ops: dict[int, tuple[EventOp, ...]]  # edge id -> its event operations
     handlers: tuple[str, ...]
-    registry: dict[str, frozenset[str]]
     warnings: list = field(default_factory=list)
 
 
-def handler_registry(program: Program,
-                     model: EventModel) -> dict[str, frozenset[str]]:
+def handler_registry(program: Program) -> dict[str, frozenset[str]]:
     """Flow-insensitive map from each event to every handler ever
     registered for it anywhere in the program."""
     out: dict[str, set[str]] = {}
-    for f in program.functions:
-        for s in iter_stmts(f.body):
-            behavior = _classify_stmt(s, program, model)
-            if behavior is not None and behavior[0] == "reg":
-                out.setdefault(behavior[1], set()).add(behavior[2])
+    for op, _ in program.events.values():
+        if op[0] == "reg":
+            out.setdefault(op[1], set()).add(op[2])
     return {e: frozenset(hs) for e, hs in out.items()}
 
 
-def _classify_stmt(s: Stmt, program: Program, model: EventModel):
-    """Event behavior of one statement: ("reg", event, handler, implicit),
-    ("emit", event), or None."""
-    if not isinstance(s, Call) or program.has_function(s.callee):
-        return None
-    behavior = model.event_op(s)
-    if behavior is None:
-        raise EventModelError(
-            f"line {s.line}: call to '{s.callee}' has no event semantics")
-    return behavior
-
-
 class _Builder:
-    def __init__(self, program: Program, model: EventModel):
+    def __init__(self, program: Program):
         self.program = program
-        self.model = model
         self.g = Supergraph()
-        self.registry = handler_registry(program, model)
+        self.registry = handler_registry(program)
         self.handlers = tuple(sorted({h for hs in self.registry.values()
                                       for h in hs}))
         self.pending_ops: dict[str, tuple[EventOp, ...]] = {}  # node -> ops
-        self.ops_by_eid: dict[int, tuple[EventOp, ...]] = {}
+        self.ops: dict[int, tuple[EventOp, ...]] = {}
         self.warnings: list[UnknownEventWarning] = []
 
     def build(self) -> BuildResult:
-        for h in self.handlers:
-            if not self.program.has_function(h):
-                raise UnknownHandlerError(h)
         self.g.add_node(Node(EVENT_LOOP, NodeKind.EVENT_LOOP, LOOP_PROC,
                              label="event loop"))
         self.g.funcs[LOOP_PROC] = (EVENT_LOOP, EVENT_LOOP)
@@ -225,12 +168,8 @@ class _Builder:
         for f in self.program.functions:
             self._lower_function(f)
         self._wire_event_loop()
-        self._attach_simple_annotations()
-        self.g.handlers = self.handlers
-        ann = EventAnnotation(self.ops_by_eid,
-                              frozenset(e.eid for e in self.g.edges))
-        return BuildResult(self.g, ann, self.handlers, self.registry,
-                           self.warnings)
+        self._attach_stmt_ops()
+        return BuildResult(self.g, self.ops, self.handlers, self.warnings)
 
     # -- function lowering --
 
@@ -238,11 +177,11 @@ class _Builder:
         start, end = self.g.funcs[f.name]
         entry, exits = self._lower_body(f.body, f.name)
         if entry is None:
-            self.g.add_edge(start, end, EdgeKind.INTRA, EdgeRole.NORMAL)
+            self.g.add_edge(start, end, EdgeKind.INTRA)
         else:
-            self.g.add_edge(start, entry, EdgeKind.INTRA, EdgeRole.NORMAL)
+            self.g.add_edge(start, entry, EdgeKind.INTRA)
             for node in exits:
-                self.g.add_edge(node, end, EdgeKind.INTRA, EdgeRole.NORMAL)
+                self.g.add_edge(node, end, EdgeKind.INTRA)
 
     def _lower_body(self, body, func: str):
         entry: str | None = None
@@ -252,7 +191,7 @@ class _Builder:
             if entry is None:
                 entry = s_entry
             for node in exits:
-                self.g.add_edge(node, s_entry, EdgeKind.INTRA, EdgeRole.NORMAL)
+                self.g.add_edge(node, s_entry, EdgeKind.INTRA)
             exits = s_exits
         return entry, exits
 
@@ -277,42 +216,36 @@ class _Builder:
                     if cond not in exits:
                         exits.append(cond)
                 else:
-                    self.g.add_edge(cond, entry, EdgeKind.INTRA, EdgeRole.NORMAL)
+                    self.g.add_edge(cond, entry, EdgeKind.INTRA)
                     exits.extend(body_exits)
             return cond, exits
         if isinstance(s, While):
             cond = self._stmt_node(s, func, "while")
             entry, body_exits = self._lower_body(s.body, func)
             if entry is not None:
-                self.g.add_edge(cond, entry, EdgeKind.INTRA, EdgeRole.NORMAL)
+                self.g.add_edge(cond, entry, EdgeKind.INTRA)
                 for node in body_exits:
-                    self.g.add_edge(node, cond, EdgeKind.INTRA, EdgeRole.NORMAL)
+                    self.g.add_edge(node, cond, EdgeKind.INTRA)
             return cond, [cond]
         if isinstance(s, Return):
             node = self._stmt_node(s, func, "return")
-            self.g.add_edge(node, self.g.end_of(func), EdgeKind.INTRA,
-                            EdgeRole.NORMAL, sid=s.sid)
+            self.g.add_edge(node, self.g.end_of(func), EdgeKind.INTRA, sid=s.sid)
             return node, []
         if isinstance(s, Call) and self.program.has_function(s.callee):
             c, r = self._call_pair(s, func, f"{s.callee}(...)")
             callee_start, callee_end = self.g.funcs[s.callee]
-            self.g.add_edge(c, callee_start, EdgeKind.CALL, EdgeRole.CALL,
-                            sid=s.sid, ret_site=r)
-            self.g.add_edge(callee_end, r, EdgeKind.RETURN, EdgeRole.RETURN,
-                            sid=s.sid)
-            self.g.add_edge(c, r, EdgeKind.CALL_TO_RETURN, EdgeRole.NORMAL,
-                            sid=s.sid)
+            self.g.add_edge(c, callee_start, EdgeKind.CALL, sid=s.sid,
+                            ret_site=r)
+            self.g.add_edge(callee_end, r, EdgeKind.RETURN, sid=s.sid)
+            self.g.add_edge(c, r, EdgeKind.CALL_TO_RETURN, sid=s.sid)
             return c, [r]
-        behavior = _classify_stmt(s, self.program, self.model)
-        if behavior is not None and behavior[0] == "emit":
-            return self._lower_emit(s, func, behavior[1])
-        if behavior is not None:
-            _, event, handler, implicit = behavior
-            kind = "emit_register" if implicit else "register"
-            node = self._stmt_node(s, func, _stmt_text(s))
-            self.pending_ops[node] = (EventOp(kind, handler),)
-            return node, [node]
+        op = self.program.events[s.sid][0] if isinstance(s, Call) else None
+        if op is not None and op[0] == "emit":
+            return self._lower_emit(s, func, op[1])
         node = self._stmt_node(s, func, _stmt_text(s))
+        if op is not None:
+            kind = "emit_register" if op[3] else "register"
+            self.pending_ops[node] = (EventOp(kind, op[2]),)
         return node, [node]
 
     def _lower_emit(self, s: Stmt, func: str, event: str):
@@ -320,37 +253,32 @@ class _Builder:
         if not ops:
             self.warnings.append(UnknownEventWarning(event, s.line, s.file))
         c, r = self._call_pair(s, func, f'emit "{event}"')
-        call_edge = self.g.add_edge(c, EVENT_LOOP, EdgeKind.CALL, EdgeRole.CALL,
-                                    sid=s.sid, ret_site=r)
-        self.g.add_edge(EVENT_LOOP, r, EdgeKind.RETURN, EdgeRole.RETURN,
-                        sid=s.sid)
-        c2r = self.g.add_edge(c, r, EdgeKind.CALL_TO_RETURN, EdgeRole.NORMAL,
-                              sid=s.sid)
+        call_edge = self.g.add_edge(c, EVENT_LOOP, EdgeKind.CALL, sid=s.sid,
+                                    ret_site=r)
+        self.g.add_edge(EVENT_LOOP, r, EdgeKind.RETURN, sid=s.sid)
+        c2r = self.g.add_edge(c, r, EdgeKind.CALL_TO_RETURN, sid=s.sid)
         if ops:
-            self.ops_by_eid[call_edge.eid] = ops
-            self.ops_by_eid[c2r.eid] = ops
+            self.ops[call_edge.eid] = ops
+            self.ops[c2r.eid] = ops
         return c, [r]
 
     # -- event loop wiring --
 
     def _wire_event_loop(self) -> None:
-        top_end = self.g.end_of(TOP_LEVEL)
-        self.g.add_edge(top_end, EVENT_LOOP, EdgeKind.TO_EVENT_LOOP,
-                        EdgeRole.CALL, ret_site=None)
+        # the end of top-level calls into the loop and never returns
+        self.g.add_edge(self.g.end_of(TOP_LEVEL), EVENT_LOOP, EdgeKind.CALL)
         for h in self.handlers:
             dispatch = self.g.add_edge(EVENT_LOOP, self.g.start_of(h),
-                                       EdgeKind.DISPATCH, EdgeRole.CALL,
-                                       ret_site=EVENT_LOOP, handler=h)
-            self.ops_by_eid[dispatch.eid] = (EventOp("invoke", h),)
-            self.g.add_edge(self.g.end_of(h), EVENT_LOOP,
-                            EdgeKind.TO_EVENT_LOOP, EdgeRole.RETURN)
+                                       EdgeKind.CALL, ret_site=EVENT_LOOP)
+            self.ops[dispatch.eid] = (EventOp("invoke", h),)
+            self.g.add_edge(self.g.end_of(h), EVENT_LOOP, EdgeKind.RETURN)
 
-    def _attach_simple_annotations(self) -> None:
+    def _attach_stmt_ops(self) -> None:
         for node_id, ops in self.pending_ops.items():
             out = [e for e in self.g.out_edges(node_id)
                    if e.kind is EdgeKind.INTRA]
             assert len(out) == 1, f"event statement {node_id} must have one exit"
-            self.ops_by_eid[out[0].eid] = ops
+            self.ops[out[0].eid] = ops
 
 
 def _stmt_text(s: Stmt) -> str:
@@ -365,9 +293,10 @@ def _stmt_text(s: Stmt) -> str:
     return type(s).__name__.lower()
 
 
-def build_supergraph(program: Program, model: EventModel | None = None) -> BuildResult:
-    """Construct the supergraph, its event annotations and the handler set."""
-    return _Builder(program, model or EventModel.default()).build()
+def build_supergraph(program: Program) -> BuildResult:
+    """Construct the supergraph, its per-edge event operations and the
+    handler set."""
+    return _Builder(program).build()
 
 
 def node_for_sid(graph: Supergraph, program: Program, sid: int) -> str:
@@ -386,14 +315,13 @@ def node_for_sid(graph: Supergraph, program: Program, sid: int) -> str:
 _DOT_STYLES = {
     EdgeKind.CALL: "dashed",
     EdgeKind.RETURN: "dashed",
-    EdgeKind.DISPATCH: "dashed",
-    EdgeKind.TO_EVENT_LOOP: "dashed",
     EdgeKind.CALL_TO_RETURN: "dotted",
     EdgeKind.INTRA: "",
 }
 
 
-def supergraph_dot(graph: Supergraph, annotations: EventAnnotation | None = None,
+def supergraph_dot(graph: Supergraph,
+                   ops: dict[int, tuple[EventOp, ...]] | None = None,
                    highlight: frozenset[int] | set[int] = frozenset()) -> str:
     """Render the supergraph in DOT: one cluster per function, dashed
     interprocedural edges, optional bold highlight for a chosen path."""
@@ -415,9 +343,8 @@ def supergraph_dot(graph: Supergraph, annotations: EventAnnotation | None = None
     for edge in graph.edges:
         styles = [s for s in (_DOT_STYLES[edge.kind],) if s]
         attrs = []
-        if annotations is not None and annotations.ops(edge.eid):
-            ops = annotations.ops(edge.eid)
-            text = ", ".join(f"{op.kind} {op.handler}" for op in ops)
+        if ops and edge.eid in ops:
+            text = ", ".join(f"{op.kind} {op.handler}" for op in ops[edge.eid])
             attrs.append(f'label="{_dot_escape(text)}"')
         if edge.eid in highlight:
             styles.append("bold")

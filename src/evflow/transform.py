@@ -11,7 +11,7 @@ a report reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .event_lattice import (
     HState,
@@ -20,19 +20,11 @@ from .event_lattice import (
     MF_EMIT_REGISTER,
     MF_INVOKE,
     MF_REGISTER,
-    mf_compose,
 )
-from .eventmodel import EventModel
-from .ide import (
-    IdeResult,
-    LabeledExplodedSupergraph,
-    MissingAnnotationError,
-    solve_ide,
-    solve_ifds,
-)
+from .ide import IdeResult, LabeledExplodedSupergraph, solve_ide, solve_ifds
 from .ifds import ExplodedSupergraph, IfdsResult, ZERO, explode
 from .lang.ast import Program
-from .supergraph import BuildResult, EventAnnotation, build_supergraph
+from .supergraph import BuildResult, EventOp, build_supergraph
 from .uninit import UninitProblem
 
 _OP_TO_MF = {
@@ -43,21 +35,14 @@ _OP_TO_MF = {
 }
 
 
-def transform(xsg: ExplodedSupergraph, annotations: EventAnnotation,
+def transform(xsg: ExplodedSupergraph, ops: dict[int, tuple[EventOp, ...]],
               handlers: tuple[str, ...]) -> LabeledExplodedSupergraph:
     """Label every exploded edge with the event micro-function of its
-    underlying supergraph edge; identity where nothing happens."""
-    labels: dict[int, HandlerMicroFn] = {}
-    for edge in xsg.graph.edges:
-        if not annotations.covers(edge.eid):
-            raise MissingAnnotationError(edge.eid)
-        entries: dict[str, int] = {}
-        for op in annotations.ops(edge.eid):
-            mf = _OP_TO_MF[op.kind]
-            if op.handler in entries:
-                mf = mf_compose(mf, entries[op.handler])
-            entries[op.handler] = mf
-        labels[edge.eid] = HandlerMicroFn(entries)
+    underlying supergraph edge; identity where nothing happens.  No edge
+    carries two operations for one handler."""
+    labels = {edge.eid: HandlerMicroFn({op.handler: _OP_TO_MF[op.kind]
+                                        for op in ops.get(edge.eid, ())})
+              for edge in xsg.graph.edges}
     return LabeledExplodedSupergraph(xsg, labels, handlers)
 
 
@@ -96,7 +81,6 @@ class EventAwareAnalysis:
     ifds: IfdsResult
     ide: IdeResult
     filtered: IfdsResult
-    warnings: list = field(default_factory=list)
 
     @property
     def domain(self):
@@ -107,18 +91,16 @@ class EventAwareAnalysis:
         return self.build.handlers
 
 
-def analyze_event_aware(program: Program, model: EventModel | None = None,
+def analyze_event_aware(program: Program,
                         check_descent: bool = False) -> EventAwareAnalysis:
     """Run the event-aware analysis over one program and read the plain
     result off the same solve."""
-    model = model or EventModel.default()
-    build = build_supergraph(program, model)
-    problem = UninitProblem(program, build.graph, model=model)
+    build = build_supergraph(program)
+    problem = UninitProblem(program, build.graph)
     xsg = explode(build.graph, problem.domain, problem.flow_for)
-    labeled = transform(xsg, build.annotations, build.handlers)
+    labeled = transform(xsg, build.ops, build.handlers)
     ide_result = solve_ide(labeled, check_descent=check_descent)
     ifds_result = solve_ifds(xsg, ide_result)
     filtered = untransform(ide_result)
     return EventAwareAnalysis(program, build, problem, xsg, labeled,
-                              ifds_result, ide_result, filtered,
-                              list(build.warnings))
+                              ifds_result, ide_result, filtered)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eventmodel import EventModel
 from .ifds import FactDomain, RepRelation, ZERO, identity_rel
 from .lang.ast import (
     Assign,
@@ -21,7 +20,6 @@ from .lang.ast import (
     Scopes,
     VarDecl,
     expr_vars,
-    resolve_scopes,
 )
 from .lang.parser import stmt_reads
 from .supergraph import EdgeKind, NodeKind, Supergraph
@@ -35,12 +33,10 @@ class UninitProblem:
     generated one.
     """
 
-    def __init__(self, program: Program, graph: Supergraph,
-                 model=None, scopes: Scopes | None = None):
+    def __init__(self, program: Program, graph: Supergraph):
         self.program = program
         self.graph = graph
-        self.model = model or EventModel.default()
-        self.scopes = scopes or resolve_scopes(program)
+        self.scopes = program.scopes
         self.domain = FactDomain(self.scopes.all_facts())
         self._globals = frozenset(
             self.domain.index_of(n) for n in self.scopes.globals)
@@ -85,8 +81,7 @@ class UninitProblem:
         kind = edge.kind
         if kind is EdgeKind.CALL:
             return self._call_rel(edge)
-        if kind in (EdgeKind.RETURN, EdgeKind.TO_EVENT_LOOP,
-                    EdgeKind.DISPATCH):
+        if kind is EdgeKind.RETURN:
             return self._globals_only
         if kind is EdgeKind.CALL_TO_RETURN:
             caller_locals = self._locals_of(g.proc_of(edge.src))
@@ -111,18 +106,19 @@ class UninitProblem:
 
     def _call_rel(self, edge) -> RepRelation:
         # globals cross into the callee; parameters are bound from the
-        # variables read by their actuals
-        pairs = set(self._globals_only)
-        if edge.kind is EdgeKind.CALL and edge.sid is not None:
-            stmt = self.program.stmt(edge.sid)
-            if isinstance(stmt, Call) and self.program.has_function(stmt.callee):
-                callee = self.program.function(stmt.callee)
-                caller = self.graph.proc_of(edge.src)
-                for param, actual in zip(callee.params, stmt.args):
-                    p_i = self._idx(callee.name, param)
-                    for v in expr_vars(actual):
-                        pairs.add((self._idx(caller, v), p_i))
-        return frozenset(pairs)
+        # variables read by their actuals.  A call that binds no
+        # parameter (an emit, a dispatch, the end of top-level, a call
+        # whose actuals read no variable) shares the globals-only
+        # relation, and with it one successor table.
+        stmt = None if edge.sid is None else self.program.stmt(edge.sid)
+        if not isinstance(stmt, Call) or stmt.sid in self.program.events:
+            return self._globals_only
+        callee = self.program.function(stmt.callee)
+        caller = self.graph.proc_of(edge.src)
+        bound = {(self._idx(caller, v), self._idx(callee.name, param))
+                 for param, actual in zip(callee.params, stmt.args)
+                 for v in expr_vars(actual)}
+        return self._globals_only.union(bound) if bound else self._globals_only
 
     # -- reporting --
 
@@ -132,8 +128,7 @@ class UninitProblem:
             return ()
         if node.kind not in (NodeKind.STMT, NodeKind.CALL_SITE):
             return ()
-        names = stmt_reads(self.program.stmt(node.sid), self.program,
-                           self.model)
+        names = stmt_reads(self.program.stmt(node.sid), self.program)
         seen: list[int] = []
         for name in names:
             i = self._idx(node.func, name)

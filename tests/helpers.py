@@ -1,6 +1,7 @@
 """Shared pipeline helpers and independent oracles for the test suite."""
 
 from collections import defaultdict
+from pathlib import Path
 
 from evflow.event_lattice import (
     HState,
@@ -9,8 +10,12 @@ from evflow.event_lattice import (
     hsm_meet,
 )
 from evflow.ifds import ZERO, explode
-from evflow.supergraph import EdgeRole, build_supergraph
+from evflow.lang import parse
+from evflow.randgen import GenParams, gen_source
+from evflow.supergraph import EdgeKind, build_supergraph
 from evflow.uninit import UninitProblem
+
+from conftest import CORPUS_NAMES, load_corpus_entry
 
 
 def _out(f, s):
@@ -81,12 +86,24 @@ def chain_source(h, g, l, a=7, b=3):
     return "\n".join(lines) + "\n"
 
 
-def pipeline(program, model=None):
+def pipeline(program):
     """parse-result -> (build result, uninit problem, exploded graph)."""
-    build = build_supergraph(program, model)
-    problem = UninitProblem(program, build.graph, model=model)
+    build = build_supergraph(program)
+    problem = UninitProblem(program, build.graph)
     xsg = explode(build.graph, problem.domain, problem.flow_for)
     return build, problem, xsg
+
+
+def sample_programs():
+    """(tag, program) for the corpus, the golden sources and 200 seeded
+    random programs with loops."""
+    for name in CORPUS_NAMES:
+        yield name, load_corpus_entry(name)[0]
+    for evl in sorted((Path(__file__).parent / "golden").glob("*.evl")):
+        yield evl.name, parse(evl.read_text(encoding="utf-8"))
+    params = GenParams(allow_while=True)
+    for i in range(200):
+        yield f"tables:{i}", parse(gen_source(f"tables:{i}", params))
 
 
 def facts_by_name(result, problem):
@@ -120,9 +137,9 @@ def brute_force_ide(graph, rel_of, labels, handlers, entry=None,
             return
         seen.add(key)
         for edge in graph.out_edges(node):
-            if edge.role is EdgeRole.CALL:
+            if edge.kind is EdgeKind.CALL:
                 new_stack = stack + ((edge.dst, edge.ret_site),)
-            elif edge.role is EdgeRole.RETURN:
+            elif edge.kind is EdgeKind.RETURN:
                 frame = (graph.start_of(graph.proc_of(edge.src)), edge.dst)
                 if not stack or stack[-1] != frame:
                     continue

@@ -26,7 +26,7 @@ from evflow.ifds import PathBudgetExceededError, ZERO, mvp_bruteforce
 from evflow.lang import check_trace_ordering, explore_schedules, parse
 from evflow.lang.ast import Assign, iter_stmts
 from evflow.randgen import DEFAULT, SMALL, gen_source
-from evflow.supergraph import EdgeKind, node_for_sid
+from evflow.supergraph import EVENT_LOOP, EdgeKind, node_for_sid
 from evflow.transform import analyze_event_aware
 from evflow.uninit import report_uses
 
@@ -55,8 +55,8 @@ def _assign_node(analysis, var, self_referencing=True):
 
 def test_criterion_1_door():
     started = time.perf_counter()
-    program, model = load_corpus_entry("door")
-    analysis = analyze_event_aware(program, model)
+    program, _ = load_corpus_entry("door")
+    analysis = analyze_event_aware(program)
     g = analysis.build.graph
     txt = analysis.domain.index_of("txt")
 
@@ -77,8 +77,8 @@ def test_criterion_1_door():
 
 def test_criterion_2_dirstat():
     started = time.perf_counter()
-    program, model = load_corpus_entry("dirstat")
-    analysis = analyze_event_aware(program, model)
+    program, _ = load_corpus_entry("dirstat")
+    analysis = analyze_event_aware(program)
     sum_i = analysis.domain.index_of("sum")
     add = _assign_node(analysis, "sum")
 
@@ -89,8 +89,8 @@ def test_criterion_2_dirstat():
     # then invoked; composing the actual edge labels gives all-E
     labels = analysis.labeled.labels
     g = analysis.build.graph
-    by_handler = {e.handler: labels[e.eid] for e in g.edges
-                  if e.kind is EdgeKind.DISPATCH}
+    by_handler = {g.proc_of(e.dst): labels[e.eid] for e in g.edges
+                  if e.kind is EdgeKind.CALL and e.src == EVENT_LOOP}
     reg_f = next(labels[e.eid] for e in g.edges
                  if labels[e.eid].touched() == {"f": MF_EMIT_REGISTER})
     reg_h = next(labels[e.eid] for e in g.edges
@@ -113,8 +113,8 @@ def test_criterion_3_timer_and_server():
         ("server", "nConn", {"lstn": E, "conn": X}),
     ]
     for name, var, expected in cases:
-        program, model = load_corpus_entry(name)
-        analysis = analyze_event_aware(program, model)
+        program, _ = load_corpus_entry(name)
+        analysis = analyze_event_aware(program)
         fact = analysis.domain.index_of(var)
         read = _assign_node(analysis, var)
         assert fact in analysis.ifds.facts_at(read), name
@@ -171,8 +171,8 @@ def test_criterion_5_precision():
     started = time.perf_counter()
     analyses = []
     for name in CORPUS_NAMES:
-        program, model = load_corpus_entry(name)
-        analyses.append(analyze_event_aware(program, model))
+        program, _ = load_corpus_entry(name)
+        analyses.append(analyze_event_aware(program))
     for program in _random_programs(100, "accept5", DEFAULT):
         analyses.append(analyze_event_aware(program))
     violations = 0
@@ -196,7 +196,7 @@ def test_criterion_6_soundness():
         jobs.append((f"random:{i}", program, None))
     violations = []
     for tag, program, model in jobs:
-        analysis = analyze_event_aware(program, model)
+        analysis = analyze_event_aware(program)
         traces = explore_schedules(program, model, max_decisions=6,
                                    step_limit=5_000)
         for trace in traces:
@@ -243,8 +243,8 @@ def test_criterion_8_handler_work_bound():
     started = time.perf_counter()
     programs = [load_corpus_entry(n) for n in CORPUS_NAMES]
     programs += [(p, None) for p in _random_programs(30, "accept8", DEFAULT)]
-    for program, model in programs:
-        analysis = analyze_event_aware(program, model, check_descent=True)
+    for program, _ in programs:
+        analysis = analyze_event_aware(program, check_descent=True)
         bound = max(1, len(analysis.handlers))
         for hmf in analysis.labeled.labels.values():
             assert len(hmf) <= len(analysis.handlers) or \

@@ -110,8 +110,8 @@ def test_fact_accounting_in_diff_mode():
     from evflow.transform import analyze_event_aware
     from conftest import load_corpus_entry
     for name in ("door", "dirstat", "timer", "server"):
-        program, model = load_corpus_entry(name)
-        analysis = analyze_event_aware(program, model)
+        program, _ = load_corpus_entry(name)
+        analysis = analyze_event_aware(program)
         for node in analysis.ifds.reachable:
             excluded = [d for d, hsm in analysis.ide.envs[node].items()
                         if d and HState.X in hsm.values()]
@@ -387,6 +387,57 @@ def _comparable(report) -> tuple:
     diagnostics = [{k: v for k, v in d.items() if k != "file"}
                    for d in report.diagnostics]
     return diagnostics, report.warnings, stats
+
+
+def test_a_handler_with_a_parameter_is_an_input_error(tmp_path, capsys):
+    (tmp_path / "h.evl").write_text(
+        'fn h(a) { print(a); } register("e", h); emit("e");\n')
+    assert main(["diff", str(tmp_path / "h.evl")]) == EXIT_ERROR
+    _assert_text_input_error(capsys.readouterr(), "handler 'h' takes")
+    assert main(["oracle", str(tmp_path), "--count", "0"]) == EXIT_DIAGNOSTICS
+    captured = capsys.readouterr()
+    assert "corpus h.evl: FAIL" in captured.out
+    assert "handler 'h' takes parameters" in captured.out
+    assert captured.err == ""
+
+
+def test_scopes_are_resolved_once_per_program(monkeypatch):
+    from evflow import cli
+    from evflow.eventmodel import EventModel
+    from evflow.lang import ast, explore_schedules, parse
+    source = ("var g;\nfn a() { print(g); }\nfn b() { g = 1; }\n"
+              "register_async(a);\nregister_async(b);\n")
+    model = EventModel.default()
+    assert len(explore_schedules(parse(source), model)) > 1
+    calls = []
+    resolve = ast.resolve_scopes
+    monkeypatch.setattr(ast, "resolve_scopes",
+                        lambda program: calls.append(1) or resolve(program))
+    assert cli.check_program(source, model, 6) == []
+    assert len(calls) == 1
+
+
+def test_analysis_reads_the_event_model_off_the_program(monkeypatch):
+    from evflow import cli
+    from evflow.eventmodel import EventModel
+    from evflow.lang import parse_files
+    from evflow.transform import analyze_event_aware
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(analyze_event_aware(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "analyze_event_aware", spy)
+    for name in ("timer", "server"):
+        evl, model = corpus_path(f"{name}.evl"), corpus_path(
+            f"{name}.model.json")
+        run(RunConfig([evl], mode="diff", event_model=model))
+        direct = analyze_event_aware(parse_files(
+            [evl], model=EventModel.from_json_file(model)))
+        assert direct.ifds.facts == seen[-1].ifds.facts
+        assert direct.filtered.facts == seen[-1].filtered.facts
+        assert direct.filtered.facts != direct.ifds.facts
 
 
 def test_model_callees_behave_like_the_primitives(tmp_path):

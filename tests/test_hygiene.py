@@ -1,11 +1,14 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no
+function, class or method is defined that nothing names."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "evflow"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "evflow"
 
 # package __init__ modules import names to re-export them
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
@@ -39,3 +42,42 @@ def test_unused_imports_are_found():
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(modules: dict[str, str], texts: list[str]) -> list[str]:
+    """Functions, classes and methods defined in `modules` (name ->
+    source), dunders aside, whose name occurs in no text of `texts`
+    except in their own definitions."""
+    defs: dict[str, list[str]] = {}
+    for module, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and not re.fullmatch(r"__\w+__", node.name):
+                defs.setdefault(node.name, []).append(
+                    f"{module}:{node.lineno}: {node.name}")
+    words: dict[str, int] = {}
+    for text in texts:
+        for word in re.findall(r"\w+", text):
+            words[word] = words.get(word, 0) + 1
+    return sorted(where for name, found in defs.items()
+                  if words.get(name, 0) <= len(found) for where in found)
+
+
+def test_dead_definitions_are_found():
+    module = ("class Used:\n    def __init__(self): pass\n"
+              "    def called(self): pass\n    def dead(self): pass\n"
+              "def helper(): return Used().called()\n"
+              "def orphan(): pass\n")
+    texts = [module, "from m import helper\nhelper()\n"]
+    assert dead_definitions({"m.py": module}, texts) == \
+        ["m.py:4: dead", "m.py:6: orphan"]
+
+
+def test_every_definition_is_named_somewhere():
+    texts = [p.read_text(encoding="utf-8")
+             for d in ("src", "tests", "evbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    modules = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8")
+               for p in sorted(SRC.rglob("*.py"))}
+    assert dead_definitions(modules, texts) == []

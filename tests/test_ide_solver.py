@@ -16,15 +16,15 @@ from helpers import brute_force_ide, chain_source, pipeline
 S, R, E, X = HState.S, HState.R, HState.E, HState.X
 
 
-def ide_for(program, model=None, **kw):
-    build, problem, xsg = pipeline(program, model)
-    labeled = transform(xsg, build.annotations, build.handlers)
+def ide_for(program, **kw):
+    build, problem, xsg = pipeline(program)
+    labeled = transform(xsg, build.ops, build.handlers)
     return build, problem, xsg, labeled, solve_ide(labeled, **kw)
 
 
 def test_door_environment_maps(door):
-    program, model = door
-    build, problem, xsg, labeled, result = ide_for(program, model,
+    program, _ = door
+    build, problem, xsg, labeled, result = ide_for(program,
                                                    check_descent=True)
     g = build.graph
     txt = problem.domain.index_of("txt")
@@ -38,8 +38,8 @@ def test_door_environment_maps(door):
 
 
 def test_door_zero_row_feasible(door):
-    program, model = door
-    build, _, _, _, result = ide_for(program, model)
+    program, _ = door
+    build, _, _, _, result = ide_for(program)
     g = build.graph
     # control reaches hdlClose feasibly, so the tautological row meets to
     # a map without X
@@ -53,8 +53,8 @@ def _brute(xsg):
 
 
 def test_identity_labels_degenerate_to_ifds(door, dirstat, timer, server):
-    for program, model in (door, dirstat, timer, server):
-        build, problem, xsg = pipeline(program, model)
+    for program, _ in (door, dirstat, timer, server):
+        build, problem, xsg = pipeline(program)
         brute = _brute(xsg)
         labeled = LabeledExplodedSupergraph.identity(xsg, build.handlers)
         ide = solve_ide(labeled)
@@ -82,9 +82,9 @@ def test_identity_degeneracy_on_random_programs():
     assert checked >= 20
 
 
-def _plain_readouts_agree(program, model=None):
-    build, problem, xsg = pipeline(program, model)
-    labeled = solve_ide(transform(xsg, build.annotations, build.handlers))
+def _plain_readouts_agree(program):
+    build, problem, xsg = pipeline(program)
+    labeled = solve_ide(transform(xsg, build.ops, build.handlers))
     identity = solve_ide(LabeledExplodedSupergraph.identity(xsg, build.handlers))
     a, b = solve_ifds(xsg, labeled), solve_ifds(xsg, identity)
     return (a.facts, a.reachable, a.stats) == (b.facts, b.reachable, b.stats)
@@ -94,7 +94,7 @@ def test_labels_do_not_change_the_plain_readout():
     # the fact the single tabulation rests on: event labels decide which
     # facts to filter, never which exploded nodes are reached
     for name in CORPUS_NAMES:
-        assert _plain_readouts_agree(*load_corpus_entry(name)), name
+        assert _plain_readouts_agree(load_corpus_entry(name)[0]), name
     params = GenParams(allow_while=True)
     for i in range(300):
         source = gen_source(f"readout:{i}", params)
@@ -102,8 +102,8 @@ def test_labels_do_not_change_the_plain_readout():
 
 
 def test_path_oracle_door(door):
-    program, model = door
-    build, problem, xsg, labeled, result = ide_for(program, model)
+    program, _ = door
+    build, problem, xsg, labeled, result = ide_for(program)
     oracle = brute_force_ide(xsg.graph, xsg.rel_of, labeled.labels,
                              build.handlers, max_len=26)
     # every oracle value within the explored horizon must be above or
@@ -125,7 +125,7 @@ def test_path_oracle_equivalence_random():
     for i in range(25):
         program = parse(gen_source(f"ideoracle:{i}", SMALL))
         build, problem, xsg = pipeline(program)
-        labeled = transform(xsg, build.annotations, build.handlers)
+        labeled = transform(xsg, build.ops, build.handlers)
         result = solve_ide(labeled)
         try:
             oracle = brute_force_ide(xsg.graph, xsg.rel_of, labeled.labels,
@@ -148,9 +148,9 @@ def test_path_oracle_equivalence_random():
 
 
 def test_jump_functions_descend_and_fixpoint(door, dirstat):
-    for program, model in (door, dirstat):
-        build, problem, xsg = pipeline(program, model)
-        labeled = transform(xsg, build.annotations, build.handlers)
+    for program, _ in (door, dirstat):
+        build, problem, xsg = pipeline(program)
+        labeled = transform(xsg, build.ops, build.handlers)
         r1 = solve_ide(labeled, check_descent=True)
         r2 = solve_ide(labeled, check_descent=True)
         assert r1.envs == r2.envs
@@ -165,8 +165,8 @@ def test_descent_check_survives_python_O():
         "from conftest import load_corpus_entry\n"
         "from helpers import pipeline\n"
         "from evflow.transform import transform\n"
-        "build, _, xsg = pipeline(*load_corpus_entry('door'))\n"
-        "labeled = transform(xsg, build.annotations, build.handlers)\n"
+        "build, _, xsg = pipeline(load_corpus_entry('door')[0])\n"
+        "labeled = transform(xsg, build.ops, build.handlers)\n"
         "ide.hmf_leq = lambda new, old: False\n"
         "try:\n"
         "    ide.solve_ide(labeled, check_descent=True)\n"
@@ -182,7 +182,7 @@ def test_descent_check_survives_python_O():
 
 def _chain_labeled(h, g):
     build, _, xsg = pipeline(parse(chain_source(h, g, 4)))
-    return transform(xsg, build.annotations, build.handlers)
+    return transform(xsg, build.ops, build.handlers)
 
 
 def test_lattice_operators_run_once_per_distinct_pair():
@@ -207,7 +207,7 @@ def test_stats_do_not_depend_on_string_hashing():
         "from evflow.ide import solve_ide\n"
         "from evflow.transform import transform\n"
         "build, _, xsg = pipeline(parse(chain_source(6, 12, 4)))\n"
-        "labeled = transform(xsg, build.annotations, build.handlers)\n"
+        "labeled = transform(xsg, build.ops, build.handlers)\n"
         "print(json.dumps(solve_ide(labeled).stats, sort_keys=True))\n")
     tests = Path(__file__).parent
     outputs = set()
@@ -222,14 +222,14 @@ def test_stats_do_not_depend_on_string_hashing():
 
 
 def test_environments_only_for_reachable(door):
-    program, model = door
-    build, problem, xsg, labeled, result = ide_for(program, model)
+    program, _ = door
+    build, problem, xsg, labeled, result = ide_for(program)
     assert set(result.envs) == _brute(xsg).reachable
 
 
 def test_label_sizes_bounded_by_handlers(door, dirstat, timer, server):
-    for program, model in (door, dirstat, timer, server):
-        analysis = analyze_event_aware(program, model)
+    for program, _ in (door, dirstat, timer, server):
+        analysis = analyze_event_aware(program)
         n_handlers = len(analysis.handlers)
         for hmf in analysis.labeled.labels.values():
             assert len(hmf) <= n_handlers
@@ -247,8 +247,8 @@ def _interning_programs():
 def test_environment_maps_are_interned():
     """Equal maps in the environments are one dict, `distinct_maps` counts
     them, and a second solve starts from empty intern tables."""
-    for program, model in _interning_programs():
-        _, _, _, labeled, result = ide_for(program, model)
+    for program, _ in _interning_programs():
+        _, _, _, labeled, result = ide_for(program)
         maps = [m for env in result.envs.values() for m in env.values()]
         distinct = {tuple(sorted(m.items())) for m in maps}
         assert len({id(m) for m in maps}) == len(distinct)

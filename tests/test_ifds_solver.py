@@ -16,7 +16,6 @@ from evflow.lang.ast import Assign, iter_stmts
 from evflow.randgen import SMALL, gen_source
 from evflow.supergraph import (
     EdgeKind,
-    EdgeRole,
     Node,
     NodeKind,
     Supergraph,
@@ -71,8 +70,8 @@ def test_uninit_survives_to_read():
 
 
 def test_door_ifds_reports_concat(door):
-    program, model = door
-    build, problem, xsg = pipeline(program, model)
+    program, _ = door
+    build, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
     concat = node_of_assign(program, build.graph,
                             lambda s: s.name == "txt" and "world" in str(s.value))
@@ -82,8 +81,8 @@ def test_door_ifds_reports_concat(door):
 
 
 def test_dirstat_ifds_reports_sum(dirstat):
-    program, model = dirstat
-    build, problem, xsg = pipeline(program, model)
+    program, _ = dirstat
+    build, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
     add = node_of_assign(program, build.graph, lambda s: s.name == "sum")
     assert problem.domain.index_of("sum") in result.facts_at(add)
@@ -139,8 +138,8 @@ def test_branch_join_unions():
 
 
 def test_fixpoint_rerun_identical(door):
-    program, model = door
-    _, _, xsg = pipeline(program, model)
+    program, _ = door
+    _, _, xsg = pipeline(program)
     r1 = solve_ifds(xsg)
     r2 = solve_ifds(xsg)
     assert r1.facts == r2.facts and r1.reachable == r2.reachable
@@ -158,8 +157,8 @@ def test_unreachable_nodes_flagged():
 
 def test_tabulation_subset_of_plain_reachability(door, dirstat):
     # ignoring balancing can only add facts, never remove
-    for program, model in (door, dirstat):
-        _, problem, xsg = pipeline(program, model)
+    for program, _ in (door, dirstat):
+        _, problem, xsg = pipeline(program)
         balanced = solve_ifds(xsg)
         g = xsg.graph
         plain: dict[str, set[int]] = {g.entry(): {ZERO}}
@@ -190,16 +189,15 @@ def _manual_two_node_graph():
     ]:
         g.add_node(node)
     g.funcs = {"main": ("start:main", "end:main"), "g": ("start:g", "end:g")}
-    g.add_edge("start:main", "call:main:0", EdgeKind.INTRA, EdgeRole.NORMAL)
-    g.add_edge("call:main:0", "start:g", EdgeKind.CALL, EdgeRole.CALL,
+    g.add_edge("start:main", "call:main:0", EdgeKind.INTRA)
+    g.add_edge("call:main:0", "start:g", EdgeKind.CALL,
                ret_site="ret:main:0")
-    g.add_edge("start:g", "end:g", EdgeKind.INTRA, EdgeRole.NORMAL)
-    g.add_edge("end:g", "ret:main:0", EdgeKind.RETURN, EdgeRole.RETURN)
+    g.add_edge("start:g", "end:g", EdgeKind.INTRA)
+    g.add_edge("end:g", "ret:main:0", EdgeKind.RETURN)
     # an unbalanced pseudo-path: returning from g to a site nobody called from
-    g.add_edge("end:g", "bad:main", EdgeKind.RETURN, EdgeRole.RETURN)
-    g.add_edge("call:main:0", "ret:main:0", EdgeKind.CALL_TO_RETURN,
-               EdgeRole.NORMAL)
-    g.add_edge("ret:main:0", "end:main", EdgeKind.INTRA, EdgeRole.NORMAL)
+    g.add_edge("end:g", "bad:main", EdgeKind.RETURN)
+    g.add_edge("call:main:0", "ret:main:0", EdgeKind.CALL_TO_RETURN)
+    g.add_edge("ret:main:0", "end:main", EdgeKind.INTRA)
     return g
 
 
@@ -211,7 +209,7 @@ def test_bruteforce_excludes_unbalanced_path():
     gen = frozenset({(ZERO, ZERO), (ZERO, 1)})
     rel_of = {e.eid: rel for e in g.edges}
     # the call edge generates the fact inside g
-    call_eid = next(e.eid for e in g.edges if e.role is EdgeRole.CALL)
+    call_eid = next(e.eid for e in g.edges if e.kind is EdgeKind.CALL)
     rel_of[call_eid] = gen
     result = mvp_bruteforce(g, rel_of, "start:main", max_len=10)
     assert 1 in result.facts_at("ret:main:0")
@@ -294,8 +292,8 @@ def test_empty_program_solves():
 
 
 def test_exploded_dot(door):
-    program, model = door
-    _, _, xsg = pipeline(program, model)
+    program, _ = door
+    _, _, xsg = pipeline(program)
     dot = exploded_dot(xsg)
     assert dot.startswith("digraph exploded {")
     assert "rank=same" in dot

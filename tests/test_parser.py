@@ -6,6 +6,7 @@ from evflow.lang import (
     DuplicateFunctionError,
     DuplicateVariableError,
     Call,
+    EvlError,
     ParseError,
     StrLit,
     TOP_LEVEL,
@@ -165,6 +166,18 @@ def test_event_names_survive_the_pretty_printer(escaped, event):
 def test_event_primitives_keep_their_syntax(source):
     with pytest.raises(ParseError):
         parse(source)
+
+
+@pytest.mark.parametrize("source,message", [
+    ('fn h(a) {\n  print(a);\n}\nregister("e", h);\nemit("e");\n',
+     "line 4: handler 'h' takes parameters; handlers take none"),
+    ("fn f(a, b) {\n  print(a);\n}\nvar x = 1;\nf(x);\n",
+     "line 5: 'f' takes 2 arguments, got 1"),
+], ids=["handler-parameter", "arity"])
+def test_calls_that_no_run_can_bind_are_rejected(source, message):
+    with pytest.raises(EvlError) as err:
+        parse(source)
+    assert str(err.value) == message
 
 
 def test_scope_resolution():

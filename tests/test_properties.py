@@ -18,7 +18,7 @@ FULL = GenParams(allow_while=True)
 def corpus_analyses():
     for name in CORPUS_NAMES:
         program, model = load_corpus_entry(name)
-        yield name, program, model, analyze_event_aware(program, model)
+        yield name, program, model, analyze_event_aware(program)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,6 @@ from evflow.lang import interpret, parse
 from evflow.supergraph import (
     EVENT_LOOP,
     EdgeKind,
-    EdgeRole,
     EventOp,
     LOOP_PROC,
     NodeKind,
@@ -16,9 +15,23 @@ from evflow.supergraph import (
 )
 from evflow.lang.ast import Call, StrLit, Var, iter_stmts
 
+from helpers import sample_programs
+
 
 def ops_of(result, eid):
-    return result.annotations.ops(eid)
+    return result.ops.get(eid, ())
+
+
+def dispatch_edges(g):
+    """Handler name -> the call edge from the event loop into it."""
+    return {g.proc_of(e.dst): e for e in g.edges
+            if e.kind is EdgeKind.CALL and e.src == EVENT_LOOP}
+
+
+def emit_calls(g):
+    """The call edges of emit statements into the event loop."""
+    return [e for e in g.edges if e.kind is EdgeKind.CALL
+            and e.dst == EVENT_LOOP and e.sid is not None]
 
 
 def stmt_out_edge(result, program, pred):
@@ -36,8 +49,8 @@ def stmt_out_edge(result, program, pred):
 
 
 def test_door_build(door):
-    program, model = door
-    result = build_supergraph(program, model)
+    program, _ = door
+    result = build_supergraph(program)
     assert result.handlers == ("hdlClose", "hdlOpen")
     g = result.graph
 
@@ -54,7 +67,7 @@ def test_door_build(door):
     assert ops_of(result, edge.eid) == (EventOp("register", "hdlOpen"),)
 
     # dispatch edges exist for both handlers and carry invoke
-    dispatches = {e.handler: e for e in g.edges if e.kind is EdgeKind.DISPATCH}
+    dispatches = dispatch_edges(g)
     assert set(dispatches) == {"hdlOpen", "hdlClose"}
     for h, e in dispatches.items():
         assert e.src == EVENT_LOOP and e.dst == g.start_of(h)
@@ -63,10 +76,9 @@ def test_door_build(door):
 
     # emit("open") becomes a call into the loop plus a call-to-return edge,
     # both annotated with the emit for the open handler
-    emit_calls = [e for e in g.edges
-                  if e.kind is EdgeKind.CALL and e.dst == EVENT_LOOP]
-    assert len(emit_calls) == 2  # emit("open") and emit("close")
-    for e in emit_calls:
+    emits = emit_calls(g)
+    assert len(emits) == 2  # emit("open") and emit("close")
+    for e in emits:
         assert len(ops_of(result, e.eid)) == 1
         c2r = [x for x in g.out_edges(e.src)
                if x.kind is EdgeKind.CALL_TO_RETURN]
@@ -78,16 +90,18 @@ def test_empty_program():
     result = build_supergraph(parse(""))
     g = result.graph
     assert result.handlers == ()
-    assert not [e for e in g.edges if e.kind is EdgeKind.DISPATCH]
+    assert not dispatch_edges(g)
     assert EVENT_LOOP in g.nodes
-    # top-level end still tail-calls the loop
-    tails = [e for e in g.edges if e.kind is EdgeKind.TO_EVENT_LOOP]
-    assert len(tails) == 1 and tails[0].role is EdgeRole.CALL
+    # top-level end still calls the loop, with no return site
+    tails = [e for e in g.edges if e.dst == EVENT_LOOP]
+    assert len(tails) == 1 and tails[0].kind is EdgeKind.CALL
+    assert tails[0].src == g.end_of("top-level")
+    assert tails[0].ret_site is None
 
 
 def test_dirstat_emit_register_annotations(dirstat):
-    program, model = dirstat
-    result = build_supergraph(program, model)
+    program, _ = dirstat
+    result = build_supergraph(program)
     for handler in ("f", "h"):
         edge = stmt_out_edge(
             result, program,
@@ -97,8 +111,8 @@ def test_dirstat_emit_register_annotations(dirstat):
 
 
 def test_classified_calls_annotated(timer):
-    program, model = timer
-    result = build_supergraph(program, model)
+    program, _ = timer
+    result = build_supergraph(program)
     assert result.handlers == ("start", "tick")
     edge = stmt_out_edge(result, program,
                          lambda s: getattr(s, "callee", None) == "stdin_on")
@@ -109,27 +123,27 @@ def test_classified_calls_annotated(timer):
 
 
 def test_invoke_only_on_dispatch_edges(door, timer):
-    for program, model in (door, timer):
-        result = build_supergraph(program, model)
+    for program, _ in (door, timer):
+        result = build_supergraph(program)
         for e in result.graph.edges:
             has_invoke = any(op.kind == "invoke"
-                             for op in result.annotations.ops(e.eid))
-            assert has_invoke == (e.kind is EdgeKind.DISPATCH)
+                             for op in ops_of(result, e.eid))
+            assert has_invoke == (e in dispatch_edges(result.graph).values())
 
 
 def test_handler_registry(door, dirstat):
-    program, model = door
-    assert handler_registry(program, model) == {
+    program, _ = door
+    assert handler_registry(program) == {
         "open": frozenset({"hdlOpen"}), "close": frozenset({"hdlClose"})}
-    program, model = dirstat
-    reg = handler_registry(program, model)
+    program, _ = dirstat
+    reg = handler_registry(program)
     assert reg[synthetic_event("f")] == frozenset({"f"})
     assert reg[synthetic_event("h")] == frozenset({"h"})
 
 
 def test_handler_on_two_events():
     p = parse('fn f() { print(1); }\nregister("a", f);\nregister("b", f);\n')
-    reg = handler_registry(p, EventModel.default())
+    reg = handler_registry(p)
     assert reg == {"a": frozenset({"f"}), "b": frozenset({"f"})}
 
 
@@ -141,8 +155,7 @@ def test_two_handlers_one_event_composes_emits():
            'emit("e");\n')
     program = parse(src)
     result = build_supergraph(program)
-    emit_call = [e for e in result.graph.edges
-                 if e.kind is EdgeKind.CALL and e.dst == EVENT_LOOP]
+    emit_call = emit_calls(result.graph)
     assert len(emit_call) == 1
     ops = ops_of(result, emit_call[0].eid)
     assert ops == (EventOp("emit", "h1"), EventOp("emit", "h2"))
@@ -155,33 +168,38 @@ def test_emit_without_handlers_warns():
     result = build_supergraph(parse('emit("ghost");'))
     assert len(result.warnings) == 1
     assert "ghost" in str(result.warnings[0])
-    emit_call = [e for e in result.graph.edges
-                 if e.kind is EdgeKind.CALL and e.dst == EVENT_LOOP][0]
+    emit_call = emit_calls(result.graph)[0]
     assert ops_of(result, emit_call.eid) == ()
 
 
 def test_call_return_matching_invariant(door, timer):
-    for program, model in (door, timer):
-        g = build_supergraph(program, model).graph
-        for e in g.edges:
-            if e.kind is EdgeKind.CALL:
-                assert e.ret_site is not None
-                callee_end = g.end_of(g.proc_of(e.dst))
-                ret = g.edge_between(callee_end, e.ret_site)
-                assert ret.role is EdgeRole.RETURN
+    for program, _ in (door, timer):
+        g = build_supergraph(program).graph
+        calls = [e for e in g.edges if e.kind is EdgeKind.CALL]
+        # only the end of top-level calls without a return site
+        assert [e.src for e in calls if e.ret_site is None] == \
+            [g.end_of("top-level")]
+        for e in calls:
+            if e.ret_site is None:
+                continue
+            callee_end = g.end_of(g.proc_of(e.dst))
+            ret = g.edge_between(callee_end, e.ret_site)
+            assert ret.kind is EdgeKind.RETURN
+            if e.src != EVENT_LOOP:  # a dispatch returns to the loop
                 c2r = g.edge_between(e.src, e.ret_site)
                 assert c2r.kind is EdgeKind.CALL_TO_RETURN
 
 
 def test_node_count_linear(door):
-    program, model = door
-    g = build_supergraph(program, model).graph
+    program, _ = door
+    result = build_supergraph(program)
+    g = result.graph
     n_stmts = sum(1 for f in program.functions for _ in iter_stmts(f.body))
     # per statement at most 2 nodes, plus start/end per function and the loop
     assert len(g.nodes) <= 2 * n_stmts + 2 * len(program.functions) + 1
     for node in g.nodes.values():
         if node.kind is NodeKind.END and node.func not in (
-                "top-level", *g.handlers, LOOP_PROC):
+                "top-level", *result.handlers, LOOP_PROC):
             continue  # non-handler function ends may have no loop edge
         if node.kind is not NodeKind.END:
             assert g.out_edges(node.id) or node.id == EVENT_LOOP
@@ -195,7 +213,7 @@ def test_only_top_level_and_handlers_reach_loop():
            'emit("e");\n')
     g = build_supergraph(parse(src)).graph
     to_loop = {g.proc_of(e.src) for e in g.edges
-               if e.kind is EdgeKind.TO_EVENT_LOOP}
+               if e.dst == EVENT_LOOP and e.sid is None}
     assert to_loop == {"top-level", "h"}
 
 
@@ -217,12 +235,12 @@ def test_dispatch_edges_regardless_of_reachability():
            'if (x > 0) { register("e", h); }\n')
     result = build_supergraph(parse(src))
     assert result.handlers == ("h",)
-    assert any(e.kind is EdgeKind.DISPATCH for e in result.graph.edges)
+    assert set(dispatch_edges(result.graph)) == {"h"}
 
 
 def test_node_for_sid_maps_calls_to_call_sites(door):
-    program, model = door
-    g = build_supergraph(program, model).graph
+    program, _ = door
+    g = build_supergraph(program).graph
     emits = [s for f in program.functions for s in iter_stmts(f.body)
              if isinstance(s, Call) and s.callee == "emit"]
     for s in emits:
@@ -231,11 +249,10 @@ def test_node_for_sid_maps_calls_to_call_sites(door):
 
 
 def test_dot_export(door):
-    program, model = door
-    result = build_supergraph(program, model)
-    some_dispatch = next(e.eid for e in result.graph.edges
-                         if e.kind is EdgeKind.DISPATCH)
-    dot = supergraph_dot(result.graph, result.annotations,
+    program, _ = door
+    result = build_supergraph(program)
+    some_dispatch = next(iter(dispatch_edges(result.graph).values())).eid
+    dot = supergraph_dot(result.graph, result.ops,
                          highlight={some_dispatch})
     assert dot.startswith("digraph supergraph {")
     assert 'style="dashed"' in dot
@@ -262,3 +279,15 @@ def test_model_call_arity_checked():
          "implicit_emit": False}]})
     with pytest.raises(EventModelError):
         parse('fn h() { print(1); }\non("e");', model=model)
+
+
+def test_no_edge_carries_two_ops_for_one_handler():
+    # so each label maps every handler to one operation's micro-function,
+    # with nothing to compose
+    edges = 0
+    for tag, program in sample_programs():
+        for eid, ops in build_supergraph(program).ops.items():
+            handlers = [op.handler for op in ops]
+            assert len(set(handlers)) == len(handlers), (tag, eid, ops)
+            edges += 1
+    assert edges > 1000

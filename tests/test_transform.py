@@ -7,11 +7,10 @@ from evflow.event_lattice import (
     MF_INVOKE,
     MF_REGISTER,
 )
-from evflow.ide import MissingAnnotationError
 from evflow.ifds import ZERO
 from evflow.lang import interpret, parse
 from evflow.lang.ast import Assign, StrLit, Var, iter_stmts
-from evflow.supergraph import EdgeKind, EventAnnotation, node_for_sid
+from evflow.supergraph import EVENT_LOOP, EdgeKind, node_for_sid
 from evflow.transform import analyze_event_aware, transform
 
 from helpers import pipeline
@@ -29,10 +28,9 @@ def analysis_node(analysis, pred):
 
 
 def labeled_for(fixture):
-    program, model = fixture
-    build, problem, xsg = pipeline(program, model)
-    return program, build, xsg, transform(xsg, build.annotations,
-                                          build.handlers)
+    program, _ = fixture
+    build, problem, xsg = pipeline(program)
+    return program, build, xsg, transform(xsg, build.ops, build.handlers)
 
 
 def find_edge(build, program, pred):
@@ -75,15 +73,15 @@ def test_plain_edges_identity(door):
 def test_dispatch_edges_invoke(door):
     program, build, xsg, labeled = labeled_for(door)
     for edge in build.graph.edges:
-        if edge.kind is EdgeKind.DISPATCH:
+        if edge.kind is EdgeKind.CALL and edge.src == EVENT_LOOP:
             assert labeled.labels[edge.eid].touched() == \
-                {edge.handler: MF_INVOKE}
+                {build.graph.proc_of(edge.dst): MF_INVOKE}
 
 
 def test_emit_call_and_c2r_labels(door):
     program, build, xsg, labeled = labeled_for(door)
-    emit_calls = [e for e in build.graph.edges
-                  if e.kind is EdgeKind.CALL and e.dst == "loop"]
+    emit_calls = [e for e in build.graph.edges if e.kind is EdgeKind.CALL
+                  and e.dst == EVENT_LOOP and e.sid is not None]
     assert emit_calls
     for e in emit_calls:
         hmf = labeled.labels[e.eid]
@@ -101,19 +99,9 @@ def test_transform_preserves_structure(door):
     assert set(labeled.labels) == {e.eid for e in build.graph.edges}
 
 
-def test_missing_annotation_raises(door):
-    program, model = door
-    build, problem, xsg = pipeline(program, model)
-    partial = EventAnnotation(
-        build.annotations.annotated(),
-        frozenset(list(build.annotations.eids)[:-2]))
-    with pytest.raises(MissingAnnotationError):
-        transform(xsg, partial, build.handlers)
-
-
 def test_untransform_door(door):
-    program, model = door
-    analysis = analyze_event_aware(program, model)
+    program, _ = door
+    analysis = analyze_event_aware(program)
     concat = analysis_node(
         analysis, lambda s: isinstance(s, Assign) and s.name == "txt"
         and "world" in str(s.value))
@@ -125,8 +113,8 @@ def test_untransform_door(door):
 
 
 def test_untransform_dirstat(dirstat):
-    program, model = dirstat
-    analysis = analyze_event_aware(program, model)
+    program, _ = dirstat
+    analysis = analyze_event_aware(program)
     add = analysis_node(
         analysis, lambda s: isinstance(s, Assign) and s.name == "sum"
         and "sum" in str(s.value))
@@ -152,8 +140,8 @@ def test_timer_and_server_filtering(timer, server):
         (timer, "rem", "tick", {"start": E, "tick": X}),
         (server, "nConn", "conn", {"lstn": E, "conn": X}),
     ]
-    for (program, model), var, reader, expected_map in cases:
-        analysis = analyze_event_aware(program, model)
+    for (program, _), var, reader, expected_map in cases:
+        analysis = analyze_event_aware(program)
         read = analysis_node(
             analysis, lambda s: isinstance(s, Assign) and s.name == var
             and var in str(s.value))
@@ -212,16 +200,16 @@ def test_never_runnable_handler_is_filtered():
 
 
 def test_filter_subset_of_ifds_everywhere(door, dirstat, timer, server):
-    for program, model in (door, dirstat, timer, server):
-        analysis = analyze_event_aware(program, model)
+    for program, _ in (door, dirstat, timer, server):
+        analysis = analyze_event_aware(program)
         for node in analysis.ifds.reachable:
             assert analysis.filtered.facts_at(node) <= \
                 analysis.ifds.facts_at(node)
 
 
 def test_fact_accounting(door, dirstat, timer, server):
-    for program, model in (door, dirstat, timer, server):
-        analysis = analyze_event_aware(program, model)
+    for program, _ in (door, dirstat, timer, server):
+        analysis = analyze_event_aware(program)
         for node in analysis.ifds.reachable:
             ifds_n = len(analysis.ifds.facts_at(node))
             kept = len(analysis.filtered.facts_at(node))

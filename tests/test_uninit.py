@@ -1,18 +1,22 @@
 import itertools
 import random
-from pathlib import Path
 
 from evflow.ifds import ZERO, apply_rel
 from evflow.lang import interpret, parse
-from evflow.lang.ast import Assign, VarDecl, expr_vars, iter_stmts
-from evflow.randgen import GenParams, gen_source
+from evflow.lang.ast import Assign, Call, VarDecl, expr_vars, iter_stmts
 from evflow.supergraph import EdgeKind, NodeKind, node_for_sid
 from evflow.uninit import report_uses
 
-from helpers import assign_rel_def, canon_rel_def, gen_rel_def, pipeline
+from helpers import (
+    assign_rel_def,
+    canon_rel_def,
+    gen_rel_def,
+    pipeline,
+    sample_programs,
+)
 from evflow.ide import solve_ifds
 
-from conftest import CORPUS_NAMES, load_corpus_entry
+from conftest import CORPUS_NAMES
 
 
 def edge_after(program, graph, pred):
@@ -191,23 +195,13 @@ def test_interpreter_agreement_with_branches_is_superset():
     assert dynamic  # this one actually fires at run time
 
 
-def _table_programs():
-    for name in CORPUS_NAMES:
-        yield name, *load_corpus_entry(name)
-    for evl in sorted((Path(__file__).parent / "golden").glob("*.evl")):
-        yield evl.name, parse(evl.read_text(encoding="utf-8")), None
-    params = GenParams(allow_while=True)
-    for i in range(200):
-        yield f"tables:{i}", parse(gen_source(f"tables:{i}", params)), None
-
-
 def test_relations_are_canonical_and_successor_tables_match_them():
     """Flow relations are built canonical, and each successor table,
     however it is built or shared, is the grouping of the sorted
     relation by source fact."""
     checked = 0
-    for tag, program, model in _table_programs():
-        _, problem, xsg = pipeline(program, model)
+    for tag, program in sample_programs():
+        _, problem, xsg = pipeline(program)
         for e in xsg.graph.edges:
             rel = problem.flow_for(e)
             assert canon_rel_def(rel) == rel, (tag, e)
@@ -253,11 +247,31 @@ def test_gen_and_assign_relations_match_their_definitions():
     """The identity-patched gen and assign relations equal the ones built
     pair by pair over the domain."""
     checked = 0
-    for tag, program, model in _table_programs():
-        _, problem, xsg = pipeline(program, model)
+    for tag, program in sample_programs():
+        _, problem, xsg = pipeline(program)
         for e in xsg.graph.edges:
             expected = _definitional_rel(problem, e)
             if expected is not None:
                 assert problem.flow_for(e) == expected, (tag, e)
                 checked += 1
     assert checked > 1000
+
+
+def test_call_edges_that_bind_no_parameter_share_one_relation():
+    """Emits, dispatches, the end of top-level and calls whose actuals
+    read no variable all carry the one globals-only relation object, so
+    the exploded supergraph builds one successor table for them."""
+    shared = 0
+    for tag, program in sample_programs():
+        _, problem, xsg = pipeline(program)
+        for e in xsg.graph.edges:
+            if e.kind is not EdgeKind.CALL:
+                continue
+            stmt = None if e.sid is None else program.stmt(e.sid)
+            binds = isinstance(stmt, Call) and \
+                program.has_function(stmt.callee) and \
+                any(expr_vars(a) for a in stmt.args)
+            assert (xsg.rel_of[e.eid] is problem._globals_only) != binds, \
+                (tag, e)
+            shared += not binds
+    assert shared > 0
