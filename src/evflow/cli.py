@@ -25,7 +25,7 @@ from .lang import (
 )
 from .lang.ast import Scopes
 from .randgen import GenParams, gen_source
-from .supergraph import supergraph_dot
+from .supergraph import node_for_sid, supergraph_dot
 from .transform import analyze_event_aware
 from .uninit import report_uses
 
@@ -219,7 +219,6 @@ def check_program(source: str, model: EventModel, schedules: int,
         violations.append("representation: composed transformer outgrew "
                           "the handler set")
 
-    from .supergraph import node_for_sid
     for trace in explore_schedules(program, model, max_decisions=schedules):
         if check_trace_ordering(program, trace, model):
             violations.append("interpreter: trace breaks the "
@@ -312,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="run the self-check suite over "
                                            "the corpus and random programs")
-    oracle.add_argument("inputs", nargs="*", metavar="corpus_dir")
+    oracle.add_argument("corpus", nargs="?", metavar="corpus_dir")
     oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument("--schedules", type=_count, default=6,
                         help="max dispatch decisions explored per program")
@@ -343,7 +342,8 @@ def _main(argv: list[str] | None) -> int:
         return EXIT_ERROR if e.code not in (0, None) else 0
     color = sys.stdout.isatty() and not os.environ.get("EVFLOW_NO_COLOR")
     if args.command == "oracle":
-        cfg = RunConfig(inputs=list(args.inputs), seed=args.seed,
+        cfg = RunConfig(inputs=[args.corpus] if args.corpus else [],
+                        seed=args.seed,
                         schedules=args.schedules, random_count=args.count)
         return run_oracle_suite(cfg)
     cfg = RunConfig(

@@ -107,9 +107,6 @@ class EventModel:
             raise EventModelError(f"{path}: expected a JSON object")
         return cls.from_dict(doc)
 
-    def classifies(self, callee: str) -> bool:
-        return callee in self._registrations or callee in self._emissions
-
     def operand_args(self, callee: str) -> tuple[int | None, ...]:
         """Argument positions of a classified callee that hold the event
         name or the handler: names, not values the call reads."""

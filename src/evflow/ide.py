@@ -69,6 +69,12 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     """Meet-over-valid-paths values for every reachable exploded node,
     from the tautological fact at the entry with every handler in S.
 
+    Phase 1 returns callee summaries by the call-edge rule of the
+    tabulation algorithm (Reps, Horwitz & Sagiv, POPL 1995): a jump
+    function popped at a call site takes the callee's existing summaries
+    for its own start fact only, and a new or lowered summary goes to
+    every start fact filed at the call sites that reach it.
+
     Every transformer the solve touches is interned in a table that lives
     as long as the solve: one canonical `HandlerMicroFn` per distinct
     function, named by a dense int id.  The solver carries the ids, so
@@ -128,7 +134,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     # exit node -> start of its procedure
     exit_start = {end: start for proc, (start, end) in g.funcs.items()
                   if g.proc_of(end) == proc}
-    # node -> its non-return out-edges as (is_call, eid, dst, label id,
+    # node -> its non-return out-edges as (is_call, dst, label id,
     # successor table, return site, callee end)
     steps_from: dict[str, tuple[tuple, ...]] = {}
     # (callee end, return site) -> (label id, successor table) of the
@@ -141,8 +147,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                 continue
             is_call = edge.kind is EdgeKind.CALL
             callee_end = g.end_of(g.proc_of(edge.dst)) if is_call else None
-            row.append((is_call, edge.eid, edge.dst, label[edge.eid],
-                        succ[edge.eid], edge.ret_site, callee_end))
+            row.append((is_call, edge.dst, label[edge.eid], succ[edge.eid],
+                        edge.ret_site, callee_end))
             if is_call and edge.ret_site is not None:
                 ret_edge = g.edge_between(callee_end, edge.ret_site)
                 returns[(callee_end, edge.ret_site)] = (
@@ -157,17 +163,13 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     work: deque[tuple[int, str, int]] = deque()
     # Insertion-ordered dicts used as sets: iteration order, and with it
     # the step counts, must not depend on string hashing.
-    # (callee start, entry fact) -> {(call node, call fact, return site,
-    # call edge id): call label id}, for calls that return
+    # (callee start, entry fact) -> {(call node, call fact, return site):
+    # call label id}, for calls that return
     incoming: dict[tuple[str, int], dict[tuple, int]] = defaultdict(dict)
     # (callee start, entry fact) -> {exit fact: summary transformer}
     summaries: dict[tuple[str, int], dict[int, int]] = defaultdict(dict)
     # (call site, call fact) -> {start fact: jump function}
     by_target: dict[tuple[str, int], dict[int, int]] = defaultdict(dict)
-    # (call site, call fact) -> {through: [(start fact, through o jump)]};
-    # dropped whenever a jump function at that call site changes, so a
-    # cached list always equals a rebuilt one
-    fanout: dict[tuple[str, int], dict[int, list]] = {}
     steps = 0
     max_label_entries = 0
 
@@ -188,36 +190,18 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             max_label_entries = size[new]
         if n in call_sites:
             by_target[(n, d2)][d1] = new
-            fanout.pop((n, d2), None)
         work.append(key)
 
-    def apply_return(end_node: str, ret_site: str, d_exit: int,
-                     f_summary: int, caller_node: str,
-                     d_call: int, call_label: int) -> None:
-        ret_label, ret_succ = returns[(end_node, ret_site)]
+    def apply_return(end: str, ret_site: str, d_exit: int, f_summary: int,
+                     call_label: int,
+                     callers: tuple[tuple[int, int], ...]) -> None:
+        """Return `f_summary` to `ret_site` as `through o f` for each
+        caller start fact and jump function `(d3, f)` in `callers`."""
+        ret_label, ret_succ = returns[(end, ret_site)]
         through = compose(ret_label, compose(f_summary, call_label))
-        # through o f_caller, once per caller fact d3 rather than once per
-        # (d5, d3) pair; looked up on the first d5
-        callers = None
         for d5 in ret_succ.get(d_exit, ()):
-            if callers is None:
-                site = (caller_node, d_call)
-                cached = fanout.get(site)
-                if cached is None:
-                    cached = fanout[site] = {}
-                callers = cached.get(through)
-                if callers is None:
-                    callers = cached[through] = [
-                        (d3, compose(through, f_caller))
-                        for d3, f_caller in by_target[site].items()]
-            for d3, f_return in callers:
-                propagate(d3, ret_site, d5, f_return)
-            if d5 == d_call and ret_site == caller_node:
-                # a dispatch returns into the event loop it was called
-                # from, so these propagations may have lowered the very
-                # jump functions `callers` was built from; look it up
-                # again, which rebuilds it if they did
-                callers = None
+            for d3, f_caller in callers:
+                propagate(d3, ret_site, d5, compose(through, f_caller))
 
     propagate(ZERO, entry, ZERO, ID)
     while work:
@@ -233,21 +217,24 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             merged = f if old is None else meet(old, f)
             if merged != old:
                 exits[d2] = merged
-                for (caller_node, d_call, ret_site, _), call_label in \
-                        tuple(incoming[skey].items()):
-                    apply_return(n, ret_site, d2, merged, caller_node,
-                                 d_call, call_label)
-        for is_call, eid, dst, lab, targets, ret_site, callee_end \
-                in steps_from[n]:
+                for (caller, d_call, ret_site), call_label in \
+                        incoming[skey].items():
+                    # a snapshot: a dispatch returns into the event loop
+                    # it was called from, so these propagations can lower
+                    # `by_target` at that very site; a lowered jump
+                    # function is queued, and its pop returns the summary
+                    apply_return(n, ret_site, d2, merged, call_label,
+                                 tuple(by_target[(caller, d_call)].items()))
+        for is_call, dst, lab, targets, ret_site, callee_end in steps_from[n]:
             if is_call:
                 for d3 in targets.get(d2, ()):
                     ckey = (dst, d3)
                     propagate(d3, dst, d3, ID)
                     if ret_site is not None:
-                        incoming[ckey][(n, d2, ret_site, eid)] = lab
-                        for d4, f_summary in tuple(summaries[ckey].items()):
-                            apply_return(callee_end, ret_site, d4,
-                                         f_summary, n, d2, lab)
+                        incoming[ckey][(n, d2, ret_site)] = lab
+                        for d4, f_summary in summaries[ckey].items():
+                            apply_return(callee_end, ret_site, d4, f_summary,
+                                         lab, ((d1, f),))
             else:
                 f_step = f if lab == ID else compose(lab, f)
                 for d3 in targets.get(d2, ()):
@@ -324,7 +311,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             for d2, f in from_start[(d, c)].items():
                 meet_value(c, d2, apply(f, value))
         if n in call_sites:
-            for is_call, _, dst, lab, targets, _, _ in steps_from[n]:
+            for is_call, dst, lab, targets, _, _ in steps_from[n]:
                 if is_call:
                     for d3 in targets.get(d, ()):
                         meet_value(dst, d3, apply(lab, value))

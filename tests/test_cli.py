@@ -353,6 +353,21 @@ def test_oracle_rejects_negative_counts(capsys):
         assert f"argument {option}: expected a count, got '-3'" in captured.err
 
 
+def test_oracle_takes_one_corpus_directory(tmp_path, capsys):
+    # a second directory is a usage error, not a directory left unchecked
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    second.mkdir()
+    (second / "bad.evl").write_text("var x = ;\n")
+    assert main(["oracle", str(second), "--count", "0"]) == EXIT_DIAGNOSTICS
+    capsys.readouterr()
+    status = main(["oracle", str(first), str(second), "--count", "0"])
+    captured = capsys.readouterr()
+    assert status == EXIT_ERROR
+    assert captured.out == ""
+    assert f"unrecognized arguments: {second}" in captured.err
+
+
 def test_unwritable_dump_path_is_an_input_error(tmp_path, capsys):
     for option in ("--dump-supergraph", "--dump-exploded"):
         path = tmp_path / "missing" / "x.dot"

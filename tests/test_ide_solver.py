@@ -7,7 +7,9 @@ from evflow.event_lattice import HState
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import PathBudgetExceededError, ZERO, mvp_bruteforce
 from evflow.lang import parse
+from evflow.lang.ast import Print, iter_stmts
 from evflow.randgen import GenParams, SMALL, gen_source
+from evflow.supergraph import node_for_sid
 from evflow.transform import analyze_event_aware, transform
 
 from conftest import CORPUS_NAMES, load_corpus_entry
@@ -145,6 +147,39 @@ def test_path_oracle_equivalence_random():
             for d, hsm in table.items():
                 assert result.envs[node].get(d) == hsm, (i, node, d)
     assert checked >= 15
+
+
+# `p` is entered with start facts p.a (from top-level) and p.b (from h);
+# both reach the call q(c) with call fact p.c.  The top-level call has
+# settled q's summary before h's call arrives, so only the call-edge rule
+# returns that summary to p.b, and with it g to `print(g)` in h.
+CALL_EDGE_SOURCE = """var g = 0;
+var x;
+var y;
+fn q(v) { g = v; }
+fn p(a, b) { var c = a + b; q(c); }
+fn h() { p(1, y); print(g); }
+p(x, 1);
+register("e", h);
+emit("e");
+"""
+
+
+def test_call_edge_returns_a_settled_summary_to_a_later_start_fact():
+    program = parse(CALL_EDGE_SOURCE)
+    build, problem, xsg, labeled, result = ide_for(program,
+                                                   check_descent=True)
+    oracle = brute_force_ide(xsg.graph, xsg.rel_of, labeled.labels,
+                             build.handlers, max_len=40)
+    assert {n: dict(table) for n, table in oracle.items()} == result.envs
+    plain = solve_ifds(xsg, result)
+    brute = _brute(xsg)
+    assert plain.facts == brute.facts
+    assert plain.reachable == brute.reachable
+    print_g = node_for_sid(xsg.graph, program, next(
+        s.sid for s in iter_stmts(program.function("h").body)
+        if isinstance(s, Print)))
+    assert problem.domain.index_of("g") in plain.facts_at(print_g)
 
 
 def test_jump_functions_descend_and_fixpoint(door, dirstat):

@@ -270,7 +270,13 @@ def test_event_model_validation():
     m = EventModel.from_dict({"registrations": [
         {"callee": "on", "event_arg": 0, "handler_arg": 1,
          "implicit_emit": False}]})
-    assert m.classifies("on") and m.classifies("register")
+    program = parse('fn h() { print(1); }\non("e", h);\nregister("f", h);',
+                    model=m)
+    sids = {s.callee: s.sid for f in program.functions
+            for s in iter_stmts(f.body) if isinstance(s, Call)}
+    assert program.events == {
+        sids["on"]: (("reg", "e", "h", False), (0, 1)),
+        sids["register"]: (("reg", "f", "h", False), (0, 1))}
 
 
 def test_model_call_arity_checked():
