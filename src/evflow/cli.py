@@ -167,6 +167,7 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
         "nodes": len(analysis.build.graph.nodes),
         "edges": len(analysis.build.graph.edges),
         "facts": len(analysis.domain),
+        "fact_classes": analysis.ide.stats["fact_classes"],
         "handlers": len(analysis.handlers),
         "ifds_worklist_steps": analysis.ifds.stats["worklist_steps"],
         "ide_phase1_steps": analysis.ide.stats["phase1_steps"],

@@ -11,6 +11,12 @@ The value lattice is a map from handlers to chain states.  Labels only
 decide which facts to filter, never which exploded nodes are reached, so
 the plain IFDS result is a readout of any solve over the same exploded
 supergraph; `solve_ifds` is the identity-labelled case.
+
+Both phases run over one representative per class of interchangeable
+facts (`ExplodedSupergraph.classes`).  Labels are per supergraph edge,
+so swapping two facts of a class fixes every relation and every label,
+and with them the solution; the readout gives each other member of a
+class the map object of its representative.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     """
     xsg = lxsg.xsg
     g = xsg.graph
-    succ = xsg.succ
+    succ = xsg.rep_succ
     entry = g.entry()
 
     # --- the per-solve intern table and operator memos ---
@@ -335,6 +341,14 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             table[d2] = maps[new_id]
             uses[old_id] -= 1
             uses[new_id] += 1
+    # every other fact of a class takes its representative's map object
+    merged = [(rep, ds) for rep, ds in xsg.classes.items() if len(ds) > 1]
+    if merged:
+        for table in envs.values():
+            for rep, ds in merged:
+                m = table.get(rep)
+                if m is not None:
+                    table.update(dict.fromkeys(ds, m))
 
     return IdeResult(dict(envs), {
         "phase1_steps": steps,
@@ -345,6 +359,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         "meets": len(meet_memo),
         "distinct_functions": len(fns),
         "distinct_maps": len(uses) - uses.count(0),
+        "fact_classes": len(xsg.classes),
     })
 
 
@@ -355,7 +370,10 @@ def solve_ifds(xsg: ExplodedSupergraph,
     or, without one, off the identity-labelled solve.
 
     Each jump function is one path edge (d1, n, d2) of the plain
-    tabulation, which steps each path edge once.
+    tabulation, which steps each path edge once.  The solve steps only
+    the path edges between class representatives (see
+    `ExplodedSupergraph`), so `worklist_steps` counts those rather than
+    the path edges of every fact.
     """
     if ide is None:
         ide = solve_ide(LabeledExplodedSupergraph.identity(xsg))

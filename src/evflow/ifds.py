@@ -6,6 +6,10 @@ everywhere and seeds the analysis.  A flow function is stored as the
 canonical bipartite relation over (D u {0})^2 that its client builds;
 the solver only looks successors up, it never composes relations.
 
+The exploded supergraph also partitions D into classes of
+interchangeable facts, read off the relations alone (`ExplodedSupergraph`),
+and the solver runs over one representative per class.
+
 The plain result holds, per node, the facts reachable from <entry, 0>
 along call/return-balanced paths, treating event-loop dispatches as calls
 that return to the loop node and the end of top-level as a call into the
@@ -74,18 +78,20 @@ def identity_rel(domain: FactDomain) -> RepRelation:
     return frozenset({(ZERO, ZERO), *((d, d) for d in domain.indices())})
 
 
-def _patched_table(base: dict[int, tuple[int, ...]], ident: RepRelation,
-                   rel: RepRelation) -> dict[int, tuple[int, ...]]:
-    """The successor table of `rel`, {source: ascending successors} with
-    ascending keys, from `base`, the table of the identity `ident`."""
+def _patched_table(base: dict[int, tuple[int, ...]], dropped, added
+                   ) -> dict[int, tuple[int, ...]]:
+    """The successor table, {source: ascending successors} with ascending
+    keys, of the identity relation (whose table is `base`) without the
+    pairs `(d, d)` of the facts `dropped` and with the ascending pairs
+    `added`."""
     table = base.copy()
-    for d, _ in ident - rel:
+    for d in dropped:
         del table[d]
     new_key = False
-    added: dict[int, list[int]] = {}
-    for d1, d2 in sorted(rel - ident):
-        added.setdefault(d1, []).append(d2)
-    for d1, ds in added.items():
+    grouped: dict[int, list[int]] = {}
+    for d1, d2 in added:
+        grouped.setdefault(d1, []).append(d2)
+    for d1, ds in grouped.items():
         if d1 in table:     # keeps its own (d1, d1) pair
             table[d1] = tuple(sorted((d1, *ds)))
         else:
@@ -98,7 +104,18 @@ def _patched_table(base: dict[int, tuple[int, ...]], ident: RepRelation,
 
 class ExplodedSupergraph:
     """Supergraph with one canonical relation per edge; the exploded node
-    and edge sets are derived views."""
+    and edge sets are derived views.
+
+    The non-zero facts fall into classes of interchangeable facts, read
+    off the relations alone.  A fact that some relation pairs with
+    another fact, other than by a gen `(0, d)`, is a class of its own.
+    Every other fact is *inert*: a relation keeps it, drops its `(d, d)`
+    pair, gens it from 0, or both, and inert facts that do the same in
+    every distinct relation object form one class.  Swapping two facts
+    of a class leaves every relation unchanged, so they have the same
+    solution everywhere (symmetry reduction, as in Ip & Dill, FMSD
+    1996).  The representative of a class is its lowest fact.
+    """
 
     def __init__(self, graph: Supergraph, domain: FactDomain,
                  rel_of: dict[int, RepRelation]):
@@ -108,19 +125,66 @@ class ExplodedSupergraph:
         missing = [e.eid for e in graph.edges if e.eid not in rel_of]
         if missing:
             raise ValueError(f"edges without a flow relation: {missing}")
+        # One pass over the distinct relation objects takes where each
+        # differs from the identity: the facts whose `(d, d)` pair it
+        # drops and the pairs it adds.  A fact's signature lists, for the
+        # r-th relation, 2r if it drops `(d, d)` and 2r + 1 if it holds
+        # `(0, d)`, so it is ascending by construction.
+        ident = identity_rel(domain)
+        diffs: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+        signature: dict[int, list[int]] = defaultdict(list)
+        own: set[int] = set()
+        for rel in rel_of.values():
+            if id(rel) in diffs:
+                continue
+            r = 2 * len(diffs)
+            dropped = [d for d, _ in ident - rel]
+            added = sorted(rel - ident)
+            diffs[id(rel)] = (dropped, added)
+            for d in dropped:
+                signature[d].append(r)
+            for d1, d2 in added:
+                if d1 == ZERO:
+                    signature[d2].append(r + 1)
+                else:
+                    own.add(d1)
+                    own.add(d2)
+        rep_of = {ZERO: ZERO}
+        first: dict[tuple[int, ...], int] = {}
+        members: dict[int, list[int]] = defaultdict(list)
+        for d in domain.indices():
+            rep = d if d in own else \
+                first.setdefault(tuple(signature.get(d, ())), d)
+            rep_of[d] = rep
+            members[rep].append(d)
+        # representative -> its facts, ascending
+        self.classes: dict[int, tuple[int, ...]] = {
+            rep: tuple(ds) for rep, ds in members.items()}
+
         # edge id -> {source fact: ascending successor facts}, one table
         # per distinct relation object.  Each table is the identity's
         # table patched where the relation differs from the identity, so
         # building it costs the pairs that differ, not the domain size.
-        ident = identity_rel(domain)
+        # `rep_succ`, the tables the solver reads, are the same tables
+        # over representatives only, and are `succ` itself when no two
+        # facts share a class.  A pair from a non-zero fact joins two
+        # facts of classes of their own, so a representative's table
+        # leaves out only the gens of other members.
         base = {d: (d,) for d in (ZERO, *domain.indices())}
-        self.succ: dict[int, dict[int, tuple[int, ...]]] = {}
-        tables: dict[int, dict[int, tuple[int, ...]]] = {}
-        for eid, rel in rel_of.items():
-            table = tables.get(id(rel))
-            if table is None:
-                table = tables[id(rel)] = _patched_table(base, ident, rel)
-            self.succ[eid] = table
+        tables = {key: _patched_table(base, dropped, added)
+                  for key, (dropped, added) in diffs.items()}
+        self.succ: dict[int, dict[int, tuple[int, ...]]] = {
+            eid: tables[id(rel)] for eid, rel in rel_of.items()}
+        self.rep_succ = self.succ
+        if len(self.classes) < len(domain):
+            rep_base = {d: (d,) for d in (ZERO, *self.classes)}
+            rep_tables = {
+                key: _patched_table(
+                    rep_base, [d for d in dropped if rep_of[d] == d],
+                    [p for p in added if rep_of[p[1]] == p[1]])
+                for key, (dropped, added) in diffs.items()}
+            self.rep_succ = {eid: rep_tables[id(rel)]
+                             for eid, rel in rel_of.items()}
 
     def iter_exploded_edges(self):
         for edge in self.graph.edges:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -235,25 +236,42 @@ def test_lattice_operators_run_once_per_distinct_pair():
 
 
 def test_stats_do_not_depend_on_string_hashing():
+    """Step counts, the fact classes and their representatives are the
+    same under any string hashing, on a program whose facts are all
+    singletons and on one where most share a class."""
     code = (
         "import json\n"
+        "from pathlib import Path\n"
         "from helpers import chain_source, pipeline\n"
         "from evflow.lang import parse\n"
         "from evflow.ide import solve_ide\n"
         "from evflow.transform import transform\n"
-        "build, _, xsg = pipeline(parse(chain_source(6, 12, 4)))\n"
-        "labeled = transform(xsg, build.ops, build.handlers)\n"
-        "print(json.dumps(solve_ide(labeled).stats, sort_keys=True))\n")
+        "wide = Path('tests/golden/wide_3x100.evl').read_text()\n"
+        "for source in (chain_source(6, 12, 4), wide):\n"
+        "    build, _, xsg = pipeline(parse(source))\n"
+        "    labeled = transform(xsg, build.ops, build.handlers)\n"
+        "    print(json.dumps(solve_ide(labeled).stats, sort_keys=True))\n"
+        "    print(json.dumps(list(xsg.classes.items())))\n")
     tests = Path(__file__).parent
     outputs = set()
     for seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=f"{tests.parent / 'src'}{os.pathsep}{tests}")
         done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
+                              cwd=tests.parent, capture_output=True,
+                              text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         outputs.add(done.stdout)
     assert len(outputs) == 1, outputs
+    lines = outputs.pop().splitlines()
+    wide_stats, wide_classes = json.loads(lines[2]), json.loads(lines[3])
+    assert wide_stats["fact_classes"] == len(wide_classes) < 100
+    # a class is named by its lowest fact, and classes come in the order
+    # of their representatives
+    assert all(rep == min(ds) and ds == sorted(ds)
+               for rep, ds in wide_classes)
+    reps = [rep for rep, _ in wide_classes]
+    assert reps == sorted(reps)
 
 
 def test_environments_only_for_reachable(door):
@@ -292,3 +310,27 @@ def test_environment_maps_are_interned():
         assert again.stats == result.stats
         assert again.envs == result.envs
 
+
+def test_class_solve_equals_the_per_fact_oracles():
+    """On random programs, some with interchangeable facts, the class
+    solve's environments equal the path oracle's over every fact of the
+    full relations, and its plain result equals `mvp_bruteforce`."""
+    checked = merged = 0
+    for i in range(120):
+        program = parse(gen_source(f"classes:{i}", SMALL))
+        build, problem, xsg, labeled, result = ide_for(program)
+        try:
+            oracle = brute_force_ide(xsg.graph, xsg.rel_of, labeled.labels,
+                                     build.handlers, max_len=40,
+                                     path_budget=150_000)
+            brute = _brute(xsg)
+        except (RuntimeError, PathBudgetExceededError):
+            continue
+        checked += 1
+        merged += len(xsg.classes) < len(problem.domain)
+        assert {n: dict(t) for n, t in oracle.items()} == result.envs, i
+        plain = solve_ifds(xsg, result)
+        assert plain.facts == brute.facts, i
+        assert plain.reachable == brute.reachable, i
+    assert checked >= 100
+    assert merged >= 5

@@ -12,7 +12,7 @@ from evflow.ifds import (
     exploded_dot,
 )
 from evflow.lang import parse
-from evflow.lang.ast import Assign, iter_stmts
+from evflow.lang.ast import TOP_LEVEL, Assign, iter_stmts
 from evflow.randgen import SMALL, gen_source
 from evflow.supergraph import (
     EdgeKind,
@@ -21,9 +21,10 @@ from evflow.supergraph import (
     Supergraph,
     node_for_sid,
 )
+from evflow.transform import analyze_event_aware
 from evflow.uninit import report_uses
 
-from helpers import pipeline
+from helpers import chain_source, pipeline
 
 
 def test_apply_reference_relation():
@@ -333,3 +334,76 @@ def test_successor_tables_far_from_the_identity():
     xsg = ExplodedSupergraph(g, empty, rel_of)
     for eid, rel in rel_of.items():
         assert list(xsg.succ[eid].items()) == _grouped(rel), rel
+
+
+def test_classes_are_read_off_the_relations_alone():
+    """On hand-made relations: `a` and `b` differ only in a gen, `c` and
+    `d` are generated and dropped by the same relations, and `e` flows
+    into `f`.  The solver's tables over representatives are the per-fact
+    tables without `d`, and the class solve equals the path oracle."""
+    g = _manual_two_node_graph()
+    g.funcs[TOP_LEVEL] = g.funcs["main"]    # the solve enters there
+    domain = FactDomain(["a", "b", "c", "d", "e", "f"])
+    a, b, c, d, e, f = domain.indices()
+    ident = identity_rel(domain)
+    rel_of = {edge.eid: ident for edge in g.edges}
+    rel_of[g.edges[0].eid] = ident | {(ZERO, a), (ZERO, c), (ZERO, d),
+                                      (ZERO, e)}
+    rel_of[g.edges[2].eid] = ident - {(c, c), (d, d)}
+    rel_of[g.edges[6].eid] = ident | {(e, f)}
+    xsg = ExplodedSupergraph(g, domain, rel_of)
+    assert xsg.classes == {a: (a,), b: (b,), c: (c, d), e: (e,), f: (f,)}
+    for eid, table in xsg.succ.items():
+        assert xsg.rep_succ[eid] == {
+            s: tuple(t for t in ts if t != d)
+            for s, ts in table.items() if s != d}
+    result = solve_ifds(xsg)
+    brute = mvp_bruteforce(g, rel_of, "start:main", max_len=20)
+    assert result.facts == brute.facts
+    assert result.reachable == brute.reachable
+    assert d in result.facts_at("start:g")
+    assert d not in result.facts_at("end:g")
+
+
+# `a` and `b` differ only in `a`'s initializer; `b` and `c` are dropped
+# and generated by the same relations.
+SYMMETRY_SOURCE = """fn h() { print(a); print(b); print(c); }
+var a = 1;
+var b;
+var c;
+register("e", h);
+print(a);
+emit("e");
+"""
+
+
+def test_facts_share_a_class_only_where_every_relation_agrees():
+    """An initializer breaks the symmetry between two inert globals;
+    two globals with identical kills share one class, represented by the
+    lower fact, and every member reads the representative's map object
+    at every node."""
+    analysis = analyze_event_aware(parse(SYMMETRY_SOURCE))
+    xsg, domain = analysis.xsg, analysis.domain
+    a, b, c = (domain.index_of(v) for v in "abc")
+    assert xsg.classes == {a: (a,), b: (b, c)}
+    assert analysis.ide.stats["fact_classes"] == 2
+    assert xsg.rep_succ is not xsg.succ
+    assert all(c not in table and all(c not in ds for ds in table.values())
+               for table in xsg.rep_succ.values())
+    shared = 0
+    for node, env in analysis.ide.envs.items():
+        assert (b in env) == (c in env), node
+        if b in env:
+            assert env[c] is env[b], node
+            shared += 1
+    assert shared > 0
+    diags = report_uses(analysis.problem, analysis.ifds.facts)
+    assert {(d.var, d.line) for d in diags} == {("b", 1), ("c", 1)}
+
+
+def test_singleton_classes_solve_over_the_per_fact_tables():
+    """Where no two facts are interchangeable, the tables the solve reads
+    are the per-fact successor tables themselves."""
+    _, problem, xsg = pipeline(parse(chain_source(6, 12, 4)))
+    assert len(xsg.classes) == len(problem.domain)
+    assert xsg.rep_succ is xsg.succ
