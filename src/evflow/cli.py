@@ -142,25 +142,20 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
         return EXIT_ERROR, Report(files=list(cfg.inputs), mode=cfg.mode,
                                   warnings=[str(e)], input_error=True)
 
-    ifds_diags = report_uses(analysis.problem, analysis.ifds.facts)
-    filtered_facts = analysis.filtered.facts
     diagnostics: list[dict] = []
-    for d in ifds_diags:
+    for d in report_uses(analysis.problem, analysis.ifds):
         fact = analysis.domain.index_of(d.qualified)
-        survives = fact in filtered_facts.get(d.node, frozenset())
-        if cfg.mode == "ifds":
+        if cfg.mode == "ifds" or analysis.filtered.holds(d.node, fact):
             status = "reported"
-        elif survives:
-            status = "reported"
+        elif cfg.mode == "ide":
+            continue
         else:
             status = "filtered"
-        if cfg.mode == "ide" and status == "filtered":
-            continue
         entry = {"file": d.file, "line": d.line, "var": d.var,
                  "status": status}
         if status == "filtered":
-            hsm = analysis.ide.envs[d.node][fact]
-            entry["handler_states"] = _hsm_json(hsm)
+            entry["handler_states"] = _hsm_json(
+                analysis.ide.map_at(d.node, fact))
         diagnostics.append(entry)
 
     stats = {

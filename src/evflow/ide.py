@@ -5,24 +5,26 @@ Phase 1 tabulates jump functions: for each reachable exploded node
 from <start_p, d1>, met over merging paths.  Procedure summaries carry
 callee transformers back to matching return sites.  Phase 2 pushes
 lattice values from the entry environment through procedure starts and
-call sites, then evaluates every jump function on the start values.
+call sites.  The result (`IdeResult`) evaluates the jump functions at a
+node on those start values only where a client asks for the node.
 
 The value lattice is a map from handlers to chain states.  Labels only
 decide which facts to filter, never which exploded nodes are reached, so
-the plain IFDS result is a readout of any solve over the same exploded
+the plain IFDS result is a view of any solve over the same exploded
 supergraph; `solve_ifds` is the identity-labelled case.
 
 Both phases run over one representative per class of interchangeable
 facts (`ExplodedSupergraph.classes`).  Labels are per supergraph edge,
 so swapping two facts of a class fixes every relation and every label,
-and with them the solution; the readout gives each other member of a
-class the map object of its representative.
+and with them the solution; a query about any member of a class reads
+its representative and gets the same map object.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .event_lattice import (
     HMF_ID,
@@ -57,23 +59,90 @@ class LabeledExplodedSupergraph:
         return cls(xsg, {e.eid: HMF_ID for e in xsg.graph.edges}, handlers)
 
 
-@dataclass
 class IdeResult:
-    """Per node, the environment: fact -> handler-state map.
+    """The solution of one solve, evaluated where a client asks for it.
 
-    The tautological fact's row is kept under index 0; environments exist
-    exactly for the nodes phase 1 reached.  Equal maps are one shared
-    dict, so a caller must copy a map before changing it.
+    `map_at(node, fact)` is the handler-state map of `fact` at `node`:
+    each jump function there applied to the value at its start fact, then
+    met (Sagiv, Reps & Horwitz, TCS 1996).  It reads the solve's jump
+    functions and phase-2 values over class representatives and the
+    solve's interned maps, so equal maps are one shared dict and a caller
+    must copy a map before changing it.  `holds` answers plain and kept
+    membership from the same query; `envs` and `fact_sets` run it over
+    every reached (node, representative) pair.
     """
 
-    envs: dict[str, dict[int, dict[str, HState]]]
-    stats: dict = field(default_factory=dict)
+    def __init__(self, jump: dict[tuple[str, int], dict[int, int]],
+                 value_of, maps: list[dict[str, HState]],
+                 classes: dict[int, tuple[int, ...]], stats: dict):
+        # (node, representative) -> {start fact: jump function id}
+        self._jump = jump
+        # (node, its row of `jump`) -> id of the met map
+        self._value_of = value_of
+        self._maps = maps
+        self._members = {ZERO: (ZERO,), **classes}
+        self._rep_of = {d: rep for rep, ds in self._members.items()
+                        for d in ds}
+        self.stats = stats
+
+    def map_at(self, node: str, fact: int) -> dict[str, HState] | None:
+        """The met map of `fact` at `node`, or None if either is
+        unreached."""
+        row = self._jump.get((node, self._rep_of.get(fact)))
+        return None if row is None else self._maps[self._value_of(node, row)]
+
+    def holds(self, node: str, fact: int, keep=None) -> bool:
+        """Whether `fact` reaches `node` and, given `keep`, whether
+        `keep` accepts its map; the tautological fact reaches every
+        reached node."""
+        if keep is None:
+            return (node, self._rep_of.get(fact)) in self._jump
+        hsm = self.map_at(node, fact)
+        return hsm is not None and keep(hsm)
+
+    def fact_sets(self, keep=None) -> dict[str, frozenset[int]]:
+        """Per reached node, the non-zero facts for which `holds`; nodes
+        without one have no entry."""
+        members, maps, value_of = self._members, self._maps, self._value_of
+        kept: dict[int, bool] = {}      # map id -> keep(map)
+        sets: dict[str, list[int]] = defaultdict(list)
+        for (node, rep), row in self._jump.items():
+            if rep == ZERO:
+                continue
+            if keep is not None:
+                mid = value_of(node, row)
+                ok = kept.get(mid)
+                if ok is None:
+                    ok = kept[mid] = keep(maps[mid])
+                if not ok:
+                    continue
+            sets[node].extend(members[rep])
+        return {node: frozenset(ds) for node, ds in sets.items()}
+
+    @cached_property
+    def reachable(self) -> frozenset[str]:
+        return frozenset(node for node, _ in self._jump)
+
+    @cached_property
+    def envs(self) -> dict[str, dict[int, dict[str, HState]]]:
+        """Per reached node, the environment: fact -> handler-state map,
+        with the tautological fact's row under index 0.  Built on first
+        access; every member of a class shares its representative's map
+        object."""
+        envs: dict[str, dict[int, dict[str, HState]]] = defaultdict(dict)
+        for (node, rep), row in self._jump.items():
+            table = envs[node]
+            hsm = self._maps[self._value_of(node, row)]
+            for d in self._members[rep]:
+                table[d] = hsm
+        return dict(envs)
 
 
 def solve_ide(lxsg: LabeledExplodedSupergraph,
               check_descent: bool = False) -> IdeResult:
-    """Meet-over-valid-paths values for every reachable exploded node,
-    from the tautological fact at the entry with every handler in S.
+    """Meet-over-valid-paths values at every reachable exploded node,
+    from the tautological fact at the entry with every handler in S, as
+    a result that evaluates them where it is asked.
 
     Phase 1 returns callee summaries by the call-edge rule of the
     tabulation algorithm (Reps, Horwitz & Sagiv, POPL 1995): a jump
@@ -87,8 +156,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     comparing two jump functions compares two ints, and compose and meet
     run once per distinct pair of ids.  The supergraph is compiled into
     per-node tables first, so the worklist loops make no graph calls.
-    Phase 2 and the readout intern handler-state maps the same way, and
-    every environment value is the canonical dict of its map.
+    Phase 2 and the result's queries intern handler-state maps the same
+    way, and every map they return is the canonical dict of its map.
     """
     xsg = lxsg.xsg
     g = xsg.graph
@@ -165,38 +234,46 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                                if e.kind is EdgeKind.CALL)
 
     # --- phase 1: jump functions ---
-    jump: dict[tuple[int, str, int], int] = {}
-    work: deque[tuple[int, str, int]] = deque()
-    # Insertion-ordered dicts used as sets: iteration order, and with it
-    # the step counts, must not depend on string hashing.
+    # (node, fact) -> {start fact: jump function}.  Insertion-ordered
+    # dicts are used as sets throughout: iteration order, and with it the
+    # step counts, must not depend on string hashing.
+    jump: dict[tuple[str, int], dict[int, int]] = {}
+    # (d1, node, d2, the row of jump that holds the jump function)
+    work: deque[tuple[int, str, int, dict[int, int]]] = deque()
     # (callee start, entry fact) -> {(call node, call fact, return site):
     # call label id}, for calls that return
     incoming: dict[tuple[str, int], dict[tuple, int]] = defaultdict(dict)
     # (callee start, entry fact) -> {exit fact: summary transformer}
     summaries: dict[tuple[str, int], dict[int, int]] = defaultdict(dict)
-    # (call site, call fact) -> {start fact: jump function}
-    by_target: dict[tuple[str, int], dict[int, int]] = defaultdict(dict)
+    # (start fact, call site) -> call facts, in the order their jump
+    # functions appeared
+    calls_out: dict[tuple[int, str], list[int]] = defaultdict(list)
     steps = 0
     max_label_entries = 0
 
     def propagate(d1: int, n: str, d2: int, f: int) -> None:
         nonlocal max_label_entries
-        key = (d1, n, d2)
-        old = jump.get(key)
+        key = (n, d2)
+        row = jump.get(key)
+        if row is None:
+            row = jump[key] = {}
+            old = None
+        else:
+            old = row.get(d1)
         if old is None:
             new = f
+            if n in call_sites:
+                calls_out[(d1, n)].append(d2)
         else:
             new = meet(old, f)
             if new == old:
                 return
             if check_descent and not hmf_leq(fns[new], fns[old]):
                 raise AssertionError("jump function must only descend")
-        jump[key] = new
+        row[d1] = new
         if size[new] > max_label_entries:
             max_label_entries = size[new]
-        if n in call_sites:
-            by_target[(n, d2)][d1] = new
-        work.append(key)
+        work.append((d1, n, d2, row))
 
     def apply_return(end: str, ret_site: str, d_exit: int, f_summary: int,
                      call_label: int,
@@ -211,9 +288,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
 
     propagate(ZERO, entry, ZERO, ID)
     while work:
-        key = work.popleft()
-        d1, n, d2 = key
-        f = jump[key]
+        d1, n, d2, row = work.popleft()
+        f = row[d1]
         steps += 1
         start = exit_start.get(n)
         if start is not None:
@@ -227,10 +303,10 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                         incoming[skey].items():
                     # a snapshot: a dispatch returns into the event loop
                     # it was called from, so these propagations can lower
-                    # `by_target` at that very site; a lowered jump
-                    # function is queued, and its pop returns the summary
+                    # the very jump functions listed; a lowered one is
+                    # queued, and its pop returns the summary
                     apply_return(n, ret_site, d2, merged, call_label,
-                                 tuple(by_target[(caller, d_call)].items()))
+                                 tuple(jump[(caller, d_call)].items()))
         for is_call, dst, lab, targets, ret_site, callee_end in steps_from[n]:
             if is_call:
                 for d3 in targets.get(d2, ()):
@@ -251,7 +327,6 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     # one canonical dict and a dense int id, and `hmf_apply` and
     # `hsm_meet` run once per distinct pair of ids.
     maps: list[dict[str, HState]] = []      # id -> canonical map
-    uses: list[int] = []                    # id -> env entries holding it
     map_ids: dict[tuple, int] = {}          # item tuple -> id
     apply_memo: dict[tuple[int, int], int] = {}
     map_meet_memo: dict[tuple[int, int], int] = {}
@@ -262,7 +337,6 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         if mid is None:
             mid = map_ids[key] = len(maps)
             maps.append(m)
-            uses.append(0)
         return mid
 
     def apply(f: int, mid: int) -> int:
@@ -299,14 +373,9 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         val[key] = value
         vwork.append(key)
 
-    # jump functions from each procedure start, grouped by call site
     calls_from_start: dict[str, list[str]] = defaultdict(list)
     for n in call_sites:
         calls_from_start[proc_start[n]].append(n)
-    from_start: dict[tuple[int, str], dict[int, int]] = defaultdict(dict)
-    for (d1, n, d2), f in jump.items():
-        if n in call_sites:
-            from_start[(d1, n)][d2] = f
 
     meet_value(entry, ZERO, intern_map(all_s(lxsg.handlers)))
     while vwork:
@@ -314,51 +383,33 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         vsteps += 1
         value = val[key]
         for c in calls_from_start.get(n, ()):
-            for d2, f in from_start[(d, c)].items():
-                meet_value(c, d2, apply(f, value))
+            for d2 in calls_out.get((d, c), ()):
+                meet_value(c, d2, apply(jump[(c, d2)][d], value))
         if n in call_sites:
             for is_call, dst, lab, targets, _, _ in steps_from[n]:
                 if is_call:
                     for d3 in targets.get(d, ()):
                         meet_value(dst, d3, apply(lab, value))
 
-    # --- final readout: every jump function applied to its start value ---
-    envs: dict[str, dict[int, dict[str, HState]]] = defaultdict(dict)
-    for (d1, n, d2), f in jump.items():
-        start_value = val.get((proc_start[n], d1))
-        if start_value is None:
-            continue
-        mid = start_value if f == ID else apply(f, start_value)
-        table = envs[n]
-        old = table.get(d2)
-        if old is None:
-            table[d2] = maps[mid]
-            uses[mid] += 1
-            continue
-        old_id = map_ids[tuple(old.items())]
-        new_id = meet_map(old_id, mid)
-        if new_id != old_id:
-            table[d2] = maps[new_id]
-            uses[old_id] -= 1
-            uses[new_id] += 1
-    # every other fact of a class takes its representative's map object
-    merged = [(rep, ds) for rep, ds in xsg.classes.items() if len(ds) > 1]
-    if merged:
-        for table in envs.values():
-            for rep, ds in merged:
-                m = table.get(rep)
-                if m is not None:
-                    table.update(dict.fromkeys(ds, m))
+    def value_of(n: str, row: dict[int, int]) -> int:
+        """Every jump function of a row of `jump` at `n` applied to its
+        start value, met; phase 2 gave every start fact of a jump function
+        a value."""
+        start = proc_start[n]
+        mid = None
+        for d1, f in row.items():
+            value = apply(f, val[(start, d1)])
+            mid = value if mid is None else meet_map(mid, value)
+        return mid
 
-    return IdeResult(dict(envs), {
+    return IdeResult(jump, value_of, maps, xsg.classes, {
         "phase1_steps": steps,
         "phase2_steps": vsteps,
-        "jump_functions": len(jump),
+        "jump_functions": sum(map(len, jump.values())),
         "max_label_entries": max_label_entries,
         "compositions": len(compose_memo),
         "meets": len(meet_memo),
         "distinct_functions": len(fns),
-        "distinct_maps": len(uses) - uses.count(0),
         "fact_classes": len(xsg.classes),
     })
 
@@ -366,8 +417,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
 def solve_ifds(xsg: ExplodedSupergraph,
                ide: IdeResult | None = None) -> IfdsResult:
     """The plain IFDS result over `xsg`: the reached nodes and their
-    non-zero facts, read off `ide` (a solve over any labelling of `xsg`)
-    or, without one, off the identity-labelled solve.
+    non-zero facts, as a view of `ide` (a solve over any labelling of
+    `xsg`) or, without one, of the identity-labelled solve.
 
     Each jump function is one path edge (d1, n, d2) of the plain
     tabulation, which steps each path edge once.  The solve steps only
@@ -377,9 +428,6 @@ def solve_ifds(xsg: ExplodedSupergraph,
     """
     if ide is None:
         ide = solve_ide(LabeledExplodedSupergraph.identity(xsg))
-    facts = {n: frozenset(d for d in env if d != ZERO)
-             for n, env in ide.envs.items()}
     path_edges = ide.stats["jump_functions"]
-    return IfdsResult({n: ds for n, ds in facts.items() if ds},
-                      frozenset(ide.envs),
-                      {"worklist_steps": path_edges, "path_edges": path_edges})
+    return IfdsResult(ide, stats={"worklist_steps": path_edges,
+                                  "path_edges": path_edges})

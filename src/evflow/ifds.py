@@ -1,5 +1,5 @@
 """Distributive flow functions as representation relations, the exploded
-supergraph, the fact-set result type and a brute-force oracle.
+supergraph and the fact-set result type.
 
 Facts are small integers; index 0 is the tautological fact that holds
 everywhere and seeds the analysis.  A flow function is stored as the
@@ -13,25 +13,20 @@ and the solver runs over one representative per class.
 The plain result holds, per node, the facts reachable from <entry, 0>
 along call/return-balanced paths, treating event-loop dispatches as calls
 that return to the loop node and the end of top-level as a call into the
-loop that never returns.  It is read off the IDE solve (`ide.solve_ifds`).
+loop that never returns.  It is a view of the IDE solve
+(`ide.solve_ifds`), which answers each (node, fact) where it is asked.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from functools import cached_property
 
-from .supergraph import EdgeKind, Supergraph
+from .supergraph import Supergraph
 
 ZERO = 0
 
 RepRelation = frozenset  # of (int, int) pairs
-
-
-class PathBudgetExceededError(Exception):
-    def __init__(self, budget: int):
-        self.budget = budget
-        super().__init__(f"path enumeration exceeded the budget of {budget}")
 
 
 class FactDomain:
@@ -61,17 +56,6 @@ class FactDomain:
 
     def names_of(self, indices) -> frozenset[str]:
         return frozenset(self._names[i - 1] for i in indices)
-
-
-def apply_rel(r: RepRelation, s) -> frozenset[int]:
-    """Evaluate the represented function on a subset of D (union meet)."""
-    out = set()
-    for d1, d2 in r:
-        if d2 == ZERO:
-            continue
-        if d1 == ZERO or d1 in s:
-            out.add(d2)
-    return frozenset(out)
 
 
 def identity_rel(domain: FactDomain) -> RepRelation:
@@ -149,42 +133,41 @@ class ExplodedSupergraph:
                 else:
                     own.add(d1)
                     own.add(d2)
-        rep_of = {ZERO: ZERO}
         first: dict[tuple[int, ...], int] = {}
         members: dict[int, list[int]] = defaultdict(list)
         for d in domain.indices():
             rep = d if d in own else \
                 first.setdefault(tuple(signature.get(d, ())), d)
-            rep_of[d] = rep
             members[rep].append(d)
         # representative -> its facts, ascending
         self.classes: dict[int, tuple[int, ...]] = {
             rep: tuple(ds) for rep, ds in members.items()}
 
-        # edge id -> {source fact: ascending successor facts}, one table
-        # per distinct relation object.  Each table is the identity's
-        # table patched where the relation differs from the identity, so
-        # building it costs the pairs that differ, not the domain size.
-        # `rep_succ`, the tables the solver reads, are the same tables
-        # over representatives only, and are `succ` itself when no two
-        # facts share a class.  A pair from a non-zero fact joins two
-        # facts of classes of their own, so a representative's table
-        # leaves out only the gens of other members.
-        base = {d: (d,) for d in (ZERO, *domain.indices())}
-        tables = {key: _patched_table(base, dropped, added)
-                  for key, (dropped, added) in diffs.items()}
-        self.succ: dict[int, dict[int, tuple[int, ...]]] = {
-            eid: tables[id(rel)] for eid, rel in rel_of.items()}
-        self.rep_succ = self.succ
-        if len(self.classes) < len(domain):
-            rep_base = {d: (d,) for d in (ZERO, *self.classes)}
-            rep_tables = {
-                key: _patched_table(
-                    rep_base, [d for d in dropped if rep_of[d] == d],
-                    [p for p in added if rep_of[p[1]] == p[1]])
-                for key, (dropped, added) in diffs.items()}
-            self.rep_succ = {eid: rep_tables[id(rel)]
-                             for eid, rel in rel_of.items()}
+        self._diffs = diffs
+        # `rep_succ`, the tables the solver reads, range over
+        # representatives only; they are `succ` itself when no two facts
+        # share a class, and otherwise `succ` is built on first access.
+        self.rep_succ = self._tables((ZERO, *self.classes))
+        if len(self.classes) == len(domain):
+            self.succ = self.rep_succ
+
+    @cached_property
+    def succ(self) -> dict[int, dict[int, tuple[int, ...]]]:
+        return self._tables((ZERO, *self.domain.indices()))
+
+    def _tables(self, facts) -> dict[int, dict[int, tuple[int, ...]]]:
+        """Edge id -> {source fact: ascending successor facts} over the
+        ascending `facts`, one table per distinct relation object.  Each
+        table is the identity's table patched where the relation differs
+        from the identity, so building it costs the pairs that differ, not
+        the domain size.  A pair from a non-zero fact joins two facts of
+        classes of their own, so over representatives a table leaves out
+        only the `(d, d)` pairs and the gens of other members."""
+        base = {d: (d,) for d in facts}
+        tables = {key: _patched_table(base, [d for d in dropped if d in base],
+                                      [p for p in added if p[1] in base])
+                  for key, (dropped, added) in self._diffs.items()}
+        return {eid: tables[id(rel)] for eid, rel in self.rel_of.items()}
 
     def iter_exploded_edges(self):
         for edge in self.graph.edges:
@@ -198,66 +181,36 @@ def explode(graph: Supergraph, domain: FactDomain, flow_for) -> ExplodedSupergra
         graph, domain, {e.eid: flow_for(e) for e in graph.edges})
 
 
-@dataclass
 class IfdsResult:
     """Per reached node, a set of non-zero facts: the plain result, or the
-    facts the event-aware filter keeps.  Nodes without facts have no
-    entry in `facts`."""
+    facts the event-aware filter keeps, as a view of one solve
+    (`ide.IdeResult`).
 
-    facts: dict[str, frozenset[int]]
-    reachable: frozenset[str]
-    stats: dict = field(default_factory=dict)
+    `holds(node, fact)` asks the solve at one pair, and `keep`, when
+    given, decides from the fact's handler-state map.  `facts` (nodes
+    without facts have no entry) is built by the same query on first
+    access and then cached, so `facts_at` reads whatever `facts` holds;
+    so is the solve's `reachable`.
+    """
+
+    def __init__(self, solution, keep=None, stats: dict | None = None):
+        self._solution = solution
+        self._keep = keep
+        self.stats = {} if stats is None else stats
+
+    def holds(self, node: str, fact: int) -> bool:
+        return self._solution.holds(node, fact, self._keep)
+
+    @cached_property
+    def facts(self) -> dict[str, frozenset[int]]:
+        return self._solution.fact_sets(self._keep)
+
+    @property
+    def reachable(self) -> frozenset[str]:
+        return self._solution.reachable
 
     def facts_at(self, node: str) -> frozenset[int]:
         return self.facts.get(node, frozenset())
-
-
-def mvp_bruteforce(g: Supergraph, rel_of: dict[int, RepRelation],
-                   entry: str | None = None, max_len: int = 40,
-                   path_budget: int = 100_000) -> IfdsResult:
-    """Definitional oracle: enumerate valid paths up to max_len, apply the
-    composed flow function of each to the empty set, union per node.
-
-    Intended for small graphs only; raises PathBudgetExceededError when
-    enumeration outgrows the budget.
-    """
-    entry = entry or g.entry()
-    facts: dict[str, set[int]] = defaultdict(set)
-    reachable: set[str] = set()
-    # memo avoids re-walking suffixes for identical (node, facts, stack)
-    # states; the set of facts fully determines everything downstream.
-    seen: set = set()
-
-    explored = 0
-
-    def walk(node: str, s: frozenset, stack: tuple, depth: int):
-        nonlocal explored
-        reachable.add(node)
-        facts[node] |= s
-        if depth >= max_len:
-            return
-        key = (node, s, stack, depth)
-        if key in seen:
-            return
-        seen.add(key)
-        for edge in g.out_edges(node):
-            if edge.kind is EdgeKind.CALL:
-                new_stack = stack + ((edge.dst, edge.ret_site),)
-            elif edge.kind is EdgeKind.RETURN:
-                frame = (g.start_of(g.proc_of(edge.src)), edge.dst)
-                if not stack or stack[-1] != frame:
-                    continue  # returns only to the innermost open call
-                new_stack = stack[:-1]
-            else:
-                new_stack = stack
-            explored += 1
-            if explored > path_budget:
-                raise PathBudgetExceededError(path_budget)
-            walk(edge.dst, apply_rel(rel_of[edge.eid], s), new_stack, depth + 1)
-
-    walk(entry, frozenset(), (), 0)
-    return IfdsResult({n: frozenset(ds) for n, ds in facts.items() if ds},
-                      frozenset(reachable), {"paths_explored": explored})
 
 
 # --- DOT export -------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Assign event micro-function labels to an exploded supergraph and
-project solved environments back to plain fact sets.
+project the solution back to plain fact sets.
 
 The labeling never touches graph structure: registration, emission,
 callback-style registration and dispatch edges get the matching
 per-handler chain function; every other edge keeps the identity.  The
 projection drops any fact whose handler-state map sends some handler to
-the infeasible state; that map stays in the solve's environments, where
-a report reads it.
+the infeasible state; the solve keeps that map, and a report asks for it
+(`IdeResult.map_at`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .event_lattice import (
     MF_REGISTER,
 )
 from .ide import IdeResult, LabeledExplodedSupergraph, solve_ide, solve_ifds
-from .ifds import ExplodedSupergraph, IfdsResult, ZERO, explode
+from .ifds import ExplodedSupergraph, IfdsResult, explode
 from .lang.ast import Program
 from .supergraph import BuildResult, EventOp, build_supergraph
 from .uninit import UninitProblem
@@ -46,32 +46,21 @@ def transform(xsg: ExplodedSupergraph, ops: dict[int, tuple[EventOp, ...]],
     return LabeledExplodedSupergraph(xsg, labels, handlers)
 
 
+def _feasible(hsm: dict[str, HState]) -> bool:
+    return HState.X not in hsm.values()
+
+
 def untransform(result: IdeResult) -> IfdsResult:
-    """Keep a fact at a node only if its map sends no handler to X."""
-    facts: dict[str, frozenset[int]] = {}
-    # the readout shares one map between many (node, fact) pairs, and
-    # `result` keeps every map alive, so each is tested once by its id
-    infeasible: dict[int, bool] = {}
-    for node, env in result.envs.items():
-        kept = set()
-        for d, hsm in env.items():
-            if d == ZERO:
-                continue
-            bad = infeasible.get(id(hsm))
-            if bad is None:
-                bad = infeasible[id(hsm)] = HState.X in hsm.values()
-            if not bad:
-                kept.add(d)
-        if kept:
-            facts[node] = frozenset(kept)
-    return IfdsResult(facts, frozenset(result.envs))
+    """Keep a fact at a node only if its map sends no handler to X; the
+    kept facts are a view of `result`, asked per (node, fact)."""
+    return IfdsResult(result, keep=_feasible)
 
 
 @dataclass
 class EventAwareAnalysis:
     """Both solutions of one problem instance, for diffing.  The
     handler-state map of a fact the filter dropped is
-    `ide.envs[node][fact]`."""
+    `ide.map_at(node, fact)`."""
 
     program: Program
     build: BuildResult

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ifds import FactDomain, RepRelation, ZERO, identity_rel
+from .ifds import FactDomain, IfdsResult, RepRelation, ZERO, identity_rel
 from .lang.ast import (
     Assign,
     Call,
@@ -146,18 +146,15 @@ class Diagnostic:
     file: str
 
 
-def report_uses(problem: UninitProblem, facts: dict[str, frozenset[int]]
+def report_uses(problem: UninitProblem, result: IfdsResult
                 ) -> list[Diagnostic]:
-    """One diagnostic per (read site, variable) whose fact reaches the
-    reading node."""
+    """One diagnostic per (read site, variable) whose fact holds at the
+    reading node in `result`, which is asked at read sites only."""
     out: list[Diagnostic] = []
     graph = problem.graph
     for node_id in sorted(graph.nodes):
-        incoming = facts.get(node_id)
-        if not incoming:
-            continue
         for fact in problem.reads_at(node_id):
-            if fact in incoming:
+            if result.holds(node_id, fact):
                 node = graph.nodes[node_id]
                 qualified = problem.domain.name_of(fact)
                 out.append(Diagnostic(node_id, Scopes.display(qualified),

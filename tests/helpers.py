@@ -1,6 +1,7 @@
 """Shared pipeline helpers and independent oracles for the test suite."""
 
 from collections import defaultdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from evflow.event_lattice import (
@@ -9,10 +10,10 @@ from evflow.event_lattice import (
     hmf_apply,
     hsm_meet,
 )
-from evflow.ifds import ZERO, explode
+from evflow.ifds import RepRelation, ZERO, explode
 from evflow.lang import parse
 from evflow.randgen import GenParams, gen_source
-from evflow.supergraph import EdgeKind, build_supergraph
+from evflow.supergraph import EdgeKind, Supergraph, build_supergraph
 from evflow.uninit import UninitProblem
 
 from conftest import CORPUS_NAMES, load_corpus_entry
@@ -108,6 +109,84 @@ def sample_programs():
 
 def facts_by_name(result, problem):
     return {n: problem.domain.names_of(ds) for n, ds in result.facts.items()}
+
+
+class PathBudgetExceededError(Exception):
+    def __init__(self, budget: int):
+        self.budget = budget
+        super().__init__(f"path enumeration exceeded the budget of {budget}")
+
+
+def apply_rel(r: RepRelation, s) -> frozenset[int]:
+    """Evaluate the represented function on a subset of D (union meet)."""
+    out = set()
+    for d1, d2 in r:
+        if d2 == ZERO:
+            continue
+        if d1 == ZERO or d1 in s:
+            out.add(d2)
+    return frozenset(out)
+
+
+@dataclass
+class BruteResult:
+    """The plain result as `mvp_bruteforce` enumerates it: per reached
+    node its non-zero facts (nodes without facts have no entry)."""
+
+    facts: dict[str, frozenset[int]]
+    reachable: frozenset[str]
+    stats: dict = field(default_factory=dict)
+
+    def facts_at(self, node: str) -> frozenset[int]:
+        return self.facts.get(node, frozenset())
+
+
+def mvp_bruteforce(g: Supergraph, rel_of: dict[int, RepRelation],
+                   entry: str | None = None, max_len: int = 40,
+                   path_budget: int = 100_000) -> BruteResult:
+    """Definitional oracle: enumerate valid paths up to max_len, apply the
+    composed flow function of each to the empty set, union per node.
+
+    Intended for small graphs only; raises PathBudgetExceededError when
+    enumeration outgrows the budget.
+    """
+    entry = entry or g.entry()
+    facts: dict[str, set[int]] = defaultdict(set)
+    reachable: set[str] = set()
+    # memo avoids re-walking suffixes for identical (node, facts, stack)
+    # states; the set of facts fully determines everything downstream.
+    seen: set = set()
+
+    explored = 0
+
+    def walk(node: str, s: frozenset, stack: tuple, depth: int):
+        nonlocal explored
+        reachable.add(node)
+        facts[node] |= s
+        if depth >= max_len:
+            return
+        key = (node, s, stack, depth)
+        if key in seen:
+            return
+        seen.add(key)
+        for edge in g.out_edges(node):
+            if edge.kind is EdgeKind.CALL:
+                new_stack = stack + ((edge.dst, edge.ret_site),)
+            elif edge.kind is EdgeKind.RETURN:
+                frame = (g.start_of(g.proc_of(edge.src)), edge.dst)
+                if not stack or stack[-1] != frame:
+                    continue  # returns only to the innermost open call
+                new_stack = stack[:-1]
+            else:
+                new_stack = stack
+            explored += 1
+            if explored > path_budget:
+                raise PathBudgetExceededError(path_budget)
+            walk(edge.dst, apply_rel(rel_of[edge.eid], s), new_stack, depth + 1)
+
+    walk(entry, frozenset(), (), 0)
+    return BruteResult({n: frozenset(ds) for n, ds in facts.items() if ds},
+                       frozenset(reachable), {"paths_explored": explored})
 
 
 def brute_force_ide(graph, rel_of, labels, handlers, entry=None,

@@ -22,7 +22,7 @@ from evflow.event_lattice import (
 )
 from evflow.eventmodel import EventModel
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
-from evflow.ifds import PathBudgetExceededError, ZERO, mvp_bruteforce
+from evflow.ifds import ZERO
 from evflow.lang import check_trace_ordering, explore_schedules, parse
 from evflow.lang.ast import Assign, iter_stmts
 from evflow.randgen import DEFAULT, SMALL, gen_source
@@ -31,7 +31,13 @@ from evflow.transform import analyze_event_aware
 from evflow.uninit import report_uses
 
 from conftest import CORPUS_NAMES, load_corpus_entry
-from helpers import mf_compose_def, mf_meet_def, pipeline
+from helpers import (
+    PathBudgetExceededError,
+    mf_compose_def,
+    mf_meet_def,
+    mvp_bruteforce,
+    pipeline,
+)
 
 S, R, E, X = HState.S, HState.R, HState.E, HState.X
 STATES = (X, S, R, E)
@@ -61,10 +67,10 @@ def test_criterion_1_door():
     txt = analysis.domain.index_of("txt")
 
     concat = _assign_node(analysis, "txt")
-    ifds_diags = report_uses(analysis.problem, analysis.ifds.facts)
+    ifds_diags = report_uses(analysis.problem, analysis.ifds)
     assert any(d.var == "txt" and d.node == concat for d in ifds_diags)
 
-    filtered_diags = report_uses(analysis.problem, analysis.filtered.facts)
+    filtered_diags = report_uses(analysis.problem, analysis.filtered)
     assert filtered_diags == []
 
     assert analysis.ide.envs[g.start_of("hdlOpen")][txt] == \

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from evflow.cli import (
     EXIT_CLEAN,
@@ -402,6 +403,28 @@ def _comparable(report) -> tuple:
     diagnostics = [{k: v for k, v in d.items() if k != "file"}
                    for d in report.diagnostics]
     return diagnostics, report.warnings, stats
+
+
+def test_reports_ask_at_read_sites_only(monkeypatch):
+    """The `diff`, `ide` and `ifds` reports never build the environments
+    or a fact set: they ask the solve at read sites only."""
+    from evflow.ide import IdeResult
+
+    inputs = [corpus_path("door.evl"),
+              str(Path(__file__).parent / "golden" / "chain_6x12.evl")]
+    configs = [RunConfig(inputs=[path], mode=mode, format="json")
+               for path in inputs for mode in ("diff", "ide", "ifds")]
+    expected = [run(cfg) for cfg in configs]
+
+    def materialized(*_):
+        raise AssertionError("the report materialized the solution")
+
+    for name in ("envs", "reachable", "fact_sets"):
+        monkeypatch.setattr(IdeResult, name, property(materialized))
+    for cfg, (status, report) in zip(configs, expected):
+        got_status, got = run(cfg)
+        assert (got_status, _comparable(got)) == (status, _comparable(report))
+    assert any(r.diagnostics for _, r in expected)
 
 
 def test_a_handler_with_a_parameter_is_an_input_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from evflow.event_lattice import HState
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
-from evflow.ifds import PathBudgetExceededError, ZERO, mvp_bruteforce
+from evflow.ifds import ZERO
 from evflow.lang import parse
 from evflow.lang.ast import Print, iter_stmts
 from evflow.randgen import GenParams, SMALL, gen_source
@@ -14,7 +14,14 @@ from evflow.supergraph import node_for_sid
 from evflow.transform import analyze_event_aware, transform
 
 from conftest import CORPUS_NAMES, load_corpus_entry
-from helpers import brute_force_ide, chain_source, pipeline
+from helpers import (
+    PathBudgetExceededError,
+    brute_force_ide,
+    chain_source,
+    mvp_bruteforce,
+    pipeline,
+    sample_programs,
+)
 
 S, R, E, X = HState.S, HState.R, HState.E, HState.X
 
@@ -298,17 +305,43 @@ def _interning_programs():
 
 
 def test_environment_maps_are_interned():
-    """Equal maps in the environments are one dict, `distinct_maps` counts
-    them, and a second solve starts from empty intern tables."""
+    """Equal maps in the environments are one dict, the query hands out
+    that same dict, and a second solve starts from empty intern tables."""
     for program, _ in _interning_programs():
         _, _, _, labeled, result = ide_for(program)
         maps = [m for env in result.envs.values() for m in env.values()]
         distinct = {tuple(sorted(m.items())) for m in maps}
         assert len({id(m) for m in maps}) == len(distinct)
-        assert result.stats["distinct_maps"] == len(distinct)
+        assert all(result.map_at(node, d) is hsm
+                   for node, env in result.envs.items()
+                   for d, hsm in env.items())
         again = solve_ide(labeled)
         assert again.stats == result.stats
         assert again.envs == result.envs
+
+
+def test_queries_equal_the_materialized_solution():
+    """At every node and fact, reached or not, `map_at` is the
+    environment entry, and plain and kept membership are membership in
+    the materialized fact sets; on the corpus, the goldens and 200
+    random programs."""
+    for tag, program in sample_programs():
+        analysis = analyze_event_aware(program)
+        ide, plain, kept = analysis.ide, analysis.ifds, analysis.filtered
+        facts = (ZERO, *analysis.domain.indices(), len(analysis.domain) + 1)
+        for node in analysis.build.graph.nodes:
+            env = ide.envs.get(node, {})
+            reached = node in plain.reachable
+            assert reached == (node in ide.envs) == \
+                (node in kept.reachable), (tag, node)
+            assert plain.holds(node, ZERO) == reached, (tag, node)
+            for d in facts:
+                assert ide.map_at(node, d) == env.get(d), (tag, node, d)
+                if d != ZERO:
+                    assert plain.holds(node, d) == \
+                        (d in plain.facts_at(node)), (tag, node, d)
+                    assert kept.holds(node, d) == \
+                        (d in kept.facts_at(node)), (tag, node, d)
 
 
 def test_class_solve_equals_the_per_fact_oracles():

@@ -4,11 +4,8 @@ from evflow.ide import solve_ifds
 from evflow.ifds import (
     ExplodedSupergraph,
     FactDomain,
-    PathBudgetExceededError,
     ZERO,
-    apply_rel,
     identity_rel,
-    mvp_bruteforce,
     exploded_dot,
 )
 from evflow.lang import parse
@@ -24,7 +21,13 @@ from evflow.supergraph import (
 from evflow.transform import analyze_event_aware
 from evflow.uninit import report_uses
 
-from helpers import chain_source, pipeline
+from helpers import (
+    PathBudgetExceededError,
+    apply_rel,
+    chain_source,
+    mvp_bruteforce,
+    pipeline,
+)
 
 
 def test_apply_reference_relation():
@@ -59,14 +62,14 @@ def test_straight_line_kill():
     print_node = next(n for n in build.graph.nodes.values()
                       if n.label == "print")
     assert problem.domain.index_of("x") not in result.facts_at(print_node.id)
-    assert report_uses(problem, result.facts) == []
+    assert report_uses(problem, result) == []
 
 
 def test_uninit_survives_to_read():
     program = parse("var x; print(x);")
     build, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
-    diags = report_uses(problem, result.facts)
+    diags = report_uses(problem, result)
     assert [(d.var, d.line) for d in diags] == [("x", 1)]
 
 
@@ -77,7 +80,7 @@ def test_door_ifds_reports_concat(door):
     concat = node_of_assign(program, build.graph,
                             lambda s: s.name == "txt" and "world" in str(s.value))
     assert problem.domain.index_of("txt") in result.facts_at(concat)
-    diags = report_uses(problem, result.facts)
+    diags = report_uses(problem, result)
     assert any(d.var == "txt" and d.node == concat for d in diags)
 
 
@@ -97,7 +100,7 @@ def test_callee_initialization_kills_global():
     program = parse(src)
     build, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
-    assert report_uses(problem, result.facts) == []
+    assert report_uses(problem, result) == []
 
 
 def test_call_to_return_preserves_caller_local():
@@ -107,7 +110,7 @@ def test_call_to_return_preserves_caller_local():
     program = parse(src)
     build, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
-    diags = report_uses(problem, result.facts)
+    diags = report_uses(problem, result)
     assert [(d.var, d.qualified) for d in diags] == [("l", "caller.l")]
 
 
@@ -119,7 +122,7 @@ def test_param_binding_carries_uninit():
     program = parse(src)
     build, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
-    diags = report_uses(problem, result.facts)
+    diags = report_uses(problem, result)
     # the uninitialized actual u is reported both at the call site and,
     # through parameter binding, inside show
     assert {d.qualified for d in diags} == {"show.p", "u"}
@@ -134,7 +137,7 @@ def test_branch_join_unions():
     program = parse(src)
     build, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
-    diags = report_uses(problem, result.facts)
+    diags = report_uses(problem, result)
     assert {(d.var, d.line) for d in diags} == {("x", 4)}
 
 
@@ -265,7 +268,7 @@ def test_handler_also_called_directly():
     program = parse(src)
     build, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
-    assert report_uses(problem, result.facts) == []
+    assert report_uses(problem, result) == []
     from evflow.lang import interpret
     trace = interpret(program)
     assert trace.uninit_reads() == [] and trace.outputs() == ["1"]
@@ -279,7 +282,7 @@ def test_recursive_function_summaries():
     program = parse(src)
     build, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
-    assert report_uses(problem, result.facts) == []
+    assert report_uses(problem, result) == []
     brute = mvp_bruteforce(xsg.graph, xsg.rel_of, max_len=40)
     assert brute.facts == result.facts
 
@@ -397,8 +400,18 @@ def test_facts_share_a_class_only_where_every_relation_agrees():
             assert env[c] is env[b], node
             shared += 1
     assert shared > 0
-    diags = report_uses(analysis.problem, analysis.ifds.facts)
+    diags = report_uses(analysis.problem, analysis.ifds)
     assert {(d.var, d.line) for d in diags} == {("b", 1), ("c", 1)}
+
+
+def test_per_fact_tables_are_built_when_read_where_classes_merge():
+    """Where classes merge, the analysis reads only the representative
+    tables; the per-fact tables are built on first access, once."""
+    xsg = analyze_event_aware(parse(SYMMETRY_SOURCE)).xsg
+    assert "succ" not in vars(xsg)
+    for eid, rel in xsg.rel_of.items():
+        assert list(xsg.succ[eid].items()) == _grouped(rel)
+    assert xsg.succ is xsg.succ
 
 
 def test_singleton_classes_solve_over_the_per_fact_tables():

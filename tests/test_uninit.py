@@ -1,13 +1,14 @@
 import itertools
 import random
 
-from evflow.ifds import ZERO, apply_rel
+from evflow.ifds import ZERO
 from evflow.lang import interpret, parse
 from evflow.lang.ast import Assign, Call, VarDecl, expr_vars, iter_stmts
 from evflow.supergraph import EdgeKind, NodeKind, node_for_sid
 from evflow.uninit import report_uses
 
 from helpers import (
+    apply_rel,
     assign_rel_def,
     canon_rel_def,
     gen_rel_def,
@@ -59,7 +60,7 @@ def test_redeclaration_after_assignment_keeps_the_value():
     # run reads it unset
     program = parse("g = 1;\nvar g;\nprint(g);\n")
     _, problem, xsg = pipeline(program)
-    assert report_uses(problem, solve_ifds(xsg).facts) == []
+    assert report_uses(problem, solve_ifds(xsg)) == []
     assert interpret(program).uninit_reads() == []
 
 
@@ -122,7 +123,7 @@ def test_hoisted_locals_uninit_from_function_entry():
     program = parse(src)
     build, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
-    diags = report_uses(problem, result.facts)
+    diags = report_uses(problem, result)
     assert [(d.var, d.qualified) for d in diags] == [("z", "f.z")]
     trace = interpret(program)
     assert [r.var for r in trace.uninit_reads()] == ["f.z"]
@@ -132,7 +133,7 @@ def test_register_async_args_are_report_sites():
     src = "fn h() { print(1); }\nvar d;\nregister_async(h, d + 1);\n"
     program = parse(src)
     _, problem, xsg = pipeline(program)
-    diags = report_uses(problem, solve_ifds(xsg).facts)
+    diags = report_uses(problem, solve_ifds(xsg))
     assert [(d.var, d.line) for d in diags] == [("d", 3)]
 
 
@@ -140,7 +141,7 @@ def test_diagnostics_carry_position():
     program = parse("var x;\nprint(x);\n", filename="demo.evl")
     _, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
-    d = report_uses(problem, result.facts)[0]
+    d = report_uses(problem, result)[0]
     assert (d.file, d.line, d.var) == ("demo.evl", 2, "x")
 
 
@@ -160,7 +161,7 @@ def test_interpreter_agreement_straight_line():
                 lines.append(f"print({rng.choice(names)});")
         program = parse("\n".join(lines))
         _, problem, xsg = pipeline(program)
-        diags = report_uses(problem, solve_ifds(xsg).facts)
+        diags = report_uses(problem, solve_ifds(xsg))
         trace = interpret(program)
         static = {(d.node, d.qualified) for d in diags}
         dynamic = {(node_for_sid(xsg.graph, program, r.sid), r.var)
@@ -173,7 +174,7 @@ def test_derived_values_reported_statically_only():
     # analysis, but the run only records the direct unset read
     program = parse("var a; var b; a = b + 1; print(a);")
     _, problem, xsg = pipeline(program)
-    diags = report_uses(problem, solve_ifds(xsg).facts)
+    diags = report_uses(problem, solve_ifds(xsg))
     assert {(d.var, d.line) for d in diags} == {("b", 1), ("a", 1)}
     trace = interpret(program)
     assert [r.var for r in trace.uninit_reads()] == ["b"]
@@ -186,7 +187,7 @@ def test_interpreter_agreement_with_branches_is_superset():
            "print(a);\n")
     program = parse(src)
     _, problem, xsg = pipeline(program)
-    diags = report_uses(problem, solve_ifds(xsg).facts)
+    diags = report_uses(problem, solve_ifds(xsg))
     trace = interpret(program)
     static = {(d.node, d.qualified) for d in diags}
     dynamic = {(node_for_sid(xsg.graph, program, r.sid), r.var)
