@@ -8,6 +8,16 @@ lattice values from the entry environment through procedure starts and
 call sites.  The result (`IdeResult`) evaluates the jump functions at a
 node on those start values only where a client asks for the node.
 
+Straight-line code is solved per basic block.  A node is interior if its
+only in-edge is intraprocedural and comes from a node with one out-edge,
+and it is neither a call site nor an exit; a block is a head (any other
+node) and the run of interior nodes after it.  The solve folds each run
+into one edge per out-edge of its last node, labelled with the composed
+labels of the run and looking successors up through the run's tables in
+turn.  No path merges inside a block, so that label is the path function
+(Kildall, POPL 1973), and jump functions live only at heads.  A query at
+an interior node replays its block from the head.
+
 The value lattice is a map from handlers to chain states.  Labels only
 decide which facts to filter, never which exploded nodes are reached, so
 the plain IFDS result is a view of any solve over the same exploded
@@ -25,6 +35,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .event_lattice import (
     HMF_ID,
@@ -38,7 +49,7 @@ from .event_lattice import (
     hsm_meet,
 )
 from .ifds import ExplodedSupergraph, IfdsResult, ZERO
-from .supergraph import EdgeKind
+from .supergraph import Edge, EdgeKind
 
 
 @dataclass
@@ -62,23 +73,22 @@ class LabeledExplodedSupergraph:
 class IdeResult:
     """The solution of one solve, evaluated where a client asks for it.
 
-    `map_at(node, fact)` is the handler-state map of `fact` at `node`:
-    each jump function there applied to the value at its start fact, then
-    met (Sagiv, Reps & Horwitz, TCS 1996).  It reads the solve's jump
-    functions and phase-2 values over class representatives and the
-    solve's interned maps, so equal maps are one shared dict and a caller
-    must copy a map before changing it.  `holds` answers plain and kept
-    membership from the same query; `envs` and `fact_sets` run it over
-    every reached (node, representative) pair.
+    `map_at(node, fact)` is the handler-state map of `fact` at `node`: at
+    a head, each jump function there applied to the value at its start
+    fact, then met (Sagiv, Reps & Horwitz, TCS 1996); at an interior node,
+    the head's maps replayed through the block's edges, which keeps the
+    rows of the whole block.  A node's row, {representative: map id}, is
+    evaluated once, and `holds`, `fact_sets`, `reachable` and `envs` read
+    the same rows.  Equal maps are one interned dict, so a caller must
+    copy a map before changing it.
     """
 
-    def __init__(self, jump: dict[tuple[str, int], dict[int, int]],
-                 value_of, maps: list[dict[str, HState]],
+    def __init__(self, jump: dict[str, dict[int, dict[int, int]]], row_of,
+                 every_row, maps: list[dict[str, HState]],
                  classes: dict[int, tuple[int, ...]], stats: dict):
-        # (node, representative) -> {start fact: jump function id}
-        self._jump = jump
-        # (node, its row of `jump`) -> id of the met map
-        self._value_of = value_of
+        self._jump = jump           # node -> fact -> {start fact: fn id}
+        self._row = row_of          # node -> its row; {} if unreached
+        self._every_row = every_row  # () -> {node: row}
         self._maps = maps
         self._members = {ZERO: (ZERO,), **classes}
         self._rep_of = {d: rep for rep, ds in self._members.items()
@@ -88,40 +98,38 @@ class IdeResult:
     def map_at(self, node: str, fact: int) -> dict[str, HState] | None:
         """The met map of `fact` at `node`, or None if either is
         unreached."""
-        row = self._jump.get((node, self._rep_of.get(fact)))
-        return None if row is None else self._maps[self._value_of(node, row)]
+        mid = self._row(node).get(self._rep_of.get(fact))
+        return None if mid is None else self._maps[mid]
 
     def holds(self, node: str, fact: int, keep=None) -> bool:
         """Whether `fact` reaches `node` and, given `keep`, whether
         `keep` accepts its map; the tautological fact reaches every
         reached node."""
         if keep is None:
-            return (node, self._rep_of.get(fact)) in self._jump
+            return self._rep_of.get(fact) in self._row(node)
         hsm = self.map_at(node, fact)
         return hsm is not None and keep(hsm)
 
     def fact_sets(self, keep=None) -> dict[str, frozenset[int]]:
         """Per reached node, the non-zero facts for which `holds`; nodes
         without one have no entry."""
-        members, maps, value_of = self._members, self._maps, self._value_of
-        kept: dict[int, bool] = {}      # map id -> keep(map)
-        sets: dict[str, list[int]] = defaultdict(list)
-        for (node, rep), row in self._jump.items():
-            if rep == ZERO:
-                continue
-            if keep is not None:
-                mid = value_of(node, row)
-                ok = kept.get(mid)
-                if ok is None:
-                    ok = kept[mid] = keep(maps[mid])
-                if not ok:
-                    continue
-            sets[node].extend(members[rep])
-        return {node: frozenset(ds) for node, ds in sets.items()}
+        rows = self._every_row()
+        ok = [keep is None or keep(hsm) for hsm in self._maps]
+        members = self._members
+        sets: dict[str, frozenset[int]] = {}
+        for node, row in rows.items():
+            facts: list[int] = []
+            for rep, mid in row.items():
+                if rep and ok[mid]:     # not the tautological fact, 0
+                    facts.extend(members[rep])
+            if facts:
+                sets[node] = frozenset(facts)
+        return sets
 
     @cached_property
     def reachable(self) -> frozenset[str]:
-        return frozenset(node for node, _ in self._jump)
+        return frozenset(node for node, row in self._every_row().items()
+                         if row)
 
     @cached_property
     def envs(self) -> dict[str, dict[int, dict[str, HState]]]:
@@ -129,13 +137,26 @@ class IdeResult:
         with the tautological fact's row under index 0.  Built on first
         access; every member of a class shares its representative's map
         object."""
-        envs: dict[str, dict[int, dict[str, HState]]] = defaultdict(dict)
-        for (node, rep), row in self._jump.items():
-            table = envs[node]
-            hsm = self._maps[self._value_of(node, row)]
-            for d in self._members[rep]:
-                table[d] = hsm
-        return dict(envs)
+        maps, members = self._maps, self._members
+        return {node: {d: maps[mid] for rep, mid in row.items()
+                       for d in members[rep]}
+                for node, row in self._every_row().items() if row}
+
+
+class _RunTable(tuple):
+    """The successor table of a run of edges, as the tuple of their
+    tables: `get(d)` looks `d` up through each in turn.  Each (run,
+    source fact) is looked up about once per solve, so nothing is
+    cached."""
+
+    __slots__ = ()
+
+    def get(self, d: int, default=()) -> tuple[int, ...]:
+        ds = (d,)
+        for table in self:
+            ds = table.get(ds[0], default) if len(ds) == 1 else tuple(
+                sorted({d3 for d2 in ds for d3 in table.get(d2, default)}))
+        return ds
 
 
 def solve_ide(lxsg: LabeledExplodedSupergraph,
@@ -155,7 +176,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     function, named by a dense int id.  The solver carries the ids, so
     comparing two jump functions compares two ints, and compose and meet
     run once per distinct pair of ids.  The supergraph is compiled into
-    per-node tables first, so the worklist loops make no graph calls.
+    per-node tables first, so the worklist loops make no graph calls, and
+    each block's run into edges from its head (see the module docstring).
     Phase 2 and the result's queries intern handler-state maps the same
     way, and every map they return is the canonical dict of its map.
     """
@@ -202,23 +224,60 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             h_id = meet_memo[key] = intern(hmf_meet(fns[f_id], fns[g_id]))
         return h_id
 
-    label = {eid: intern(f) for eid, f in lxsg.labels.items()}
+    label = {eid: ID if f.is_identity() else intern(f)
+             for eid, f in lxsg.labels.items()}
 
     # --- the supergraph compiled into per-node tables ---
-    proc_start = {n: g.start_of(node.func) for n, node in g.nodes.items()}
     # exit node -> start of its procedure
     exit_start = {end: start for proc, (start, end) in g.funcs.items()
                   if g.proc_of(end) == proc}
+    only_in: dict[str, Edge | None] = {}    # node -> its one in-edge
+    call_sites: dict[str, None] = {}        # in order of first call edge
+    for e in g.edges:
+        only_in[e.dst] = None if e.dst in only_in else e
+        if e.kind is EdgeKind.CALL:
+            call_sites[e.src] = None
+    out_edges = g.out_edges
+    # nothing merges at an interior node and no phase-1 rule fires there
+    interior = {n for n, e in only_in.items()
+                if e is not None and e.kind is EdgeKind.INTRA
+                and len(out_edges(e.src)) == 1}
+    interior.difference_update(call_sites, exit_start)
+    proc_start = {n: g.start_of(node.func) for n, node in g.nodes.items()
+                  if n not in interior}
     # node -> its non-return out-edges as (is_call, dst, label id,
     # successor table, return site, callee end)
     steps_from: dict[str, tuple[tuple, ...]] = {}
+    # interior node -> its block, (head, [(node, label id and table of
+    # its in-edge) for each node of the run])
+    blocks: dict[str, tuple[str, list]] = {}
     # (callee end, return site) -> (label id, successor table) of the
     # return edge
     returns: dict[tuple[str, str], tuple[int, dict]] = {}
-    for n in g.nodes:
+    for n in proc_start:
         row = []
-        for edge in g.out_edges(n):
+        for edge in out_edges(n):
             if edge.kind is EdgeKind.RETURN:
+                continue
+            if edge.dst in interior:
+                # `n` heads a block: one edge per out-edge of its end
+                run, tables, lab, m = [], [], ID, edge.dst
+                block = (n, run)
+                while True:
+                    e = only_in[m]
+                    lab_e, table = label[e.eid], succ[e.eid]
+                    if lab_e != ID:
+                        lab = compose(lab_e, lab)
+                    run.append((m, lab_e, table))
+                    tables.append(table)
+                    blocks[m] = block
+                    outs = out_edges(m)
+                    if len(outs) != 1 or outs[0].dst not in interior:
+                        break
+                    m = outs[0].dst
+                for e in outs:
+                    row.append((False, e.dst, compose(label[e.eid], lab),
+                                _RunTable((*tables, succ[e.eid])), None, None))
                 continue
             is_call = edge.kind is EdgeKind.CALL
             callee_end = g.end_of(g.proc_of(edge.dst)) if is_call else None
@@ -229,15 +288,13 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                 returns[(callee_end, edge.ret_site)] = (
                     label[ret_edge.eid], succ[ret_edge.eid])
         steps_from[n] = tuple(row)
-    # in the order of their first call edge
-    call_sites = dict.fromkeys(e.src for e in g.edges
-                               if e.kind is EdgeKind.CALL)
 
     # --- phase 1: jump functions ---
-    # (node, fact) -> {start fact: jump function}.  Insertion-ordered
-    # dicts are used as sets throughout: iteration order, and with it the
-    # step counts, must not depend on string hashing.
-    jump: dict[tuple[str, int], dict[int, int]] = {}
+    # node -> {fact: {start fact: jump function}}, at every node that
+    # keeps jump functions.  Insertion-ordered dicts are used as sets
+    # throughout: iteration order, and with it the step counts, must not
+    # depend on string hashing.
+    jump: dict[str, dict[int, dict[int, int]]] = {n: {} for n in proc_start}
     # (d1, node, d2, the row of jump that holds the jump function)
     work: deque[tuple[int, str, int, dict[int, int]]] = deque()
     # (callee start, entry fact) -> {(call node, call fact, return site):
@@ -253,10 +310,10 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
 
     def propagate(d1: int, n: str, d2: int, f: int) -> None:
         nonlocal max_label_entries
-        key = (n, d2)
-        row = jump.get(key)
+        rows = jump[n]
+        row = rows.get(d2)
         if row is None:
-            row = jump[key] = {}
+            row = rows[d2] = {}
             old = None
         else:
             old = row.get(d1)
@@ -306,7 +363,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                     # the very jump functions listed; a lowered one is
                     # queued, and its pop returns the summary
                     apply_return(n, ret_site, d2, merged, call_label,
-                                 tuple(jump[(caller, d_call)].items()))
+                                 tuple(jump[caller][d_call].items()))
         for is_call, dst, lab, targets, ret_site, callee_end in steps_from[n]:
             if is_call:
                 for d3 in targets.get(d2, ()):
@@ -384,28 +441,70 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         value = val[key]
         for c in calls_from_start.get(n, ()):
             for d2 in calls_out.get((d, c), ()):
-                meet_value(c, d2, apply(jump[(c, d2)][d], value))
+                meet_value(c, d2, apply(jump[c][d2][d], value))
         if n in call_sites:
             for is_call, dst, lab, targets, _, _ in steps_from[n]:
                 if is_call:
                     for d3 in targets.get(d, ()):
                         meet_value(dst, d3, apply(lab, value))
 
-    def value_of(n: str, row: dict[int, int]) -> int:
-        """Every jump function of a row of `jump` at `n` applied to its
-        start value, met; phase 2 gave every start fact of a jump function
-        a value."""
-        start = proc_start[n]
-        mid = None
-        for d1, f in row.items():
-            value = apply(f, val[(start, d1)])
-            mid = value if mid is None else meet_map(mid, value)
-        return mid
+    # --- the result: per node, {fact: met map id}, filled when asked ---
+    rows: dict[str, dict[int, int]] = {}
 
-    return IdeResult(jump, value_of, maps, xsg.classes, {
+    def values_at(n: str) -> dict[int, int]:
+        """Each jump function at a head applied to the value phase 2 gave
+        its start fact, then met."""
+        start = proc_start[n]
+        row = rows[n] = {}
+        for d2, fs in jump[n].items():
+            mid = None
+            for d1, f in fs.items():
+                value = val[(start, d1)]
+                if f != ID:
+                    value = apply(f, value)
+                mid = value if mid is None else meet_map(mid, value)
+            row[d2] = mid
+        return row
+
+    def replay(head: str, run: list) -> None:
+        """The rows of a block's run: each edge's label applied, then met."""
+        # not `row_of`: closures calling each other hold the solve in a cycle
+        row = rows[head] if head in rows else values_at(head)
+        for m, lab, table in run:
+            out: dict[int, int] = {}
+            for d, mid in row.items():
+                if lab != ID:
+                    mid = apply(lab, mid)
+                for d3 in table.get(d, ()):
+                    old = out.get(d3)
+                    out[d3] = mid if old is None else meet_map(old, mid)
+            rows[m] = row = out
+
+    def row_of(n: str) -> dict[int, int]:
+        row = rows.get(n)
+        if row is None:
+            if n in blocks:
+                replay(*blocks[n])
+                row = rows[n]
+            else:
+                row = values_at(n) if n in jump else {}
+        return row
+
+    def every_row() -> dict[str, dict[int, int]]:
+        if len(rows) < len(jump) + len(blocks):
+            for n in jump:
+                if n not in rows:
+                    values_at(n)
+            for n, block in blocks.items():
+                if n not in rows:
+                    replay(*block)
+        return rows
+
+    return IdeResult(jump, row_of, every_row, maps, xsg.classes, {
         "phase1_steps": steps,
         "phase2_steps": vsteps,
-        "jump_functions": sum(map(len, jump.values())),
+        "jump_functions": sum(map(len, chain.from_iterable(
+            map(dict.values, jump.values())))),
         "max_label_entries": max_label_entries,
         "compositions": len(compose_memo),
         "meets": len(meet_memo),
@@ -423,8 +522,9 @@ def solve_ifds(xsg: ExplodedSupergraph,
     Each jump function is one path edge (d1, n, d2) of the plain
     tabulation, which steps each path edge once.  The solve steps only
     the path edges between class representatives (see
-    `ExplodedSupergraph`), so `worklist_steps` counts those rather than
-    the path edges of every fact.
+    `ExplodedSupergraph`) at the nodes that keep jump functions, so
+    `worklist_steps` counts those rather than the path edges of every
+    fact at every node.
     """
     if ide is None:
         ide = solve_ide(LabeledExplodedSupergraph.identity(xsg))

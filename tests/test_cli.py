@@ -410,8 +410,10 @@ def test_reports_ask_at_read_sites_only(monkeypatch):
     or a fact set: they ask the solve at read sites only."""
     from evflow.ide import IdeResult
 
-    inputs = [corpus_path("door.evl"),
-              str(Path(__file__).parent / "golden" / "chain_6x12.evl")]
+    golden = Path(__file__).parent / "golden"
+    # half the read nodes of wide_3x100 are interior nodes of blocks
+    inputs = [corpus_path("door.evl"), str(golden / "chain_6x12.evl"),
+              str(golden / "wide_3x100.evl")]
     configs = [RunConfig(inputs=[path], mode=mode, format="json")
                for path in inputs for mode in ("diff", "ide", "ifds")]
     expected = [run(cfg) for cfg in configs]

@@ -1,17 +1,24 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
-from evflow.event_lattice import HState
+from evflow.event_lattice import (
+    HState,
+    HandlerMicroFn,
+    MF_EMIT,
+    MF_REGISTER,
+)
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import ZERO
 from evflow.lang import parse
-from evflow.lang.ast import Print, iter_stmts
+from evflow.lang.ast import If, Print, While, iter_stmts
 from evflow.randgen import GenParams, SMALL, gen_source
-from evflow.supergraph import node_for_sid
-from evflow.transform import analyze_event_aware, transform
+from evflow.supergraph import EdgeKind, node_for_sid
+from evflow.transform import analyze_event_aware, transform, untransform
 
 from conftest import CORPUS_NAMES, load_corpus_entry
 from helpers import (
@@ -242,6 +249,22 @@ def test_lattice_operators_run_once_per_distinct_pair():
     assert second.envs == first.envs
 
 
+def test_a_dropped_solve_is_freed_without_the_cycle_collector():
+    """Nothing a solve builds, its result's rows included, sits in a
+    reference cycle, so dropping the result frees it at once."""
+    labeled = _chain_labeled(6, 12)
+    gc.collect()
+    gc.disable()
+    try:
+        result = solve_ide(labeled)
+        untransform(result).facts
+        assert result.envs and result.reachable
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_stats_do_not_depend_on_string_hashing():
     """Step counts, the fact classes and their representatives are the
     same under any string hashing, on a program whose facts are all
@@ -367,3 +390,133 @@ def test_class_solve_equals_the_per_fact_oracles():
         assert plain.reachable == brute.reachable, i
     assert checked >= 100
     assert merged >= 5
+
+
+# Straight-line shapes that `solve_ide` folds into blocks: a `while` body,
+# an `if` without `else`, runs that end at a call site and at an exit, a
+# block headed by a return site, an empty function, a run through two
+# registrations in order, and a handler whose event is never emitted, so
+# that the filter drops every fact in its blocks.
+BLOCK_SOURCES = ("""var g;
+var x;
+var y;
+fn empty() { }
+fn f() { y = x; g = y; print(g); }
+f();
+var i = 0;
+while (i < 2) { print(y); i = i + 1; y = i; }
+if (i < 3) { print(g); g = 2; }
+empty();
+print(g);
+x = 3;
+f();
+""", """var x;
+var z;
+fn h() { print(x); z = x; }
+fn k() { print(z); z = x; print(z); }
+register("e", h);
+register("f", k);
+x = 1;
+emit("e");
+print(z);
+""")
+
+
+def _interior(g):
+    """The nodes whose only in-edge is intraprocedural and comes from a
+    node with one out-edge, call sites and exits aside."""
+    into = defaultdict(list)
+    for e in g.edges:
+        into[e.dst].append(e)
+    call_sites = {e.src for e in g.edges if e.kind is EdgeKind.CALL}
+    exits = {end for _, end in g.funcs.values()}
+    return {n for n, es in into.items()
+            if len(es) == 1 and es[0].kind is EdgeKind.INTRA
+            and len(g.out_edges(es[0].src)) == 1
+            and n not in call_sites and n not in exits}
+
+
+def _block_shapes(program, g, labels, interior) -> set[str]:
+    """Which of the shapes of `BLOCK_SOURCES` the blocks of `g` show."""
+    shapes = set()
+    for func in program.functions:
+        for s in iter_stmts(func.body):
+            body = s.then_body if isinstance(s, If) else \
+                s.body if isinstance(s, While) else []
+            inner = {node_for_sid(g, program, b.sid) for b in body[1:]}
+            if inner and inner <= interior:
+                shapes.add(f"{type(s).__name__} body")
+    for m in interior:
+        (e,) = (e for e in g.edges if e.dst == m)
+        if e.src in interior:
+            continue
+        shapes.add(f"headed by {g.nodes[e.src].kind.value}")
+        # walk the run to its end, counting non-identity labels
+        run_labels = [labels[e.eid]]
+        while True:
+            outs = g.out_edges(e.dst)
+            if len(outs) != 1 or outs[0].dst not in interior:
+                break
+            e = outs[0]
+            run_labels.append(labels[e.eid])
+        for out in outs:
+            shapes.add(f"ends at {g.nodes[out.dst].kind.value}")
+            if sum(not f.is_identity() for f in (*run_labels,
+                                                  labels[out.eid])) >= 2:
+                shapes.add("two labels in a block")
+    return shapes
+
+
+def _relabelled(labeled, interior):
+    """`labeled` plus one handler that each block emits as it enters its
+    run and registers as it leaves: the event labelling puts only
+    registrations on straight-line edges, and they commute, so these
+    labels are what shows the order in which a block composes them."""
+    emit, register = (HandlerMicroFn({"relabel": mf})
+                      for mf in (MF_EMIT, MF_REGISTER))
+    labels = dict(labeled.labels)
+    for e in labeled.xsg.graph.edges:
+        if e.kind is EdgeKind.INTRA and (e.src in interior) != \
+                (e.dst in interior):
+            labels[e.eid] = emit if e.dst in interior else register
+    return LabeledExplodedSupergraph(labeled.xsg, labels,
+                                     (*labeled.handlers, "relabel"))
+
+
+def test_blocks_answer_like_the_path_oracles():
+    """At every node of the block shapes, interior nodes included, the
+    maps and both memberships equal the path oracles', under the event
+    labels and under labels that do not commute, and jump functions are
+    filed exactly at the reached nodes that are not interior."""
+    shapes = set()
+    for source in BLOCK_SOURCES:
+        program = parse(source)
+        build, problem, xsg, labeled, _ = ide_for(program)
+        g = xsg.graph
+        interior = _interior(g)
+        shapes |= _block_shapes(program, g, labeled.labels, interior)
+        brute = _brute(xsg)
+        for lx in (labeled, _relabelled(labeled, interior)):
+            result = solve_ide(lx, check_descent=True)
+            oracle = brute_force_ide(g, xsg.rel_of, lx.labels, lx.handlers,
+                                     max_len=60)
+            assert {n for n, rows in result._jump.items() if rows} == \
+                brute.reachable - interior
+            plain, kept = solve_ifds(xsg, result), untransform(result)
+            for node in g.nodes:
+                for d in (ZERO, *problem.domain.indices()):
+                    want = oracle.get(node, {}).get(d)
+                    assert result.map_at(node, d) == want, (node, d)
+                    assert plain.holds(node, d) == (
+                        node in brute.reachable if d == ZERO
+                        else d in brute.facts_at(node)), (node, d)
+                    assert kept.holds(node, d) == (
+                        want is not None and X not in want.values()), \
+                        (node, d)
+                    if node in interior and d and plain.holds(node, d) \
+                            and not kept.holds(node, d):
+                        shapes.add("filtered inside a block")
+    assert shapes == {"While body", "If body", "headed by start",
+                      "headed by ret", "headed by stmt", "ends at call",
+                      "ends at end", "ends at stmt", "two labels in a block",
+                      "filtered inside a block"}, shapes
