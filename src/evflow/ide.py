@@ -2,8 +2,8 @@
 
 Phase 1 tabulates jump functions: for each reachable exploded node
 <n, d2>, the per-handler transformer composed along same-procedure paths
-from <start_p, d1>, met over merging paths.  Procedure summaries carry
-callee transformers back to matching return sites.  Phase 2 pushes
+from <start_p, d1>, met over merging paths.  Summary edges carry callee
+transformers from each call site to its return site.  Phase 2 pushes
 lattice values from the entry environment through procedure starts and
 call sites.  The result (`IdeResult`) evaluates the jump functions at a
 node on those start values only where a client asks for the node.
@@ -165,11 +165,16 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     from the tautological fact at the entry with every handler in S, as
     a result that evaluates them where it is asked.
 
-    Phase 1 returns callee summaries by the call-edge rule of the
-    tabulation algorithm (Reps, Horwitz & Sagiv, POPL 1995): a jump
-    function popped at a call site takes the callee's existing summaries
-    for its own start fact only, and a new or lowered summary goes to
-    every start fact filed at the call sites that reach it.
+    Phase 1 returns callees through summary edges (Reps, Horwitz & Sagiv,
+    POPL 1995; for transformers, Sagiv, Reps & Horwitz, TCS 1996): per
+    (call site, call fact), one transformer per (return site, return
+    fact), the meet of `return label o summary o call label` over the
+    callee's entry and exit facts and over the site's call edges, so all
+    of the event loop's dispatches return through one edge.  A jump
+    function popped at a call site is sent through each edge; an edge
+    that drops is sent every jump function filed at its call site.  A
+    meet on the left distributes over composition, so this equals
+    returning each summary on its own.
 
     Every transformer the solve touches is interned in a table that lives
     as long as the solve: one canonical `HandlerMicroFn` per distinct
@@ -245,19 +250,26 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     interior.difference_update(call_sites, exit_start)
     proc_start = {n: g.start_of(node.func) for n, node in g.nodes.items()
                   if n not in interior}
-    # node -> its non-return out-edges as (is_call, dst, label id,
-    # successor table, return site, callee end)
+    # node -> its intraprocedural and block out-edges as (dst, label id,
+    # successor table)
     steps_from: dict[str, tuple[tuple, ...]] = {}
+    # call site -> its call edges as (callee start, label id, successor
+    # table, return site, (label id, successor table) of the return edge)
+    calls_from: dict[str, list[tuple]] = {}
     # interior node -> its block, (head, [(node, label id and table of
     # its in-edge) for each node of the run])
     blocks: dict[str, tuple[str, list]] = {}
-    # (callee end, return site) -> (label id, successor table) of the
-    # return edge
-    returns: dict[tuple[str, str], tuple[int, dict]] = {}
     for n in proc_start:
         row = []
         for edge in out_edges(n):
             if edge.kind is EdgeKind.RETURN:
+                continue
+            if edge.kind is EdgeKind.CALL:
+                r = edge.ret_site
+                ret = r and g.edge_between(g.end_of(g.proc_of(edge.dst)), r)
+                calls_from.setdefault(n, []).append(
+                    (edge.dst, label[edge.eid], succ[edge.eid], r,
+                     ret and (label[ret.eid], succ[ret.eid])))
                 continue
             if edge.dst in interior:
                 # `n` heads a block: one edge per out-edge of its end
@@ -276,17 +288,10 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                         break
                     m = outs[0].dst
                 for e in outs:
-                    row.append((False, e.dst, compose(label[e.eid], lab),
-                                _RunTable((*tables, succ[e.eid])), None, None))
+                    row.append((e.dst, compose(label[e.eid], lab),
+                                _RunTable((*tables, succ[e.eid]))))
                 continue
-            is_call = edge.kind is EdgeKind.CALL
-            callee_end = g.end_of(g.proc_of(edge.dst)) if is_call else None
-            row.append((is_call, edge.dst, label[edge.eid], succ[edge.eid],
-                        edge.ret_site, callee_end))
-            if is_call and edge.ret_site is not None:
-                ret_edge = g.edge_between(callee_end, edge.ret_site)
-                returns[(callee_end, edge.ret_site)] = (
-                    label[ret_edge.eid], succ[ret_edge.eid])
+            row.append((edge.dst, label[edge.eid], succ[edge.eid]))
         steps_from[n] = tuple(row)
 
     # --- phase 1: jump functions ---
@@ -297,11 +302,14 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     jump: dict[str, dict[int, dict[int, int]]] = {n: {} for n in proc_start}
     # (d1, node, d2, the row of jump that holds the jump function)
     work: deque[tuple[int, str, int, dict[int, int]]] = deque()
-    # (callee start, entry fact) -> {(call node, call fact, return site):
-    # call label id}, for calls that return
-    incoming: dict[tuple[str, int], dict[tuple, int]] = defaultdict(dict)
+    # (callee start, entry fact) -> {(call site, call fact): its call
+    # edge's row of calls_from}, for calls that return
+    incoming: dict[tuple[str, int], dict[tuple, tuple]] = defaultdict(dict)
     # (callee start, entry fact) -> {exit fact: summary transformer}
     summaries: dict[tuple[str, int], dict[int, int]] = defaultdict(dict)
+    # (call site, call fact) -> {(return site, return fact): the meet of
+    # `return label o summary o call label` over its call edges}
+    sedges: dict[tuple[str, int], dict[tuple[str, int], int]] = {}
     # (start fact, call site) -> call facts, in the order their jump
     # functions appeared
     calls_out: dict[tuple[int, str], list[int]] = defaultdict(list)
@@ -332,16 +340,14 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             max_label_entries = size[new]
         work.append((d1, n, d2, row))
 
-    def apply_return(end: str, ret_site: str, d_exit: int, f_summary: int,
-                     call_label: int,
-                     callers: tuple[tuple[int, int], ...]) -> None:
-        """Return `f_summary` to `ret_site` as `through o f` for each
-        caller start fact and jump function `(d3, f)` in `callers`."""
-        ret_label, ret_succ = returns[(end, ret_site)]
-        through = compose(ret_label, compose(f_summary, call_label))
-        for d5 in ret_succ.get(d_exit, ()):
-            for d3, f_caller in callers:
-                propagate(d3, ret_site, d5, compose(through, f_caller))
+    def add_edge(edges: dict[tuple, int], key: tuple, t: int) -> int | None:
+        """Meet `t` into edge `key`: its new value if it dropped, or None."""
+        old = edges.get(key)
+        new = t if old is None else meet(old, t)
+        if new == old:
+            return None
+        edges[key] = new
+        return new
 
     propagate(ZERO, entry, ZERO, ID)
     while work:
@@ -356,28 +362,47 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             merged = f if old is None else meet(old, f)
             if merged != old:
                 exits[d2] = merged
-                for (caller, d_call, ret_site), call_label in \
-                        incoming[skey].items():
-                    # a snapshot: a dispatch returns into the event loop
-                    # it was called from, so these propagations can lower
-                    # the very jump functions listed; a lowered one is
-                    # queued, and its pop returns the summary
-                    apply_return(n, ret_site, d2, merged, call_label,
-                                 tuple(jump[caller][d_call].items()))
-        for is_call, dst, lab, targets, ret_site, callee_end in steps_from[n]:
-            if is_call:
-                for d3 in targets.get(d2, ()):
-                    ckey = (dst, d3)
-                    propagate(d3, dst, d3, ID)
-                    if ret_site is not None:
-                        incoming[ckey][(n, d2, ret_site)] = lab
-                        for d4, f_summary in summaries[ckey].items():
-                            apply_return(callee_end, ret_site, d4, f_summary,
-                                         lab, ((d1, f),))
-            else:
-                f_step = f if lab == ID else compose(lab, f)
-                for d3 in targets.get(d2, ()):
-                    propagate(d1, dst, d3, f_step)
+                for (caller, d_call), call in incoming[skey].items():
+                    _, lab, _, ret_site, (ret_lab, ret_succ) = call
+                    edges = sedges[(caller, d_call)]
+                    through = compose(ret_lab, compose(merged, lab))
+                    callers = None
+                    for d5 in ret_succ.get(d2, ()):
+                        t = add_edge(edges, (ret_site, d5), through)
+                        if t is None:
+                            continue
+                        if callers is None:
+                            # a snapshot: a dispatch returns into the event
+                            # loop it was called from, so these propagations
+                            # can lower the very jump functions listed; a
+                            # lowered one is queued, and its pop sends t
+                            callers = tuple(jump[caller][d_call].items())
+                        for d3, f_caller in callers:
+                            propagate(d3, ret_site, d5, compose(t, f_caller))
+        if n in calls_from:
+            ckey = (n, d2)
+            edges = sedges.get(ckey)
+            if edges is None:
+                # the call fact's first pop: nothing here depends on d1
+                edges = sedges[ckey] = {}
+                for call in calls_from[n]:
+                    callee, lab, targets, ret_site, ret = call
+                    for d3 in targets.get(d2, ()):
+                        propagate(d3, callee, d3, ID)
+                        if ret is None:
+                            continue
+                        incoming[(callee, d3)][ckey] = call
+                        ret_lab, ret_succ = ret
+                        for d4, f_summary in summaries[(callee, d3)].items():
+                            through = compose(ret_lab, compose(f_summary, lab))
+                            for d5 in ret_succ.get(d4, ()):
+                                add_edge(edges, (ret_site, d5), through)
+            for (ret_site, d5), t in edges.items():
+                propagate(d1, ret_site, d5, compose(t, f))
+        for dst, lab, targets in steps_from[n]:
+            f_step = f if lab == ID else compose(lab, f)
+            for d3 in targets.get(d2, ()):
+                propagate(d1, dst, d3, f_step)
 
     # --- the per-solve intern table of handler-state maps ---
     # A solve meets and maps only a handful of distinct maps, so each gets
@@ -442,11 +467,9 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         for c in calls_from_start.get(n, ()):
             for d2 in calls_out.get((d, c), ()):
                 meet_value(c, d2, apply(jump[c][d2][d], value))
-        if n in call_sites:
-            for is_call, dst, lab, targets, _, _ in steps_from[n]:
-                if is_call:
-                    for d3 in targets.get(d, ()):
-                        meet_value(dst, d3, apply(lab, value))
+        for callee, lab, targets, _, _ in calls_from.get(n, ()):
+            for d3 in targets.get(d, ()):
+                meet_value(callee, d3, apply(lab, value))
 
     # --- the result: per node, {fact: met map id}, filled when asked ---
     rows: dict[str, dict[int, int]] = {}
@@ -506,6 +529,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         "jump_functions": sum(map(len, chain.from_iterable(
             map(dict.values, jump.values())))),
         "max_label_entries": max_label_entries,
+        "summary_edges": sum(map(len, sedges.values())),
         "compositions": len(compose_memo),
         "meets": len(meet_memo),
         "distinct_functions": len(fns),

@@ -6,6 +6,8 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 from evflow.event_lattice import (
     HState,
     HandlerMicroFn,
@@ -166,8 +168,9 @@ def test_path_oracle_equivalence_random():
 
 # `p` is entered with start facts p.a (from top-level) and p.b (from h);
 # both reach the call q(c) with call fact p.c.  The top-level call has
-# settled q's summary before h's call arrives, so only the call-edge rule
-# returns that summary to p.b, and with it g to `print(g)` in h.
+# settled q's summary edge before h's call arrives, so only the pop of
+# p.b's jump function there sends that edge to p.b, and with it g to
+# `print(g)` in h.
 CALL_EDGE_SOURCE = """var g = 0;
 var x;
 var y;
@@ -195,6 +198,63 @@ def test_call_edge_returns_a_settled_summary_to_a_later_start_fact():
         s.sid for s in iter_stmts(program.function("h").body)
         if isinstance(s, Print)))
     assert problem.domain.index_of("g") in plain.facts_at(print_g)
+
+
+# Programs whose callee summaries reach a call site in every order the
+# summary-edge rule has to handle:
+# - merge: three handlers return into the one loop edge per (loop, fact);
+#   h1 is emitted from top-level and from h2, so its summary drops after
+#   the loop's edges exist;
+# - recursive: r's summary through the base case returns to the recursive
+#   call before the path through the recursion lowers it;
+# - nested: a called function registers and emits, so the loop's
+#   summaries return into it, and its own into top-level, twice.
+SUMMARY_EDGE_SOURCES = {
+    "merge": """var x;
+var y;
+var z;
+fn h1() { print(x); y = 1; }
+fn h2() { print(y); z = 1; emit("a"); }
+fn h3() { x = 1; print(z); }
+register("a", h1);
+register("b", h2);
+register("c", h3);
+emit("b");
+emit("a");
+emit("c");
+""",
+    "recursive": """var x;
+var g;
+fn h() { print(g); }
+fn r(n) { if (n > 0) { register("e", h); r(n - 1); g = x; } print(x); }
+r(2);
+emit("e");
+x = 1;
+""",
+    "nested": """var x;
+var y;
+fn h() { print(x); y = 1; }
+fn setup() { register("e", h); emit("e"); x = 1; }
+setup();
+print(y);
+setup();
+""",
+}
+
+
+@pytest.mark.parametrize("name", SUMMARY_EDGE_SOURCES)
+def test_summary_edges_answer_like_the_path_oracles(name):
+    program = parse(SUMMARY_EDGE_SOURCES[name])
+    build, problem, xsg, labeled, result = ide_for(program,
+                                                   check_descent=True)
+    oracle = brute_force_ide(xsg.graph, xsg.rel_of, labeled.labels,
+                             build.handlers, max_len=40)
+    assert {n: dict(table) for n, table in oracle.items()} == result.envs
+    plain = solve_ifds(xsg, result)
+    brute = _brute(xsg)
+    assert plain.facts == brute.facts
+    assert plain.reachable == brute.reachable
+    assert result.stats["summary_edges"] > 0
 
 
 def test_jump_functions_descend_and_fixpoint(door, dirstat):
