@@ -329,8 +329,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] not in ("ifds", "ide", "diff", "oracle") \
-            and not argv[0].startswith("-"):
+    # no subcommand means `diff`, whether a file or an option comes first
+    if argv and argv[0] not in ("ifds", "ide", "diff", "oracle",
+                                "-h", "--help"):
         argv.insert(0, "diff")
     try:
         args = _build_parser().parse_args(argv)

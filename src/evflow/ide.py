@@ -4,9 +4,9 @@ Phase 1 tabulates jump functions: for each reachable exploded node
 <n, d2>, the per-handler transformer composed along same-procedure paths
 from <start_p, d1>, met over merging paths.  Summary edges carry callee
 transformers from each call site to its return site.  Phase 2 pushes
-lattice values from the entry environment through procedure starts and
-call sites.  The result (`IdeResult`) evaluates the jump functions at a
-node on those start values only where a client asks for the node.
+the met transformer from <entry, 0> through procedure starts and call
+sites.  The result (`IdeResult`) composes the jump functions at a node
+after those start values only where a client asks for the node.
 
 Straight-line code is solved per basic block.  A node is interior if its
 only in-edge is intraprocedural and comes from a node with one out-edge,
@@ -18,7 +18,9 @@ turn.  No path merges inside a block, so that label is the path function
 (Kildall, POPL 1973), and jump functions live only at heads.  A query at
 an interior node replays its block from the head.
 
-The value lattice is a map from handlers to chain states.  Labels only
+A handler-state map is the all-S entry map under a transformer, built
+only where a client reads one; applying a transformer distributes over
+composition and over the pointwise meet, so that is exact.  Labels only
 decide which facts to filter, never which exploded nodes are reached, so
 the plain IFDS result is a view of any solve over the same exploded
 supergraph; `solve_ifds` is the identity-labelled case.
@@ -46,7 +48,6 @@ from .event_lattice import (
     hmf_compose,
     hmf_leq,
     hmf_meet,
-    hsm_meet,
 )
 from .ifds import ExplodedSupergraph, IfdsResult, ZERO
 from .supergraph import Edge, EdgeKind
@@ -73,33 +74,48 @@ class LabeledExplodedSupergraph:
 class IdeResult:
     """The solution of one solve, evaluated where a client asks for it.
 
-    `map_at(node, fact)` is the handler-state map of `fact` at `node`: at
-    a head, each jump function there applied to the value at its start
-    fact, then met (Sagiv, Reps & Horwitz, TCS 1996); at an interior node,
-    the head's maps replayed through the block's edges, which keeps the
-    rows of the whole block.  A node's row, {representative: map id}, is
-    evaluated once, and `holds`, `fact_sets`, `reachable` and `envs` read
-    the same rows.  Equal maps are one interned dict, so a caller must
-    copy a map before changing it.
+    A node's row, {representative: transformer id}, holds per fact the
+    met transformer from <entry, 0>: at a head, each jump function there
+    composed after the value phase 2 gave its start fact, then met
+    (Sagiv, Reps & Horwitz, TCS 1996); at an interior node, the head's
+    row replayed through the block's edges, which keeps the rows of the
+    whole block.  A row is evaluated once, and `holds`, `fact_sets`,
+    `reachable` and `envs` read the same rows.  `map_at(node, fact)`
+    applies the fact's transformer to the entry map, every handler in S;
+    a map is built once per distinct transformer, and equal maps are one
+    interned dict, so a caller must copy a map before changing it.
     """
 
-    def __init__(self, jump: dict[str, dict[int, dict[int, int]]], row_of,
-                 every_row, maps: list[dict[str, HState]],
-                 classes: dict[int, tuple[int, ...]], stats: dict):
+    def __init__(self, jump: dict[str, dict[int, dict[int, int]]],
+                 blocks: dict[str, tuple], row_of,
+                 fns: list[HandlerMicroFn], lxsg: LabeledExplodedSupergraph,
+                 stats: dict):
         self._jump = jump           # node -> fact -> {start fact: fn id}
+        self._blocks = blocks       # interior node -> its block
         self._row = row_of          # node -> its row; {} if unreached
-        self._every_row = every_row  # () -> {node: row}
-        self._maps = maps
-        self._members = {ZERO: (ZERO,), **classes}
+        self._fns = fns
+        self._entry = all_s(lxsg.handlers)
+        self._by_fn: dict[int, dict[str, HState]] = {}      # fn id -> map
+        self._maps: dict[tuple, dict[str, HState]] = {}     # items -> map
+        self._members = {ZERO: (ZERO,), **lxsg.xsg.classes}
         self._rep_of = {d: rep for rep, ds in self._members.items()
                         for d in ds}
         self.stats = stats
 
+    def _map_of(self, fid: int) -> dict[str, HState]:
+        """The entry map under transformer `fid`, as its canonical dict."""
+        hsm = self._by_fn.get(fid)
+        if hsm is None:
+            hsm = hmf_apply(self._fns[fid], self._entry)
+            hsm = self._by_fn[fid] = self._maps.setdefault(
+                tuple(hsm.items()), hsm)
+        return hsm
+
     def map_at(self, node: str, fact: int) -> dict[str, HState] | None:
         """The met map of `fact` at `node`, or None if either is
         unreached."""
-        mid = self._row(node).get(self._rep_of.get(fact))
-        return None if mid is None else self._maps[mid]
+        fid = self._row(node).get(self._rep_of.get(fact))
+        return None if fid is None else self._map_of(fid)
 
     def holds(self, node: str, fact: int, keep=None) -> bool:
         """Whether `fact` reaches `node` and, given `keep`, whether
@@ -110,26 +126,36 @@ class IdeResult:
         hsm = self.map_at(node, fact)
         return hsm is not None and keep(hsm)
 
+    @cached_property
+    def _rows(self) -> dict[str, dict[int, int]]:
+        """Every node's row, unreached nodes' empty."""
+        row_of = self._row
+        return {n: row_of(n) for n in chain(self._jump, self._blocks)}
+
     def fact_sets(self, keep=None) -> dict[str, frozenset[int]]:
         """Per reached node, the non-zero facts for which `holds`; nodes
         without one have no entry."""
-        rows = self._every_row()
-        ok = [keep is None or keep(hsm) for hsm in self._maps]
+        ok: dict[int, bool] = {}
         members = self._members
         sets: dict[str, frozenset[int]] = {}
-        for node, row in rows.items():
+        for node, row in self._rows.items():
             facts: list[int] = []
-            for rep, mid in row.items():
-                if rep and ok[mid]:     # not the tautological fact, 0
-                    facts.extend(members[rep])
+            for rep, fid in row.items():
+                if not rep:     # the tautological fact, 0
+                    continue
+                if keep is not None:
+                    if fid not in ok:
+                        ok[fid] = keep(self._map_of(fid))
+                    if not ok[fid]:
+                        continue
+                facts.extend(members[rep])
             if facts:
                 sets[node] = frozenset(facts)
         return sets
 
     @cached_property
     def reachable(self) -> frozenset[str]:
-        return frozenset(node for node, row in self._every_row().items()
-                         if row)
+        return frozenset(node for node, row in self._rows.items() if row)
 
     @cached_property
     def envs(self) -> dict[str, dict[int, dict[str, HState]]]:
@@ -137,10 +163,10 @@ class IdeResult:
         with the tautological fact's row under index 0.  Built on first
         access; every member of a class shares its representative's map
         object."""
-        maps, members = self._maps, self._members
-        return {node: {d: maps[mid] for rep, mid in row.items()
+        map_of, members = self._map_of, self._members
+        return {node: {d: map_of(fid) for rep, fid in row.items()
                        for d in members[rep]}
-                for node, row in self._every_row().items() if row}
+                for node, row in self._rows.items() if row}
 
 
 class _RunTable(tuple):
@@ -183,8 +209,9 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     run once per distinct pair of ids.  The supergraph is compiled into
     per-node tables first, so the worklist loops make no graph calls, and
     each block's run into edges from its head (see the module docstring).
-    Phase 2 and the result's queries intern handler-state maps the same
-    way, and every map they return is the canonical dict of its map.
+    Phase 2, the rows and the block replay carry ids from the same table
+    through the same memos, and the result builds a map per distinct id
+    it reads.
     """
     xsg = lxsg.xsg
     g = xsg.graph
@@ -404,43 +431,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             for d3 in targets.get(d2, ()):
                 propagate(d1, dst, d3, f_step)
 
-    # --- the per-solve intern table of handler-state maps ---
-    # A solve meets and maps only a handful of distinct maps, so each gets
-    # one canonical dict and a dense int id, and `hmf_apply` and
-    # `hsm_meet` run once per distinct pair of ids.
-    maps: list[dict[str, HState]] = []      # id -> canonical map
-    map_ids: dict[tuple, int] = {}          # item tuple -> id
-    apply_memo: dict[tuple[int, int], int] = {}
-    map_meet_memo: dict[tuple[int, int], int] = {}
-
-    def intern_map(m: dict[str, HState]) -> int:
-        key = tuple(m.items())
-        mid = map_ids.get(key)
-        if mid is None:
-            mid = map_ids[key] = len(maps)
-            maps.append(m)
-        return mid
-
-    def apply(f: int, mid: int) -> int:
-        if f == ID:
-            return mid
-        key = (f, mid)
-        out = apply_memo.get(key)
-        if out is None:
-            out = apply_memo[key] = intern_map(hmf_apply(fns[f], maps[mid]))
-        return out
-
-    def meet_map(a: int, b: int) -> int:
-        if a == b:
-            return a
-        key = (a, b) if a < b else (b, a)
-        out = map_meet_memo.get(key)
-        if out is None:
-            out = map_meet_memo[key] = intern_map(
-                hsm_meet(maps[key[0]], maps[key[1]]))
-        return out
-
     # --- phase 2: values at procedure starts and call sites ---
+    # (start or call site, fact) -> the met fn id from <entry, 0>
     val: dict[tuple[str, int], int] = {}
     vwork: deque[tuple[str, int]] = deque()
     vsteps = 0
@@ -449,7 +441,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         key = (n, d)
         old = val.get(key)
         if old is not None:
-            value = meet_map(old, value)
+            value = meet(old, value)
             if value == old:
                 return
         val[key] = value
@@ -459,48 +451,49 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     for n in call_sites:
         calls_from_start[proc_start[n]].append(n)
 
-    meet_value(entry, ZERO, intern_map(all_s(lxsg.handlers)))
+    meet_value(entry, ZERO, ID)
     while vwork:
         n, d = key = vwork.popleft()
         vsteps += 1
         value = val[key]
         for c in calls_from_start.get(n, ()):
             for d2 in calls_out.get((d, c), ()):
-                meet_value(c, d2, apply(jump[c][d2][d], value))
+                meet_value(c, d2, compose(jump[c][d2][d], value))
         for callee, lab, targets, _, _ in calls_from.get(n, ()):
             for d3 in targets.get(d, ()):
-                meet_value(callee, d3, apply(lab, value))
+                meet_value(callee, d3, compose(lab, value))
 
-    # --- the result: per node, {fact: met map id}, filled when asked ---
+    # --- the result: per node, {fact: met fn id}, filled when asked ---
     rows: dict[str, dict[int, int]] = {}
 
     def values_at(n: str) -> dict[int, int]:
-        """Each jump function at a head applied to the value phase 2 gave
-        its start fact, then met."""
+        """Each jump function at a head composed after the value phase 2
+        gave its start fact, then met."""
         start = proc_start[n]
         row = rows[n] = {}
         for d2, fs in jump[n].items():
-            mid = None
+            met = None
             for d1, f in fs.items():
-                value = val[(start, d1)]
+                t = val[(start, d1)]
                 if f != ID:
-                    value = apply(f, value)
-                mid = value if mid is None else meet_map(mid, value)
-            row[d2] = mid
+                    t = compose(f, t)
+                met = t if met is None else meet(met, t)
+            row[d2] = met
         return row
 
     def replay(head: str, run: list) -> None:
-        """The rows of a block's run: each edge's label applied, then met."""
+        """The rows of a block's run: each edge's label composed, then
+        met."""
         # not `row_of`: closures calling each other hold the solve in a cycle
         row = rows[head] if head in rows else values_at(head)
         for m, lab, table in run:
             out: dict[int, int] = {}
-            for d, mid in row.items():
+            for d, t in row.items():
                 if lab != ID:
-                    mid = apply(lab, mid)
+                    t = compose(lab, t)
                 for d3 in table.get(d, ()):
                     old = out.get(d3)
-                    out[d3] = mid if old is None else meet_map(old, mid)
+                    out[d3] = t if old is None else meet(old, t)
             rows[m] = row = out
 
     def row_of(n: str) -> dict[int, int]:
@@ -513,17 +506,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                 row = values_at(n) if n in jump else {}
         return row
 
-    def every_row() -> dict[str, dict[int, int]]:
-        if len(rows) < len(jump) + len(blocks):
-            for n in jump:
-                if n not in rows:
-                    values_at(n)
-            for n, block in blocks.items():
-                if n not in rows:
-                    replay(*block)
-        return rows
-
-    return IdeResult(jump, row_of, every_row, maps, xsg.classes, {
+    return IdeResult(jump, blocks, row_of, fns, lxsg, {
         "phase1_steps": steps,
         "phase2_steps": vsteps,
         "jump_functions": sum(map(len, chain.from_iterable(

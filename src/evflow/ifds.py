@@ -98,7 +98,9 @@ class ExplodedSupergraph:
     every distinct relation object form one class.  Swapping two facts
     of a class leaves every relation unchanged, so they have the same
     solution everywhere (symmetry reduction, as in Ip & Dill, FMSD
-    1996).  The representative of a class is its lowest fact.
+    1996).  The representative of a class is its lowest fact, and the
+    solver reads `rep_succ`, the successor tables over 0 and the
+    representatives.
     """
 
     def __init__(self, graph: Supergraph, domain: FactDomain,
@@ -143,31 +145,20 @@ class ExplodedSupergraph:
         self.classes: dict[int, tuple[int, ...]] = {
             rep: tuple(ds) for rep, ds in members.items()}
 
-        self._diffs = diffs
-        # `rep_succ`, the tables the solver reads, range over
-        # representatives only; they are `succ` itself when no two facts
-        # share a class, and otherwise `succ` is built on first access.
-        self.rep_succ = self._tables((ZERO, *self.classes))
-        if len(self.classes) == len(domain):
-            self.succ = self.rep_succ
-
-    @cached_property
-    def succ(self) -> dict[int, dict[int, tuple[int, ...]]]:
-        return self._tables((ZERO, *self.domain.indices()))
-
-    def _tables(self, facts) -> dict[int, dict[int, tuple[int, ...]]]:
-        """Edge id -> {source fact: ascending successor facts} over the
-        ascending `facts`, one table per distinct relation object.  Each
-        table is the identity's table patched where the relation differs
-        from the identity, so building it costs the pairs that differ, not
-        the domain size.  A pair from a non-zero fact joins two facts of
-        classes of their own, so over representatives a table leaves out
-        only the `(d, d)` pairs and the gens of other members."""
-        base = {d: (d,) for d in facts}
+        # The tables the solver reads: edge id -> {source fact: ascending
+        # successor facts} over 0 and the representatives, one table per
+        # distinct relation object.  Each table is the identity's table
+        # patched where the relation differs from the identity, so
+        # building it costs the pairs that differ, not the domain size.  A
+        # pair from a non-zero fact joins two facts of classes of their
+        # own, so a table leaves out only the `(d, d)` pairs and the gens
+        # of other members.
+        base = {d: (d,) for d in (ZERO, *self.classes)}
         tables = {key: _patched_table(base, [d for d in dropped if d in base],
                                       [p for p in added if p[1] in base])
-                  for key, (dropped, added) in self._diffs.items()}
-        return {eid: tables[id(rel)] for eid, rel in self.rel_of.items()}
+                  for key, (dropped, added) in diffs.items()}
+        self.rep_succ: dict[int, dict[int, tuple[int, ...]]] = {
+            eid: tables[id(rel)] for eid, rel in rel_of.items()}
 
     def iter_exploded_edges(self):
         for edge in self.graph.edges:

@@ -321,10 +321,9 @@ _DOT_STYLES = {
 
 
 def supergraph_dot(graph: Supergraph,
-                   ops: dict[int, tuple[EventOp, ...]] | None = None,
-                   highlight: frozenset[int] | set[int] = frozenset()) -> str:
+                   ops: dict[int, tuple[EventOp, ...]]) -> str:
     """Render the supergraph in DOT: one cluster per function, dashed
-    interprocedural edges, optional bold highlight for a chosen path."""
+    interprocedural edges, each edge labelled with its event operations."""
     lines = ["digraph supergraph {", '  node [shape=box fontsize=10];']
     funcs: dict[str, list[Node]] = {}
     for node in graph.nodes.values():
@@ -341,16 +340,11 @@ def supergraph_dot(graph: Supergraph,
             lines.append(f'    "{node.id}" [label="{_dot_escape(label)}"];')
         lines.append("  }")
     for edge in graph.edges:
-        styles = [s for s in (_DOT_STYLES[edge.kind],) if s]
-        attrs = []
-        if ops and edge.eid in ops:
+        style = _DOT_STYLES[edge.kind]
+        attrs = [f'style="{style}"'] if style else []
+        if edge.eid in ops:
             text = ", ".join(f"{op.kind} {op.handler}" for op in ops[edge.eid])
             attrs.append(f'label="{_dot_escape(text)}"')
-        if edge.eid in highlight:
-            styles.append("bold")
-            attrs.append("penwidth=2")
-        if styles:
-            attrs.insert(0, f'style="{",".join(styles)}"')
         attr_text = f' [{" ".join(attrs)}]' if attrs else ""
         lines.append(f'  "{edge.src}" -> "{edge.dst}"{attr_text};')
     lines.append("}")

@@ -138,6 +138,15 @@ def test_main_default_mode_is_diff(capsys, monkeypatch):
     assert "\x1b[" not in out
 
 
+def test_main_default_mode_takes_an_option_first(capsys):
+    status = main(["--format", "json", corpus_path("door.evl")])
+    doc = json.loads(capsys.readouterr().out)
+    assert status == EXIT_CLEAN
+    assert doc["mode"] == "diff"
+    assert main(["--help"]) == 0
+    assert "{ifds,ide,diff,oracle}" in capsys.readouterr().out
+
+
 def test_main_text_mentions_blocking_handler(capsys, monkeypatch):
     monkeypatch.setenv("EVFLOW_NO_COLOR", "1")
     main(["diff", corpus_path("door.evl")])

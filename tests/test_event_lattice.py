@@ -183,6 +183,15 @@ def test_hmf_apply_commutes_with_compose(f, g):
     assert hmf_apply(hmf_compose(g, f), m) == hmf_apply(g, hmf_apply(f, m))
 
 
+@given(hmfs(), hmfs(),
+       st.fixed_dictionaries({h: st.sampled_from(STATES) for h in "abcde"}))
+def test_hmf_apply_distributes_over_meet(f, g, m):
+    """Applying the meet of two transformers is the meet of applying
+    each, so a solve may meet transformers and apply the result once."""
+    assert hmf_apply(hmf_meet(f, g), m) == \
+        hsm_meet(hmf_apply(f, m), hmf_apply(g, m))
+
+
 def test_hsm_meet_pointwise():
     a = {"h1": HState.X, "h2": HState.E}
     b = {"h1": HState.R, "h2": HState.S}

@@ -580,3 +580,49 @@ def test_blocks_answer_like_the_path_oracles():
                       "headed by ret", "headed by stmt", "ends at call",
                       "ends at end", "ends at stmt", "two labels in a block",
                       "filtered inside a block"}, shapes
+
+
+# f is called after `register` on one branch and after `emit; register`
+# in g on the other: two transformers that differ where h is registered
+# but agree on the entry map, so f's start value drops in phase 2 while
+# its map stays {h: R}.  g's emit enters the loop after the end of
+# top-level has, with a map no lower, so nothing else drops.
+TRANSFORMER_DROP_SOURCE = """var x;
+var c = 1;
+fn h() { print(x); }
+fn f() { print(x); }
+fn g() { emit("e"); register("e", h); f(); }
+if (c > 0) {
+  register("e", h);
+  f();
+} else {
+  g();
+}
+x = 1;
+"""
+
+
+def test_a_start_value_drops_where_its_map_stays():
+    """Phase 2 meets transformers, not maps: a value may drop below one
+    with the same map, and the maps read at every node and fact are
+    still the meet over valid paths."""
+    program = parse(TRANSFORMER_DROP_SOURCE)
+    build, problem, xsg, labeled, result = ide_for(program,
+                                                   check_descent=True)
+    g = xsg.graph
+    facts = (ZERO, *problem.domain.indices())
+    assert len(xsg.classes) == len(problem.domain)
+    # phase 2 keeps one value per (start or call site, fact) and steps
+    # each once, and once more each time it drops
+    calls = [e for e in g.edges if e.kind is EdgeKind.CALL]
+    keyed = {g.entry(), *(e.src for e in calls), *(e.dst for e in calls)}
+    values = sum(len(result.envs.get(n, ())) for n in keyed)
+    assert result.stats["phase2_steps"] > values
+    x = problem.domain.index_of("x")
+    assert result.envs[g.start_of("f")] == {ZERO: {"h": R}, x: {"h": R}}
+    oracle = brute_force_ide(g, xsg.rel_of, labeled.labels, build.handlers,
+                             max_len=40)
+    for node in g.nodes:
+        for d in facts:
+            assert result.map_at(node, d) == oracle.get(node, {}).get(d), \
+                (node, d)

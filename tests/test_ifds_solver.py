@@ -24,7 +24,6 @@ from evflow.uninit import report_uses
 from helpers import (
     PathBudgetExceededError,
     apply_rel,
-    chain_source,
     mvp_bruteforce,
     pipeline,
 )
@@ -171,7 +170,7 @@ def test_tabulation_subset_of_plain_reachability(door, dirstat):
         while work:
             n, d = work.pop()
             for e in g.out_edges(n):
-                for d2 in xsg.succ[e.eid].get(d, ()):
+                for d2 in (t for s, t in xsg.rel_of[e.eid] if s == d):
                     if (e.dst, d2) not in seen:
                         seen.add((e.dst, d2))
                         work.append((e.dst, d2))
@@ -312,9 +311,10 @@ def _grouped(rel):
 
 
 def test_successor_tables_far_from_the_identity():
-    """Each successor table, patched from the identity's, is the grouping
-    of the sorted relation by source, keys in ascending order; edges that
-    share a relation object share its table."""
+    """With every fact a class of its own, each successor table, patched
+    from the identity's, is the grouping of the sorted relation by
+    source, keys in ascending order; edges that share a relation object
+    share its table."""
     g = _manual_two_node_graph()
     domain = FactDomain(["a", "b", "c", "d"])
     ident = identity_rel(domain)
@@ -327,16 +327,17 @@ def test_successor_tables_far_from_the_identity():
     assert len(rels) == len(g.edges)
     rel_of = {e.eid: rel for e, rel in zip(g.edges, rels)}
     xsg = ExplodedSupergraph(g, domain, rel_of)
+    assert len(xsg.classes) == len(domain)
     for eid, rel in rel_of.items():
-        assert list(xsg.succ[eid].items()) == _grouped(rel), rel
-    assert xsg.succ[g.edges[1].eid] is xsg.succ[g.edges[6].eid]
+        assert list(xsg.rep_succ[eid].items()) == _grouped(rel), rel
+    assert xsg.rep_succ[g.edges[1].eid] is xsg.rep_succ[g.edges[6].eid]
 
     empty = FactDomain([])
     rels = [frozenset({(ZERO, ZERO)}), frozenset()] * 4
     rel_of = {e.eid: rel for e, rel in zip(g.edges, rels)}
     xsg = ExplodedSupergraph(g, empty, rel_of)
     for eid, rel in rel_of.items():
-        assert list(xsg.succ[eid].items()) == _grouped(rel), rel
+        assert list(xsg.rep_succ[eid].items()) == _grouped(rel), rel
 
 
 def test_classes_are_read_off_the_relations_alone():
@@ -356,10 +357,10 @@ def test_classes_are_read_off_the_relations_alone():
     rel_of[g.edges[6].eid] = ident | {(e, f)}
     xsg = ExplodedSupergraph(g, domain, rel_of)
     assert xsg.classes == {a: (a,), b: (b,), c: (c, d), e: (e,), f: (f,)}
-    for eid, table in xsg.succ.items():
+    for eid, rel in rel_of.items():
         assert xsg.rep_succ[eid] == {
             s: tuple(t for t in ts if t != d)
-            for s, ts in table.items() if s != d}
+            for s, ts in _grouped(rel) if s != d}
     result = solve_ifds(xsg)
     brute = mvp_bruteforce(g, rel_of, "start:main", max_len=20)
     assert result.facts == brute.facts
@@ -390,7 +391,6 @@ def test_facts_share_a_class_only_where_every_relation_agrees():
     a, b, c = (domain.index_of(v) for v in "abc")
     assert xsg.classes == {a: (a,), b: (b, c)}
     assert analysis.ide.stats["fact_classes"] == 2
-    assert xsg.rep_succ is not xsg.succ
     assert all(c not in table and all(c not in ds for ds in table.values())
                for table in xsg.rep_succ.values())
     shared = 0
@@ -402,21 +402,3 @@ def test_facts_share_a_class_only_where_every_relation_agrees():
     assert shared > 0
     diags = report_uses(analysis.problem, analysis.ifds)
     assert {(d.var, d.line) for d in diags} == {("b", 1), ("c", 1)}
-
-
-def test_per_fact_tables_are_built_when_read_where_classes_merge():
-    """Where classes merge, the analysis reads only the representative
-    tables; the per-fact tables are built on first access, once."""
-    xsg = analyze_event_aware(parse(SYMMETRY_SOURCE)).xsg
-    assert "succ" not in vars(xsg)
-    for eid, rel in xsg.rel_of.items():
-        assert list(xsg.succ[eid].items()) == _grouped(rel)
-    assert xsg.succ is xsg.succ
-
-
-def test_singleton_classes_solve_over_the_per_fact_tables():
-    """Where no two facts are interchangeable, the tables the solve reads
-    are the per-fact successor tables themselves."""
-    _, problem, xsg = pipeline(parse(chain_source(6, 12, 4)))
-    assert len(xsg.classes) == len(problem.domain)
-    assert xsg.rep_succ is xsg.succ

@@ -251,12 +251,9 @@ def test_node_for_sid_maps_calls_to_call_sites(door):
 def test_dot_export(door):
     program, _ = door
     result = build_supergraph(program)
-    some_dispatch = next(iter(dispatch_edges(result.graph).values())).eid
-    dot = supergraph_dot(result.graph, result.ops,
-                         highlight={some_dispatch})
+    dot = supergraph_dot(result.graph, result.ops)
     assert dot.startswith("digraph supergraph {")
     assert 'style="dashed"' in dot
-    assert "bold" in dot and "penwidth=2" in dot
     assert "invoke hdlOpen" in dot or "invoke hdlClose" in dot
     assert "cluster" in dot
 

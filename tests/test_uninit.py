@@ -197,24 +197,30 @@ def test_interpreter_agreement_with_branches_is_superset():
 
 
 def test_relations_are_canonical_and_successor_tables_match_them():
-    """Flow relations are built canonical, and each successor table,
-    however it is built or shared, is the grouping of the sorted
-    relation by source fact."""
-    checked = 0
+    """Flow relations are built canonical, and each successor table the
+    solver reads, however it is built or shared, is the grouping by
+    source fact of the sorted relation pairs whose two ends are 0 or
+    representatives; where every fact is a class of its own, that is
+    the whole relation."""
+    checked = singletons = 0
     for tag, program in sample_programs():
         _, problem, xsg = pipeline(program)
+        reps = {ZERO, *xsg.classes}
+        singletons += len(reps) == len(problem.domain) + 1
         for e in xsg.graph.edges:
             rel = problem.flow_for(e)
             assert canon_rel_def(rel) == rel, (tag, e)
             table: dict[int, list[int]] = {}
             for d1, d2 in sorted(xsg.rel_of[e.eid]):
-                table.setdefault(d1, []).append(d2)
+                if d1 in reps and d2 in reps:
+                    table.setdefault(d1, []).append(d2)
             expected = {d1: tuple(ds) for d1, ds in table.items()}
-            succ = xsg.succ[e.eid]
+            succ = xsg.rep_succ[e.eid]
             assert succ == expected, (tag, e)
             assert list(succ) == sorted(succ), (tag, e)
         checked += 1
     assert checked == len(CORPUS_NAMES) + 3 + 200
+    assert 0 < singletons < checked
 
 
 def _definitional_rel(problem, edge):
