@@ -216,7 +216,7 @@ def check_program(source: str, model: EventModel, schedules: int,
                           "the handler set")
 
     for trace in explore_schedules(program, model, max_decisions=schedules):
-        if check_trace_ordering(program, trace, model):
+        if check_trace_ordering(program, trace):
             violations.append("interpreter: trace breaks the "
                               "registration/emission ordering invariant")
         for read in trace.uninit_reads():

@@ -189,8 +189,3 @@ def hmf_apply(f: HandlerMicroFn, m: dict[str, HState]) -> dict[str, HState]:
 def all_s(handlers) -> dict[str, HState]:
     """The initial handler-state map: every handler still in S."""
     return {h: HState.S for h in handlers}
-
-
-def hsm_meet(a: dict[str, HState], b: dict[str, HState]) -> dict[str, HState]:
-    """Pointwise meet of two handler-state maps over the same handlers."""
-    return {h: hstate_meet(s, b[h]) for h, s in a.items()}

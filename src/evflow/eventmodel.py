@@ -6,9 +6,10 @@ emission is implicit, callback-style) and which callees emit events.
 The EVL primitives are pre-seeded: the parser turns them into calls
 that these specs classify like those of any callee.  The parser's
 validation classifies every call once and records the result in the
-program, which the analysis reads; the interpreter and its trace check
-classify calls on their own.  A JSON config extends the model for
-library-style functions that have no EVL body.
+program, which the analysis and the interpreter's trace check read;
+the interpreter classifies calls on its own as it runs them.  A JSON
+config extends the model for library-style functions that have no EVL
+body.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ from .interp import (
     Choices,
     EvlRuntimeError,
     ExecutionTrace,
-    Fifo,
     HandlerInvoked,
     Output,
     StmtExec,

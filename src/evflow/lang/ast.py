@@ -67,7 +67,10 @@ def expr_vars(e: Expr) -> tuple[str, ...]:
 
 # --- statements ------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Stmt:
+    """The header of every statement: program-wide id, line and file."""
+
     sid: int
     line: int
     file: str
@@ -75,27 +78,18 @@ class Stmt:
 
 @dataclass(frozen=True)
 class VarDecl(Stmt):
-    sid: int
-    line: int
-    file: str
     name: str
     init: Expr | None
 
 
 @dataclass(frozen=True)
 class Assign(Stmt):
-    sid: int
-    line: int
-    file: str
     name: str
     value: Expr
 
 
 @dataclass(frozen=True)
 class If(Stmt):
-    sid: int
-    line: int
-    file: str
     cond: Expr
     then_body: tuple[Stmt, ...]
     else_body: tuple[Stmt, ...]
@@ -103,9 +97,6 @@ class If(Stmt):
 
 @dataclass(frozen=True)
 class While(Stmt):
-    sid: int
-    line: int
-    file: str
     cond: Expr
     body: tuple[Stmt, ...]
 
@@ -116,26 +107,18 @@ class Call(Stmt):
     classifies, the primitives `register`, `emit` and `register_async`
     among them."""
 
-    sid: int
-    line: int
-    file: str
     callee: str
     args: tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
 class Print(Stmt):
-    sid: int
-    line: int
-    file: str
     value: Expr
 
 
 @dataclass(frozen=True)
 class Return(Stmt):
-    sid: int
-    line: int
-    file: str
+    pass
 
 
 @dataclass(frozen=True)
@@ -219,6 +202,9 @@ class Scopes:
     def qualify(self, func: str, name: str) -> str:
         return self._res[(func, name)]
 
+    def resolves(self, func: str, name: str) -> bool:
+        return (func, name) in self._res
+
     def all_facts(self) -> tuple[str, ...]:
         out = list(self.globals)
         for f in sorted(self.locals_by_func):
@@ -263,7 +249,9 @@ def resolve_scopes(program: Program) -> Scopes:
 
 # --- pretty printer --------------------------------------------------------
 
-_PREC = {
+# Binding strength of each binary operator, loosest first; the parser
+# reads it too.  Every level is left-associative.
+PRECEDENCE = {
     "||": 1, "&&": 2,
     "==": 3, "!=": 3,
     "<": 4, "<=": 4, ">": 4, ">=": 4,
@@ -288,7 +276,7 @@ def _expr(e: Expr, parent_prec: int = 0) -> str:
         s = f"{e.op}{_expr(e.operand, _UNARY_PREC)}"
         return f"({s})" if parent_prec > _UNARY_PREC else s
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
+        prec = PRECEDENCE[e.op]
         s = f"{_expr(e.left, prec)} {e.op} {_expr(e.right, prec + 1)}"
         return f"({s})" if parent_prec > prec else s
     raise TypeError(f"unknown expression node {e!r}")

@@ -76,11 +76,6 @@ class ExecutionTrace:
 
 
 @dataclass(frozen=True)
-class Fifo:
-    pass
-
-
-@dataclass(frozen=True)
 class Choices:
     """Dispatch decisions by index into the ready queue; 0 past the end."""
 
@@ -120,7 +115,7 @@ class _Interp:
         self.scopes = program.scopes
         self.model = model
         self.step_limit = step_limit
-        self.choices = schedule.indices if isinstance(schedule, Choices) else ()
+        self.choices = schedule.indices
         self.trace = ExecutionTrace()
         self.genv = {g: _UNSET for g in self.scopes.globals}
         self.registered: dict[str, str] = {}  # handler -> event, first wins
@@ -345,7 +340,7 @@ class _Interp:
         return self.trace
 
 
-def interpret(program: Program, schedule=Fifo(), step_limit: int = 10_000,
+def interpret(program: Program, schedule=Choices(), step_limit: int = 10_000,
               model: EventModel | None = None) -> ExecutionTrace:
     """Run a program under the given dispatch schedule, collecting a trace."""
     if step_limit <= 0:
@@ -378,24 +373,22 @@ def explore_schedules(program: Program, model: EventModel | None = None,
     return results
 
 
-def check_trace_ordering(program: Program, trace: ExecutionTrace,
-                         model: EventModel | None = None) -> list[str]:
+def check_trace_ordering(program: Program, trace: ExecutionTrace) -> list[str]:
     """Structural check: every handler invocation in a trace was preceded
-    by its registration and a subsequent emission (explicit or implicit).
-    Returns human-readable violations; an empty list means the trace is
+    by its registration and a subsequent emission (explicit or implicit),
+    reading each executed call's event operation from `program.events`,
+    the parser's classification that the analysis reads.  Returns
+    human-readable violations; an empty list means the trace is
     consistent."""
-    model = model or EventModel.default()
     registered: dict[str, str] = {}
     state: dict[str, str] = {}  # handler -> "R" | "E"
     violations: list[str] = []
     for ev in trace.events:
         if isinstance(ev, StmtExec):
-            s = program.stmt(ev.sid)
-            if not isinstance(s, Call) or program.has_function(s.callee):
+            entry = program.events.get(ev.sid)
+            if entry is None:
                 continue
-            op = model.event_op(s)
-            if op is None:
-                continue
+            op = entry[0]
             if op[0] == "reg" and op[2] not in registered:
                 registered[op[2]] = op[1]
                 state[op[2]] = "E" if op[3] else "R"

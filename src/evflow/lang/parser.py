@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import (
     Assign,
@@ -14,6 +14,7 @@ from .ast import (
     FunctionDecl,
     If,
     IntLit,
+    PRECEDENCE,
     Print,
     Program,
     Return,
@@ -77,18 +78,17 @@ KEYWORDS = {"var", "fn", "if", "else", "while", "return", "true", "false",
             "print", "register", "emit", "register_async"}
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>//[^\n]*)
+    (?P<skip>[ \t\r]+|//[^\n]*)
   | (?P<nl>\n)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"(?:\\.|[^"\\\n])*")
   | (?P<op>==|!=|<=|>=|&&|\|\||[-+*/%<>=!(){},;])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -98,44 +98,35 @@ class Token:
 def tokenize(source: str, file: str = "") -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(line, pos - line_start + 1,
-                             f"unexpected character {source[pos]!r}", file)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
         if kind == "nl":
             line += 1
             line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            col = m.start() - line_start + 1
+        elif kind == "bad":
+            raise ParseError(line, m.start() - line_start + 1,
+                             f"unexpected character {m.group()!r}", file)
+        elif kind != "skip":
+            text = m.group()
             if kind == "ident" and text in KEYWORDS:
                 kind = text
-            tokens.append(Token(kind, text, line, col))
-        pos = m.end()
+            tokens.append(Token(kind, text, line, m.start() - line_start + 1))
     tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+
 def _unescape(raw: str, line: int, col: int, file: str) -> str:
-    body = raw[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            i += 1
-            esc = body[i]
-            mapped = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc)
-            if mapped is None:
-                raise ParseError(line, col, f"bad escape '\\{esc}'", file)
-            out.append(mapped)
-        else:
-            out.append(c)
-        i += 1
-    return "".join(out)
+    def unescape_one(m: re.Match) -> str:
+        mapped = _ESCAPES.get(m.group(1))
+        if mapped is None:
+            raise ParseError(line, col, f"bad escape '\\{m.group(1)}'", file)
+        return mapped
+
+    return _ESCAPE_RE.sub(unescape_one, raw[1:-1])
 
 
 # The parser, the supergraph builder, the checks and the interpreter all
@@ -326,29 +317,29 @@ class _Parser:
         self.take("string")
         return _unescape(tok.text, tok.line, tok.col, self.file)
 
-    # -- expressions (precedence climbing) --
-
-    _BIN_LEVELS = (("||",), ("&&",), ("==", "!="),
-                   ("<", "<=", ">", ">="), ("+", "-"), ("*", "/", "%"))
+    # -- expressions (precedence climbing over ast.PRECEDENCE) --
 
     def expression(self) -> Expr:
-        return self.binary(0)[0]
+        return self.binary(1)[0]
 
     # Each method below returns an expression with the depth of its
     # operator tree: 0 for a leaf.
 
-    def binary(self, level: int) -> tuple[Expr, int]:
-        if level == len(self._BIN_LEVELS):
-            return self.unary()
-        ops = self._BIN_LEVELS[level]
-        left, depth = self.binary(level + 1)
-        while self.at("op") and self.peek().text in ops:
-            tok = self.take("op")
-            right, right_depth = self.binary(level + 1)
+    def binary(self, min_prec: int) -> tuple[Expr, int]:
+        """An operand followed by binary operators of precedence at least
+        `min_prec`; a right operand binds only tighter operators, so
+        every level is left-associative."""
+        left, depth = self.unary()
+        while True:
+            tok = self.peek()
+            prec = PRECEDENCE.get(tok.text, 0) if tok.kind == "op" else 0
+            if prec < min_prec:
+                return left, depth
+            self.take("op")
+            right, right_depth = self.binary(prec + 1)
             left, depth = Binary(tok.text, left, right), \
                 1 + max(depth, right_depth)
             self.nest(tok, depth)
-        return left, depth
 
     def unary(self) -> tuple[Expr, int]:
         if self.at("op", "-") or self.at("op", "!"):
@@ -379,7 +370,7 @@ class _Parser:
             return Var(tok.text), 0
         if tok.kind == "op" and tok.text == "(":
             self.enter(self.take("op", "("))
-            inner = self.binary(0)
+            inner = self.binary(1)
             self.depth -= 1
             self.take("op", ")")
             return inner
@@ -409,20 +400,18 @@ def stmt_reads(s: Stmt, program: Program) -> tuple[str, ...]:
 
 def _validate(program: Program, model: EventModel) -> None:
     """Check names, call arities and event operands, and record the event
-    operation of every call the model classifies in `program.events`."""
+    operation of every call the model classifies in `program.events`,
+    which the analysis and the trace check read.  Names resolve through
+    `program.scopes`, as in the analysis and the interpreter."""
     declared = {f.name for f in program.functions if f.name != TOP_LEVEL}
+    scopes = program.scopes
     for f in program.functions:
         seen: set[str] = set()
-        scope = set(f.params)
-        if f.name != TOP_LEVEL:
-            scope |= {s.name for s in iter_stmts(program.top_level.body)
-                      if isinstance(s, VarDecl)}
         for s in iter_stmts(f.body):
             if isinstance(s, VarDecl):
                 if s.name in seen or s.name in f.params:
                     raise DuplicateVariableError(s.name, f.name, s.line)
                 seen.add(s.name)
-                scope.add(s.name)
         for s in iter_stmts(f.body):
             if isinstance(s, Call):
                 _check_call(s, program, model, declared)
@@ -430,7 +419,7 @@ def _validate(program: Program, model: EventModel) -> None:
             if isinstance(s, Assign):
                 reads += (s.name,)
             for name in reads:
-                if name not in scope:
+                if not scopes.resolves(f.name, name):
                     raise UndeclaredVariableError(name, f.name, s.line)
 
 
@@ -455,11 +444,11 @@ def _check_call(s: Call, program: Program, model: EventModel,
 
 
 def _assemble(units: list[tuple[list[FunctionDecl], list[Stmt]]],
-              files: list[str], model: EventModel) -> Program:
+              model: EventModel) -> Program:
     functions: list[FunctionDecl] = []
     top: list[Stmt] = []
     names: set[str] = set()
-    for (fns, stmts), _file in zip(units, files):
+    for fns, stmts in units:
         for f in fns:
             if f.name in names or f.name == TOP_LEVEL:
                 raise DuplicateFunctionError(f.name)
@@ -477,7 +466,7 @@ def parse(source: str, *, filename: str = "<input>", model=None) -> Program:
     defaults to the built-in event model."""
     parser = _Parser(tokenize(source, filename), filename, next_sid=0)
     unit = parser.parse_unit()
-    return _assemble([unit], [filename], model or EventModel.default())
+    return _assemble([unit], model or EventModel.default())
 
 
 def read_source(path) -> str:
@@ -498,13 +487,11 @@ def read_source(path) -> str:
 def parse_files(paths, *, model=None) -> Program:
     """Parse several files into one program with a single top-level."""
     units = []
-    files = []
     next_sid = 0
     for path in paths:
         path = str(path)
         source = read_source(path)
         parser = _Parser(tokenize(source, path), path, next_sid)
         units.append(parser.parse_unit())
-        files.append(path)
         next_sid = parser.next_sid
-    return _assemble(units, files, model or EventModel.default())
+    return _assemble(units, model or EventModel.default())

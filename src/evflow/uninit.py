@@ -46,7 +46,6 @@ class UninitProblem:
         self._identity = identity_rel(self.domain)
         self._globals_only = frozenset(
             {(ZERO, ZERO), *((d, d) for d in self._globals)})
-        self._cache: dict[int, RepRelation] = {}
 
     # -- helpers --
 
@@ -70,13 +69,6 @@ class UninitProblem:
     # -- the per-edge flow function --
 
     def flow_for(self, edge) -> RepRelation:
-        rel = self._cache.get(edge.eid)
-        if rel is None:
-            rel = self._compute(edge)
-            self._cache[edge.eid] = rel
-        return rel
-
-    def _compute(self, edge) -> RepRelation:
         g = self.graph
         kind = edge.kind
         if kind is EdgeKind.CALL:

@@ -8,7 +8,7 @@ from evflow.event_lattice import (
     HState,
     all_s,
     hmf_apply,
-    hsm_meet,
+    hstate_meet,
 )
 from evflow.ifds import RepRelation, ZERO, explode
 from evflow.lang import parse
@@ -187,6 +187,11 @@ def mvp_bruteforce(g: Supergraph, rel_of: dict[int, RepRelation],
     walk(entry, frozenset(), (), 0)
     return BruteResult({n: frozenset(ds) for n, ds in facts.items() if ds},
                        frozenset(reachable), {"paths_explored": explored})
+
+
+def hsm_meet(a: dict[str, HState], b: dict[str, HState]) -> dict[str, HState]:
+    """Pointwise meet of two handler-state maps over the same handlers."""
+    return {h: hstate_meet(s, b[h]) for h, s in a.items()}
 
 
 def brute_force_ide(graph, rel_of, labels, handlers, entry=None,

@@ -20,7 +20,6 @@ from evflow.event_lattice import (
     mf_meet,
     mf_pack,
 )
-from evflow.eventmodel import EventModel
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import ZERO
 from evflow.lang import check_trace_ordering, explore_schedules, parse
@@ -206,8 +205,7 @@ def test_criterion_6_soundness():
         traces = explore_schedules(program, model, max_decisions=6,
                                    step_limit=5_000)
         for trace in traces:
-            if check_trace_ordering(program, trace, model or
-                                    EventModel.default()):
+            if check_trace_ordering(program, trace):
                 violations.append((tag, "trace ordering"))
             for read in trace.uninit_reads():
                 node = node_for_sid(analysis.build.graph, program, read.sid)

@@ -16,7 +16,6 @@ from evflow.event_lattice import (
     hmf_apply,
     hmf_compose,
     hmf_meet,
-    hsm_meet,
     hstate_meet,
     mf_apply,
     mf_compose,
@@ -25,7 +24,7 @@ from evflow.event_lattice import (
     mf_pack,
 )
 
-from helpers import mf_compose_def, mf_meet_def
+from helpers import hsm_meet, mf_compose_def, mf_meet_def
 
 STATES = (HState.X, HState.S, HState.R, HState.E)
 

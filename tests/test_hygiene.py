@@ -81,3 +81,49 @@ def test_every_definition_is_named_somewhere():
     modules = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8")
                for p in sorted(SRC.rglob("*.py"))}
     assert dead_definitions(modules, texts) == []
+
+
+def redeclared_fields(modules: dict[str, str]) -> list[str]:
+    """Fields that a dataclass in `modules` (name -> source) annotates
+    although a base class defined there, directly or further up,
+    already annotates them; classes are told apart by name."""
+    classes: dict[str, tuple[list[str], set[str]]] = {}
+    dataclasses: list[tuple[str, ast.ClassDef]] = []
+    for module, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = {s.target.id for s in node.body
+                      if isinstance(s, ast.AnnAssign)
+                      and isinstance(s.target, ast.Name)}
+            bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
+            classes[node.name] = bases, fields
+            for d in node.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
+                    dataclasses.append((module, node))
+
+    def inherited(name: str) -> set[str]:
+        return {f for base in classes[name][0] if base in classes
+                for f in classes[base][1] | inherited(base)}
+
+    return sorted(f"{module}:{node.lineno}: {node.name}.{f}"
+                  for module, node in dataclasses
+                  for f in classes[node.name][1] & inherited(node.name))
+
+
+def test_redeclared_fields_are_found():
+    module = ("from dataclasses import dataclass\nimport dataclasses\n"
+              "class Header:\n    sid: int\n    line: int\n"
+              "@dataclass(frozen=True)\nclass Base(Header):\n    file: str\n"
+              "@dataclass\nclass Again(Base):\n    sid: int\n    file: str\n"
+              "@dataclasses.dataclass\nclass Fresh(Base):\n    name: str\n"
+              "class Plain(Base):\n    line: int\n")
+    assert redeclared_fields({"m.py": module}) == \
+        ["m.py:10: Again.file", "m.py:10: Again.sid"]
+
+
+def test_no_dataclass_redeclares_an_inherited_field():
+    modules = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8")
+               for p in sorted(SRC.rglob("*.py"))}
+    assert redeclared_fields(modules) == []

@@ -2,7 +2,6 @@ import pytest
 
 from evflow.lang import (
     Choices,
-    Fifo,
     HandlerInvoked,
     check_trace_ordering,
     explore_schedules,
@@ -54,8 +53,8 @@ def test_timer_and_server_clean(timer, server):
 
 def test_fifo_deterministic(dirstat):
     program, model = dirstat
-    t1 = interpret(program, Fifo(), model=model)
-    t2 = interpret(program, Fifo(), model=model)
+    t1 = interpret(program, model=model)
+    t2 = interpret(program, model=model)
     assert t1.events == t2.events
     assert t1.steps == t2.steps
 
@@ -155,7 +154,7 @@ def test_explore_schedules_covers_all_orders():
 def test_trace_ordering_invariant_on_corpus(door, dirstat, timer, server):
     for program, model in (door, dirstat, timer, server):
         for trace in explore_schedules(program, model):
-            assert check_trace_ordering(program, trace, model) == []
+            assert check_trace_ordering(program, trace) == []
 
 
 def test_trace_ordering_detects_violation(door):
@@ -164,7 +163,7 @@ def test_trace_ordering_detects_violation(door):
     # manufacture an impossible prefix: invocation before any registration
     bad = [HandlerInvoked("hdlClose")] + trace.events
     trace.events = bad
-    assert check_trace_ordering(program, trace, model) != []
+    assert check_trace_ordering(program, trace) != []
 
 
 def test_step_limit_validation():

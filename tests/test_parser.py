@@ -13,6 +13,7 @@ from evflow.lang import (
     UndeclaredVariableError,
     UnknownHandlerError,
     UnresolvedCalleeError,
+    Unary,
     Var,
     VarDecl,
     parse,
@@ -52,6 +53,54 @@ def test_precedence():
     # parses without error and prints back with the same grouping
     assert "1 + 2 * 3 < 4 == true && (!false)" in to_source(p) or \
         "1 + 2 * 3 < 4 == true && !false" in to_source(p)
+
+
+# The binary-operator grammar, loosest level first, spelled out here and
+# not read from the shared table, so a table whose levels are out of
+# order fails even though the parser and the printer still agree.
+LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
+          ("+", "-"), ("*", "/", "%"))
+
+
+def _grouping_cases():
+    """(source, tree, canonical text) for operator pairs at adjacent
+    levels, operator pairs within a level and unary operands."""
+    a, b, c = Var("a"), Var("b"), Var("c")
+    for lo_ops, hi_ops in zip(LEVELS, LEVELS[1:]):
+        for lo in lo_ops:
+            for hi in hi_ops:
+                yield (f"a {lo} b {hi} c", Binary(lo, a, Binary(hi, b, c)),
+                       f"a {lo} b {hi} c")
+                yield (f"a {hi} b {lo} c", Binary(lo, Binary(hi, a, b), c),
+                       f"a {hi} b {lo} c")
+                yield (f"(a {lo} b) {hi} c", Binary(hi, Binary(lo, a, b), c),
+                       f"(a {lo} b) {hi} c")
+    for ops in LEVELS:
+        for first in ops:
+            for second in ops:
+                yield (f"a {first} b {second} c",
+                       Binary(second, Binary(first, a, b), c),
+                       f"a {first} b {second} c")
+                yield (f"a {first} (b {second} c)",
+                       Binary(first, a, Binary(second, b, c)),
+                       f"a {first} (b {second} c)")
+    for ops in LEVELS:
+        for op in ops:
+            for u in "-!":
+                yield (f"{u}a {op} b", Binary(op, Unary(u, a), b),
+                       f"{u}a {op} b")
+                yield (f"a {op} {u}b", Binary(op, a, Unary(u, b)),
+                       f"a {op} {u}b")
+
+
+def test_operator_grouping():
+    """Adjacent levels nest tighter-inside, every level is
+    left-associative and unary operators bind tighter than any binary
+    one, in the parser and in the printer alike."""
+    for source, tree, text in _grouping_cases():
+        program = parse(f"var a; var b; var c; var x; x = {source};")
+        assert program.top_level.body[4].value == tree, source
+        assert f"x = {text};" in to_source(program), source
 
 
 def test_comments_and_strings():

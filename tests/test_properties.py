@@ -51,7 +51,7 @@ def _assert_sound(program, model, analysis, tag, max_decisions=6):
                                step_limit=5_000)
     assert traces
     for trace in traces:
-        assert check_trace_ordering(program, trace, model) == [], tag
+        assert check_trace_ordering(program, trace) == [], tag
         for read in trace.uninit_reads():
             node = node_for_sid(analysis.build.graph, program, read.sid)
             fact = analysis.domain.index_of(read.var)
