@@ -207,11 +207,10 @@ def check_program(source: str, model: EventModel, schedules: int,
                 f"filtering but are not in the plain result")
 
     n_handlers = len(analysis.handlers)
-    for hmf in analysis.labeled.labels.values():
-        if len(hmf) > n_handlers:
-            violations.append("representation: label touches more handlers "
-                              "than the program has")
-    if analysis.ide.stats["max_label_entries"] > max(1, n_handlers):
+    if any(len(t) != n_handlers for t in analysis.labeled.labels.values()):
+        violations.append("representation: a label's length is not the "
+                          "handler count")
+    if analysis.ide.stats["max_label_entries"] > n_handlers:
         violations.append("representation: composed transformer outgrew "
                           "the handler set")
 

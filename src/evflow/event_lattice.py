@@ -1,4 +1,4 @@
-"""Event-handler state lattice and its micro-function algebra.
+"""Event-handler state lattice and its transformers.
 
 A handler moves through a four-state chain: S (not yet registered), R
 (registered, event not yet emitted), E (event emitted after registration)
@@ -9,7 +9,15 @@ as "every ordering constraint satisfied".
 A function over the chain is total and packs into one byte, two bits per
 output value.  Registration, emission and invocation, closed under
 composition and meet together with the identity, give only seven such
-functions, so both operators are served from 7x7 tables built at import.
+functions (`MF_CLOSURE`).  A transformer maps each handler of a program
+by one of them: it is a `bytes` with one byte, or lane, per handler,
+holding the function's index in `MF_CLOSURE`; `Transformer.of` builds
+one from a {handler: chain function} map, and no other module reads the
+lane values.  An index fits in three
+bits, so one transformer shifted three bits up and or-ed with another
+holds each pair of lanes in one byte, with no carry between lanes, and
+one `bytes.translate` through a 256-entry table built at import
+composes or meets every lane at once.
 """
 
 from __future__ import annotations
@@ -30,11 +38,6 @@ class HState(IntEnum):
 
     def __str__(self) -> str:
         return self.name
-
-
-def hstate_meet(a: HState, b: HState) -> HState:
-    """Meet on the chain X > S > R > E: the lower of the two states."""
-    return min(a, b)
 
 
 def mf_pack(fx: HState, fs: HState, fr: HState, fe: HState) -> int:
@@ -59,40 +62,50 @@ MF_INVOKE = mf_pack(HState.X, HState.X, HState.X, HState.E)
 _STATES = (HState.X, HState.S, HState.R, HState.E)
 
 
-def _close_generators() -> tuple[tuple[int, ...], dict[int, int], dict[int, int]]:
-    """Close the identity and the generators under composition and meet,
-    and tabulate both operators over the closure, keyed `(g << 8) | f`."""
+def _compose(g: int, f: int) -> int:
+    return mf_pack(*(mf_apply(g, mf_apply(f, s)) for s in _STATES))
 
-    def compose(g: int, f: int) -> int:
-        return mf_pack(*(mf_apply(g, mf_apply(f, s)) for s in _STATES))
 
-    def meet(f: int, g: int) -> int:
-        return mf_pack(*(hstate_meet(mf_apply(f, s), mf_apply(g, s))
-                         for s in _STATES))
+def _meet(f: int, g: int) -> int:
+    return mf_pack(*(min(mf_apply(f, s), mf_apply(g, s)) for s in _STATES))
 
+
+def _close_generators() -> tuple[int, ...]:
+    """The identity and the generators closed under composition and
+    meet, the identity first."""
     fns = {MF_ID, MF_REGISTER, MF_EMIT, MF_INVOKE}
     while True:
-        more = {op(a, b) for op in (compose, meet) for a in fns for b in fns}
+        more = {op(a, b) for op in (_compose, _meet) for a in fns for b in fns}
         if more <= fns:
-            break
+            return (MF_ID, *sorted(fns - {MF_ID}))
         fns |= more
-    return (tuple(sorted(fns)),
-            {(g << 8) | f: compose(g, f) for g in fns for f in fns},
-            {(g << 8) | f: meet(g, f) for g in fns for f in fns})
 
 
 # Every chain function the generators can produce; seven of them.
-MF_CLOSURE, _COMPOSE, _MEET = _close_generators()
+MF_CLOSURE = _close_generators()
+_INDEX = {f: i for i, f in enumerate(MF_CLOSURE)}     # function -> lane value
+
+
+def _lane_table(lane) -> bytes:
+    """A `bytes.translate` table sending byte (a << 3) | b to
+    lane(MF_CLOSURE[a], MF_CLOSURE[b])."""
+    n = len(MF_CLOSURE)
+    return bytes(lane(MF_CLOSURE[ab >> 3], MF_CLOSURE[ab & 7])
+                 if ab >> 3 < n and ab & 7 < n else 0 for ab in range(256))
+
+
+_COMPOSE_T = _lane_table(lambda g, f: _INDEX[_compose(g, f)])
+_MEET_T = _lane_table(lambda f, g: _INDEX[_meet(f, g)])
 
 
 def mf_compose(g: int, f: int) -> int:
     """g after f, for g and f in MF_CLOSURE."""
-    return _COMPOSE[(g << 8) | f]
+    return MF_CLOSURE[_COMPOSE_T[(_INDEX[g] << 3) | _INDEX[f]]]
 
 
 def mf_meet(f: int, g: int) -> int:
     """Pointwise meet, for f and g in MF_CLOSURE."""
-    return _MEET[(f << 8) | g]
+    return MF_CLOSURE[_MEET_T[(_INDEX[f] << 3) | _INDEX[g]]]
 
 
 def mf_leq(f: int, g: int) -> bool:
@@ -100,92 +113,75 @@ def mf_leq(f: int, g: int) -> bool:
     return all(mf_apply(f, s) <= mf_apply(g, s) for s in _STATES)
 
 
-def mf_format(f: int) -> str:
-    """Render a packed chain function as a domain-to-image 4-tuple."""
-    outs = ",".join(str(mf_apply(f, s)) for s in _STATES)
-    return f"⟨X,S,R,E⟩→⟨{outs}⟩"
-
-
 MF_EMIT_REGISTER = mf_compose(MF_EMIT, MF_REGISTER)
+# the pointwise order on its own, so that a descent check does not test
+# the meet with the meet
+_LEQ_T = _lane_table(mf_leq)
+# lane -> its image of S, as an HState value
+_AT_S_T = bytes(mf_apply(f, HState.S) for f in MF_CLOSURE).ljust(256, b"\0")
+# lane -> the closure function that sends S where the lane does
+_VIA_S = {HState.S: MF_ID, HState.R: MF_REGISTER, HState.E: MF_EMIT_REGISTER,
+          HState.X: MF_INVOKE}
+_S_NORMAL_T = bytes(_INDEX[_VIA_S[mf_apply(f, HState.S)]]
+                    for f in MF_CLOSURE).ljust(256, b"\0")
 
 
-class HandlerMicroFn:
-    """Separable transformer over per-handler states.
+class Transformer(bytes):
+    """A transformer over a program's handlers, lane i for its i-th
+    handler; the identity is all zero bytes."""
 
-    Stores one packed chain function per handler it touches; handlers
-    without an entry are mapped by the identity.  Composition, meet and
-    equality are pointwise per handler, so their cost is bounded by the
-    number of handlers touched.
-    """
-
-    __slots__ = ("_m",)
-
-    def __init__(self, entries: dict[str, int] | None = None):
-        self._m = {h: f for h, f in (entries or {}).items() if f != MF_ID}
+    __slots__ = ()
 
     @classmethod
-    def identity(cls) -> "HandlerMicroFn":
-        return cls()
+    def identity(cls, n: int) -> Transformer:
+        """The identity over `n` handlers."""
+        return cls(n)
 
-    def mf_for(self, handler: str) -> int:
-        return self._m.get(handler, MF_ID)
-
-    def touched(self) -> dict[str, int]:
-        return dict(self._m)
+    @classmethod
+    def of(cls, handlers: tuple[str, ...], fns: dict[str, int]) -> Transformer:
+        """Each handler mapped by its chain function in `fns`, by the
+        identity where `fns` has none."""
+        return cls(_INDEX[fns.get(h, MF_ID)] for h in handlers)
 
     def is_identity(self) -> bool:
-        return not self._m
-
-    def __len__(self) -> int:
-        return len(self._m)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HandlerMicroFn) and self._m == other._m
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._m.items()))
-
-    def __repr__(self) -> str:
-        if not self._m:
-            return "HandlerMicroFn(id)"
-        body = ", ".join(f"{h}: {mf_format(f)}" for h, f in sorted(self._m.items()))
-        return f"HandlerMicroFn({{{body}}})"
+        return not any(self)
 
 
-HMF_ID = HandlerMicroFn.identity()
+def entries(f: bytes) -> int:
+    """How many handlers `f` maps by something other than the identity."""
+    return len(f) - f.count(0)
 
 
-def hmf_compose(g: HandlerMicroFn, f: HandlerMicroFn) -> HandlerMicroFn:
-    """g after f, pointwise per handler."""
-    if f.is_identity():
-        return g
-    if g.is_identity():
-        return f
-    gm, fm = g._m, f._m
-    return HandlerMicroFn({
-        h: _COMPOSE[(gm.get(h, MF_ID) << 8) | fm.get(h, MF_ID)]
-        for h in fm.keys() | gm.keys()})
+def _lanes(a: bytes, b: bytes) -> bytes:
+    """Lane i of `a` in bits 3-5 and lane i of `b` in bits 0-2 of byte i."""
+    return ((int.from_bytes(a, "big") << 3)
+            | int.from_bytes(b, "big")).to_bytes(len(b), "big")
 
 
-def hmf_meet(f: HandlerMicroFn, g: HandlerMicroFn) -> HandlerMicroFn:
-    """Pointwise meet per handler; absent entries meet as identity."""
-    if f._m == g._m:
-        return f
-    fm, gm = f._m, g._m
-    return HandlerMicroFn({
-        h: _MEET[(fm.get(h, MF_ID) << 8) | gm.get(h, MF_ID)]
-        for h in fm.keys() | gm.keys()})
+def packed_compose(g: bytes, f: bytes) -> bytes:
+    """g after f, lane by lane."""
+    return _lanes(g, f).translate(_COMPOSE_T)
 
 
-def hmf_leq(f: HandlerMicroFn, g: HandlerMicroFn) -> bool:
-    return all(mf_leq(f.mf_for(h), g.mf_for(h)) for h in f._m.keys() | g._m.keys())
+def packed_meet(f: bytes, g: bytes) -> bytes:
+    """Pointwise meet, lane by lane."""
+    return _lanes(f, g).translate(_MEET_T)
 
 
-def hmf_apply(f: HandlerMicroFn, m: dict[str, HState]) -> dict[str, HState]:
-    """Apply a separable transformer to a dense handler-state map."""
-    return {h: mf_apply(f.mf_for(h), s) for h, s in m.items()}
+def packed_leq(f: bytes, g: bytes) -> bool:
+    """Pointwise order: every lane of f below-or-equal g's."""
+    return 0 not in _lanes(f, g).translate(_LEQ_T)
 
 
-def all_s(handlers) -> dict[str, HState]:
-    """The initial handler-state map: every handler still in S."""
-    return {h: HState.S for h in handlers}
+def s_normal(f: bytes) -> bytes:
+    """The transformer that sends S where `f` does, lane by lane, and
+    is one of the identity, register, emit after register and invoke;
+    two transformers have the same normal form exactly when they give
+    the same handler-state map from the all-S entry."""
+    return f.translate(_S_NORMAL_T)
+
+
+def map_at_s(f: bytes, handlers: tuple[str, ...]) -> dict[str, HState]:
+    """The handler-state map that `f` gives the entry map, every handler
+    in S."""
+    return dict(zip(handlers, map(_HSTATES.__getitem__, f.translate(_AT_S_T))))

@@ -40,14 +40,14 @@ from functools import cached_property
 from itertools import chain
 
 from .event_lattice import (
-    HMF_ID,
     HState,
-    HandlerMicroFn,
-    all_s,
-    hmf_apply,
-    hmf_compose,
-    hmf_leq,
-    hmf_meet,
+    Transformer,
+    entries,
+    map_at_s,
+    packed_compose,
+    packed_leq,
+    packed_meet,
+    s_normal,
 )
 from .ifds import ExplodedSupergraph, IfdsResult, ZERO
 from .supergraph import Edge, EdgeKind
@@ -62,13 +62,14 @@ class LabeledExplodedSupergraph:
     """
 
     xsg: ExplodedSupergraph
-    labels: dict[int, HandlerMicroFn]
+    labels: dict[int, Transformer]
     handlers: tuple[str, ...]
 
     @classmethod
     def identity(cls, xsg: ExplodedSupergraph,
                  handlers: tuple[str, ...] = ()) -> "LabeledExplodedSupergraph":
-        return cls(xsg, {e.eid: HMF_ID for e in xsg.graph.edges}, handlers)
+        ident = Transformer.identity(len(handlers))
+        return cls(xsg, {e.eid: ident for e in xsg.graph.edges}, handlers)
 
 
 class IdeResult:
@@ -82,21 +83,19 @@ class IdeResult:
     whole block.  A row is evaluated once, and `holds`, `fact_sets`,
     `reachable` and `envs` read the same rows.  `map_at(node, fact)`
     applies the fact's transformer to the entry map, every handler in S;
-    a map is built once per distinct transformer, and equal maps are one
-    interned dict, so a caller must copy a map before changing it.
+    a map is built once per distinct normal form (`s_normal`), so equal
+    maps are one dict, and a caller must copy a map before changing it.
     """
 
     def __init__(self, jump: dict[str, dict[int, dict[int, int]]],
-                 blocks: dict[str, tuple], row_of,
-                 fns: list[HandlerMicroFn], lxsg: LabeledExplodedSupergraph,
-                 stats: dict):
+                 blocks: dict[str, tuple], row_of, fns: list[bytes],
+                 lxsg: LabeledExplodedSupergraph, stats: dict):
         self._jump = jump           # node -> fact -> {start fact: fn id}
         self._blocks = blocks       # interior node -> its block
         self._row = row_of          # node -> its row; {} if unreached
         self._fns = fns
-        self._entry = all_s(lxsg.handlers)
-        self._by_fn: dict[int, dict[str, HState]] = {}      # fn id -> map
-        self._maps: dict[tuple, dict[str, HState]] = {}     # items -> map
+        self._handlers = lxsg.handlers
+        self._maps: dict[bytes, dict[str, HState]] = {}     # normal form -> map
         self._members = {ZERO: (ZERO,), **lxsg.xsg.classes}
         self._rep_of = {d: rep for rep, ds in self._members.items()
                         for d in ds}
@@ -104,11 +103,10 @@ class IdeResult:
 
     def _map_of(self, fid: int) -> dict[str, HState]:
         """The entry map under transformer `fid`, as its canonical dict."""
-        hsm = self._by_fn.get(fid)
+        key = s_normal(self._fns[fid])
+        hsm = self._maps.get(key)
         if hsm is None:
-            hsm = hmf_apply(self._fns[fid], self._entry)
-            hsm = self._by_fn[fid] = self._maps.setdefault(
-                tuple(hsm.items()), hsm)
+            hsm = self._maps[key] = map_at_s(key, self._handlers)
         return hsm
 
     def map_at(self, node: str, fact: int) -> dict[str, HState] | None:
@@ -202,16 +200,17 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     meet on the left distributes over composition, so this equals
     returning each summary on its own.
 
-    Every transformer the solve touches is interned in a table that lives
-    as long as the solve: one canonical `HandlerMicroFn` per distinct
-    function, named by a dense int id.  The solver carries the ids, so
+    Every transformer the solve touches (a `bytes`, one lane per handler;
+    see `event_lattice`) is interned in a table that lives as long as the
+    solve, named by a dense int id.  The solver carries the ids, so
     comparing two jump functions compares two ints, and compose and meet
     run once per distinct pair of ids.  The supergraph is compiled into
     per-node tables first, so the worklist loops make no graph calls, and
     each block's run into edges from its head (see the module docstring).
-    Phase 2, the rows and the block replay carry ids from the same table
-    through the same memos, and the result builds a map per distinct id
-    it reads.
+    Phase 2 keeps each value in its normal form at S (`s_normal`), so it
+    stops where a value would drop to one with the same maps.  The rows
+    and the block replay carry ids through the same memos, and the result
+    builds a map per distinct normal form it reads.
     """
     xsg = lxsg.xsg
     g = xsg.graph
@@ -219,21 +218,19 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     entry = g.entry()
 
     # --- the per-solve intern table and operator memos ---
-    fns: list[HandlerMicroFn] = []          # id -> canonical function
-    size: list[int] = []                    # id -> handlers it touches
-    ids: dict[HandlerMicroFn, int] = {}     # function -> id
+    fns: list[bytes] = []                   # id -> transformer
+    ids: dict[bytes, int] = {}              # transformer -> id
     compose_memo: dict[tuple[int, int], int] = {}
     meet_memo: dict[tuple[int, int], int] = {}
 
-    def intern(f: HandlerMicroFn) -> int:
+    def intern(f: bytes) -> int:
         fid = ids.get(f)
         if fid is None:
             fid = ids[f] = len(fns)
             fns.append(f)
-            size.append(len(f))
         return fid
 
-    ID = intern(HMF_ID)
+    ID = intern(Transformer.identity(len(lxsg.handlers)))
 
     def compose(g_id: int, f_id: int) -> int:
         """g after f."""
@@ -244,7 +241,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         key = (g_id, f_id)
         h_id = compose_memo.get(key)
         if h_id is None:
-            h_id = compose_memo[key] = intern(hmf_compose(fns[g_id], fns[f_id]))
+            h_id = compose_memo[key] = intern(packed_compose(fns[g_id], fns[f_id]))
         return h_id
 
     def meet(f_id: int, g_id: int) -> int:
@@ -253,11 +250,10 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         key = (f_id, g_id) if f_id < g_id else (g_id, f_id)
         h_id = meet_memo.get(key)
         if h_id is None:
-            h_id = meet_memo[key] = intern(hmf_meet(fns[f_id], fns[g_id]))
+            h_id = meet_memo[key] = intern(packed_meet(fns[f_id], fns[g_id]))
         return h_id
 
-    label = {eid: ID if f.is_identity() else intern(f)
-             for eid, f in lxsg.labels.items()}
+    label = {eid: intern(f) for eid, f in lxsg.labels.items()}
 
     # --- the supergraph compiled into per-node tables ---
     # exit node -> start of its procedure
@@ -300,20 +296,19 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                 continue
             if edge.dst in interior:
                 # `n` heads a block: one edge per out-edge of its end
-                run, tables, lab, m = [], [], ID, edge.dst
+                run, lab, m = [], ID, edge.dst
                 block = (n, run)
                 while True:
                     e = only_in[m]
-                    lab_e, table = label[e.eid], succ[e.eid]
-                    if lab_e != ID:
-                        lab = compose(lab_e, lab)
-                    run.append((m, lab_e, table))
-                    tables.append(table)
+                    lab_e = label[e.eid]
+                    lab = compose(lab_e, lab)
+                    run.append((m, lab_e, succ[e.eid]))
                     blocks[m] = block
                     outs = out_edges(m)
                     if len(outs) != 1 or outs[0].dst not in interior:
                         break
                     m = outs[0].dst
+                tables = [table for _, _, table in run]
                 for e in outs:
                     row.append((e.dst, compose(label[e.eid], lab),
                                 _RunTable((*tables, succ[e.eid]))))
@@ -360,11 +355,12 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             new = meet(old, f)
             if new == old:
                 return
-            if check_descent and not hmf_leq(fns[new], fns[old]):
+            if check_descent and not packed_leq(fns[new], fns[old]):
                 raise AssertionError("jump function must only descend")
         row[d1] = new
-        if size[new] > max_label_entries:
-            max_label_entries = size[new]
+        n_entries = entries(fns[new])
+        if n_entries > max_label_entries:
+            max_label_entries = n_entries
         work.append((d1, n, d2, row))
 
     def add_edge(edges: dict[tuple, int], key: tuple, t: int) -> int | None:
@@ -432,13 +428,17 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                 propagate(d1, dst, d3, f_step)
 
     # --- phase 2: values at procedure starts and call sites ---
-    # (start or call site, fact) -> the met fn id from <entry, 0>
+    # (start or call site, fact) -> the id of the met transformer from
+    # <entry, 0>, in its normal form: every use of a value ends at the
+    # all-S entry map, and (f o v)(S) = f(v(S)), so only v(S) matters; the
+    # normal forms are a chain, so their meet is one
     val: dict[tuple[str, int], int] = {}
     vwork: deque[tuple[str, int]] = deque()
     vsteps = 0
 
     def meet_value(n: str, d: int, value: int) -> None:
         key = (n, d)
+        value = intern(s_normal(fns[value]))
         old = val.get(key)
         if old is not None:
             value = meet(old, value)
@@ -474,9 +474,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         for d2, fs in jump[n].items():
             met = None
             for d1, f in fs.items():
-                t = val[(start, d1)]
-                if f != ID:
-                    t = compose(f, t)
+                t = compose(f, val[(start, d1)])
                 met = t if met is None else meet(met, t)
             row[d2] = met
         return row
@@ -489,8 +487,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         for m, lab, table in run:
             out: dict[int, int] = {}
             for d, t in row.items():
-                if lab != ID:
-                    t = compose(lab, t)
+                t = compose(lab, t)
                 for d3 in table.get(d, ()):
                     old = out.get(d3)
                     out[d3] = t if old is None else meet(old, t)

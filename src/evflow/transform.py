@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 from .event_lattice import (
     HState,
-    HandlerMicroFn,
     MF_EMIT,
     MF_EMIT_REGISTER,
     MF_INVOKE,
     MF_REGISTER,
+    Transformer,
 )
 from .ide import IdeResult, LabeledExplodedSupergraph, solve_ide, solve_ifds
 from .ifds import ExplodedSupergraph, IfdsResult, explode
@@ -27,7 +27,8 @@ from .lang.ast import Program
 from .supergraph import BuildResult, EventOp, build_supergraph
 from .uninit import UninitProblem
 
-_OP_TO_MF = {
+# event operation -> its chain function
+_OP_TO_FN = {
     "register": MF_REGISTER,
     "emit": MF_EMIT,
     "invoke": MF_INVOKE,
@@ -37,12 +38,12 @@ _OP_TO_MF = {
 
 def transform(xsg: ExplodedSupergraph, ops: dict[int, tuple[EventOp, ...]],
               handlers: tuple[str, ...]) -> LabeledExplodedSupergraph:
-    """Label every exploded edge with the event micro-function of its
+    """Label every exploded edge with the event transformer of its
     underlying supergraph edge; identity where nothing happens.  No edge
     carries two operations for one handler."""
-    labels = {edge.eid: HandlerMicroFn({op.handler: _OP_TO_MF[op.kind]
-                                        for op in ops.get(edge.eid, ())})
-              for edge in xsg.graph.edges}
+    labels = {edge.eid: Transformer.of(handlers, {
+        op.handler: _OP_TO_FN[op.kind] for op in ops.get(edge.eid, ())})
+        for edge in xsg.graph.edges}
     return LabeledExplodedSupergraph(xsg, labels, handlers)
 
 

@@ -4,12 +4,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from evflow.event_lattice import (
-    HState,
-    all_s,
-    hmf_apply,
-    hstate_meet,
-)
+from evflow.event_lattice import MF_CLOSURE, MF_ID, HState, Transformer
 from evflow.ifds import RepRelation, ZERO, explode
 from evflow.lang import parse
 from evflow.randgen import GenParams, gen_source
@@ -33,6 +28,56 @@ def mf_meet_def(f, g):
     """Pointwise chain meet on packed chain functions: the unsigned min of
     each two-bit image."""
     return sum(min(_out(f, s), _out(g, s)) << (2 * s) for s in range(4))
+
+
+def mf_leq_def(f, g):
+    """Pointwise chain order on packed chain functions: each two-bit
+    image of f at most g's."""
+    return all(_out(f, s) <= _out(g, s) for s in range(4))
+
+
+def hstate_meet(a, b):
+    """Meet on the chain X > S > R > E: the lower of the two states."""
+    return min(a, b)
+
+
+# The definitional transformer: a dict {handler: packed chain function},
+# a handler without an entry mapped by the identity.  The solver's packed
+# transformers are checked against it lane by lane.
+
+def all_s(handlers):
+    """The entry map: every handler in S."""
+    return {h: HState.S for h in handlers}
+
+
+def touched(t, handlers):
+    """The non-identity lanes of a packed transformer, as a dict
+    transformer."""
+    return {h: MF_CLOSURE[i] for h, i in zip(handlers, t) if i}
+
+
+def packed(handlers, f):
+    """A dict transformer as a packed one over `handlers`."""
+    return Transformer.of(handlers, f)
+
+
+def hmf_apply(f, m):
+    """A dict transformer applied to a handler-state map."""
+    return {h: HState(_out(f.get(h, MF_ID), s)) for h, s in m.items()}
+
+
+def hmf_compose(g, f):
+    """g after f, handler by handler, identity entries dropped."""
+    out = {h: mf_compose_def(g.get(h, MF_ID), f.get(h, MF_ID))
+           for h in f.keys() | g.keys()}
+    return {h: fn for h, fn in out.items() if fn != MF_ID}
+
+
+def hmf_meet(f, g):
+    """The pointwise meet, handler by handler, identity entries dropped."""
+    out = {h: mf_meet_def(f.get(h, MF_ID), g.get(h, MF_ID))
+           for h in f.keys() | g.keys()}
+    return {h: fn for h, fn in out.items() if fn != MF_ID}
 
 
 def canon_rel_def(pairs):
@@ -198,9 +243,11 @@ def brute_force_ide(graph, rel_of, labels, handlers, entry=None,
                     max_len=40, path_budget=200_000):
     """Path-enumeration oracle for the two-phase solver: walk every valid
     path, carry an environment (fact -> handler-state map, with the 0 row
-    seeded all-S), and meet per node.  Memoizes identical continuation
-    states, which leaves accumulated results unchanged."""
+    seeded all-S), and meet per node.  `labels` are packed transformers
+    over `handlers`, applied as dict transformers.  Memoizes identical
+    continuation states, which leaves accumulated results unchanged."""
     entry = entry or graph.entry()
+    labels = {eid: touched(t, handlers) for eid, t in labels.items()}
     values: dict[str, dict[int, dict]] = defaultdict(dict)
     explored = 0
     seen = set()

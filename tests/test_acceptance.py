@@ -11,14 +11,12 @@ from evflow.event_lattice import (
     MF_ID,
     MF_INVOKE,
     MF_REGISTER,
-    all_s,
-    hmf_apply,
-    hmf_compose,
-    hstate_meet,
+    map_at_s,
     mf_apply,
     mf_compose,
     mf_meet,
     mf_pack,
+    packed_compose,
 )
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import ZERO
@@ -32,10 +30,12 @@ from evflow.uninit import report_uses
 from conftest import CORPUS_NAMES, load_corpus_entry
 from helpers import (
     PathBudgetExceededError,
+    hstate_meet,
     mf_compose_def,
     mf_meet_def,
     mvp_bruteforce,
     pipeline,
+    touched,
 )
 
 S, R, E, X = HState.S, HState.R, HState.E, HState.X
@@ -96,13 +96,14 @@ def test_criterion_2_dirstat():
     g = analysis.build.graph
     by_handler = {g.proc_of(e.dst): labels[e.eid] for e in g.edges
                   if e.kind is EdgeKind.CALL and e.src == EVENT_LOOP}
-    reg_f = next(labels[e.eid] for e in g.edges
-                 if labels[e.eid].touched() == {"f": MF_EMIT_REGISTER})
-    reg_h = next(labels[e.eid] for e in g.edges
-                 if labels[e.eid].touched() == {"h": MF_EMIT_REGISTER})
-    feasible = hmf_compose(by_handler["h"], hmf_compose(
-        reg_h, hmf_compose(by_handler["f"], reg_f)))
-    assert hmf_apply(feasible, all_s(("f", "h"))) == {"f": E, "h": E}
+    handlers = analysis.handlers
+    reg_f = next(labels[e.eid] for e in g.edges if touched(
+        labels[e.eid], handlers) == {"f": MF_EMIT_REGISTER})
+    reg_h = next(labels[e.eid] for e in g.edges if touched(
+        labels[e.eid], handlers) == {"h": MF_EMIT_REGISTER})
+    feasible = packed_compose(by_handler["h"], packed_compose(
+        reg_h, packed_compose(by_handler["f"], reg_f)))
+    assert map_at_s(feasible, handlers) == {"f": E, "h": E}
     # the solver agrees: the tautological row at the reading node meets to
     # the feasible map
     assert analysis.ide.envs[add][ZERO] == {"f": E, "h": E}
@@ -251,8 +252,7 @@ def test_criterion_8_handler_work_bound():
         analysis = analyze_event_aware(program, check_descent=True)
         bound = max(1, len(analysis.handlers))
         for hmf in analysis.labeled.labels.values():
-            assert len(hmf) <= len(analysis.handlers) or \
-                len(analysis.handlers) == 0 and hmf.is_identity()
+            assert len(hmf) == len(analysis.handlers)
         assert analysis.ide.stats["max_label_entries"] <= bound
     _passed(8, "per-composition work bounded by the handler count",
             started, 30.0)

@@ -466,6 +466,22 @@ def test_scopes_are_resolved_once_per_program(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_label_of_the_wrong_length_is_reported(monkeypatch):
+    """A labelling that numbers one handler too many gives labels one
+    byte longer than the handler count; the solve runs, and the oracle's
+    representation check names it."""
+    from evflow import cli, transform
+    from evflow.eventmodel import EventModel
+    label = transform.transform
+    monkeypatch.setattr(
+        transform, "transform",
+        lambda xsg, ops, handlers: label(xsg, ops, (*handlers, "extra")))
+    source = (packaged_corpus_dir() / "door.evl").read_text()
+    violations = cli.check_program(source, EventModel.default(), 2)
+    assert "representation: a label's length is not the handler count" \
+        in violations
+
+
 def test_analysis_reads_the_event_model_off_the_program(monkeypatch):
     from evflow import cli
     from evflow.eventmodel import EventModel

@@ -3,28 +3,38 @@ import itertools
 from hypothesis import given, strategies as st
 
 from evflow.event_lattice import (
-    HMF_ID,
     HState,
-    HandlerMicroFn,
     MF_EMIT,
     MF_EMIT_REGISTER,
     MF_CLOSURE,
     MF_ID,
     MF_INVOKE,
     MF_REGISTER,
+    map_at_s,
+    mf_apply,
+    mf_compose,
+    mf_leq,
+    mf_meet,
+    mf_pack,
+    packed_compose,
+    packed_leq,
+    packed_meet,
+    s_normal,
+)
+
+from helpers import (
     all_s,
     hmf_apply,
     hmf_compose,
     hmf_meet,
+    hsm_meet,
     hstate_meet,
-    mf_apply,
-    mf_compose,
-    mf_format,
-    mf_meet,
-    mf_pack,
+    mf_compose_def,
+    mf_leq_def,
+    mf_meet_def,
+    packed,
+    touched,
 )
-
-from helpers import hsm_meet, mf_compose_def, mf_meet_def
 
 STATES = (HState.X, HState.S, HState.R, HState.E)
 
@@ -131,64 +141,111 @@ def test_generated_functions_distribute_over_meet():
                 assert lhs == rhs
 
 
-def test_mf_format():
-    assert "X,R,R,E" in mf_format(MF_REGISTER)
-    assert mf_format(MF_ID).endswith("⟨X,S,R,E⟩")
-
-
 def test_hmf_identity_is_sparse():
-    f = HandlerMicroFn({"a": MF_ID, "b": MF_REGISTER})
-    assert len(f) == 1
-    assert f.mf_for("a") == MF_ID
-    assert f.mf_for("missing") == MF_ID
-    assert HandlerMicroFn({"a": MF_ID}) == HMF_ID
+    # the identity is lane value 0, so an identity entry is a zero byte
+    assert MF_CLOSURE[0] == MF_ID
+    f = packed(("a", "b"), {"a": MF_ID, "b": MF_REGISTER})
+    assert f == bytes([0, MF_CLOSURE.index(MF_REGISTER)])
+    assert touched(f, ("a", "b")) == {"b": MF_REGISTER}
+    assert not f.is_identity()
+    assert packed(("a",), {"a": MF_ID}) == bytes(1)
+    assert packed(("a", "b"), {}).is_identity()
 
 
 def test_hmf_door_walkthrough():
     handlers = ("h_close", "h_open")
-    f = HandlerMicroFn({"h_open": MF_EMIT_REGISTER})
-    state = hmf_apply(f, all_s(handlers))
-    assert state == {"h_open": HState.E, "h_close": HState.S}
-    g = hmf_compose(HandlerMicroFn({"h_close": MF_INVOKE}), f)
-    assert hmf_apply(g, all_s(handlers)) == {
+    f = packed(handlers, {"h_open": MF_EMIT_REGISTER})
+    assert map_at_s(f, handlers) == {"h_open": HState.E, "h_close": HState.S}
+    g = packed_compose(packed(handlers, {"h_close": MF_INVOKE}), f)
+    assert map_at_s(g, handlers) == {
         "h_open": HState.E, "h_close": HState.X}
 
 
+HANDLERS = tuple("abcde")
+
+
 @st.composite
-def hmfs(draw):
-    handlers = draw(st.lists(st.sampled_from("abcde"), unique=True, max_size=5))
-    return HandlerMicroFn({
-        h: draw(st.sampled_from(MF_CLOSURE)) for h in handlers})
+def hmfs(draw, handlers=HANDLERS):
+    """A packed transformer over `handlers`, every lane drawn from the
+    closure."""
+    return bytes(draw(st.lists(st.integers(0, len(MF_CLOSURE) - 1),
+                               min_size=len(handlers),
+                               max_size=len(handlers))))
 
 
 @given(hmfs())
 def test_hmf_identity_neutral(f):
-    assert hmf_compose(HMF_ID, f) == f
-    assert hmf_compose(f, HMF_ID) == f
+    ident = bytes(len(HANDLERS))
+    assert packed_compose(ident, f) == f
+    assert packed_compose(f, ident) == f
+    assert packed_meet(f, f) == f
 
 
 @given(hmfs(), hmfs())
 def test_hmf_ops_are_pointwise(f, g):
-    comp = hmf_compose(g, f)
-    met = hmf_meet(f, g)
-    for h in "abcde":
-        assert comp.mf_for(h) == mf_compose(g.mf_for(h), f.mf_for(h))
-        assert met.mf_for(h) == mf_meet(f.mf_for(h), g.mf_for(h))
+    comp = packed_compose(g, f)
+    met = packed_meet(f, g)
+    for i in range(len(HANDLERS)):
+        assert MF_CLOSURE[comp[i]] == mf_compose(MF_CLOSURE[g[i]],
+                                                 MF_CLOSURE[f[i]])
+        assert MF_CLOSURE[met[i]] == mf_meet(MF_CLOSURE[f[i]],
+                                             MF_CLOSURE[g[i]])
 
 
 @given(hmfs(), hmfs())
 def test_hmf_apply_commutes_with_compose(f, g):
-    m = all_s("abcde")
-    assert hmf_apply(hmf_compose(g, f), m) == hmf_apply(g, hmf_apply(f, m))
+    m = all_s(HANDLERS)
+    assert map_at_s(packed_compose(g, f), HANDLERS) == hmf_apply(
+        touched(g, HANDLERS), hmf_apply(touched(f, HANDLERS), m))
 
 
 @given(hmfs(), hmfs(),
-       st.fixed_dictionaries({h: st.sampled_from(STATES) for h in "abcde"}))
+       st.fixed_dictionaries({h: st.sampled_from(STATES) for h in HANDLERS}))
 def test_hmf_apply_distributes_over_meet(f, g, m):
     """Applying the meet of two transformers is the meet of applying
     each, so a solve may meet transformers and apply the result once."""
-    assert hmf_apply(hmf_meet(f, g), m) == \
-        hsm_meet(hmf_apply(f, m), hmf_apply(g, m))
+    tf, tg = touched(f, HANDLERS), touched(g, HANDLERS)
+    assert hmf_apply(touched(packed_meet(f, g), HANDLERS), m) == \
+        hsm_meet(hmf_apply(tf, m), hmf_apply(tg, m))
+
+
+@st.composite
+def packed_pairs(draw):
+    handlers = tuple(f"h{i}" for i in range(draw(st.sampled_from((1, 3, 6, 40)))))
+    return handlers, draw(hmfs(handlers)), draw(hmfs(handlers))
+
+
+@given(packed_pairs())
+def test_packed_operators_agree_lane_by_lane(pair):
+    """At H = 1, 3, 6 and 40 lanes, packed compose, meet, order, S-normal
+    form and map at S agree with the per-function tables in each lane
+    and with the dict transformers of the test oracle."""
+    handlers, f, g = pair
+    comp, met = packed_compose(g, f), packed_meet(f, g)
+    assert len(comp) == len(met) == len(handlers)
+    hsm = map_at_s(f, handlers)
+    for i, h in enumerate(handlers):
+        fi, gi = MF_CLOSURE[f[i]], MF_CLOSURE[g[i]]
+        assert MF_CLOSURE[comp[i]] == mf_compose(gi, fi)
+        assert MF_CLOSURE[met[i]] == mf_meet(fi, gi)
+        assert hsm[h] == mf_apply(fi, HState.S)
+        assert mf_apply(MF_CLOSURE[s_normal(f)[i]], HState.S) == hsm[h]
+    assert packed_leq(f, g) == all(
+        mf_leq_def(MF_CLOSURE[a], MF_CLOSURE[b]) for a, b in zip(f, g))
+    assert packed_leq(met, f) and packed_leq(met, g)
+    tf, tg = touched(f, handlers), touched(g, handlers)
+    assert touched(comp, handlers) == hmf_compose(tg, tf)
+    assert touched(met, handlers) == hmf_meet(tf, tg)
+    assert hsm == hmf_apply(tf, all_s(handlers))
+    # normal forms are equal exactly where the maps at S are
+    assert (s_normal(f) == s_normal(g)) == (hsm == map_at_s(g, handlers))
+
+
+def test_order_table_is_the_definitional_order():
+    for f, g in itertools.product(MF_CLOSURE, repeat=2):
+        assert mf_leq(f, g) == mf_leq_def(f, g)
+        lanes = bytes([MF_CLOSURE.index(f)]), bytes([MF_CLOSURE.index(g)])
+        assert packed_leq(*lanes) == mf_leq_def(f, g)
 
 
 def test_hsm_meet_pointwise():

@@ -10,9 +10,9 @@ import pytest
 
 from evflow.event_lattice import (
     HState,
-    HandlerMicroFn,
     MF_EMIT,
     MF_REGISTER,
+    Transformer,
 )
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import ZERO
@@ -28,6 +28,7 @@ from helpers import (
     brute_force_ide,
     chain_source,
     mvp_bruteforce,
+    packed,
     pipeline,
     sample_programs,
 )
@@ -277,7 +278,7 @@ def test_descent_check_survives_python_O():
         "from evflow.transform import transform\n"
         "build, _, xsg = pipeline(load_corpus_entry('door')[0])\n"
         "labeled = transform(xsg, build.ops, build.handlers)\n"
-        "ide.hmf_leq = lambda new, old: False\n"
+        "ide.packed_leq = lambda new, old: False\n"
         "try:\n"
         "    ide.solve_ide(labeled, check_descent=True)\n"
         "except AssertionError:\n"
@@ -375,8 +376,8 @@ def test_label_sizes_bounded_by_handlers(door, dirstat, timer, server):
         analysis = analyze_event_aware(program)
         n_handlers = len(analysis.handlers)
         for hmf in analysis.labeled.labels.values():
-            assert len(hmf) <= n_handlers
-        assert analysis.ide.stats["max_label_entries"] <= max(1, n_handlers)
+            assert len(hmf) == n_handlers
+        assert analysis.ide.stats["max_label_entries"] <= n_handlers
 
 
 def _interning_programs():
@@ -532,15 +533,16 @@ def _relabelled(labeled, interior):
     run and registers as it leaves: the event labelling puts only
     registrations on straight-line edges, and they commute, so these
     labels are what shows the order in which a block composes them."""
-    emit, register = (HandlerMicroFn({"relabel": mf})
+    handlers = (*labeled.handlers, "relabel")
+    emit, register = (packed(handlers, {"relabel": mf})
                       for mf in (MF_EMIT, MF_REGISTER))
-    labels = dict(labeled.labels)
+    # the new handler is the last lane, the identity on every other edge
+    labels = {eid: Transformer(t + b"\0") for eid, t in labeled.labels.items()}
     for e in labeled.xsg.graph.edges:
         if e.kind is EdgeKind.INTRA and (e.src in interior) != \
                 (e.dst in interior):
             labels[e.eid] = emit if e.dst in interior else register
-    return LabeledExplodedSupergraph(labeled.xsg, labels,
-                                     (*labeled.handlers, "relabel"))
+    return LabeledExplodedSupergraph(labeled.xsg, labels, handlers)
 
 
 def test_blocks_answer_like_the_path_oracles():
@@ -584,9 +586,9 @@ def test_blocks_answer_like_the_path_oracles():
 
 # f is called after `register` on one branch and after `emit; register`
 # in g on the other: two transformers that differ where h is registered
-# but agree on the entry map, so f's start value drops in phase 2 while
-# its map stays {h: R}.  g's emit enters the loop after the end of
-# top-level has, with a map no lower, so nothing else drops.
+# but agree on the entry map, so met as transformers f's start value
+# would drop while its map stays {h: R}.  g's emit enters the loop after
+# the end of top-level has, with a map no lower, so nothing else drops.
 TRANSFORMER_DROP_SOURCE = """var x;
 var c = 1;
 fn h() { print(x); }
@@ -602,10 +604,12 @@ x = 1;
 """
 
 
-def test_a_start_value_drops_where_its_map_stays():
-    """Phase 2 meets transformers, not maps: a value may drop below one
-    with the same map, and the maps read at every node and fact are
-    still the meet over valid paths."""
+def test_a_start_value_stays_where_its_map_stays():
+    """Here `f` is entered with two transformers that differ but give
+    the same map (register `h`, and emit then register `h`).  Phase 2
+    keeps values in their normal form at S, so the second does not drop
+    the first and no value is stepped twice, and the maps read at every
+    node and fact are still the meet over valid paths."""
     program = parse(TRANSFORMER_DROP_SOURCE)
     build, problem, xsg, labeled, result = ide_for(program,
                                                    check_descent=True)
@@ -617,7 +621,7 @@ def test_a_start_value_drops_where_its_map_stays():
     calls = [e for e in g.edges if e.kind is EdgeKind.CALL]
     keyed = {g.entry(), *(e.src for e in calls), *(e.dst for e in calls)}
     values = sum(len(result.envs.get(n, ())) for n in keyed)
-    assert result.stats["phase2_steps"] > values
+    assert result.stats["phase2_steps"] == values
     x = problem.domain.index_of("x")
     assert result.envs[g.start_of("f")] == {ZERO: {"h": R}, x: {"h": R}}
     oracle = brute_force_ide(g, xsg.rel_of, labeled.labels, build.handlers,

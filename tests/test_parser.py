@@ -50,9 +50,10 @@ def test_door_program_structure(door):
 
 def test_precedence():
     p = parse("var a; var b; a = 1 + 2 * 3 < 4 == true && !false;")
-    # parses without error and prints back with the same grouping
-    assert "1 + 2 * 3 < 4 == true && (!false)" in to_source(p) or \
-        "1 + 2 * 3 < 4 == true && !false" in to_source(p)
+    # prints back exactly, with no parentheses: the grouping that the
+    # precedence levels give needs none, and `!` binds tighter than `&&`
+    assert to_source(p) == \
+        "var a;\nvar b;\na = 1 + 2 * 3 < 4 == true && !false;\n"
 
 
 # The binary-operator grammar, loosest level first, spelled out here and

@@ -77,7 +77,7 @@ def test_handler_work_bound_on_random_programs(random_programs):
         bound = max(1, len(analysis.handlers))
         assert analysis.ide.stats["max_label_entries"] <= bound, seed
         for hmf in analysis.labeled.labels.values():
-            assert len(hmf) <= bound
+            assert len(hmf) == len(analysis.handlers)
 
 
 def test_schedule_exploration_finds_order_bugs():

@@ -13,7 +13,7 @@ from evflow.lang.ast import Assign, StrLit, Var, iter_stmts
 from evflow.supergraph import EVENT_LOOP, EdgeKind, node_for_sid
 from evflow.transform import analyze_event_aware, transform
 
-from helpers import pipeline
+from helpers import pipeline, touched
 
 S, R, E, X = HState.S, HState.R, HState.E, HState.X
 
@@ -51,7 +51,8 @@ def test_register_edge_label(door):
                      lambda s: getattr(s, "callee", None) == "register"
                      and s.args[0] == StrLit("open"))
     hmf = labeled.labels[edge.eid]
-    assert hmf.touched() == {"hdlOpen": MF_REGISTER}
+    assert len(hmf) == len(build.handlers)
+    assert touched(hmf, build.handlers) == {"hdlOpen": MF_REGISTER}
 
 
 def test_emit_register_label(dirstat):
@@ -59,7 +60,8 @@ def test_emit_register_label(dirstat):
     edge = find_edge(build, program,
                      lambda s: getattr(s, "callee", None) == "register_async"
                      and s.args[0] == Var("f"))
-    assert labeled.labels[edge.eid].touched() == {"f": MF_EMIT_REGISTER}
+    assert touched(labeled.labels[edge.eid], build.handlers) == \
+        {"f": MF_EMIT_REGISTER}
 
 
 def test_plain_edges_identity(door):
@@ -68,13 +70,14 @@ def test_plain_edges_identity(door):
                      lambda s: isinstance(s, Assign) and s.name == "txt"
                      and "Hello" in str(s.value))
     assert labeled.labels[edge.eid].is_identity()
+    assert labeled.labels[edge.eid] == bytes(len(build.handlers))
 
 
 def test_dispatch_edges_invoke(door):
     program, build, xsg, labeled = labeled_for(door)
     for edge in build.graph.edges:
         if edge.kind is EdgeKind.CALL and edge.src == EVENT_LOOP:
-            assert labeled.labels[edge.eid].touched() == \
+            assert touched(labeled.labels[edge.eid], build.handlers) == \
                 {build.graph.proc_of(edge.dst): MF_INVOKE}
 
 
@@ -85,7 +88,7 @@ def test_emit_call_and_c2r_labels(door):
     assert emit_calls
     for e in emit_calls:
         hmf = labeled.labels[e.eid]
-        assert set(hmf.touched().values()) == {MF_EMIT}
+        assert set(touched(hmf, build.handlers).values()) == {MF_EMIT}
         c2r = build.graph.edge_between(e.src, e.ret_site)
         assert labeled.labels[c2r.eid] == hmf
 
