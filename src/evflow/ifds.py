@@ -1,13 +1,16 @@
-"""Distributive flow functions as representation relations, the exploded
+"""Distributive flow functions as identity patches, the exploded
 supergraph and the fact-set result type.
 
 Facts are small integers; index 0 is the tautological fact that holds
-everywhere and seeds the analysis.  A flow function is stored as the
-canonical bipartite relation over (D u {0})^2 that its client builds;
-the solver only looks successors up, it never composes relations.
+everywhere and seeds the analysis.  A flow function is the canonical
+bipartite relation over (D u {0})^2 (Reps, Horwitz & Sagiv, POPL 1995),
+and its client states it as a `Patch` of the identity relation: the
+facts whose `(d, d)` pair it drops and the pairs it adds, the gen/kill
+form of practical IFDS solvers.  The solver only looks successors up, it
+never composes relations.
 
 The exploded supergraph also partitions D into classes of
-interchangeable facts, read off the relations alone (`ExplodedSupergraph`),
+interchangeable facts, read off the patches alone (`ExplodedSupergraph`),
 and the solver runs over one representative per class.
 
 The plain result holds, per node, the facts reachable from <entry, 0>
@@ -21,12 +24,25 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
+from typing import NamedTuple
 
 from .supergraph import Supergraph
 
 ZERO = 0
 
-RepRelation = frozenset  # of (int, int) pairs
+
+class Patch(NamedTuple):
+    """A flow function as the identity relation over (D u {0})^2 without
+    the pairs `(d, d)` of the facts `dropped` and with the pairs `added`,
+    ascending.  It is normalized: a `(d, d)` pair that would be both
+    dropped and added is neither, so `added` holds no `(d, d)` pair and
+    equal relations have equal patches."""
+
+    dropped: tuple[int, ...]
+    added: tuple[tuple[int, int], ...]
+
+
+IDENTITY = Patch((), ())
 
 
 class FactDomain:
@@ -37,10 +53,6 @@ class FactDomain:
         if len(set(self._names)) != len(self._names):
             raise ValueError("facts must be unique")
         self._index = {name: i + 1 for i, name in enumerate(self._names)}
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._names
 
     def __len__(self) -> int:
         return len(self._names)
@@ -56,10 +68,6 @@ class FactDomain:
 
     def names_of(self, indices) -> frozenset[str]:
         return frozenset(self._names[i - 1] for i in indices)
-
-
-def identity_rel(domain: FactDomain) -> RepRelation:
-    return frozenset({(ZERO, ZERO), *((d, d) for d in domain.indices())})
 
 
 def _patched_table(base: dict[int, tuple[int, ...]], dropped, added
@@ -87,51 +95,42 @@ def _patched_table(base: dict[int, tuple[int, ...]], dropped, added
 
 
 class ExplodedSupergraph:
-    """Supergraph with one canonical relation per edge; the exploded node
-    and edge sets are derived views.
+    """Supergraph with one flow-function patch per edge; the exploded
+    node and edge sets are derived views.
 
     The non-zero facts fall into classes of interchangeable facts, read
-    off the relations alone.  A fact that some relation pairs with
-    another fact, other than by a gen `(0, d)`, is a class of its own.
-    Every other fact is *inert*: a relation keeps it, drops its `(d, d)`
-    pair, gens it from 0, or both, and inert facts that do the same in
-    every distinct relation object form one class.  Swapping two facts
-    of a class leaves every relation unchanged, so they have the same
-    solution everywhere (symmetry reduction, as in Ip & Dill, FMSD
-    1996).  The representative of a class is its lowest fact, and the
-    solver reads `rep_succ`, the successor tables over 0 and the
-    representatives.
+    off the patches alone.  A fact that some patch pairs with another
+    fact, other than by a gen `(0, d)`, is a class of its own.  Every
+    other fact is *inert*: a patch keeps it, drops its `(d, d)` pair,
+    gens it from 0, or both, and inert facts that do the same in every
+    distinct patch form one class.  Swapping two facts of a class leaves
+    every relation unchanged, so they have the same solution everywhere
+    (symmetry reduction, as in Ip & Dill, FMSD 1996).  The
+    representative of a class is its lowest fact, and the solver reads
+    `rep_succ`, the successor tables over 0 and the representatives.
     """
 
     def __init__(self, graph: Supergraph, domain: FactDomain,
-                 rel_of: dict[int, RepRelation]):
+                 patch_of: dict[int, Patch]):
         self.graph = graph
         self.domain = domain
-        self.rel_of = rel_of
-        missing = [e.eid for e in graph.edges if e.eid not in rel_of]
+        self.patch_of = patch_of
+        missing = [e.eid for e in graph.edges if e.eid not in patch_of]
         if missing:
-            raise ValueError(f"edges without a flow relation: {missing}")
-        # One pass over the distinct relation objects takes where each
-        # differs from the identity: the facts whose `(d, d)` pair it
-        # drops and the pairs it adds.  A fact's signature lists, for the
-        # r-th relation, 2r if it drops `(d, d)` and 2r + 1 if it holds
-        # `(0, d)`, so it is ascending by construction.
-        ident = identity_rel(domain)
-        diffs: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+            raise ValueError(f"edges without a flow function: {missing}")
+        # A fact's signature lists, for the r-th distinct patch, 2r if it
+        # drops `(d, d)` and 2r + 1 if it adds `(0, d)`, so it is
+        # ascending by construction.  Equal relations have equal
+        # (normalized) patches, so keying by value shares one entry.
+        distinct = dict.fromkeys(patch_of.values())
         signature: dict[int, list[int]] = defaultdict(list)
         own: set[int] = set()
-        for rel in rel_of.values():
-            if id(rel) in diffs:
-                continue
-            r = 2 * len(diffs)
-            dropped = [d for d, _ in ident - rel]
-            added = sorted(rel - ident)
-            diffs[id(rel)] = (dropped, added)
+        for r, (dropped, added) in enumerate(distinct):
             for d in dropped:
-                signature[d].append(r)
+                signature[d].append(2 * r)
             for d1, d2 in added:
                 if d1 == ZERO:
-                    signature[d2].append(r + 1)
+                    signature[d2].append(2 * r + 1)
                 else:
                     own.add(d1)
                     own.add(d2)
@@ -147,23 +146,28 @@ class ExplodedSupergraph:
 
         # The tables the solver reads: edge id -> {source fact: ascending
         # successor facts} over 0 and the representatives, one table per
-        # distinct relation object.  Each table is the identity's table
-        # patched where the relation differs from the identity, so
-        # building it costs the pairs that differ, not the domain size.  A
-        # pair from a non-zero fact joins two facts of classes of their
-        # own, so a table leaves out only the `(d, d)` pairs and the gens
-        # of other members.
+        # distinct patch.  Each is the identity's table patched, so
+        # building it costs the patch, not the domain size.  A pair from
+        # a non-zero fact joins two facts of classes of their own, so a
+        # table leaves out only the `(d, d)` pairs and the gens of other
+        # members.
         base = {d: (d,) for d in (ZERO, *self.classes)}
-        tables = {key: _patched_table(base, [d for d in dropped if d in base],
-                                      [p for p in added if p[1] in base])
-                  for key, (dropped, added) in diffs.items()}
+        tables = {p: _patched_table(base, [d for d in p.dropped if d in base],
+                                    [q for q in p.added if q[1] in base])
+                  for p in distinct}
         self.rep_succ: dict[int, dict[int, tuple[int, ...]]] = {
-            eid: tables[id(rel)] for eid, rel in rel_of.items()}
+            eid: tables[p] for eid, p in patch_of.items()}
 
-    def iter_exploded_edges(self):
-        for edge in self.graph.edges:
-            for d1, d2 in sorted(self.rel_of[edge.eid]):
-                yield (edge.src, d1), (edge.dst, d2)
+    @cached_property
+    def rel_of(self) -> dict[int, frozenset[tuple[int, int]]]:
+        """Edge id -> the representation relation its patch stands for,
+        one frozenset per distinct patch, built on first access for the
+        DOT export and the test oracles; the analysis never reads it."""
+        ident = frozenset({(ZERO, ZERO),
+                           *((d, d) for d in self.domain.indices())})
+        rels = {p: ident.difference((d, d) for d in p.dropped).union(p.added)
+                for p in dict.fromkeys(self.patch_of.values())}
+        return {eid: rels[p] for eid, p in self.patch_of.items()}
 
 
 def explode(graph: Supergraph, domain: FactDomain, flow_for) -> ExplodedSupergraph:
@@ -210,22 +214,20 @@ def exploded_dot(xsg: ExplodedSupergraph) -> str:
     """Render the exploded supergraph: one row of fact columns per
     supergraph node, edges per representation-relation pair."""
     domain = xsg.domain
+    names = ("0", *map(domain.name_of, domain.indices()))
     lines = ["digraph exploded {", "  node [shape=circle fontsize=9];",
              "  rankdir=TB;"]
-
-    def xid(node: str, d: int) -> str:
-        name = "0" if d == ZERO else domain.name_of(d)
-        return f"{node}#{name}"
-
     for node in xsg.graph.nodes.values():
-        ids = [xid(node.id, d) for d in (ZERO, *domain.indices())]
         lines.append("  { rank=same; " +
-                     " ".join(f'"{i}";' for i in ids) + " }")
-        for d in (ZERO, *domain.indices()):
-            name = "0" if d == ZERO else domain.name_of(d)
-            lines.append(f'  "{xid(node.id, d)}" '
+                     " ".join(f'"{node.id}#{name}";' for name in names) +
+                     " }")
+        for name in names:
+            lines.append(f'  "{node.id}#{name}" '
                          f'[label="{name}" xlabel="{node.id}"];')
-    for (m, d1), (n, d2) in xsg.iter_exploded_edges():
-        lines.append(f'  "{xid(m, d1)}" -> "{xid(n, d2)}";')
+    rel_of = xsg.rel_of
+    for edge in xsg.graph.edges:
+        for d1, d2 in sorted(rel_of[edge.eid]):
+            lines.append(f'  "{edge.src}#{names[d1]}" -> '
+                         f'"{edge.dst}#{names[d2]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

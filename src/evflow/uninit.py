@@ -1,18 +1,20 @@
-"""Possibly-uninitialized variables as per-edge representation relations.
+"""Possibly-uninitialized variables as per-edge identity patches.
 
 The fact domain is every declared variable, alpha-renamed so locals of
-different functions never collide.  Declarations act like JS var
-hoisting: a function's locals become possibly-uninitialized on the edge
-leaving its start node, a declaration with an initializer behaves like
-an assignment, and one without is the identity.  Reads inside conditions, prints and call arguments
-do not transform facts; they are reporting sites.
+different functions never collide.  Each edge's flow function is a
+`Patch` of the identity: the facts it kills and the pairs it adds.
+Declarations act like JS var hoisting: a function's locals become
+possibly-uninitialized on the edge leaving its start node, a
+declaration with an initializer behaves like an assignment, and one
+without is the identity.  Reads inside conditions, prints and call
+arguments do not transform facts; they are reporting sites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ifds import FactDomain, IfdsResult, RepRelation, ZERO, identity_rel
+from .ifds import IDENTITY, FactDomain, IfdsResult, Patch, ZERO
 from .lang.ast import (
     Assign,
     Call,
@@ -28,9 +30,9 @@ from .supergraph import EdgeKind, NodeKind, Supergraph
 class UninitProblem:
     """Flow-function factory for one program over one supergraph.
 
-    Every relation it builds is canonical by construction: the only pairs
-    from 0 are (0, 0) and generated facts, and no other fact flows into a
-    generated one.
+    Every patch it builds is normalized, and the relation it stands for
+    is canonical: the only pairs from 0 are (0, 0) and generated facts,
+    and no other fact flows into a generated one.
     """
 
     def __init__(self, program: Program, graph: Supergraph):
@@ -40,26 +42,20 @@ class UninitProblem:
         self.domain = FactDomain(self.scopes.all_facts())
         self._globals = frozenset(
             self.domain.index_of(n) for n in self.scopes.globals)
-        # shared by every edge they label, so the exploded supergraph
-        # builds one successor table for each; gen and assign relations
-        # are copies of the identity with a few pairs swapped
-        self._identity = identity_rel(self.domain)
-        self._globals_only = frozenset(
-            {(ZERO, ZERO), *((d, d) for d in self._globals)})
+        self._non_globals = tuple(d for d in self.domain.indices()
+                                  if d not in self._globals)
 
     # -- helpers --
 
     def _idx(self, func: str, name: str) -> int:
         return self.domain.index_of(self.scopes.qualify(func, name))
 
-    def _assign_rel(self, func: str, target: str, value_expr) -> RepRelation:
+    def _assign(self, func: str, target: str, value_expr) -> Patch:
+        # `x = x + 1` keeps x: its (x, x) pair is neither dropped nor added
         t = self._idx(func, target)
-        return self._identity.difference(((t, t),)).union(
-            (self._idx(func, v), t) for v in expr_vars(value_expr))
-
-    def _gen_rel(self, gens: frozenset[int]) -> RepRelation:
-        return self._identity.difference((d, d) for d in gens).union(
-            (ZERO, d) for d in gens)
+        reads = {self._idx(func, v) for v in expr_vars(value_expr)}
+        return Patch(() if t in reads else (t,),
+                     tuple(sorted((v, t) for v in reads if v != t)))
 
     def _locals_of(self, func: str) -> frozenset[int]:
         sc = self.scopes
@@ -68,49 +64,49 @@ class UninitProblem:
 
     # -- the per-edge flow function --
 
-    def flow_for(self, edge) -> RepRelation:
+    def flow_for(self, edge) -> Patch:
         g = self.graph
         kind = edge.kind
         if kind is EdgeKind.CALL:
-            return self._call_rel(edge)
+            return self._call(edge)
         if kind is EdgeKind.RETURN:
-            return self._globals_only
+            return Patch(self._non_globals, ())
         if kind is EdgeKind.CALL_TO_RETURN:
             caller_locals = self._locals_of(g.proc_of(edge.src))
-            non_global = caller_locals - self._globals
-            return frozenset({(ZERO, ZERO), *((d, d) for d in non_global)})
+            return Patch(tuple(d for d in self.domain.indices()
+                               if d in self._globals or d not in caller_locals),
+                         ())
         src = g.nodes[edge.src]
         if src.kind is NodeKind.START:
             # hoisting: every non-param local of the function starts
             # possibly-uninitialized
-            sc = self.scopes
-            locs = frozenset(self.domain.index_of(n)
-                             for n in sc.locals_by_func.get(src.func, ()))
-            return self._gen_rel(locs)
+            locs = sorted(self.domain.index_of(n) for n in
+                          self.scopes.locals_by_func.get(src.func, ()))
+            return Patch(tuple(locs), tuple((ZERO, d) for d in locs))
         if src.kind is not NodeKind.STMT:
-            return self._identity
+            return IDENTITY
         stmt = self.program.stmt(src.sid)
         if isinstance(stmt, VarDecl) and stmt.init is not None:
-            return self._assign_rel(src.func, stmt.name, stmt.init)
+            return self._assign(src.func, stmt.name, stmt.init)
         if isinstance(stmt, Assign):
-            return self._assign_rel(src.func, stmt.name, stmt.value)
-        return self._identity
+            return self._assign(src.func, stmt.name, stmt.value)
+        return IDENTITY
 
-    def _call_rel(self, edge) -> RepRelation:
+    def _call(self, edge) -> Patch:
         # globals cross into the callee; parameters are bound from the
-        # variables read by their actuals.  A call that binds no
-        # parameter (an emit, a dispatch, the end of top-level, a call
-        # whose actuals read no variable) shares the globals-only
-        # relation, and with it one successor table.
+        # variables read by their actuals.  A recursive call that binds a
+        # parameter to itself keeps it.
         stmt = None if edge.sid is None else self.program.stmt(edge.sid)
         if not isinstance(stmt, Call) or stmt.sid in self.program.events:
-            return self._globals_only
+            return Patch(self._non_globals, ())
         callee = self.program.function(stmt.callee)
         caller = self.graph.proc_of(edge.src)
         bound = {(self._idx(caller, v), self._idx(callee.name, param))
                  for param, actual in zip(callee.params, stmt.args)
                  for v in expr_vars(actual)}
-        return self._globals_only.union(bound) if bound else self._globals_only
+        kept = {d1 for d1, d2 in bound if d1 == d2}
+        return Patch(tuple(d for d in self._non_globals if d not in kept),
+                     tuple(sorted(p for p in bound if p[0] != p[1])))
 
     # -- reporting --
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from evflow.event_lattice import MF_CLOSURE, MF_ID, HState, Transformer
-from evflow.ifds import RepRelation, ZERO, explode
+from evflow.ifds import Patch, ZERO, explode
 from evflow.lang import parse
 from evflow.randgen import GenParams, gen_source
 from evflow.supergraph import EdgeKind, Supergraph, build_supergraph
@@ -94,6 +94,20 @@ def canon_rel_def(pairs):
     return frozenset(out)
 
 
+def identity_rel_def(domain):
+    """The identity relation over the domain and 0."""
+    return frozenset({(ZERO, ZERO), *((d, d) for d in domain.indices())})
+
+
+def patch_of_rel(domain, rel) -> Patch:
+    """The normalized patch that `rel` is of the identity: the facts
+    whose `(d, d)` pair it lacks, ascending, and the pairs the identity
+    lacks, ascending."""
+    ident = identity_rel_def(domain)
+    return Patch(tuple(sorted(d for d, _ in ident - rel)),
+                 tuple(sorted(rel - ident)))
+
+
 def gen_rel_def(domain, gens):
     """The relation that generates `gens` from 0 and keeps every other
     fact, built pair by pair over the whole domain."""
@@ -162,7 +176,7 @@ class PathBudgetExceededError(Exception):
         super().__init__(f"path enumeration exceeded the budget of {budget}")
 
 
-def apply_rel(r: RepRelation, s) -> frozenset[int]:
+def apply_rel(r: frozenset, s) -> frozenset[int]:
     """Evaluate the represented function on a subset of D (union meet)."""
     out = set()
     for d1, d2 in r:
@@ -186,7 +200,7 @@ class BruteResult:
         return self.facts.get(node, frozenset())
 
 
-def mvp_bruteforce(g: Supergraph, rel_of: dict[int, RepRelation],
+def mvp_bruteforce(g: Supergraph, rel_of: dict[int, frozenset],
                    entry: str | None = None, max_len: int = 40,
                    path_budget: int = 100_000) -> BruteResult:
     """Definitional oracle: enumerate valid paths up to max_len, apply the

@@ -505,6 +505,24 @@ def test_analysis_reads_the_event_model_off_the_program(monkeypatch):
         assert direct.filtered.facts != direct.ifds.facts
 
 
+def test_a_report_does_not_build_the_relations(monkeypatch):
+    """Without `--dump-exploded` no client reads the exploded
+    supergraph's whole relations, so the view is never built."""
+    from evflow import cli
+    from evflow.transform import analyze_event_aware
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(analyze_event_aware(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "analyze_event_aware", spy)
+    assert run(RunConfig([corpus_path("door.evl")], mode="diff"))[1].diagnostics
+    assert "rel_of" not in seen[-1].xsg.__dict__
+    seen[-1].xsg.rel_of
+    assert "rel_of" in seen[-1].xsg.__dict__
+
+
 def test_model_callees_behave_like_the_primitives(tmp_path):
     source = (packaged_corpus_dir() / "door.evl").read_text(encoding="utf-8")
     f = tmp_path / "door.evl"

@@ -5,7 +5,6 @@ from evflow.ifds import (
     ExplodedSupergraph,
     FactDomain,
     ZERO,
-    identity_rel,
     exploded_dot,
 )
 from evflow.lang import parse
@@ -24,7 +23,9 @@ from evflow.uninit import report_uses
 from helpers import (
     PathBudgetExceededError,
     apply_rel,
+    identity_rel_def,
     mvp_bruteforce,
+    patch_of_rel,
     pipeline,
 )
 
@@ -208,7 +209,7 @@ def test_bruteforce_excludes_unbalanced_path():
     g = _manual_two_node_graph()
     from evflow.ifds import FactDomain
     domain = FactDomain(["t"])
-    rel = identity_rel(domain)
+    rel = identity_rel_def(domain)
     gen = frozenset({(ZERO, ZERO), (ZERO, 1)})
     rel_of = {e.eid: rel for e in g.edges}
     # the call edge generates the fact inside g
@@ -310,14 +311,19 @@ def _grouped(rel):
     return [(d1, tuple(ds)) for d1, ds in table.items()]
 
 
+def _exploded(g, domain, rel_of):
+    return ExplodedSupergraph(g, domain, {
+        eid: patch_of_rel(domain, rel) for eid, rel in rel_of.items()})
+
+
 def test_successor_tables_far_from_the_identity():
     """With every fact a class of its own, each successor table, patched
     from the identity's, is the grouping of the sorted relation by
-    source, keys in ascending order; edges that share a relation object
-    share its table."""
+    source, keys in ascending order; edges with equal relations share
+    one table, and the relation view gives the relations back."""
     g = _manual_two_node_graph()
     domain = FactDomain(["a", "b", "c", "d"])
-    ident = identity_rel(domain)
+    ident = identity_rel_def(domain)
     no_zero = frozenset({(1, 2), (3, 3), (4, 1)})
     # sources 1 and 2 lose their diagonal, 4 keeps it and gains 1 and 3
     off_diagonal = frozenset({(ZERO, ZERO), (ZERO, 4), (2, 1), (2, 3),
@@ -326,18 +332,21 @@ def test_successor_tables_far_from_the_identity():
             ident - {(2, 2)} | {(1, 2), (3, 2)}, frozenset(), off_diagonal]
     assert len(rels) == len(g.edges)
     rel_of = {e.eid: rel for e, rel in zip(g.edges, rels)}
-    xsg = ExplodedSupergraph(g, domain, rel_of)
+    xsg = _exploded(g, domain, rel_of)
     assert len(xsg.classes) == len(domain)
     for eid, rel in rel_of.items():
         assert list(xsg.rep_succ[eid].items()) == _grouped(rel), rel
     assert xsg.rep_succ[g.edges[1].eid] is xsg.rep_succ[g.edges[6].eid]
+    assert xsg.rep_succ[g.edges[2].eid] is xsg.rep_succ[g.edges[3].eid]
+    assert xsg.rel_of == rel_of
 
     empty = FactDomain([])
     rels = [frozenset({(ZERO, ZERO)}), frozenset()] * 4
     rel_of = {e.eid: rel for e, rel in zip(g.edges, rels)}
-    xsg = ExplodedSupergraph(g, empty, rel_of)
+    xsg = _exploded(g, empty, rel_of)
     for eid, rel in rel_of.items():
         assert list(xsg.rep_succ[eid].items()) == _grouped(rel), rel
+    assert xsg.rel_of == rel_of
 
 
 def test_classes_are_read_off_the_relations_alone():
@@ -349,13 +358,13 @@ def test_classes_are_read_off_the_relations_alone():
     g.funcs[TOP_LEVEL] = g.funcs["main"]    # the solve enters there
     domain = FactDomain(["a", "b", "c", "d", "e", "f"])
     a, b, c, d, e, f = domain.indices()
-    ident = identity_rel(domain)
+    ident = identity_rel_def(domain)
     rel_of = {edge.eid: ident for edge in g.edges}
     rel_of[g.edges[0].eid] = ident | {(ZERO, a), (ZERO, c), (ZERO, d),
                                       (ZERO, e)}
     rel_of[g.edges[2].eid] = ident - {(c, c), (d, d)}
     rel_of[g.edges[6].eid] = ident | {(e, f)}
-    xsg = ExplodedSupergraph(g, domain, rel_of)
+    xsg = _exploded(g, domain, rel_of)
     assert xsg.classes == {a: (a,), b: (b,), c: (c, d), e: (e,), f: (f,)}
     for eid, rel in rel_of.items():
         assert xsg.rep_succ[eid] == {

@@ -96,9 +96,7 @@ def test_emit_call_and_c2r_labels(door):
 def test_transform_preserves_structure(door):
     program, build, xsg, labeled = labeled_for(door)
     assert labeled.xsg is xsg
-    before = list(xsg.iter_exploded_edges())
-    after = list(labeled.xsg.iter_exploded_edges())
-    assert before == after
+    assert labeled.xsg.rel_of == xsg.rel_of
     assert set(labeled.labels) == {e.eid for e in build.graph.edges}
 
 

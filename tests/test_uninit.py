@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from evflow.ifds import ZERO
+from evflow.ifds import IDENTITY, ZERO, ExplodedSupergraph
 from evflow.lang import interpret, parse
 from evflow.lang.ast import Assign, Call, VarDecl, expr_vars, iter_stmts
 from evflow.supergraph import EdgeKind, NodeKind, node_for_sid
@@ -12,6 +12,7 @@ from helpers import (
     assign_rel_def,
     canon_rel_def,
     gen_rel_def,
+    patch_of_rel,
     pipeline,
     sample_programs,
 )
@@ -208,10 +209,10 @@ def test_relations_are_canonical_and_successor_tables_match_them():
         reps = {ZERO, *xsg.classes}
         singletons += len(reps) == len(problem.domain) + 1
         for e in xsg.graph.edges:
-            rel = problem.flow_for(e)
+            rel = xsg.rel_of[e.eid]
             assert canon_rel_def(rel) == rel, (tag, e)
             table: dict[int, list[int]] = {}
-            for d1, d2 in sorted(xsg.rel_of[e.eid]):
+            for d1, d2 in sorted(rel):
                 if d1 in reps and d2 in reps:
                     table.setdefault(d1, []).append(d2)
             expected = {d1: tuple(ds) for d1, ds in table.items()}
@@ -251,7 +252,7 @@ def _definitional_rel(problem, edge):
 
 
 def test_gen_and_assign_relations_match_their_definitions():
-    """The identity-patched gen and assign relations equal the ones built
+    """The gen and assign patches are the patches of the relations built
     pair by pair over the domain."""
     checked = 0
     for tag, program in sample_programs():
@@ -259,18 +260,24 @@ def test_gen_and_assign_relations_match_their_definitions():
         for e in xsg.graph.edges:
             expected = _definitional_rel(problem, e)
             if expected is not None:
-                assert problem.flow_for(e) == expected, (tag, e)
+                assert problem.flow_for(e) == \
+                    patch_of_rel(problem.domain, expected), (tag, e)
+                assert xsg.rel_of[e.eid] == expected, (tag, e)
                 checked += 1
     assert checked > 1000
 
 
 def test_call_edges_that_bind_no_parameter_share_one_relation():
     """Emits, dispatches, the end of top-level and calls whose actuals
-    read no variable all carry the one globals-only relation object, so
-    the exploded supergraph builds one successor table for them."""
+    read no variable all carry the globals-only relation, so the
+    exploded supergraph builds one successor table for them."""
     shared = 0
     for tag, program in sample_programs():
         _, problem, xsg = pipeline(program)
+        globals_only = frozenset({(ZERO, ZERO), *(
+            (d, d) for d in map(problem.domain.index_of,
+                                problem.scopes.globals))})
+        tables = set()
         for e in xsg.graph.edges:
             if e.kind is not EdgeKind.CALL:
                 continue
@@ -278,7 +285,57 @@ def test_call_edges_that_bind_no_parameter_share_one_relation():
             binds = isinstance(stmt, Call) and \
                 program.has_function(stmt.callee) and \
                 any(expr_vars(a) for a in stmt.args)
-            assert (xsg.rel_of[e.eid] is problem._globals_only) != binds, \
-                (tag, e)
-            shared += not binds
+            assert (xsg.rel_of[e.eid] == globals_only) != binds, (tag, e)
+            if not binds:
+                tables.add(id(xsg.rep_succ[e.eid]))
+                shared += 1
+        assert len(tables) <= 1, tag
     assert shared > 0
+
+
+def test_patches_are_normalized():
+    """No patch adds a `(d, d)` pair, its added pairs are ascending, and
+    it drops no fact twice, so equal relations have equal patches."""
+    checked = 0
+    for tag, program in sample_programs():
+        _, _, xsg = pipeline(program)
+        for dropped, added in xsg.patch_of.values():
+            assert all(d1 != d2 for d1, d2 in added), tag
+            assert list(added) == sorted(set(added)), tag
+            assert len(set(dropped)) == len(dropped), tag
+            checked += 1
+    assert checked > 5000
+
+
+def test_a_kept_pair_is_neither_dropped_nor_added():
+    """`g = g + 1` is the identity patch, and the recursive `f(a)` inside
+    `f` keeps `a` without adding `(a, a)`, so `g` and `u` stay one
+    class; a patch that dropped and added `g`'s own pair would give `g`
+    a class of its own."""
+    program = parse("var g; var u; var k = 1; fn f(a) { var b = a; "
+                    "if (k < 1) { f(a); } print(b); } fn h() { g = g + 1; "
+                    "print(g); print(u); } register(\"e\", h); emit(\"e\"); "
+                    "f(k);")
+    _, problem, xsg = pipeline(program)
+    assert xsg.classes == {1: (1, 2), 3: (3,), 4: (4,), 5: (5,)}
+    increment = edge_after(program, xsg.graph,
+                           lambda s: isinstance(s, Assign) and s.name == "g")
+    assert xsg.patch_of[increment.eid] == IDENTITY
+    a = problem.domain.index_of("f.a")
+    recursive, = (e for e in xsg.graph.edges if e.kind is EdgeKind.CALL
+                  and xsg.graph.proc_of(e.src) == "f")
+    assert a not in xsg.patch_of[recursive.eid].dropped
+    assert xsg.patch_of[recursive.eid].added == ()
+
+
+def test_patches_of_the_relation_view_explode_alike():
+    """Exploding the patches of the relation view gives the same classes
+    and successor tables, key order included."""
+    for tag, program in sample_programs():
+        _, problem, xsg = pipeline(program)
+        again = ExplodedSupergraph(xsg.graph, problem.domain, {
+            eid: patch_of_rel(problem.domain, rel)
+            for eid, rel in xsg.rel_of.items()})
+        assert list(again.classes.items()) == list(xsg.classes.items()), tag
+        assert [(eid, list(t.items())) for eid, t in again.rep_succ.items()] \
+            == [(eid, list(t.items())) for eid, t in xsg.rep_succ.items()], tag
