@@ -210,9 +210,6 @@ def check_program(source: str, model: EventModel, schedules: int,
     if any(len(t) != n_handlers for t in analysis.labeled.labels.values()):
         violations.append("representation: a label's length is not the "
                           "handler count")
-    if analysis.ide.stats["max_label_entries"] > n_handlers:
-        violations.append("representation: composed transformer outgrew "
-                          "the handler set")
 
     for trace in explore_schedules(program, model, max_decisions=schedules):
         if check_trace_ordering(program, trace):

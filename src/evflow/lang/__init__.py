@@ -1,6 +1,7 @@
 """EVL mini-language: AST, parser, pretty printer and interpreter."""
 
 from .ast import (
+    Access,
     Assign,
     Binary,
     BoolLit,
@@ -20,9 +21,6 @@ from .ast import (
     While,
     Scopes,
     TOP_LEVEL,
-    expr_vars,
-    iter_stmts,
-    resolve_scopes,
     to_source,
 )
 from .parser import (

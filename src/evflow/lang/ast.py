@@ -1,9 +1,15 @@
-"""AST node types, scope resolution and the canonical pretty printer."""
+"""AST node types, the record of resolved names and the canonical pretty
+printer.
+
+The parser (`parser.py`) is the only code that resolves names, in one
+walk per function body: it fills each `Program`'s `Scopes` and the
+`Access` of every statement, which the analysis and the interpreter
+read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 TOP_LEVEL = "top-level"
 
@@ -49,19 +55,16 @@ class Binary(Expr):
 
 def expr_vars(e: Expr) -> tuple[str, ...]:
     """Variable names read by an expression, in source order, deduplicated."""
-    out: list[str] = []
-
-    def walk(x: Expr) -> None:
+    out: dict[str, None] = {}
+    todo = [e]
+    while todo:
+        x = todo.pop()
         if isinstance(x, Var):
-            if x.name not in out:
-                out.append(x.name)
+            out[x.name] = None
         elif isinstance(x, Unary):
-            walk(x.operand)
+            todo.append(x.operand)
         elif isinstance(x, Binary):
-            walk(x.left)
-            walk(x.right)
-
-    walk(e)
+            todo += x.right, x.left
     return tuple(out)
 
 
@@ -132,25 +135,27 @@ class FunctionDecl:
 
 @dataclass(frozen=True)
 class Program:
-    """All declared functions plus the synthetic top-level function.
+    """All declared functions plus the synthetic top-level function, with
+    what the parser resolved for them.
 
     `events` maps the sid of each call the event model classifies to its
     event operation, ("reg", event, handler, implicit_emit) or ("emit",
-    event), and the argument positions that hold names, not reads.  The
-    parser's validation fills it; the analysis reads event semantics from
-    it alone.
+    event), and the argument positions that hold names, not reads.
+    `scopes` resolves every declared name, and `access(sid)` gives how a
+    statement's names resolve.  The parser fills all three; the analysis
+    reads event semantics and names from them alone.
     """
 
     functions: tuple[FunctionDecl, ...]
-    events: dict = field(default_factory=dict, compare=False, repr=False)
+    scopes: Scopes = field(compare=False, repr=False)
+    events: dict = field(compare=False, repr=False)
+    # sid -> (owning function, statement, its Access)
+    _by_sid: dict = field(compare=False, repr=False)
     _by_name: dict = field(default_factory=dict, compare=False, repr=False)
-    _by_sid: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for f in self.functions:
             self._by_name[f.name] = f
-            for s in iter_stmts(f.body):
-                self._by_sid[s.sid] = (f.name, s)
 
     def function(self, name: str) -> FunctionDecl:
         return self._by_name[name]
@@ -168,23 +173,22 @@ class Program:
     def func_of_stmt(self, sid: int) -> str:
         return self._by_sid[sid][0]
 
-    @cached_property
-    def scopes(self) -> Scopes:
-        return resolve_scopes(self)
+    def access(self, sid: int) -> Access:
+        return self._by_sid[sid][2]
 
 
-def iter_stmts(body):
-    """All statements of a body, including nested ones, in source order."""
-    for s in body:
-        yield s
-        if isinstance(s, If):
-            yield from iter_stmts(s.then_body)
-            yield from iter_stmts(s.else_body)
-        elif isinstance(s, While):
-            yield from iter_stmts(s.body)
+# --- resolved names --------------------------------------------------------
 
+class Access(NamedTuple):
+    """How one statement's names resolve: the qualified name it writes,
+    if any, and per operand the qualified names it reads, in source order
+    without repeats.  A declaration without an initializer writes
+    nothing, and the event-name and handler operands of an event call
+    read nothing."""
 
-# --- scope resolution ------------------------------------------------------
+    writes: str | None
+    reads: tuple[tuple[str, ...], ...]
+
 
 @dataclass(frozen=True)
 class Scopes:
@@ -197,13 +201,10 @@ class Scopes:
     globals: tuple[str, ...]
     locals_by_func: dict[str, tuple[str, ...]]  # non-param locals, qualified
     params_by_func: dict[str, tuple[str, ...]]  # qualified
-    _res: dict[tuple[str, str], str]
+    visible: dict[str, dict[str, str]]  # function -> {name: qualified}
 
     def qualify(self, func: str, name: str) -> str:
-        return self._res[(func, name)]
-
-    def resolves(self, func: str, name: str) -> bool:
-        return (func, name) in self._res
+        return self.visible[func][name]
 
     def all_facts(self) -> tuple[str, ...]:
         out = list(self.globals)
@@ -217,34 +218,6 @@ class Scopes:
     @staticmethod
     def display(qualified: str) -> str:
         return qualified.rsplit(".", 1)[-1]
-
-
-def resolve_scopes(program: Program) -> Scopes:
-    g = [s.name for s in iter_stmts(program.top_level.body)
-         if isinstance(s, VarDecl)]
-    locals_by_func: dict[str, tuple[str, ...]] = {}
-    params_by_func: dict[str, tuple[str, ...]] = {}
-    res: dict[tuple[str, str], str] = {}
-    for f in program.functions:
-        if f.name == TOP_LEVEL:
-            locals_by_func[f.name] = tuple(g)
-            params_by_func[f.name] = ()
-            for name in g:
-                res[(f.name, name)] = name
-            continue
-        params = tuple(f"{f.name}.{p}" for p in f.params)
-        locs = tuple(f"{f.name}.{s.name}" for s in iter_stmts(f.body)
-                     if isinstance(s, VarDecl))
-        params_by_func[f.name] = params
-        locals_by_func[f.name] = locs
-        for p in f.params:
-            res[(f.name, p)] = f"{f.name}.{p}"
-        for s in iter_stmts(f.body):
-            if isinstance(s, VarDecl):
-                res[(f.name, s.name)] = f"{f.name}.{s.name}"
-        for name in g:
-            res.setdefault((f.name, name), name)
-    return Scopes(tuple(g), locals_by_func, params_by_func, res)
 
 
 # --- pretty printer --------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Tokenizer, recursive-descent parser and static validation for EVL."""
+"""Tokenizer, recursive-descent parser, name resolution and static
+validation for EVL.  Names resolve here alone, in one walk per function
+body."""
 
 from __future__ import annotations
 
@@ -6,6 +8,7 @@ import re
 from typing import NamedTuple
 
 from .ast import (
+    Access,
     Assign,
     Binary,
     BoolLit,
@@ -18,6 +21,7 @@ from .ast import (
     Print,
     Program,
     Return,
+    Scopes,
     Stmt,
     StrLit,
     TOP_LEVEL,
@@ -26,7 +30,6 @@ from .ast import (
     VarDecl,
     While,
     expr_vars,
-    iter_stmts,
 )
 from ..eventmodel import EventModel
 
@@ -379,68 +382,99 @@ class _Parser:
                          self.file)
 
 
-def stmt_reads(s: Stmt, program: Program) -> tuple[str, ...]:
-    """Variables a statement reads, in source order.  An assignment's
-    target is not read, and the event-name and handler operands of an
-    event call are names, not reads."""
+def _walk(body, out: list[Stmt]) -> list[Stmt]:
+    """`out` extended by every statement of `body`, nested ones included,
+    in source order."""
+    for s in body:
+        out.append(s)
+        if isinstance(s, If):
+            _walk(s.then_body, out)
+            _walk(s.else_body, out)
+        elif isinstance(s, While):
+            _walk(s.body, out)
+    return out
+
+
+def _operands(s: Stmt) -> tuple[Expr, ...]:
     if isinstance(s, VarDecl):
-        return expr_vars(s.init) if s.init is not None else ()
-    if isinstance(s, Assign):
-        return expr_vars(s.value)
+        return () if s.init is None else (s.init,)
+    if isinstance(s, (Assign, Print)):
+        return (s.value,)
     if isinstance(s, (If, While)):
-        return expr_vars(s.cond)
-    if isinstance(s, Print):
-        return expr_vars(s.value)
-    if isinstance(s, Call):
-        skip = program.events[s.sid][1] if s.sid in program.events else ()
-        return tuple(v for i, a in enumerate(s.args) if i not in skip
-                     for v in expr_vars(a))
-    return ()
+        return (s.cond,)
+    return s.args if isinstance(s, Call) else ()
 
 
-def _validate(program: Program, model: EventModel) -> None:
-    """Check names, call arities and event operands, and record the event
-    operation of every call the model classifies in `program.events`,
-    which the analysis and the trace check read.  Names resolve through
-    `program.scopes`, as in the analysis and the interpreter."""
-    declared = {f.name for f in program.functions if f.name != TOP_LEVEL}
-    scopes = program.scopes
-    for f in program.functions:
-        seen: set[str] = set()
-        for s in iter_stmts(f.body):
+def _link(functions: list[FunctionDecl], model: EventModel) -> Program:
+    """Walk each function body once, top-level last; resolve every name
+    declared, read and written; check names, call arities and event
+    operands; and record the event operation of every call the model
+    classifies.  Each function's duplicate declarations are checked
+    first, then its calls and names in statement order."""
+    walked = [(f, _walk(f.body, [])) for f in functions]
+    g = tuple(s.name for s in walked[-1][1] if isinstance(s, VarDecl))
+    global_names = dict(zip(g, g))
+    params: dict[str, tuple[str, ...]] = {}
+    locs: dict[str, tuple[str, ...]] = {}
+    visible: dict[str, dict[str, str]] = {}
+    for f, stmts in walked:
+        own = f.params + tuple(s.name for s in stmts if isinstance(s, VarDecl))
+        qualified = g if f.name == TOP_LEVEL else \
+            tuple(f"{f.name}.{n}" for n in own)
+        params[f.name] = qualified[:len(f.params)]
+        locs[f.name] = qualified[len(f.params):]
+        visible[f.name] = {**global_names, **dict(zip(own, qualified))}
+    scopes = Scopes(g, locs, params, visible)
+    callees = {f.name: f.params for f in functions if f.name != TOP_LEVEL}
+    events: dict = {}
+    by_sid: dict = {}
+    for f, stmts in walked:
+        seen = set(f.params)
+        for s in stmts:
             if isinstance(s, VarDecl):
-                if s.name in seen or s.name in f.params:
+                if s.name in seen:
                     raise DuplicateVariableError(s.name, f.name, s.line)
                 seen.add(s.name)
-        for s in iter_stmts(f.body):
-            if isinstance(s, Call):
-                _check_call(s, program, model, declared)
-            reads = stmt_reads(s, program)
-            if isinstance(s, Assign):
-                reads += (s.name,)
-            for name in reads:
-                if not scopes.resolves(f.name, name):
-                    raise UndeclaredVariableError(name, f.name, s.line)
+        names = visible[f.name]
+        for s in stmts:
+            skip = _check_call(s, callees, model, events) \
+                if isinstance(s, Call) else ()
+            try:
+                reads = tuple([() if i in skip else
+                               tuple(map(names.__getitem__, expr_vars(e)))
+                               for i, e in enumerate(_operands(s))])
+                # a declaration without an initializer writes nothing
+                writes = names[s.name] \
+                    if isinstance(s, (Assign, VarDecl)) and reads else None
+            except KeyError as missing:
+                raise UndeclaredVariableError(missing.args[0], f.name,
+                                              s.line) from None
+            by_sid[s.sid] = f.name, s, Access(writes, reads)
+    return Program(tuple(functions), scopes, events, by_sid)
 
 
-def _check_call(s: Call, program: Program, model: EventModel,
-                declared: set[str]) -> None:
+def _check_call(s: Call, declared: dict[str, tuple[str, ...]],
+                model: EventModel, events: dict) -> tuple[int, ...]:
+    """Check one call and record its event operation, if it has one;
+    returns the positions of its operands that are names, not reads."""
     if s.callee in declared:
-        params = program.function(s.callee).params
+        params = declared[s.callee]
         if len(s.args) != len(params):
             raise EvlError(f"line {s.line}: '{s.callee}' takes "
                            f"{len(params)} arguments, got {len(s.args)}")
-        return
+        return ()
     op = model.event_op(s)
     if op is None:
         raise UnresolvedCalleeError(s.callee, s.line)
     if op[0] == "reg":
         if op[2] not in declared:
             raise UnknownHandlerError(op[2], s.line)
-        if program.function(op[2]).params:
+        if declared[op[2]]:
             raise EvlError(f"line {s.line}: handler '{op[2]}' takes "
                            f"parameters; handlers take none")
-    program.events[s.sid] = op, model.operand_args(s.callee)
+    positions = model.operand_args(s.callee)
+    events[s.sid] = op, positions
+    return positions
 
 
 def _assemble(units: list[tuple[list[FunctionDecl], list[Stmt]]],
@@ -456,9 +490,7 @@ def _assemble(units: list[tuple[list[FunctionDecl], list[Stmt]]],
             functions.append(f)
         top.extend(stmts)
     functions.append(FunctionDecl(TOP_LEVEL, (), tuple(top)))
-    program = Program(tuple(functions))
-    _validate(program, model)
-    return program
+    return _link(functions, model)
 
 
 def parse(source: str, *, filename: str = "<input>", model=None) -> Program:

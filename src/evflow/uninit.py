@@ -7,7 +7,10 @@ Declarations act like JS var hoisting: a function's locals become
 possibly-uninitialized on the edge leaving its start node, a
 declaration with an initializer behaves like an assignment, and one
 without is the identity.  Reads inside conditions, prints and call
-arguments do not transform facts; they are reporting sites.
+arguments do not transform facts; they are reporting sites.  Every
+name a flow function or a read site needs comes resolved from the
+parser's per-statement record (`Program.access`); this module resolves
+none itself.
 """
 
 from __future__ import annotations
@@ -15,15 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ifds import IDENTITY, FactDomain, IfdsResult, Patch, ZERO
-from .lang.ast import (
-    Assign,
-    Call,
-    Program,
-    Scopes,
-    VarDecl,
-    expr_vars,
-)
-from .lang.parser import stmt_reads
+from .lang.ast import Program, Scopes
 from .supergraph import EdgeKind, NodeKind, Supergraph
 
 
@@ -46,16 +41,6 @@ class UninitProblem:
                                   if d not in self._globals)
 
     # -- helpers --
-
-    def _idx(self, func: str, name: str) -> int:
-        return self.domain.index_of(self.scopes.qualify(func, name))
-
-    def _assign(self, func: str, target: str, value_expr) -> Patch:
-        # `x = x + 1` keeps x: its (x, x) pair is neither dropped nor added
-        t = self._idx(func, target)
-        reads = {self._idx(func, v) for v in expr_vars(value_expr)}
-        return Patch(() if t in reads else (t,),
-                     tuple(sorted((v, t) for v in reads if v != t)))
 
     def _locals_of(self, func: str) -> frozenset[int]:
         sc = self.scopes
@@ -85,25 +70,30 @@ class UninitProblem:
             return Patch(tuple(locs), tuple((ZERO, d) for d in locs))
         if src.kind is not NodeKind.STMT:
             return IDENTITY
-        stmt = self.program.stmt(src.sid)
-        if isinstance(stmt, VarDecl) and stmt.init is not None:
-            return self._assign(src.func, stmt.name, stmt.init)
-        if isinstance(stmt, Assign):
-            return self._assign(src.func, stmt.name, stmt.value)
-        return IDENTITY
+        writes, reads = self.program.access(src.sid)
+        if writes is None:
+            return IDENTITY
+        # an assignment or a declaration with an initializer; `x = x + 1`
+        # keeps x: its (x, x) pair is neither dropped nor added
+        index_of = self.domain.index_of
+        t = index_of(writes)
+        sources = {index_of(v) for v in reads[0]}
+        return Patch(() if t in sources else (t,),
+                     tuple(sorted((v, t) for v in sources if v != t)))
 
     def _call(self, edge) -> Patch:
         # globals cross into the callee; parameters are bound from the
         # variables read by their actuals.  A recursive call that binds a
-        # parameter to itself keeps it.
-        stmt = None if edge.sid is None else self.program.stmt(edge.sid)
-        if not isinstance(stmt, Call) or stmt.sid in self.program.events:
+        # parameter to itself keeps it.  Event calls and dispatches bind
+        # nothing.
+        if edge.sid is None or edge.sid in self.program.events:
             return Patch(self._non_globals, ())
-        callee = self.program.function(stmt.callee)
-        caller = self.graph.proc_of(edge.src)
-        bound = {(self._idx(caller, v), self._idx(callee.name, param))
-                 for param, actual in zip(callee.params, stmt.args)
-                 for v in expr_vars(actual)}
+        index_of = self.domain.index_of
+        params = self.scopes.params_by_func[self.program.stmt(edge.sid).callee]
+        bound = {(index_of(v), index_of(param))
+                 for param, actual in zip(params,
+                                          self.program.access(edge.sid).reads)
+                 for v in actual}
         kept = {d1 for d1, d2 in bound if d1 == d2}
         return Patch(tuple(d for d in self._non_globals if d not in kept),
                      tuple(sorted(p for p in bound if p[0] != p[1])))
@@ -112,17 +102,12 @@ class UninitProblem:
 
     def reads_at(self, node_id: str) -> tuple[int, ...]:
         node = self.graph.nodes[node_id]
-        if node.sid is None:
-            return ()
         if node.kind not in (NodeKind.STMT, NodeKind.CALL_SITE):
             return ()
-        names = stmt_reads(self.program.stmt(node.sid), self.program)
-        seen: list[int] = []
-        for name in names:
-            i = self._idx(node.func, name)
-            if i not in seen:
-                seen.append(i)
-        return tuple(seen)
+        index_of = self.domain.index_of
+        return tuple(dict.fromkeys(
+            index_of(v) for operand in self.program.access(node.sid).reads
+            for v in operand))
 
 
 @dataclass(frozen=True)

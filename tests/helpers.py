@@ -6,12 +6,23 @@ from pathlib import Path
 
 from evflow.event_lattice import MF_CLOSURE, MF_ID, HState, Transformer
 from evflow.ifds import Patch, ZERO, explode
-from evflow.lang import parse
+from evflow.lang import If, While, parse
 from evflow.randgen import GenParams, gen_source
 from evflow.supergraph import EdgeKind, Supergraph, build_supergraph
 from evflow.uninit import UninitProblem
 
 from conftest import CORPUS_NAMES, load_corpus_entry
+
+
+def iter_stmts(body):
+    """All statements of a body, including nested ones, in source order."""
+    for s in body:
+        yield s
+        if isinstance(s, If):
+            yield from iter_stmts(s.then_body)
+            yield from iter_stmts(s.else_body)
+        elif isinstance(s, While):
+            yield from iter_stmts(s.body)
 
 
 def _out(f, s):

@@ -21,7 +21,7 @@ from evflow.event_lattice import (
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import ZERO
 from evflow.lang import check_trace_ordering, explore_schedules, parse
-from evflow.lang.ast import Assign, iter_stmts
+from evflow.lang.ast import Assign
 from evflow.randgen import DEFAULT, SMALL, gen_source
 from evflow.supergraph import EVENT_LOOP, EdgeKind, node_for_sid
 from evflow.transform import analyze_event_aware
@@ -29,11 +29,12 @@ from evflow.uninit import report_uses
 
 from conftest import CORPUS_NAMES, load_corpus_entry
 from helpers import (
-    PathBudgetExceededError,
     hstate_meet,
+    iter_stmts,
     mf_compose_def,
     mf_meet_def,
     mvp_bruteforce,
+    PathBudgetExceededError,
     pipeline,
     touched,
 )

@@ -450,20 +450,39 @@ def test_a_handler_with_a_parameter_is_an_input_error(tmp_path, capsys):
     assert captured.err == ""
 
 
-def test_scopes_are_resolved_once_per_program(monkeypatch):
-    from evflow import cli
-    from evflow.eventmodel import EventModel
-    from evflow.lang import ast, explore_schedules, parse
-    source = ("var g;\nfn a() { print(g); }\nfn b() { g = 1; }\n"
-              "register_async(a);\nregister_async(b);\n")
-    model = EventModel.default()
-    assert len(explore_schedules(parse(source), model)) > 1
-    calls = []
-    resolve = ast.resolve_scopes
-    monkeypatch.setattr(ast, "resolve_scopes",
-                        lambda program: calls.append(1) or resolve(program))
-    assert cli.check_program(source, model, 6) == []
-    assert len(calls) == 1
+def test_parse_visits_each_statement_once(monkeypatch):
+    """One parse walks each body once: every statement of each corpus
+    program is read out of its enclosing body exactly once."""
+    from collections import Counter
+    from conftest import CORPUS_NAMES, load_corpus_entry
+    from evflow.lang import ast, parser
+    visits = Counter()
+
+    class Body(tuple):
+        def __iter__(self):
+            for s in tuple.__iter__(self):
+                visits[s.sid] += 1
+                yield s
+
+    def counting(cls, *bodies):
+        class Counted(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                for name in bodies:
+                    object.__setattr__(self, name, Body(getattr(self, name)))
+        return Counted
+
+    monkeypatch.setattr(parser, "FunctionDecl",
+                        counting(ast.FunctionDecl, "body"))
+    monkeypatch.setattr(parser, "If",
+                        counting(ast.If, "then_body", "else_body"))
+    monkeypatch.setattr(parser, "While", counting(ast.While, "body"))
+    for name in CORPUS_NAMES:
+        visits.clear()
+        program, _ = load_corpus_entry(name)
+        assert visits and set(visits.values()) == {1}, name
+        assert sorted(visits) == list(range(len(visits))), name
+        assert all(program.stmt(sid).sid == sid for sid in visits)
 
 
 def test_a_label_of_the_wrong_length_is_reported(monkeypatch):

@@ -127,3 +127,40 @@ def test_no_dataclass_redeclares_an_inherited_field():
     modules = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8")
                for p in sorted(SRC.rglob("*.py"))}
     assert redeclared_fields(modules) == []
+
+
+# Names resolve in the front end alone: code outside `evflow/lang/` reads
+# `Program.scopes` and the parser's per-statement record instead.
+RESOLVERS = {"expr_vars", "iter_stmts", "stmt_reads", "qualify"}
+
+
+def name_resolution(source: str) -> list[str]:
+    """Imports of a name-resolving helper, and reads of one as an
+    attribute (`scopes.qualify`, `ast.iter_stmts`), in `source`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [f"line {node.lineno}: {a.name}" for a in node.names
+                    if a.name.rsplit(".", 1)[-1] in RESOLVERS]
+        elif isinstance(node, ast.Attribute) and node.attr in RESOLVERS:
+            out.append(f"line {node.lineno}: {node.attr}")
+    return out
+
+
+def test_name_resolution_is_found():
+    source = ("from evflow.lang.ast import Var, expr_vars\n"
+              "import evflow.lang.ast as a\n"
+              "def f(p, s):\n    return s.qualify(p, 'x'), a.iter_stmts(())\n"
+              "def qualify(): pass\n")
+    assert name_resolution(source) == [
+        "line 1: expr_vars", "line 4: qualify", "line 4: iter_stmts"]
+
+
+OUTSIDE_LANG = sorted(p for p in SRC.rglob("*.py")
+                      if "lang" not in p.relative_to(SRC).parts)
+
+
+@pytest.mark.parametrize("path", OUTSIDE_LANG,
+                         ids=[str(p.relative_to(SRC)) for p in OUTSIDE_LANG])
+def test_names_resolve_only_in_the_front_end(path):
+    assert name_resolution(path.read_text(encoding="utf-8")) == []

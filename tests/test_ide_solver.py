@@ -17,18 +17,19 @@ from evflow.event_lattice import (
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import ZERO
 from evflow.lang import parse
-from evflow.lang.ast import If, Print, While, iter_stmts
+from evflow.lang.ast import If, Print, While
 from evflow.randgen import GenParams, SMALL, gen_source
 from evflow.supergraph import EdgeKind, node_for_sid
 from evflow.transform import analyze_event_aware, transform, untransform
 
 from conftest import CORPUS_NAMES, load_corpus_entry
 from helpers import (
-    PathBudgetExceededError,
     brute_force_ide,
     chain_source,
+    iter_stmts,
     mvp_bruteforce,
     packed,
+    PathBudgetExceededError,
     pipeline,
     sample_programs,
 )

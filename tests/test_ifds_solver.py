@@ -8,7 +8,7 @@ from evflow.ifds import (
     exploded_dot,
 )
 from evflow.lang import parse
-from evflow.lang.ast import TOP_LEVEL, Assign, iter_stmts
+from evflow.lang.ast import TOP_LEVEL, Assign
 from evflow.randgen import SMALL, gen_source
 from evflow.supergraph import (
     EdgeKind,
@@ -21,11 +21,12 @@ from evflow.transform import analyze_event_aware
 from evflow.uninit import report_uses
 
 from helpers import (
-    PathBudgetExceededError,
     apply_rel,
     identity_rel_def,
+    iter_stmts,
     mvp_bruteforce,
     patch_of_rel,
+    PathBudgetExceededError,
     pipeline,
 )
 

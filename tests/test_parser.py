@@ -1,6 +1,7 @@
 import pytest
 
 from evflow.lang import (
+    Access,
     Assign,
     Binary,
     DuplicateFunctionError,
@@ -18,7 +19,6 @@ from evflow.lang import (
     VarDecl,
     parse,
     parse_files,
-    resolve_scopes,
     to_source,
 )
 
@@ -122,6 +122,11 @@ def test_comments_and_strings():
     ("nosuch(1);", UnresolvedCalleeError),
     ('register("e", nosuch);', UnknownHandlerError),
     ("var x; x = f();", ParseError),             # calls are statements only
+    # two faults: a function's duplicates are checked before its reads,
+    # each function before the next, and calls and reads in statement order
+    ("fn f() { print(y); var x; var x; }", DuplicateVariableError),
+    ("fn f() { print(y); }\nfn g() { var x; var x; }", UndeclaredVariableError),
+    ("fn f() { h(); print(y); }", UnresolvedCalleeError),
 ])
 def test_rejects(source, error):
     with pytest.raises(error):
@@ -232,7 +237,7 @@ def test_calls_that_no_run_can_bind_are_rejected(source, message):
 
 def test_scope_resolution():
     p = parse("fn f(a) { var b; b = a; g = b; }\nvar g;\nf(g);")
-    sc = resolve_scopes(p)
+    sc = p.scopes
     assert sc.globals == ("g",)
     assert sc.qualify("f", "a") == "f.a"
     assert sc.qualify("f", "b") == "f.b"
@@ -241,7 +246,24 @@ def test_scope_resolution():
     assert set(sc.all_facts()) == {"g", "f.a", "f.b"}
 
 
+def test_statement_access():
+    """Each statement's resolved write and per-operand reads; the
+    event-name and handler operands of an event call read nothing."""
+    p = parse("fn f(a) { var b; b = a + g + a; g = b; }\nvar g = 1;\n"
+              "f(g);\nregister(\"e\", h);\nfn h() { var c = c; }")
+    got = [(f.name, p.access(s.sid)) for f in p.functions for s in f.body]
+    assert got == [
+        ("f", Access(None, ())),
+        ("f", Access("f.b", (("f.a", "g"),))),
+        ("f", Access("g", (("f.b",),))),
+        ("h", Access("h.c", (("h.c",),))),
+        (TOP_LEVEL, Access("g", ((),))),
+        (TOP_LEVEL, Access(None, (("g",),))),
+        (TOP_LEVEL, Access(None, ((), ()))),
+    ]
+
+
 def test_local_shadows_global():
     p = parse("fn f() { var g; print(g); }\nvar g;\nf();")
-    sc = resolve_scopes(p)
+    sc = p.scopes
     assert sc.qualify("f", "g") == "f.g"

@@ -13,9 +13,9 @@ from evflow.supergraph import (
     node_for_sid,
     supergraph_dot,
 )
-from evflow.lang.ast import Call, StrLit, Var, iter_stmts
+from evflow.lang.ast import Call, StrLit, Var
 
-from helpers import sample_programs
+from helpers import iter_stmts, sample_programs
 
 
 def ops_of(result, eid):

@@ -9,11 +9,11 @@ from evflow.event_lattice import (
 )
 from evflow.ifds import ZERO
 from evflow.lang import interpret, parse
-from evflow.lang.ast import Assign, StrLit, Var, iter_stmts
+from evflow.lang.ast import Assign, StrLit, Var
 from evflow.supergraph import EVENT_LOOP, EdgeKind, node_for_sid
 from evflow.transform import analyze_event_aware, transform
 
-from helpers import pipeline, touched
+from helpers import iter_stmts, pipeline, touched
 
 S, R, E, X = HState.S, HState.R, HState.E, HState.X
 

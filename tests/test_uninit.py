@@ -3,7 +3,7 @@ import random
 
 from evflow.ifds import IDENTITY, ZERO, ExplodedSupergraph
 from evflow.lang import interpret, parse
-from evflow.lang.ast import Assign, Call, VarDecl, expr_vars, iter_stmts
+from evflow.lang.ast import Assign, Call, VarDecl, expr_vars
 from evflow.supergraph import EdgeKind, NodeKind, node_for_sid
 from evflow.uninit import report_uses
 
@@ -12,6 +12,7 @@ from helpers import (
     assign_rel_def,
     canon_rel_def,
     gen_rel_def,
+    iter_stmts,
     patch_of_rel,
     pipeline,
     sample_programs,
