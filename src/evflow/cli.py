@@ -211,7 +211,7 @@ def check_program(source: str, model: EventModel, schedules: int,
         violations.append("representation: a label's length is not the "
                           "handler count")
 
-    for trace in explore_schedules(program, model, max_decisions=schedules):
+    for trace in explore_schedules(program, max_decisions=schedules):
         if check_trace_ordering(program, trace):
             violations.append("interpreter: trace breaks the "
                               "registration/emission ordering invariant")

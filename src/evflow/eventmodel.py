@@ -5,11 +5,10 @@ argument positions the event name and the handler sit, and whether the
 emission is implicit, callback-style) and which callees emit events.
 The EVL primitives are pre-seeded: the parser turns them into calls
 that these specs classify like those of any callee.  The parser's
-validation classifies every call once and records the result in the
-program, which the analysis and the interpreter's trace check read;
-the interpreter classifies calls on its own as it runs them.  A JSON
-config extends the model for library-style functions that have no EVL
-body.
+validation is the only code that classifies calls: it classifies each
+call once and records the result in the program, which the analysis,
+the interpreter and its trace check read.  A JSON config extends the
+model for library-style functions that have no EVL body.
 """
 
 from __future__ import annotations
@@ -108,18 +107,11 @@ class EventModel:
             raise EventModelError(f"{path}: expected a JSON object")
         return cls.from_dict(doc)
 
-    def operand_args(self, callee: str) -> tuple[int | None, ...]:
-        """Argument positions of a classified callee that hold the event
-        name or the handler: names, not values the call reads."""
-        reg = self._registrations.get(callee)
-        if reg is not None:
-            return reg.event_arg, reg.handler_arg
-        emi = self._emissions.get(callee)
-        return (emi.event_arg,) if emi is not None else ()
-
-    def event_op(self, call):
-        """The event operation of a call to a classified callee:
-        ("reg", event, handler, implicit_emit) or ("emit", event); None
+    def classify(self, call):
+        """The event operation of a call to a classified callee and the
+        argument positions that hold the event name or the handler
+        (names, not values the call reads): (("reg", event, handler,
+        implicit_emit), positions) or (("emit", event), positions); None
         if the model does not classify the callee."""
         reg = self._registrations.get(call.callee)
         if reg is not None:
@@ -130,11 +122,13 @@ class EventModel:
             else:
                 event = _operand(call, reg.event_arg, StrLit,
                                  "a string literal").value
-            return "reg", event, handler, reg.implicit_emit
+            return (("reg", event, handler, reg.implicit_emit),
+                    (reg.event_arg, reg.handler_arg))
         emi = self._emissions.get(call.callee)
         if emi is not None:
-            return "emit", _operand(call, emi.event_arg, StrLit,
-                                    "a string literal").value
+            return (("emit", _operand(call, emi.event_arg, StrLit,
+                                      "a string literal").value),
+                    (emi.event_arg,))
         return None
 
 

@@ -143,7 +143,7 @@ class Program:
     event), and the argument positions that hold names, not reads.
     `scopes` resolves every declared name, and `access(sid)` gives how a
     statement's names resolve.  The parser fills all three; the analysis
-    reads event semantics and names from them alone.
+    and the interpreter read event semantics and names from them alone.
     """
 
     functions: tuple[FunctionDecl, ...]

@@ -4,7 +4,10 @@ Top-level code runs to completion, then the ready-handler queue drains:
 callback-style registrations enqueue their handler, explicit emissions
 dispatch synchronously and return to the emitter.  Uninitialized reads
 yield 0 and are recorded in the trace, so execution continues past the
-first defect and traces stay comparable to analysis results.
+first defect and traces stay comparable to analysis results.  Each
+call to an undeclared function runs as the event operation the parser
+recorded for it in `Program.events`, the classification the analysis
+reads; the interpreter classifies no call itself.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .ast import (
     While,
 )
 from .parser import EvlError
-from ..eventmodel import EventModel
 
 
 class EvlRuntimeError(EvlError):
@@ -109,11 +111,9 @@ _MAX_CALL_DEPTH = 128
 
 
 class _Interp:
-    def __init__(self, program: Program, schedule, step_limit: int,
-                 model: EventModel):
+    def __init__(self, program: Program, schedule, step_limit: int):
         self.program = program
         self.scopes = program.scopes
-        self.model = model
         self.step_limit = step_limit
         self.choices = schedule.indices
         self.trace = ExecutionTrace()
@@ -300,11 +300,7 @@ class _Interp:
             values = [self.eval(a, func, frame, s.sid, s.line) for a in s.args]
             self._run_function(self.program.function(s.callee), values)
             return
-        op = self.model.event_op(s)
-        if op is None:
-            raise EvlRuntimeError(f"call to unknown function '{s.callee}'",
-                                  s.line)
-        names = self.model.operand_args(s.callee)
+        op, names = self.program.events[s.sid]
         for i, a in enumerate(s.args):
             if i not in names:
                 self.eval(a, func, frame, s.sid, s.line)
@@ -340,27 +336,28 @@ class _Interp:
         return self.trace
 
 
-def interpret(program: Program, schedule=Choices(), step_limit: int = 10_000,
-              model: EventModel | None = None) -> ExecutionTrace:
+def interpret(program: Program, schedule=Choices(),
+              step_limit: int = 10_000) -> ExecutionTrace:
     """Run a program under the given dispatch schedule, collecting a trace."""
     if step_limit <= 0:
         raise ValueError("step_limit must be positive")
-    return _Interp(program, schedule, step_limit,
-                   model or EventModel.default()).run()
+    return _Interp(program, schedule, step_limit).run()
 
 
-def explore_schedules(program: Program, model: EventModel | None = None,
-                      max_decisions: int = 6,
+def explore_schedules(program: Program, _ignored=None, max_decisions: int = 6,
                       step_limit: int = 10_000) -> list[ExecutionTrace]:
     """Traces under FIFO plus every dispatch order within the decision bound.
 
     The first trace is the FIFO run; further traces flip one ready-queue
-    decision at a time, depth-first, up to max_decisions decisions.
+    decision at a time, depth-first, up to max_decisions decisions.  The
+    second parameter is ignored: `evbench/gen.py` still passes an event
+    model there, and ROADMAP item 1, which drops that argument, removes
+    the parameter.
     """
     results: list[ExecutionTrace] = []
 
     def go(prefix: tuple[int, ...]) -> None:
-        trace = interpret(program, Choices(prefix), step_limit, model)
+        trace = interpret(program, Choices(prefix), step_limit)
         results.append(trace)
         arity = trace.decision_arity
         limit = min(len(arity), max_decisions)
@@ -376,9 +373,8 @@ def explore_schedules(program: Program, model: EventModel | None = None,
 def check_trace_ordering(program: Program, trace: ExecutionTrace) -> list[str]:
     """Structural check: every handler invocation in a trace was preceded
     by its registration and a subsequent emission (explicit or implicit),
-    reading each executed call's event operation from `program.events`,
-    the parser's classification that the analysis reads.  Returns
-    human-readable violations; an empty list means the trace is
+    reading each executed call's event operation from `program.events`.
+    Returns human-readable violations; an empty list means the trace is
     consistent."""
     registered: dict[str, str] = {}
     state: dict[str, str] = {}  # handler -> "R" | "E"

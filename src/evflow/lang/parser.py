@@ -463,17 +463,17 @@ def _check_call(s: Call, declared: dict[str, tuple[str, ...]],
             raise EvlError(f"line {s.line}: '{s.callee}' takes "
                            f"{len(params)} arguments, got {len(s.args)}")
         return ()
-    op = model.event_op(s)
-    if op is None:
+    entry = model.classify(s)
+    if entry is None:
         raise UnresolvedCalleeError(s.callee, s.line)
+    op, positions = entry
     if op[0] == "reg":
         if op[2] not in declared:
             raise UnknownHandlerError(op[2], s.line)
         if declared[op[2]]:
             raise EvlError(f"line {s.line}: handler '{op[2]}' takes "
                            f"parameters; handlers take none")
-    positions = model.operand_args(s.callee)
-    events[s.sid] = op, positions
+    events[s.sid] = entry
     return positions
 
 

@@ -39,13 +39,7 @@ class UninitProblem:
             self.domain.index_of(n) for n in self.scopes.globals)
         self._non_globals = tuple(d for d in self.domain.indices()
                                   if d not in self._globals)
-
-    # -- helpers --
-
-    def _locals_of(self, func: str) -> frozenset[int]:
-        sc = self.scopes
-        names = sc.params_by_func.get(func, ()) + sc.locals_by_func.get(func, ())
-        return frozenset(self.domain.index_of(n) for n in names)
+        self._bypass: dict[str, Patch] = {}  # caller -> call-to-return patch
 
     # -- the per-edge flow function --
 
@@ -57,10 +51,16 @@ class UninitProblem:
         if kind is EdgeKind.RETURN:
             return Patch(self._non_globals, ())
         if kind is EdgeKind.CALL_TO_RETURN:
-            caller_locals = self._locals_of(g.proc_of(edge.src))
-            return Patch(tuple(d for d in self.domain.indices()
-                               if d in self._globals or d not in caller_locals),
-                         ())
+            caller = g.proc_of(edge.src)
+            if caller not in self._bypass:
+                # only the caller's own non-global names skip the callee
+                own = {self.domain.index_of(n) for n in
+                       self.scopes.params_by_func[caller] +
+                       self.scopes.locals_by_func[caller]}
+                self._bypass[caller] = Patch(
+                    tuple(d for d in self.domain.indices()
+                          if d in self._globals or d not in own), ())
+            return self._bypass[caller]
         src = g.nodes[edge.src]
         if src.kind is NodeKind.START:
             # hoisting: every non-param local of the function starts

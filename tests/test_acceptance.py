@@ -197,14 +197,13 @@ def test_criterion_6_soundness():
     started = time.perf_counter()
     jobs = []
     for name in CORPUS_NAMES:
-        program, model = load_corpus_entry(name)
-        jobs.append((name, program, model))
+        jobs.append((name, load_corpus_entry(name)[0]))
     for i, program in enumerate(_random_programs(100, "accept6", DEFAULT)):
-        jobs.append((f"random:{i}", program, None))
+        jobs.append((f"random:{i}", program))
     violations = []
-    for tag, program, model in jobs:
+    for tag, program in jobs:
         analysis = analyze_event_aware(program)
-        traces = explore_schedules(program, model, max_decisions=6,
+        traces = explore_schedules(program, max_decisions=6,
                                    step_limit=5_000)
         for trace in traces:
             if check_trace_ordering(program, trace):

@@ -164,3 +164,46 @@ OUTSIDE_LANG = sorted(p for p in SRC.rglob("*.py")
                          ids=[str(p.relative_to(SRC)) for p in OUTSIDE_LANG])
 def test_names_resolve_only_in_the_front_end(path):
     assert name_resolution(path.read_text(encoding="utf-8")) == []
+
+
+# Calls are classified in the front end alone: the parser records each
+# call's event operation in `Program.events`, which the analysis and the
+# interpreter read.
+def classifications(source: str) -> list[str]:
+    """Imports from the `eventmodel` module, and calls of a `classify`
+    method, in `source`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "classify":
+            out.append(f"line {node.lineno}: classify")
+        modules = [node.module or ""] if isinstance(node, ast.ImportFrom) \
+            else [a.name for a in node.names] if isinstance(node, ast.Import) \
+            else []
+        out += [f"line {node.lineno}: eventmodel" for m in modules
+                if m.rsplit(".", 1)[-1] == "eventmodel"]
+    return out
+
+
+def test_classifications_are_found():
+    source = ("from ..eventmodel import EventModel\n"
+              "import evflow.eventmodel as em, json\n"
+              "def f(m, s):\n    return m.classify(s), classify(s)\n")
+    assert classifications(source) == [
+        "line 1: eventmodel", "line 2: eventmodel", "line 4: classify"]
+
+
+def test_the_interpreter_takes_no_event_model():
+    source = (SRC / "lang" / "interp.py").read_text(encoding="utf-8")
+    assert classifications(source) == []
+
+
+def test_only_the_parser_classifies_calls():
+    calls = {}
+    for p in MODULES:
+        found = [c for c in classifications(p.read_text(encoding="utf-8"))
+                 if c.endswith(": classify")]
+        if found:
+            calls[str(p.relative_to(SRC))] = len(found)
+    assert calls == {"lang/parser.py": 1}

@@ -26,8 +26,8 @@ def test_initialized_read_is_clean():
 
 
 def test_door_fifo(door):
-    program, model = door
-    trace = interpret(program, model=model)
+    program = door[0]
+    trace = interpret(program)
     assert "Hello, world!" in trace.outputs()
     assert trace.uninit_reads() == []
     assert [e.handler for e in trace.events if isinstance(e, HandlerInvoked)] \
@@ -35,8 +35,8 @@ def test_door_fifo(door):
 
 
 def test_dirstat_done_before_handlers(dirstat):
-    program, model = dirstat
-    trace = interpret(program, model=model)
+    program = dirstat[0]
+    trace = interpret(program)
     outputs = trace.outputs()
     assert outputs[0] == "done"
     assert trace.uninit_reads() == []
@@ -45,16 +45,36 @@ def test_dirstat_done_before_handlers(dirstat):
 
 
 def test_timer_and_server_clean(timer, server):
-    for program, model in (timer, server):
-        trace = interpret(program, model=model)
+    for program, _ in (timer, server):
+        trace = interpret(program)
         assert trace.uninit_reads() == []
         assert trace.error is None
 
 
+def test_configured_callees_run_from_the_parsers_record(timer, server):
+    # timer.evl and server.evl register through callees their sidecar
+    # models configure; the interpreter takes no model and runs the
+    # operations the parser recorded, so the FIFO runs match the ones
+    # the model itself gives
+    expected = {
+        "timer": (["Enter a number:", "2"], ["start", "tick"], 9),
+        "server": (["listening", "client connected", "1"],
+                   ["lstn", "conn"], 8),
+    }
+    for name, (program, _) in (("timer", timer), ("server", server)):
+        trace = interpret(program)
+        handlers = [e.handler for e in trace.events
+                    if isinstance(e, HandlerInvoked)]
+        assert (trace.outputs(), handlers, trace.steps) == expected[name]
+        traces = explore_schedules(program)
+        assert [t.error for t in (trace, *traces)] == [None, None]
+        assert traces[0].events == trace.events
+
+
 def test_fifo_deterministic(dirstat):
-    program, model = dirstat
-    t1 = interpret(program, model=model)
-    t2 = interpret(program, model=model)
+    program = dirstat[0]
+    t1 = interpret(program)
+    t2 = interpret(program)
     assert t1.events == t2.events
     assert t1.steps == t2.steps
 
@@ -152,14 +172,14 @@ def test_explore_schedules_covers_all_orders():
 
 
 def test_trace_ordering_invariant_on_corpus(door, dirstat, timer, server):
-    for program, model in (door, dirstat, timer, server):
-        for trace in explore_schedules(program, model):
+    for program, _ in (door, dirstat, timer, server):
+        for trace in explore_schedules(program):
             assert check_trace_ordering(program, trace) == []
 
 
 def test_trace_ordering_detects_violation(door):
-    program, model = door
-    trace = interpret(program, model=model)
+    program = door[0]
+    trace = interpret(program)
     # manufacture an impossible prefix: invocation before any registration
     bad = [HandlerInvoked("hdlClose")] + trace.events
     trace.events = bad

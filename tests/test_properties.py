@@ -3,7 +3,6 @@ of the plain one, and no run-time uninitialized read ever escapes it."""
 
 import pytest
 
-from evflow.eventmodel import EventModel
 from evflow.lang import check_trace_ordering, explore_schedules, parse
 from evflow.randgen import GenParams, gen_source
 from evflow.supergraph import node_for_sid
@@ -17,8 +16,8 @@ FULL = GenParams(allow_while=True)
 
 def corpus_analyses():
     for name in CORPUS_NAMES:
-        program, model = load_corpus_entry(name)
-        yield name, program, model, analyze_event_aware(program)
+        program = load_corpus_entry(name)[0]
+        yield name, program, analyze_event_aware(program)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +31,7 @@ def random_programs():
 
 
 def test_precision_on_corpus():
-    for name, program, model, analysis in corpus_analyses():
+    for name, program, analysis in corpus_analyses():
         for node in set(analysis.ifds.facts) | set(analysis.filtered.facts):
             assert analysis.filtered.facts_at(node) <= \
                 analysis.ifds.facts_at(node), (name, node)
@@ -46,8 +45,8 @@ def test_precision_on_random_programs(random_programs):
                 analysis.ifds.facts_at(node), (seed, node, source)
 
 
-def _assert_sound(program, model, analysis, tag, max_decisions=6):
-    traces = explore_schedules(program, model, max_decisions=max_decisions,
+def _assert_sound(program, analysis, tag, max_decisions=6):
+    traces = explore_schedules(program, max_decisions=max_decisions,
                                step_limit=5_000)
     assert traces
     for trace in traces:
@@ -59,15 +58,14 @@ def _assert_sound(program, model, analysis, tag, max_decisions=6):
 
 
 def test_soundness_on_corpus():
-    for name, program, model, analysis in corpus_analyses():
-        _assert_sound(program, model, analysis, name)
+    for name, program, analysis in corpus_analyses():
+        _assert_sound(program, analysis, name)
 
 
 def test_soundness_on_random_programs(random_programs):
-    model = EventModel.default()
     for seed, source, program in random_programs:
         analysis = analyze_event_aware(program)
-        _assert_sound(program, model, analysis, (seed, source))
+        _assert_sound(program, analysis, (seed, source))
 
 
 def test_handler_work_bound_on_random_programs(random_programs):
@@ -93,4 +91,4 @@ def test_schedule_exploration_finds_order_bugs():
     traces = explore_schedules(program)
     dynamic = [t for t in traces if t.uninit_reads()]
     assert dynamic, "some schedule must hit the uninitialized read"
-    _assert_sound(program, EventModel.default(), analysis, "race")
+    _assert_sound(program, analysis, "race")
