@@ -4,12 +4,10 @@ event-aware results, dump graphs and run the oracle suite."""
 from __future__ import annotations
 
 import argparse
-import importlib.resources
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .event_lattice import HState
@@ -25,6 +23,7 @@ from .lang import (
 )
 from .lang.ast import Scopes
 from .randgen import GenParams, gen_source
+from .record import field, record
 from .supergraph import node_for_sid, supergraph_dot
 from .transform import analyze_event_aware
 from .uninit import report_uses
@@ -36,7 +35,7 @@ EXIT_DIAGNOSTICS = 1
 EXIT_ERROR = 2
 
 
-@dataclass
+@record
 class RunConfig:
     inputs: list[str]
     mode: str = "diff"                 # ifds | ide | diff
@@ -50,7 +49,7 @@ class RunConfig:
     color: bool = True
 
 
-@dataclass
+@record
 class Report:
     files: list[str]
     mode: str
@@ -180,7 +179,9 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
 # --- oracle suite -----------------------------------------------------------
 
 def packaged_corpus_dir() -> Path:
-    return Path(importlib.resources.files("evflow")) / "corpus"
+    # next to this module, as package data; not through
+    # `importlib.resources`, which on Python 3.12+ imports `inspect`
+    return Path(__file__).parent / "corpus"
 
 
 def iter_corpus(directory: Path):

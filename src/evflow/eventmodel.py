@@ -14,14 +14,15 @@ model for library-style functions that have no EVL body.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from .record import record
 
 
 class EventModelError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegistrationSpec:
     callee: str
     event_arg: int | None  # None: no event-name argument, name is synthesized
@@ -29,7 +30,7 @@ class RegistrationSpec:
     implicit_emit: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EmissionSpec:
     callee: str
     event_arg: int

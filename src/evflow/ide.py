@@ -35,7 +35,6 @@ its representative and gets the same map object.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -50,10 +49,11 @@ from .event_lattice import (
     s_normal,
 )
 from .ifds import ExplodedSupergraph, IfdsResult, ZERO
+from .record import record
 from .supergraph import Edge, EdgeKind
 
 
-@dataclass
+@record
 class LabeledExplodedSupergraph:
     """Exploded supergraph plus one micro-function label per edge.
 

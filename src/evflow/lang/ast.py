@@ -8,8 +8,9 @@ read."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
+
+from ..record import field, record
 
 TOP_LEVEL = "top-level"
 
@@ -20,33 +21,33 @@ class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StrLit(Expr):
     value: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unary(Expr):
     op: str
     operand: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Binary(Expr):
     op: str
     left: Expr
@@ -70,7 +71,7 @@ def expr_vars(e: Expr) -> tuple[str, ...]:
 
 # --- statements ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Stmt:
     """The header of every statement: program-wide id, line and file."""
 
@@ -79,32 +80,32 @@ class Stmt:
     file: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VarDecl(Stmt):
     name: str
     init: Expr | None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign(Stmt):
     name: str
     value: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class If(Stmt):
     cond: Expr
     then_body: tuple[Stmt, ...]
     else_body: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class While(Stmt):
     cond: Expr
     body: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Call(Stmt):
     """A call to a declared function or to a callee the event model
     classifies, the primitives `register`, `emit` and `register_async`
@@ -114,17 +115,17 @@ class Call(Stmt):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Print(Stmt):
     value: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Return(Stmt):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FunctionDecl:
     name: str
     params: tuple[str, ...]
@@ -133,7 +134,7 @@ class FunctionDecl:
     file: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Program:
     """All declared functions plus the synthetic top-level function, with
     what the parser resolved for them.
@@ -190,7 +191,7 @@ class Access(NamedTuple):
     reads: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scopes:
     """Qualified-name resolution for every variable in a program.
 

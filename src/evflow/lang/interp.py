@@ -12,8 +12,7 @@ reads; the interpreter classifies no call itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ..record import field, record
 from .ast import (
     Assign,
     Binary,
@@ -41,28 +40,28 @@ class EvlRuntimeError(EvlError):
         super().__init__(f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StmtExec:
     sid: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HandlerInvoked:
     handler: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UninitRead:
     sid: int
     var: str  # qualified name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Output:
     text: str
 
 
-@dataclass
+@record
 class ExecutionTrace:
     events: list = field(default_factory=list)
     truncated: bool = False
@@ -77,7 +76,7 @@ class ExecutionTrace:
         return [e for e in self.events if isinstance(e, UninitRead)]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Choices:
     """Dispatch decisions by index into the ready queue; 0 past the end."""
 

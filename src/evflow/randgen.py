@@ -9,10 +9,11 @@ and are the interesting signal.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GenParams:
     max_handlers: int = 3
     max_events: int = 2

@@ -14,7 +14,6 @@ have none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .lang.ast import (
@@ -29,6 +28,7 @@ from .lang.ast import (
     VarDecl,
     While,
 )
+from .record import field, record
 
 EVENT_LOOP = "loop"
 LOOP_PROC = "@loop"
@@ -50,7 +50,7 @@ class EdgeKind(Enum):
     CALL_TO_RETURN = "call-to-return"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Node:
     id: str
     kind: NodeKind
@@ -60,7 +60,7 @@ class Node:
     label: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Edge:
     eid: int
     src: str
@@ -70,7 +70,7 @@ class Edge:
     ret_site: str | None = None  # for call edges; None means no return
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EventOp:
     kind: str      # "register" | "emit" | "invoke" | "emit_register"
     handler: str
@@ -126,7 +126,7 @@ class UnknownEventWarning:
                 f"no registered handler anywhere")
 
 
-@dataclass
+@record
 class BuildResult:
     graph: Supergraph
     ops: dict[int, tuple[EventOp, ...]]  # edge id -> its event operations

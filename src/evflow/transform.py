@@ -11,7 +11,6 @@ the infeasible state; the solve keeps that map, and a report asks for it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .event_lattice import (
     HState,
@@ -24,6 +23,7 @@ from .event_lattice import (
 from .ide import IdeResult, LabeledExplodedSupergraph, solve_ide, solve_ifds
 from .ifds import ExplodedSupergraph, IfdsResult, explode
 from .lang.ast import Program
+from .record import record
 from .supergraph import BuildResult, EventOp, build_supergraph
 from .uninit import UninitProblem
 
@@ -57,7 +57,7 @@ def untransform(result: IdeResult) -> IfdsResult:
     return IfdsResult(result, keep=_feasible)
 
 
-@dataclass
+@record
 class EventAwareAnalysis:
     """Both solutions of one problem instance, for diffing.  The
     handler-state map of a fact the filter dropped is

@@ -15,10 +15,9 @@ none itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ifds import IDENTITY, FactDomain, IfdsResult, Patch, ZERO
-from .lang.ast import Program, Scopes
+from .lang.ast import Program, Scopes, TOP_LEVEL
+from .record import record
 from .supergraph import EdgeKind, NodeKind, Supergraph
 
 
@@ -35,10 +34,10 @@ class UninitProblem:
         self.graph = graph
         self.scopes = program.scopes
         self.domain = FactDomain(self.scopes.all_facts())
-        self._globals = frozenset(
+        globals_ = frozenset(
             self.domain.index_of(n) for n in self.scopes.globals)
         self._non_globals = tuple(d for d in self.domain.indices()
-                                  if d not in self._globals)
+                                  if d not in globals_)
         self._bypass: dict[str, Patch] = {}  # caller -> call-to-return patch
 
     # -- the per-edge flow function --
@@ -53,13 +52,16 @@ class UninitProblem:
         if kind is EdgeKind.CALL_TO_RETURN:
             caller = g.proc_of(edge.src)
             if caller not in self._bypass:
-                # only the caller's own non-global names skip the callee
-                own = {self.domain.index_of(n) for n in
-                       self.scopes.params_by_func[caller] +
-                       self.scopes.locals_by_func[caller]}
+                # only the caller's own names skip the callee; they are
+                # never globals, and top-level, whose locals are the
+                # globals, owns none
+                own = () if caller == TOP_LEVEL else {
+                    self.domain.index_of(n) for n in
+                    self.scopes.params_by_func[caller] +
+                    self.scopes.locals_by_func[caller]}
                 self._bypass[caller] = Patch(
-                    tuple(d for d in self.domain.indices()
-                          if d in self._globals or d not in own), ())
+                    tuple(d for d in self.domain.indices() if d not in own),
+                    ())
             return self._bypass[caller]
         src = g.nodes[edge.src]
         if src.kind is NodeKind.START:
@@ -110,7 +112,7 @@ class UninitProblem:
             for v in operand))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     node: str
     var: str        # display name

@@ -3,6 +3,8 @@ function, class or method is defined that nothing names."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,11 +86,11 @@ def test_every_definition_is_named_somewhere():
 
 
 def redeclared_fields(modules: dict[str, str]) -> list[str]:
-    """Fields that a dataclass in `modules` (name -> source) annotates
+    """Fields that a record in `modules` (name -> source) annotates
     although a base class defined there, directly or further up,
     already annotates them; classes are told apart by name."""
     classes: dict[str, tuple[list[str], set[str]]] = {}
-    dataclasses: list[tuple[str, ast.ClassDef]] = []
+    records: list[tuple[str, ast.ClassDef]] = []
     for module, source in modules.items():
         for node in ast.walk(ast.parse(source)):
             if not isinstance(node, ast.ClassDef):
@@ -100,33 +102,81 @@ def redeclared_fields(modules: dict[str, str]) -> list[str]:
             classes[node.name] = bases, fields
             for d in node.decorator_list:
                 d = d.func if isinstance(d, ast.Call) else d
-                if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
-                    dataclasses.append((module, node))
+                if getattr(d, "id", getattr(d, "attr", None)) == "record":
+                    records.append((module, node))
 
     def inherited(name: str) -> set[str]:
         return {f for base in classes[name][0] if base in classes
                 for f in classes[base][1] | inherited(base)}
 
     return sorted(f"{module}:{node.lineno}: {node.name}.{f}"
-                  for module, node in dataclasses
+                  for module, node in records
                   for f in classes[node.name][1] & inherited(node.name))
 
 
 def test_redeclared_fields_are_found():
-    module = ("from dataclasses import dataclass\nimport dataclasses\n"
+    module = ("from .record import record\nfrom evflow import record as r\n"
               "class Header:\n    sid: int\n    line: int\n"
-              "@dataclass(frozen=True)\nclass Base(Header):\n    file: str\n"
-              "@dataclass\nclass Again(Base):\n    sid: int\n    file: str\n"
-              "@dataclasses.dataclass\nclass Fresh(Base):\n    name: str\n"
+              "@record(frozen=True)\nclass Base(Header):\n    file: str\n"
+              "@record\nclass Again(Base):\n    sid: int\n    file: str\n"
+              "@r.record\nclass Fresh(Base):\n    name: str\n"
               "class Plain(Base):\n    line: int\n")
     assert redeclared_fields({"m.py": module}) == \
         ["m.py:10: Again.file", "m.py:10: Again.sid"]
 
 
-def test_no_dataclass_redeclares_an_inherited_field():
+def test_no_record_redeclares_an_inherited_field():
     modules = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8")
                for p in sorted(SRC.rglob("*.py"))}
     assert redeclared_fields(modules) == []
+
+
+# Start-up: `dataclasses` loads `inspect` and generates code per class,
+# which made it most of the time `import evflow.cli` took; records come
+# from `evflow.record` instead.
+def imported_modules(node: ast.AST) -> list[str]:
+    """The modules an import statement names; none for another node."""
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    return []
+
+
+def dataclass_imports(source: str) -> list[str]:
+    """Imports of the `dataclasses` module, or of names from it, in
+    `source`."""
+    return [f"line {node.lineno}: {m}"
+            for node in ast.walk(ast.parse(source))
+            for m in imported_modules(node) if m == "dataclasses"]
+
+
+def test_dataclass_imports_are_found():
+    source = ("import json, dataclasses\n"
+              "def f():\n    from dataclasses import field\n"
+              "from .record import record\nimport dataclasses_json\n")
+    assert dataclass_imports(source) == [
+        "line 1: dataclasses", "line 3: dataclasses"]
+
+
+ALL_SRC = sorted(SRC.rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", ALL_SRC,
+                         ids=[str(p.relative_to(SRC)) for p in ALL_SRC])
+def test_no_module_imports_dataclasses(path):
+    assert dataclass_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S: no site-packages start-up hook can load either module first
+    code = ("import sys\nsys.path.insert(0, sys.argv[1])\n"
+            "import evflow.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # Names resolve in the front end alone: code outside `evflow/lang/` reads
@@ -178,10 +228,8 @@ def classifications(source: str) -> list[str]:
                 isinstance(node.func, ast.Attribute) and \
                 node.func.attr == "classify":
             out.append(f"line {node.lineno}: classify")
-        modules = [node.module or ""] if isinstance(node, ast.ImportFrom) \
-            else [a.name for a in node.names] if isinstance(node, ast.Import) \
-            else []
-        out += [f"line {node.lineno}: eventmodel" for m in modules
+        out += [f"line {node.lineno}: eventmodel"
+                for m in imported_modules(node)
                 if m.rsplit(".", 1)[-1] == "eventmodel"]
     return out
 
