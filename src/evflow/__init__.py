@@ -11,8 +11,8 @@ orderings.
 __version__ = "0.1.0"
 
 from .eventmodel import EventModel
-from .lang import interpret, parse, parse_files
+from .lang import parse, parse_files
 from .transform import analyze_event_aware
 
-__all__ = ["EventModel", "analyze_event_aware", "interpret", "parse",
-           "parse_files", "__version__"]
+__all__ = ["EventModel", "analyze_event_aware", "parse", "parse_files",
+           "__version__"]

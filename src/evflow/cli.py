@@ -4,7 +4,6 @@ event-aware results, dump graphs and run the oracle suite."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -13,16 +12,8 @@ from pathlib import Path
 from .event_lattice import HState
 from .eventmodel import EventModel, EventModelError
 from .ifds import exploded_dot
-from .lang import (
-    EvlError,
-    check_trace_ordering,
-    explore_schedules,
-    parse,
-    parse_files,
-    read_source,
-)
+from .lang import EvlError, parse, parse_files, read_source
 from .lang.ast import Scopes
-from .randgen import GenParams, gen_source
 from .record import field, record
 from .supergraph import node_for_sid, supergraph_dot
 from .transform import analyze_event_aware
@@ -70,6 +61,7 @@ class Report:
         }
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def render_text(self, color: bool) -> str:
@@ -191,10 +183,19 @@ def iter_corpus(directory: Path):
         yield evl, str(model_path) if os.path.lexists(model_path) else None
 
 
+def explore_schedules(program, max_decisions: int):
+    """The interpreter's traces of `program` within the decision bound;
+    `lang.interp` is imported on the first call, as only the oracle
+    runs it."""
+    from .lang import interp
+    return interp.explore_schedules(program, max_decisions=max_decisions)
+
+
 def check_program(source: str, model: EventModel, schedules: int,
                   filename: str = "<generated>") -> list[str]:
     """Precision, soundness and representation-size checks for one
     program; returns human-readable violations."""
+    from .lang.interp import check_trace_ordering
     violations: list[str] = []
     program = parse(source, filename=filename, model=model)
     analysis = analyze_event_aware(program, check_descent=True)
@@ -228,6 +229,7 @@ def check_program(source: str, model: EventModel, schedules: int,
 
 
 def run_oracle_suite(cfg: RunConfig, out=None) -> int:
+    from .randgen import GenParams, gen_source
     out = out if out is not None else sys.stdout
     corpus = Path(cfg.inputs[0]) if cfg.inputs else packaged_corpus_dir()
     if not corpus.is_dir():

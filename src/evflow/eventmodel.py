@@ -13,8 +13,6 @@ model for library-style functions that have no EVL body.
 
 from __future__ import annotations
 
-import json
-
 from .record import record
 
 
@@ -93,6 +91,7 @@ class EventModel:
 
     @classmethod
     def from_json_file(cls, path) -> "EventModel":
+        import json
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -164,6 +163,7 @@ def _position(entry: dict, key: str, callee: str, optional: bool = False):
     if value is None and optional:
         return None
     if type(value) is not int or value < 0:
+        import json
         got = f"got {json.dumps(value)}" if key in entry else "missing"
         raise EventModelError(
             f"'{callee}': {key} must be a non-negative integer ({got})")

@@ -220,6 +220,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     # --- the per-solve intern table and operator memos ---
     fns: list[bytes] = []                   # id -> transformer
     ids: dict[bytes, int] = {}              # transformer -> id
+    fn_entries: list[int] = []              # id -> entries(fns[id])
     compose_memo: dict[tuple[int, int], int] = {}
     meet_memo: dict[tuple[int, int], int] = {}
 
@@ -228,6 +229,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         if fid is None:
             fid = ids[f] = len(fns)
             fns.append(f)
+            fn_entries.append(entries(f))
         return fid
 
     ID = intern(Transformer.identity(len(lxsg.handlers)))
@@ -358,9 +360,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             if check_descent and not packed_leq(fns[new], fns[old]):
                 raise AssertionError("jump function must only descend")
         row[d1] = new
-        n_entries = entries(fns[new])
-        if n_entries > max_label_entries:
-            max_label_entries = n_entries
+        if fn_entries[new] > max_label_entries:
+            max_label_entries = fn_entries[new]
         work.append((d1, n, d2, row))
 
     def add_edge(edges: dict[tuple, int], key: tuple, t: int) -> int | None:

@@ -1,4 +1,5 @@
-"""EVL mini-language: AST, parser, pretty printer and interpreter."""
+"""EVL mini-language: AST, parser and pretty printer.  The interpreter,
+which only the oracle runs, is `evflow.lang.interp`, imported on its own."""
 
 from .ast import (
     Access,
@@ -34,18 +35,6 @@ from .parser import (
     parse,
     parse_files,
     read_source,
-)
-from .interp import (
-    Choices,
-    EvlRuntimeError,
-    ExecutionTrace,
-    HandlerInvoked,
-    Output,
-    StmtExec,
-    UninitRead,
-    check_trace_ordering,
-    explore_schedules,
-    interpret,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -41,8 +41,10 @@ def transform(xsg: ExplodedSupergraph, ops: dict[int, tuple[EventOp, ...]],
     """Label every exploded edge with the event transformer of its
     underlying supergraph edge; identity where nothing happens.  No edge
     carries two operations for one handler."""
+    identity = Transformer.identity(len(handlers))
     labels = {edge.eid: Transformer.of(handlers, {
-        op.handler: _OP_TO_FN[op.kind] for op in ops.get(edge.eid, ())})
+        op.handler: _OP_TO_FN[op.kind] for op in ops[edge.eid]})
+        if edge.eid in ops else identity
         for edge in xsg.graph.edges}
     return LabeledExplodedSupergraph(xsg, labels, handlers)
 

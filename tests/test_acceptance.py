@@ -20,8 +20,9 @@ from evflow.event_lattice import (
 )
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import ZERO
-from evflow.lang import check_trace_ordering, explore_schedules, parse
+from evflow.lang import parse
 from evflow.lang.ast import Assign
+from evflow.lang.interp import check_trace_ordering, explore_schedules
 from evflow.randgen import DEFAULT, SMALL, gen_source
 from evflow.supergraph import EVENT_LOOP, EdgeKind, node_for_sid
 from evflow.transform import analyze_event_aware

@@ -391,11 +391,14 @@ def test_malformed_event_models_are_input_errors(tmp_path):
     f = tmp_path / "p.evl"
     f.write_text("print(1);")
     cases = [
-        ({"event_arg": 0, "handler_arg": 1}, "has no callee name"),
+        ({"event_arg": 0, "handler_arg": 1},
+         "an entry of 'registrations' has no callee name"),
         ({"callee": "on", "event_arg": "0", "handler_arg": 1},
-         "'on': event_arg must be a non-negative integer"),
+         "'on': event_arg must be a non-negative integer (got \"0\")"),
         ({"callee": "on", "event_arg": 0, "handler_arg": 1.5},
-         "'on': handler_arg must be a non-negative integer"),
+         "'on': handler_arg must be a non-negative integer (got 1.5)"),
+        ({"callee": "on", "event_arg": 0},
+         "'on': handler_arg must be a non-negative integer (missing)"),
     ]
     for entry, message in cases:
         m = tmp_path / "m.json"
@@ -403,7 +406,7 @@ def test_malformed_event_models_are_input_errors(tmp_path):
         status, report = run(RunConfig([str(f)], mode="diff",
                                        event_model=str(m)))
         assert status == EXIT_ERROR and report.input_error, entry
-        assert len(report.warnings) == 1 and message in report.warnings[0]
+        assert report.warnings == [message]
 
 
 def _comparable(report) -> tuple:
@@ -499,6 +502,26 @@ def test_a_label_of_the_wrong_length_is_reported(monkeypatch):
     violations = cli.check_program(source, EventModel.default(), 2)
     assert "representation: a label's length is not the handler count" \
         in violations
+
+
+def test_check_program_runs_the_interpreter_through_its_cli_name(
+        monkeypatch):
+    """`check_program` reaches the interpreter through
+    `cli.explore_schedules`, the name a tracer wraps to time it."""
+    from evflow import cli
+    from evflow.eventmodel import EventModel
+    source = (packaged_corpus_dir() / "door.evl").read_text()
+    before = cli.check_program(source, EventModel.default(), 2)
+    explore = cli.explore_schedules
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "explore_schedules", counting)
+    assert cli.check_program(source, EventModel.default(), 2) == before
+    assert len(calls) == 1
 
 
 def test_analysis_reads_the_event_model_off_the_program(monkeypatch):

@@ -179,6 +179,22 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert done.stdout == "[]\n"
 
 
+# The analysis does not load what only other commands use: the oracle's
+# interpreter and program generator, and `json`, which only JSON reports
+# and event-model files need.
+def test_cli_diff_loads_neither_the_interpreter_nor_randgen_nor_json():
+    code = ("import sys\nsys.path.insert(0, sys.argv[1])\n"
+            "import evflow.cli as cli\n"
+            "status, _ = cli.run(cli.RunConfig(\n"
+            "    [str(cli.packaged_corpus_dir() / 'door.evl')]))\n"
+            "print(status, sorted({'evflow.lang.interp', 'evflow.randgen',\n"
+            "                      'json'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 []\n"
+
+
 # Names resolve in the front end alone: code outside `evflow/lang/` reads
 # `Program.scopes` and the parser's per-statement record instead.
 RESOLVERS = {"expr_vars", "iter_stmts", "stmt_reads", "qualify"}

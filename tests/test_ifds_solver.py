@@ -270,7 +270,7 @@ def test_handler_also_called_directly():
     build, problem, xsg = pipeline(program)
     result = solve_ifds(xsg)
     assert report_uses(problem, result) == []
-    from evflow.lang import interpret
+    from evflow.lang.interp import interpret
     trace = interpret(program)
     assert trace.uninit_reads() == [] and trace.outputs() == ["1"]
 

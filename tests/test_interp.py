@@ -1,12 +1,12 @@
 import pytest
 
-from evflow.lang import (
+from evflow.lang import parse
+from evflow.lang.interp import (
     Choices,
     HandlerInvoked,
     check_trace_ordering,
     explore_schedules,
     interpret,
-    parse,
 )
 
 

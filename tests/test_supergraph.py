@@ -1,7 +1,8 @@
 import pytest
 
 from evflow.eventmodel import EventModel, EventModelError, synthetic_event
-from evflow.lang import interpret, parse
+from evflow.lang import parse
+from evflow.lang.interp import interpret
 from evflow.supergraph import (
     EVENT_LOOP,
     EdgeKind,

@@ -8,8 +8,9 @@ from evflow.event_lattice import (
     MF_REGISTER,
 )
 from evflow.ifds import ZERO
-from evflow.lang import interpret, parse
+from evflow.lang import parse
 from evflow.lang.ast import Assign, StrLit, Var
+from evflow.lang.interp import interpret
 from evflow.supergraph import EVENT_LOOP, EdgeKind, node_for_sid
 from evflow.transform import analyze_event_aware, transform
 
@@ -195,7 +196,7 @@ def test_never_runnable_handler_is_filtered():
     assert g_i in analysis.ifds.facts_at(read)
     assert g_i not in analysis.filtered.facts_at(read)
     # and indeed no schedule ever invokes h
-    from evflow.lang import explore_schedules
+    from evflow.lang.interp import explore_schedules
     for trace in explore_schedules(program):
         assert trace.uninit_reads() == []
 

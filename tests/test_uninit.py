@@ -2,8 +2,9 @@ import itertools
 import random
 
 from evflow.ifds import IDENTITY, ZERO, ExplodedSupergraph
-from evflow.lang import interpret, parse
+from evflow.lang import parse
 from evflow.lang.ast import Assign, Call, VarDecl, expr_vars
+from evflow.lang.interp import interpret
 from evflow.supergraph import EdgeKind, NodeKind, node_for_sid
 from evflow.uninit import report_uses
 
