@@ -181,6 +181,12 @@ def s_normal(f: bytes) -> bytes:
     return f.translate(_S_NORMAL_T)
 
 
+def feasible(f: bytes) -> bool:
+    """Whether `f` sends no handler from S to X, that is, whether the
+    map it gives the entry map leaves every handler feasible."""
+    return HState.X not in f.translate(_AT_S_T)
+
+
 def map_at_s(f: bytes, handlers: tuple[str, ...]) -> dict[str, HState]:
     """The handler-state map that `f` gives the entry map, every handler
     in S."""

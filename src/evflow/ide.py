@@ -18,12 +18,13 @@ turn.  No path merges inside a block, so that label is the path function
 (Kildall, POPL 1973), and jump functions live only at heads.  A query at
 an interior node replays its block from the head.
 
-A handler-state map is the all-S entry map under a transformer, built
-only where a client reads one; applying a transformer distributes over
-composition and over the pointwise meet, so that is exact.  Labels only
+The filter reads a fact's transformer alone (`event_lattice.feasible`);
+a handler-state map, the all-S entry map under a transformer, is built
+only where a client reads one.  Applying a transformer distributes over
+composition and over the pointwise meet, so both are exact.  Labels only
 decide which facts to filter, never which exploded nodes are reached, so
 the plain IFDS result is a view of any solve over the same exploded
-supergraph; `solve_ifds` is the identity-labelled case.
+supergraph (`solve_ifds`).
 
 Both phases run over one representative per class of interchangeable
 facts (`ExplodedSupergraph.classes`).  Labels are per supergraph edge,
@@ -42,6 +43,7 @@ from .event_lattice import (
     HState,
     Transformer,
     entries,
+    feasible,
     map_at_s,
     packed_compose,
     packed_leq,
@@ -55,21 +57,17 @@ from .supergraph import Edge, EdgeKind
 
 @record
 class LabeledExplodedSupergraph:
-    """Exploded supergraph plus one micro-function label per edge.
+    """Exploded supergraph plus micro-function labels, by edge id.
 
     Labels are uniform across the exploded pairs of one supergraph edge,
-    which is all the event instantiation ever produces.
+    which is all the event instantiation ever produces.  An edge without
+    a label carries the identity, so `LabeledExplodedSupergraph(xsg, {},
+    handlers)` is the identity labelling.
     """
 
     xsg: ExplodedSupergraph
     labels: dict[int, Transformer]
     handlers: tuple[str, ...]
-
-    @classmethod
-    def identity(cls, xsg: ExplodedSupergraph,
-                 handlers: tuple[str, ...] = ()) -> "LabeledExplodedSupergraph":
-        ident = Transformer.identity(len(handlers))
-        return cls(xsg, {e.eid: ident for e in xsg.graph.edges}, handlers)
 
 
 class IdeResult:
@@ -81,10 +79,12 @@ class IdeResult:
     (Sagiv, Reps & Horwitz, TCS 1996); at an interior node, the head's
     row replayed through the block's edges, which keeps the rows of the
     whole block.  A row is evaluated once, and `holds`, `fact_sets`,
-    `reachable` and `envs` read the same rows.  `map_at(node, fact)`
-    applies the fact's transformer to the entry map, every handler in S;
-    a map is built once per distinct normal form (`s_normal`), so equal
-    maps are one dict, and a caller must copy a map before changing it.
+    `reachable` and `envs` read the same rows.  The filter tests each
+    transformer id for feasibility, and builds no map.  `map_at(node,
+    fact)` applies the fact's transformer to the entry map, every handler
+    in S; a map is built once per distinct normal form (`s_normal`), so
+    equal maps are one dict, and a caller must copy a map before changing
+    it.
     """
 
     def __init__(self, jump: dict[str, dict[int, dict[int, int]]],
@@ -115,14 +115,12 @@ class IdeResult:
         fid = self._row(node).get(self._rep_of.get(fact))
         return None if fid is None else self._map_of(fid)
 
-    def holds(self, node: str, fact: int, keep=None) -> bool:
-        """Whether `fact` reaches `node` and, given `keep`, whether
-        `keep` accepts its map; the tautological fact reaches every
+    def holds(self, node: str, fact: int, filtered: bool = False) -> bool:
+        """Whether `fact` reaches `node` and, if `filtered`, whether its
+        transformer is feasible; the tautological fact reaches every
         reached node."""
-        if keep is None:
-            return self._rep_of.get(fact) in self._row(node)
-        hsm = self.map_at(node, fact)
-        return hsm is not None and keep(hsm)
+        fid = self._row(node).get(self._rep_of.get(fact))
+        return fid is not None and (not filtered or feasible(self._fns[fid]))
 
     @cached_property
     def _rows(self) -> dict[str, dict[int, int]]:
@@ -130,20 +128,20 @@ class IdeResult:
         row_of = self._row
         return {n: row_of(n) for n in chain(self._jump, self._blocks)}
 
-    def fact_sets(self, keep=None) -> dict[str, frozenset[int]]:
+    def fact_sets(self, filtered: bool = False) -> dict[str, frozenset[int]]:
         """Per reached node, the non-zero facts for which `holds`; nodes
         without one have no entry."""
-        ok: dict[int, bool] = {}
-        members = self._members
+        ok: dict[int, bool] = {}    # transformer id -> feasible
+        fns, members = self._fns, self._members
         sets: dict[str, frozenset[int]] = {}
         for node, row in self._rows.items():
             facts: list[int] = []
             for rep, fid in row.items():
                 if not rep:     # the tautological fact, 0
                     continue
-                if keep is not None:
+                if filtered:
                     if fid not in ok:
-                        ok[fid] = keep(self._map_of(fid))
+                        ok[fid] = feasible(fns[fid])
                     if not ok[fid]:
                         continue
                 facts.extend(members[rep])
@@ -255,6 +253,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             h_id = meet_memo[key] = intern(packed_meet(fns[f_id], fns[g_id]))
         return h_id
 
+    # edge id -> label id; an edge without a label carries the identity
     label = {eid: intern(f) for eid, f in lxsg.labels.items()}
 
     # --- the supergraph compiled into per-node tables ---
@@ -293,8 +292,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                 r = edge.ret_site
                 ret = r and g.edge_between(g.end_of(g.proc_of(edge.dst)), r)
                 calls_from.setdefault(n, []).append(
-                    (edge.dst, label[edge.eid], succ[edge.eid], r,
-                     ret and (label[ret.eid], succ[ret.eid])))
+                    (edge.dst, label.get(edge.eid, ID), succ[edge.eid], r,
+                     ret and (label.get(ret.eid, ID), succ[ret.eid])))
                 continue
             if edge.dst in interior:
                 # `n` heads a block: one edge per out-edge of its end
@@ -302,7 +301,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                 block = (n, run)
                 while True:
                     e = only_in[m]
-                    lab_e = label[e.eid]
+                    lab_e = label.get(e.eid, ID)
                     lab = compose(lab_e, lab)
                     run.append((m, lab_e, succ[e.eid]))
                     blocks[m] = block
@@ -312,10 +311,10 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                     m = outs[0].dst
                 tables = [table for _, _, table in run]
                 for e in outs:
-                    row.append((e.dst, compose(label[e.eid], lab),
+                    row.append((e.dst, compose(label.get(e.eid, ID), lab),
                                 _RunTable((*tables, succ[e.eid]))))
                 continue
-            row.append((edge.dst, label[edge.eid], succ[edge.eid]))
+            row.append((edge.dst, label.get(edge.eid, ID), succ[edge.eid]))
         steps_from[n] = tuple(row)
 
     # --- phase 1: jump functions ---
@@ -518,11 +517,10 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     })
 
 
-def solve_ifds(xsg: ExplodedSupergraph,
-               ide: IdeResult | None = None) -> IfdsResult:
+def solve_ifds(xsg: ExplodedSupergraph, ide: IdeResult) -> IfdsResult:
     """The plain IFDS result over `xsg`: the reached nodes and their
-    non-zero facts, as a view of `ide` (a solve over any labelling of
-    `xsg`) or, without one, of the identity-labelled solve.
+    non-zero facts, as a view of `ide`, a solve over any labelling of
+    `xsg`.
 
     Each jump function is one path edge (d1, n, d2) of the plain
     tabulation, which steps each path edge once.  The solve steps only
@@ -531,8 +529,6 @@ def solve_ifds(xsg: ExplodedSupergraph,
     `worklist_steps` counts those rather than the path edges of every
     fact at every node.
     """
-    if ide is None:
-        ide = solve_ide(LabeledExplodedSupergraph.identity(xsg))
     path_edges = ide.stats["jump_functions"]
     return IfdsResult(ide, stats={"worklist_steps": path_edges,
                                   "path_edges": path_edges})

@@ -177,28 +177,28 @@ def explode(graph: Supergraph, domain: FactDomain, flow_for) -> ExplodedSupergra
 
 
 class IfdsResult:
-    """Per reached node, a set of non-zero facts: the plain result, or the
-    facts the event-aware filter keeps, as a view of one solve
-    (`ide.IdeResult`).
+    """Per reached node, a set of non-zero facts: the plain result, or,
+    `filtered`, the facts the event-aware filter keeps, as a view of one
+    solve (`ide.IdeResult`).
 
-    `holds(node, fact)` asks the solve at one pair, and `keep`, when
-    given, decides from the fact's handler-state map.  `facts` (nodes
+    `holds(node, fact)` asks the solve at one pair.  `facts` (nodes
     without facts have no entry) is built by the same query on first
     access and then cached, so `facts_at` reads whatever `facts` holds;
     so is the solve's `reachable`.
     """
 
-    def __init__(self, solution, keep=None, stats: dict | None = None):
+    def __init__(self, solution, filtered: bool = False,
+                 stats: dict | None = None):
         self._solution = solution
-        self._keep = keep
+        self._filtered = filtered
         self.stats = {} if stats is None else stats
 
     def holds(self, node: str, fact: int) -> bool:
-        return self._solution.holds(node, fact, self._keep)
+        return self._solution.holds(node, fact, self._filtered)
 
     @cached_property
     def facts(self) -> dict[str, frozenset[int]]:
-        return self._solution.fact_sets(self._keep)
+        return self._solution.fact_sets(self._filtered)
 
     @property
     def reachable(self) -> frozenset[str]:

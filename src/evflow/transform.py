@@ -3,17 +3,17 @@ project the solution back to plain fact sets.
 
 The labeling never touches graph structure: registration, emission,
 callback-style registration and dispatch edges get the matching
-per-handler chain function; every other edge keeps the identity.  The
-projection drops any fact whose handler-state map sends some handler to
-the infeasible state; the solve keeps that map, and a report asks for it
-(`IdeResult.map_at`).
+per-handler chain function, and only they carry a label; every other
+edge carries the identity.  The projection drops any fact whose
+transformer sends some handler from S to the infeasible state
+(`event_lattice.feasible`); a report asks the solve for that fact's
+handler-state map (`IdeResult.map_at`).
 """
 
 from __future__ import annotations
 
 
 from .event_lattice import (
-    HState,
     MF_EMIT,
     MF_EMIT_REGISTER,
     MF_INVOKE,
@@ -38,25 +38,19 @@ _OP_TO_FN = {
 
 def transform(xsg: ExplodedSupergraph, ops: dict[int, tuple[EventOp, ...]],
               handlers: tuple[str, ...]) -> LabeledExplodedSupergraph:
-    """Label every exploded edge with the event transformer of its
-    underlying supergraph edge; identity where nothing happens.  No edge
+    """Label each event edge, in edge order, with the transformer of its
+    operations; an edge without a label carries the identity.  No edge
     carries two operations for one handler."""
-    identity = Transformer.identity(len(handlers))
-    labels = {edge.eid: Transformer.of(handlers, {
-        op.handler: _OP_TO_FN[op.kind] for op in ops[edge.eid]})
-        if edge.eid in ops else identity
-        for edge in xsg.graph.edges}
-    return LabeledExplodedSupergraph(xsg, labels, handlers)
-
-
-def _feasible(hsm: dict[str, HState]) -> bool:
-    return HState.X not in hsm.values()
+    return LabeledExplodedSupergraph(xsg, {
+        edge.eid: Transformer.of(handlers, {
+            op.handler: _OP_TO_FN[op.kind] for op in ops[edge.eid]})
+        for edge in xsg.graph.edges if edge.eid in ops}, handlers)
 
 
 def untransform(result: IdeResult) -> IfdsResult:
-    """Keep a fact at a node only if its map sends no handler to X; the
+    """Keep a fact at a node only if its transformer is feasible; the
     kept facts are a view of `result`, asked per (node, fact)."""
-    return IfdsResult(result, keep=_feasible)
+    return IfdsResult(result, filtered=True)
 
 
 @record

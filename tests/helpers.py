@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from evflow.event_lattice import MF_CLOSURE, MF_ID, HState, Transformer
+from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import Patch, ZERO, explode
 from evflow.lang import If, While, parse
 from evflow.randgen import GenParams, gen_source
@@ -165,6 +166,12 @@ def pipeline(program):
     return build, problem, xsg
 
 
+def solve_plain(xsg):
+    """The plain IFDS result over `xsg`, read off the identity-labelled
+    solve."""
+    return solve_ifds(xsg, solve_ide(LabeledExplodedSupergraph(xsg, {}, ())))
+
+
 def sample_programs():
     """(tag, program) for the corpus, the golden sources and 200 seeded
     random programs with loops."""
@@ -269,8 +276,9 @@ def brute_force_ide(graph, rel_of, labels, handlers, entry=None,
     """Path-enumeration oracle for the two-phase solver: walk every valid
     path, carry an environment (fact -> handler-state map, with the 0 row
     seeded all-S), and meet per node.  `labels` are packed transformers
-    over `handlers`, applied as dict transformers.  Memoizes identical
-    continuation states, which leaves accumulated results unchanged."""
+    over `handlers`, applied as dict transformers; an edge without one
+    carries the identity.  Memoizes identical continuation states, which
+    leaves accumulated results unchanged."""
     entry = entry or graph.entry()
     labels = {eid: touched(t, handlers) for eid, t in labels.items()}
     values: dict[str, dict[int, dict]] = defaultdict(dict)
@@ -305,7 +313,7 @@ def brute_force_ide(graph, rel_of, labels, handlers, entry=None,
             explored += 1
             if explored > path_budget:
                 raise RuntimeError("ide path oracle budget exceeded")
-            label = labels[edge.eid]
+            label = labels.get(edge.eid, {})
             new_env: dict[int, dict] = {}
             for d1, d2 in rel_of[edge.eid]:
                 if d1 not in env:

@@ -37,6 +37,7 @@ from helpers import (
     mvp_bruteforce,
     PathBudgetExceededError,
     pipeline,
+    solve_plain,
     touched,
 )
 
@@ -99,10 +100,10 @@ def test_criterion_2_dirstat():
     by_handler = {g.proc_of(e.dst): labels[e.eid] for e in g.edges
                   if e.kind is EdgeKind.CALL and e.src == EVENT_LOOP}
     handlers = analysis.handlers
-    reg_f = next(labels[e.eid] for e in g.edges if touched(
-        labels[e.eid], handlers) == {"f": MF_EMIT_REGISTER})
-    reg_h = next(labels[e.eid] for e in g.edges if touched(
-        labels[e.eid], handlers) == {"h": MF_EMIT_REGISTER})
+    reg_f = next(t for t in labels.values()
+                 if touched(t, handlers) == {"f": MF_EMIT_REGISTER})
+    reg_h = next(t for t in labels.values()
+                 if touched(t, handlers) == {"h": MF_EMIT_REGISTER})
     feasible = packed_compose(by_handler["h"], packed_compose(
         reg_h, packed_compose(by_handler["f"], reg_f)))
     assert map_at_s(feasible, handlers) == {"f": E, "h": E}
@@ -233,11 +234,10 @@ def test_criterion_7_oracle_equivalence():
         except PathBudgetExceededError:
             continue
         checked += 1
-        exact = solve_ifds(xsg)
+        exact = solve_plain(xsg)
         assert brute.facts == exact.facts
         assert brute.reachable == exact.reachable
-        ide = solve_ide(LabeledExplodedSupergraph.identity(
-            xsg, build.handlers))
+        ide = solve_ide(LabeledExplodedSupergraph(xsg, {}, build.handlers))
         assert set(ide.envs) == brute.reachable
         assert solve_ifds(xsg, ide).facts == brute.facts
     assert checked >= 50

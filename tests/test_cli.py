@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from evflow import ide
 from evflow.cli import (
     EXIT_CLEAN,
     EXIT_DIAGNOSTICS,
@@ -580,3 +581,22 @@ def test_model_callees_behave_like_the_primitives(tmp_path):
         assert primitives[0] == callees[0]
         assert _comparable(primitives[1]) == _comparable(callees[1])
     assert primitives[1].diagnostics  # the diff mode run compared some
+
+
+def test_diff_builds_maps_only_for_filtered_diagnostics(monkeypatch):
+    calls = []
+    map_at_s = ide.map_at_s
+    monkeypatch.setattr(ide, "map_at_s",
+                        lambda *a: calls.append(a) or map_at_s(*a))
+    golden = Path(__file__).parent / "golden" / "chain_6x12.evl"
+    _, report = run(RunConfig([str(golden)], mode="diff"))
+    assert len(report.diagnostics) == 40
+    assert all(d["status"] == "reported" for d in report.diagnostics)
+    assert calls == []
+
+    _, report = run(RunConfig([corpus_path("dirstat.evl")], mode="diff"))
+    maps = [d["handler_states"] for d in report.diagnostics]
+    assert len(maps) == 2
+    assert all(d["status"] == "filtered" for d in report.diagnostics)
+    # one map per distinct normal form, so one call per distinct map
+    assert len(calls) == len({json.dumps(m, sort_keys=True) for m in maps})

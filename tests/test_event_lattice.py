@@ -10,6 +10,8 @@ from evflow.event_lattice import (
     MF_ID,
     MF_INVOKE,
     MF_REGISTER,
+    Transformer,
+    feasible,
     map_at_s,
     mf_apply,
     mf_compose,
@@ -70,6 +72,18 @@ def test_feasible_and_infeasible_compositions():
     assert mf_apply(full, HState.S) == HState.E
     assert mf_apply(mf_compose(MF_INVOKE, MF_REGISTER), HState.S) == HState.X
     assert mf_apply(MF_EMIT_REGISTER, HState.S) == HState.E
+
+
+def test_feasible_is_no_handler_at_x_exhaustive():
+    # every transformer over 0-3 handlers: 1 + 7 + 49 + 343 of them
+    checked = 0
+    for n in range(4):
+        hs = tuple(f"h{i}" for i in range(n))
+        for lanes in itertools.product(MF_CLOSURE, repeat=n):
+            t = Transformer.of(hs, dict(zip(hs, lanes)))
+            assert feasible(t) == (HState.X not in map_at_s(t, hs).values())
+            checked += 1
+    assert checked == 400
 
 
 def _generated_closure() -> set[int]:

@@ -77,7 +77,7 @@ def test_identity_labels_degenerate_to_ifds(door, dirstat, timer, server):
     for program, _ in (door, dirstat, timer, server):
         build, problem, xsg = pipeline(program)
         brute = _brute(xsg)
-        labeled = LabeledExplodedSupergraph.identity(xsg, build.handlers)
+        labeled = LabeledExplodedSupergraph(xsg, {}, build.handlers)
         ide = solve_ide(labeled)
         plain = solve_ifds(xsg, ide)
         for node in set(brute.reachable) | set(ide.envs):
@@ -95,7 +95,7 @@ def test_identity_degeneracy_on_random_programs():
         except PathBudgetExceededError:
             continue
         checked += 1
-        ide = solve_ide(LabeledExplodedSupergraph.identity(xsg, build.handlers))
+        ide = solve_ide(LabeledExplodedSupergraph(xsg, {}, build.handlers))
         assert set(ide.envs) == brute.reachable
         plain = solve_ifds(xsg, ide)
         for node in brute.reachable:
@@ -106,7 +106,7 @@ def test_identity_degeneracy_on_random_programs():
 def _plain_readouts_agree(program):
     build, problem, xsg = pipeline(program)
     labeled = solve_ide(transform(xsg, build.ops, build.handlers))
-    identity = solve_ide(LabeledExplodedSupergraph.identity(xsg, build.handlers))
+    identity = solve_ide(LabeledExplodedSupergraph(xsg, {}, build.handlers))
     a, b = solve_ifds(xsg, labeled), solve_ifds(xsg, identity)
     return (a.facts, a.reachable, a.stats) == (b.facts, b.reachable, b.stats)
 
@@ -501,6 +501,7 @@ def _interior(g):
 def _block_shapes(program, g, labels, interior) -> set[str]:
     """Which of the shapes of `BLOCK_SOURCES` the blocks of `g` show."""
     shapes = set()
+    identity = Transformer()    # the label of an edge without one
     for func in program.functions:
         for s in iter_stmts(func.body):
             body = s.then_body if isinstance(s, If) else \
@@ -514,17 +515,17 @@ def _block_shapes(program, g, labels, interior) -> set[str]:
             continue
         shapes.add(f"headed by {g.nodes[e.src].kind.value}")
         # walk the run to its end, counting non-identity labels
-        run_labels = [labels[e.eid]]
+        run_labels = [labels.get(e.eid, identity)]
         while True:
             outs = g.out_edges(e.dst)
             if len(outs) != 1 or outs[0].dst not in interior:
                 break
             e = outs[0]
-            run_labels.append(labels[e.eid])
+            run_labels.append(labels.get(e.eid, identity))
         for out in outs:
             shapes.add(f"ends at {g.nodes[out.dst].kind.value}")
-            if sum(not f.is_identity() for f in (*run_labels,
-                                                  labels[out.eid])) >= 2:
+            if sum(not f.is_identity() for f in (
+                    *run_labels, labels.get(out.eid, identity))) >= 2:
                 shapes.add("two labels in a block")
     return shapes
 

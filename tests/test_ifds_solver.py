@@ -1,6 +1,5 @@
 import pytest
 
-from evflow.ide import solve_ifds
 from evflow.ifds import (
     ExplodedSupergraph,
     FactDomain,
@@ -28,6 +27,7 @@ from helpers import (
     patch_of_rel,
     PathBudgetExceededError,
     pipeline,
+    solve_plain,
 )
 
 
@@ -59,7 +59,7 @@ def node_of_assign(program, graph, pred):
 def test_straight_line_kill():
     program = parse("var x; x = 1; print(x);")
     build, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     print_node = next(n for n in build.graph.nodes.values()
                       if n.label == "print")
     assert problem.domain.index_of("x") not in result.facts_at(print_node.id)
@@ -69,7 +69,7 @@ def test_straight_line_kill():
 def test_uninit_survives_to_read():
     program = parse("var x; print(x);")
     build, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     diags = report_uses(problem, result)
     assert [(d.var, d.line) for d in diags] == [("x", 1)]
 
@@ -77,7 +77,7 @@ def test_uninit_survives_to_read():
 def test_door_ifds_reports_concat(door):
     program, _ = door
     build, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     concat = node_of_assign(program, build.graph,
                             lambda s: s.name == "txt" and "world" in str(s.value))
     assert problem.domain.index_of("txt") in result.facts_at(concat)
@@ -88,7 +88,7 @@ def test_door_ifds_reports_concat(door):
 def test_dirstat_ifds_reports_sum(dirstat):
     program, _ = dirstat
     build, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     add = node_of_assign(program, build.graph, lambda s: s.name == "sum")
     assert problem.domain.index_of("sum") in result.facts_at(add)
 
@@ -100,7 +100,7 @@ def test_callee_initialization_kills_global():
            "print(g);\n")
     program = parse(src)
     build, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     assert report_uses(problem, result) == []
 
 
@@ -110,7 +110,7 @@ def test_call_to_return_preserves_caller_local():
            "caller();\n")
     program = parse(src)
     build, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     diags = report_uses(problem, result)
     assert [(d.var, d.qualified) for d in diags] == [("l", "caller.l")]
 
@@ -122,7 +122,7 @@ def test_param_binding_carries_uninit():
            "show(v);\n")
     program = parse(src)
     build, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     diags = report_uses(problem, result)
     # the uninitialized actual u is reported both at the call site and,
     # through parameter binding, inside show
@@ -137,7 +137,7 @@ def test_branch_join_unions():
            "print(x);\n")
     program = parse(src)
     build, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     diags = report_uses(problem, result)
     assert {(d.var, d.line) for d in diags} == {("x", 4)}
 
@@ -145,8 +145,8 @@ def test_branch_join_unions():
 def test_fixpoint_rerun_identical(door):
     program, _ = door
     _, _, xsg = pipeline(program)
-    r1 = solve_ifds(xsg)
-    r2 = solve_ifds(xsg)
+    r1 = solve_plain(xsg)
+    r2 = solve_plain(xsg)
     assert r1.facts == r2.facts and r1.reachable == r2.reachable
     assert r1.stats == r2.stats
 
@@ -154,7 +154,7 @@ def test_fixpoint_rerun_identical(door):
 def test_unreachable_nodes_flagged():
     program = parse("fn dead() { var d; print(d); }\nprint(1);")
     build, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     dead_start = build.graph.start_of("dead")
     assert dead_start not in result.reachable
     assert result.facts_at(dead_start) == frozenset()
@@ -164,7 +164,7 @@ def test_tabulation_subset_of_plain_reachability(door, dirstat):
     # ignoring balancing can only add facts, never remove
     for program, _ in (door, dirstat):
         _, problem, xsg = pipeline(program)
-        balanced = solve_ifds(xsg)
+        balanced = solve_plain(xsg)
         g = xsg.graph
         plain: dict[str, set[int]] = {g.entry(): {ZERO}}
         work = [(g.entry(), ZERO)]
@@ -231,7 +231,7 @@ def test_budget_raises():
 def test_acyclic_no_call_graph_equals_bruteforce():
     program = parse("var a; var b; a = 1; if (a > 0) { b = a; } print(b);")
     _, _, xsg = pipeline(program)
-    exact = solve_ifds(xsg)
+    exact = solve_plain(xsg)
     brute = mvp_bruteforce(xsg.graph, xsg.rel_of, max_len=30)
     assert brute.facts == exact.facts
     assert brute.reachable == exact.reachable
@@ -250,7 +250,7 @@ def test_bruteforce_equals_tabulation_on_random_programs():
         except PathBudgetExceededError:
             continue
         complete += 1
-        exact = solve_ifds(xsg)
+        exact = solve_plain(xsg)
         if brute.facts != exact.facts or brute.reachable != exact.reachable:
             mismatches.append(source)
     assert complete >= 50, f"only {complete} programs fit the budget"
@@ -268,7 +268,7 @@ def test_handler_also_called_directly():
            'emit("e");\n')
     program = parse(src)
     build, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     assert report_uses(problem, result) == []
     from evflow.lang.interp import interpret
     trace = interpret(program)
@@ -282,7 +282,7 @@ def test_recursive_function_summaries():
            "print(g);\n")
     program = parse(src)
     build, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     assert report_uses(problem, result) == []
     brute = mvp_bruteforce(xsg.graph, xsg.rel_of, max_len=40)
     assert brute.facts == result.facts
@@ -290,7 +290,7 @@ def test_recursive_function_summaries():
 
 def test_empty_program_solves():
     _, problem, xsg = pipeline(parse(""))
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     assert result.facts == {}
     assert xsg.graph.entry() in result.reachable
     assert "loop" in result.reachable
@@ -371,7 +371,7 @@ def test_classes_are_read_off_the_relations_alone():
         assert xsg.rep_succ[eid] == {
             s: tuple(t for t in ts if t != d)
             for s, ts in _grouped(rel) if s != d}
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     brute = mvp_bruteforce(g, rel_of, "start:main", max_len=20)
     assert result.facts == brute.facts
     assert result.reachable == brute.reachable

@@ -1,5 +1,6 @@
 import pytest
 
+from evflow import ide
 from evflow.event_lattice import (
     HState,
     MF_EMIT,
@@ -14,6 +15,7 @@ from evflow.lang.interp import interpret
 from evflow.supergraph import EVENT_LOOP, EdgeKind, node_for_sid
 from evflow.transform import analyze_event_aware, transform
 
+from conftest import CORPUS_NAMES, load_corpus_entry
 from helpers import iter_stmts, pipeline, touched
 
 S, R, E, X = HState.S, HState.R, HState.E, HState.X
@@ -70,8 +72,11 @@ def test_plain_edges_identity(door):
     edge = find_edge(build, program,
                      lambda s: isinstance(s, Assign) and s.name == "txt"
                      and "Hello" in str(s.value))
-    assert labeled.labels[edge.eid].is_identity()
-    assert labeled.labels[edge.eid] == bytes(len(build.handlers))
+    # an edge without an event operation carries no label: the identity
+    assert edge.eid not in build.ops
+    assert edge.eid not in labeled.labels
+    assert set(labeled.labels) == set(build.ops)
+    assert not any(t.is_identity() for t in labeled.labels.values())
 
 
 def test_dispatch_edges_invoke(door):
@@ -98,7 +103,12 @@ def test_transform_preserves_structure(door):
     program, build, xsg, labeled = labeled_for(door)
     assert labeled.xsg is xsg
     assert labeled.xsg.rel_of == xsg.rel_of
-    assert set(labeled.labels) == {e.eid for e in build.graph.edges}
+    # exactly the event edges are labelled, in edge order, none by the
+    # identity
+    assert list(labeled.labels) == [e.eid for e in build.graph.edges
+                                    if e.eid in build.ops]
+    assert set(labeled.labels) == set(build.ops)
+    assert not any(t.is_identity() for t in labeled.labels.values())
 
 
 def test_untransform_door(door):
@@ -218,3 +228,21 @@ def test_fact_accounting(door, dirstat, timer, server):
             dropped = sum(1 for d, hsm in analysis.ide.envs[node].items()
                           if d != ZERO and X in hsm.values())
             assert ifds_n == kept + dropped, node
+
+
+def test_filter_builds_no_map(monkeypatch):
+    """The filter decides from transformers alone: the filtered fact sets
+    and the filtered query at every read site build no handler-state
+    map."""
+    calls = []
+    map_at_s = ide.map_at_s
+    monkeypatch.setattr(ide, "map_at_s",
+                        lambda *a: calls.append(a) or map_at_s(*a))
+    for name in CORPUS_NAMES:
+        analysis = analyze_event_aware(load_corpus_entry(name)[0])
+        assert analysis.filtered.facts
+        for node in analysis.build.graph.nodes:
+            for fact in analysis.problem.reads_at(node):
+                assert analysis.filtered.holds(node, fact) == \
+                    (fact in analysis.filtered.facts_at(node))
+        assert calls == [], name

@@ -17,8 +17,8 @@ from helpers import (
     patch_of_rel,
     pipeline,
     sample_programs,
+    solve_plain,
 )
-from evflow.ide import solve_ifds
 
 from conftest import CORPUS_NAMES
 
@@ -63,7 +63,7 @@ def test_redeclaration_after_assignment_keeps_the_value():
     # run reads it unset
     program = parse("g = 1;\nvar g;\nprint(g);\n")
     _, problem, xsg = pipeline(program)
-    assert report_uses(problem, solve_ifds(xsg)) == []
+    assert report_uses(problem, solve_plain(xsg)) == []
     assert interpret(program).uninit_reads() == []
 
 
@@ -125,7 +125,7 @@ def test_hoisted_locals_uninit_from_function_entry():
            "f();\n")
     program = parse(src)
     build, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     diags = report_uses(problem, result)
     assert [(d.var, d.qualified) for d in diags] == [("z", "f.z")]
     trace = interpret(program)
@@ -136,14 +136,14 @@ def test_register_async_args_are_report_sites():
     src = "fn h() { print(1); }\nvar d;\nregister_async(h, d + 1);\n"
     program = parse(src)
     _, problem, xsg = pipeline(program)
-    diags = report_uses(problem, solve_ifds(xsg))
+    diags = report_uses(problem, solve_plain(xsg))
     assert [(d.var, d.line) for d in diags] == [("d", 3)]
 
 
 def test_diagnostics_carry_position():
     program = parse("var x;\nprint(x);\n", filename="demo.evl")
     _, problem, xsg = pipeline(program)
-    result = solve_ifds(xsg)
+    result = solve_plain(xsg)
     d = report_uses(problem, result)[0]
     assert (d.file, d.line, d.var) == ("demo.evl", 2, "x")
 
@@ -164,7 +164,7 @@ def test_interpreter_agreement_straight_line():
                 lines.append(f"print({rng.choice(names)});")
         program = parse("\n".join(lines))
         _, problem, xsg = pipeline(program)
-        diags = report_uses(problem, solve_ifds(xsg))
+        diags = report_uses(problem, solve_plain(xsg))
         trace = interpret(program)
         static = {(d.node, d.qualified) for d in diags}
         dynamic = {(node_for_sid(xsg.graph, program, r.sid), r.var)
@@ -177,7 +177,7 @@ def test_derived_values_reported_statically_only():
     # analysis, but the run only records the direct unset read
     program = parse("var a; var b; a = b + 1; print(a);")
     _, problem, xsg = pipeline(program)
-    diags = report_uses(problem, solve_ifds(xsg))
+    diags = report_uses(problem, solve_plain(xsg))
     assert {(d.var, d.line) for d in diags} == {("b", 1), ("a", 1)}
     trace = interpret(program)
     assert [r.var for r in trace.uninit_reads()] == ["b"]
@@ -190,7 +190,7 @@ def test_interpreter_agreement_with_branches_is_superset():
            "print(a);\n")
     program = parse(src)
     _, problem, xsg = pipeline(program)
-    diags = report_uses(problem, solve_ifds(xsg))
+    diags = report_uses(problem, solve_plain(xsg))
     trace = interpret(program)
     static = {(d.node, d.qualified) for d in diags}
     dynamic = {(node_for_sid(xsg.graph, program, r.sid), r.var)
