@@ -11,12 +11,12 @@ after those start values only where a client asks for the node.
 Straight-line code is solved per basic block.  A node is interior if its
 only in-edge is intraprocedural and comes from a node with one out-edge,
 and it is neither a call site nor an exit; a block is a head (any other
-node) and the run of interior nodes after it.  The solve folds each run
-into one edge per out-edge of its last node, labelled with the composed
-labels of the run and looking successors up through the run's tables in
-turn.  No path merges inside a block, so that label is the path function
-(Kildall, POPL 1973), and jump functions live only at heads.  A query at
-an interior node replays its block from the head.
+node) and the run of interior nodes after it.  No path merges inside a
+block, so the path from its head to each node of the run, and on through
+each out-edge of the run's end, compiles to one edge: the composed label,
+which is the path function (Kildall, POPL 1973), and the composed
+successor table.  Jump functions live only at heads, and a query at an
+interior node steps once along its edge from the head.
 
 The filter reads a fact's transformer alone (`event_lattice.feasible`);
 a handler-state map, the all-S entry map under a transformer, is built
@@ -50,7 +50,7 @@ from .event_lattice import (
     packed_meet,
     s_normal,
 )
-from .ifds import ExplodedSupergraph, IfdsResult, ZERO
+from .ifds import IDENTITY, ExplodedSupergraph, IfdsResult, ZERO
 from .record import record
 from .supergraph import Edge, EdgeKind
 
@@ -77,8 +77,9 @@ class IdeResult:
     met transformer from <entry, 0>: at a head, each jump function there
     composed after the value phase 2 gave its start fact, then met
     (Sagiv, Reps & Horwitz, TCS 1996); at an interior node, the head's
-    row replayed through the block's edges, which keeps the rows of the
-    whole block.  A row is evaluated once, and `holds`, `fact_sets`,
+    row stepped once along the path to it, one composed label and table:
+    chain functions distribute over the meet, so that is the meet along
+    the path's edges.  A row is evaluated once, and `holds`, `fact_sets`,
     `reachable` and `envs` read the same rows.  The filter tests each
     transformer id for feasibility, and builds no map.  `map_at(node,
     fact)` applies the fact's transformer to the entry map, every handler
@@ -87,11 +88,11 @@ class IdeResult:
     it.
     """
 
-    def __init__(self, jump: dict[str, dict[int, dict[int, int]]],
-                 blocks: dict[str, tuple], row_of, fns: list[bytes],
-                 lxsg: LabeledExplodedSupergraph, stats: dict):
+    def __init__(self, jump: dict[str, dict[int, dict[int, int]]], row_of,
+                 fns: list[bytes], lxsg: LabeledExplodedSupergraph,
+                 stats: dict):
         self._jump = jump           # node -> fact -> {start fact: fn id}
-        self._blocks = blocks       # interior node -> its block
+        self._nodes = lxsg.xsg.graph.nodes
         self._row = row_of          # node -> its row; {} if unreached
         self._fns = fns
         self._handlers = lxsg.handlers
@@ -126,7 +127,7 @@ class IdeResult:
     def _rows(self) -> dict[str, dict[int, int]]:
         """Every node's row, unreached nodes' empty."""
         row_of = self._row
-        return {n: row_of(n) for n in chain(self._jump, self._blocks)}
+        return {n: row_of(n) for n in self._nodes}
 
     def fact_sets(self, filtered: bool = False) -> dict[str, frozenset[int]]:
         """Per reached node, the non-zero facts for which `holds`; nodes
@@ -165,20 +166,17 @@ class IdeResult:
                 for node, row in self._rows.items() if row}
 
 
-class _RunTable(tuple):
-    """The successor table of a run of edges, as the tuple of their
-    tables: `get(d)` looks `d` up through each in turn.  Each (run,
-    source fact) is looked up about once per solve, so nothing is
-    cached."""
-
-    __slots__ = ()
-
-    def get(self, d: int, default=()) -> tuple[int, ...]:
-        ds = (d,)
-        for table in self:
-            ds = table.get(ds[0], default) if len(ds) == 1 else tuple(
-                sorted({d3 for d2 in ds for d3 in table.get(d2, default)}))
-        return ds
+def _then(first: dict[int, tuple[int, ...]],
+          then: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    """The successor table of `first`'s edge followed by `then`'s: per
+    source fact, its ascending successors; sources without one left out."""
+    table = {}
+    for d, ds in first.items():
+        ds = then.get(ds[0], ()) if len(ds) == 1 else tuple(
+            sorted({d3 for d2 in ds for d3 in then.get(d2, ())}))
+        if ds:
+            table[d] = ds
+    return table
 
 
 def solve_ide(lxsg: LabeledExplodedSupergraph,
@@ -204,15 +202,16 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     comparing two jump functions compares two ints, and compose and meet
     run once per distinct pair of ids.  The supergraph is compiled into
     per-node tables first, so the worklist loops make no graph calls, and
-    each block's run into edges from its head (see the module docstring).
-    Phase 2 keeps each value in its normal form at S (`s_normal`), so it
-    stops where a value would drop to one with the same maps.  The rows
-    and the block replay carry ids through the same memos, and the result
-    builds a map per distinct normal form it reads.
+    each block into composed edges from its head, one to each of its
+    interior nodes and one per out-edge of its end (see the module
+    docstring).  Phase 2 keeps each value in its normal form at S
+    (`s_normal`), so it stops where a value would drop to one with the
+    same maps.  The rows carry ids through the same memos, and the
+    result builds a map per distinct normal form it reads.
     """
     xsg = lxsg.xsg
     g = xsg.graph
-    succ = xsg.rep_succ
+    succ, patch_of = xsg.rep_succ, xsg.patch_of
     entry = g.entry()
 
     # --- the per-solve intern table and operator memos ---
@@ -258,14 +257,16 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
 
     # --- the supergraph compiled into per-node tables ---
     # exit node -> start of its procedure
-    exit_start = {end: start for proc, (start, end) in g.funcs.items()
-                  if g.proc_of(end) == proc}
+    exit_start = {end: start for start, end in g.funcs.values()}
     only_in: dict[str, Edge | None] = {}    # node -> its one in-edge
     call_sites: dict[str, None] = {}        # in order of first call edge
+    returns: dict[tuple[str, str], Edge] = {}   # by (exit, return site)
     for e in g.edges:
         only_in[e.dst] = None if e.dst in only_in else e
         if e.kind is EdgeKind.CALL:
             call_sites[e.src] = None
+        elif e.kind is EdgeKind.RETURN:
+            returns[(e.src, e.dst)] = e
     out_edges = g.out_edges
     # nothing merges at an interior node and no phase-1 rule fires there
     interior = {n for n, e in only_in.items()
@@ -280,9 +281,9 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     # call site -> its call edges as (callee start, label id, successor
     # table, return site, (label id, successor table) of the return edge)
     calls_from: dict[str, list[tuple]] = {}
-    # interior node -> its block, (head, [(node, label id and table of
-    # its in-edge) for each node of the run])
-    blocks: dict[str, tuple[str, list]] = {}
+    # interior node -> (head, label id, successor table) of the path from
+    # its block's head
+    blocks: dict[str, tuple[str, int, dict]] = {}
     for n in proc_start:
         row = []
         for edge in out_edges(n):
@@ -290,31 +291,24 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                 continue
             if edge.kind is EdgeKind.CALL:
                 r = edge.ret_site
-                ret = r and g.edge_between(g.end_of(g.proc_of(edge.dst)), r)
+                ret = r and returns[(g.end_of(g.proc_of(edge.dst)), r)]
                 calls_from.setdefault(n, []).append(
                     (edge.dst, label.get(edge.eid, ID), succ[edge.eid], r,
                      ret and (label.get(ret.eid, ID), succ[ret.eid])))
                 continue
-            if edge.dst in interior:
-                # `n` heads a block: one edge per out-edge of its end
-                run, lab, m = [], ID, edge.dst
-                block = (n, run)
-                while True:
-                    e = only_in[m]
-                    lab_e = label.get(e.eid, ID)
-                    lab = compose(lab_e, lab)
-                    run.append((m, lab_e, succ[e.eid]))
-                    blocks[m] = block
-                    outs = out_edges(m)
-                    if len(outs) != 1 or outs[0].dst not in interior:
-                        break
-                    m = outs[0].dst
-                tables = [table for _, _, table in run]
-                for e in outs:
-                    row.append((e.dst, compose(label.get(e.eid, ID), lab),
-                                _RunTable((*tables, succ[e.eid]))))
-                continue
-            row.append((edge.dst, label.get(edge.eid, ID), succ[edge.eid]))
+            # the paths from `n` on through the block it heads, if any, as
+            # (last edge, label id, successor table); an identity patch
+            # maps each fact to itself, so it leaves the path's table as is
+            paths = [(edge, label.get(edge.eid, ID), succ[edge.eid])]
+            for e, lab, table in paths:
+                if e.dst not in interior:
+                    row.append((e.dst, lab, table))
+                    continue
+                blocks[e.dst] = (n, lab, table)
+                for out in out_edges(e.dst):
+                    paths.append((out, compose(label.get(out.eid, ID), lab),
+                                  table if patch_of[out.eid] == IDENTITY
+                                  else _then(table, succ[out.eid])))
         steps_from[n] = tuple(row)
 
     # --- phase 1: jump functions ---
@@ -479,31 +473,29 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             row[d2] = met
         return row
 
-    def replay(head: str, run: list) -> None:
-        """The rows of a block's run: each edge's label composed, then
-        met."""
+    def step(head: str, lab: int, table: dict) -> dict[int, int]:
+        """An interior node's row: its head's row, each entry composed
+        with the path's label and looked up in its table, then met."""
         # not `row_of`: closures calling each other hold the solve in a cycle
         row = rows[head] if head in rows else values_at(head)
-        for m, lab, table in run:
-            out: dict[int, int] = {}
-            for d, t in row.items():
-                t = compose(lab, t)
-                for d3 in table.get(d, ()):
-                    old = out.get(d3)
-                    out[d3] = t if old is None else meet(old, t)
-            rows[m] = row = out
+        out: dict[int, int] = {}
+        for d, t in row.items():
+            t = compose(lab, t)
+            for d3 in table.get(d, ()):
+                old = out.get(d3)
+                out[d3] = t if old is None else meet(old, t)
+        return out
 
     def row_of(n: str) -> dict[int, int]:
         row = rows.get(n)
         if row is None:
             if n in blocks:
-                replay(*blocks[n])
-                row = rows[n]
+                row = rows[n] = step(*blocks[n])
             else:
                 row = values_at(n) if n in jump else {}
         return row
 
-    return IdeResult(jump, blocks, row_of, fns, lxsg, {
+    return IdeResult(jump, row_of, fns, lxsg, {
         "phase1_steps": steps,
         "phase2_steps": vsteps,
         "jump_functions": sum(map(len, chain.from_iterable(

@@ -81,7 +81,6 @@ class Supergraph:
         self.nodes: dict[str, Node] = {}
         self.edges: list[Edge] = []
         self._out: dict[str, list[Edge]] = {}
-        self._by_endpoints: dict[tuple[str, str], Edge] = {}
         self.funcs: dict[str, tuple[str, str]] = {}  # proc -> (start, end)
 
     def add_node(self, node: Node) -> str:
@@ -94,14 +93,10 @@ class Supergraph:
         edge = Edge(len(self.edges), src, dst, kind, sid, ret_site)
         self.edges.append(edge)
         self._out[src].append(edge)
-        self._by_endpoints[(src, dst)] = edge
         return edge
 
     def out_edges(self, node_id: str) -> list[Edge]:
         return self._out[node_id]
-
-    def edge_between(self, src: str, dst: str) -> Edge:
-        return self._by_endpoints[(src, dst)]
 
     def proc_of(self, node_id: str) -> str:
         return self.nodes[node_id].func

@@ -7,6 +7,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from evflow.event_lattice import (
     HState,
@@ -14,7 +15,7 @@ from evflow.event_lattice import (
     MF_REGISTER,
     Transformer,
 )
-from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
+from evflow.ide import LabeledExplodedSupergraph, _then, solve_ide, solve_ifds
 from evflow.ifds import ZERO
 from evflow.lang import parse
 from evflow.lang.ast import If, Print, While
@@ -584,6 +585,28 @@ def test_blocks_answer_like_the_path_oracles():
                       "headed by ret", "headed by stmt", "ends at call",
                       "ends at end", "ends at stmt", "two labels in a block",
                       "filtered inside a block"}, shapes
+
+
+# a successor table over six facts: sources with one successor, with two
+# or more, with an empty tuple, and absent ones.  The facts are multiples
+# of 8, so a set of them need not iterate in ascending order, and a
+# composition that forgot to sort would show.
+_FACTS = range(0, 48, 8)
+_facts = st.sampled_from(_FACTS)
+_tables = st.dictionaries(
+    _facts, st.lists(_facts, unique=True, max_size=4).map(
+        lambda ds: tuple(sorted(ds))))
+
+
+@given(_tables, _tables)
+def test_then_composes_successor_tables(a, b):
+    """A block's table is its edges' tables composed: per source, the
+    ascending successors of its successors, and no source without one."""
+    ab = _then(a, b)
+    for d in _FACTS:
+        assert ab.get(d, ()) == tuple(sorted(
+            {d3 for d2 in a.get(d, ()) for d3 in b.get(d2, ())})), d
+    assert all(ab.values())
 
 
 # f is called after `register` on one branch and after `emit; register`

@@ -95,7 +95,8 @@ def test_emit_call_and_c2r_labels(door):
     for e in emit_calls:
         hmf = labeled.labels[e.eid]
         assert set(touched(hmf, build.handlers).values()) == {MF_EMIT}
-        c2r = build.graph.edge_between(e.src, e.ret_site)
+        (c2r,) = (o for o in build.graph.out_edges(e.src)
+                  if o.dst == e.ret_site)
         assert labeled.labels[c2r.eid] == hmf
 
 

@@ -309,6 +309,20 @@ def test_patches_are_normalized():
     assert checked > 5000
 
 
+def test_identity_patches_have_the_identity_table():
+    """Every edge whose patch is the identity has the table mapping 0 and
+    each representative to itself, so `solve_ide` may leave such an edge
+    out of a block's composed table."""
+    checked = 0
+    for tag, program in sample_programs():
+        _, _, xsg = pipeline(program)
+        identity = {d: (d,) for d in (ZERO, *xsg.classes)}
+        for eid, patch in xsg.patch_of.items():
+            if patch == IDENTITY:
+                assert xsg.rep_succ[eid] == identity, (tag, eid)
+                checked += 1
+    assert checked > 1000
+
 def test_a_kept_pair_is_neither_dropped_nor_added():
     """`g = g + 1` is the identity patch, and the recursive `f(a)` inside
     `f` keeps `a` without adding `(a, a)`, so `g` and `u` stay one
