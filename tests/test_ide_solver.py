@@ -7,7 +7,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from evflow.event_lattice import (
     HState,
@@ -598,7 +598,10 @@ _tables = st.dictionaries(
         lambda ds: tuple(sorted(ds))))
 
 
+# the example: two successors whose successors overlap and come out of
+# order, a source whose one successor has none, and an empty tuple
 @given(_tables, _tables)
+@example({0: (8, 16), 8: (0,), 16: ()}, {8: (0, 40), 16: (0, 24)})
 def test_then_composes_successor_tables(a, b):
     """A block's table is its edges' tables composed: per source, the
     ascending successors of its successors, and no source without one."""

@@ -323,6 +323,7 @@ def test_identity_patches_have_the_identity_table():
                 checked += 1
     assert checked > 1000
 
+
 def test_a_kept_pair_is_neither_dropped_nor_added():
     """`g = g + 1` is the identity patch, and the recursive `f(a)` inside
     `f` keeps `a` without adding `(a, a)`, so `g` and `u` stay one
