@@ -200,8 +200,9 @@ def check_program(source: str, model: EventModel, schedules: int,
     program = parse(source, filename=filename, model=model)
     analysis = analyze_event_aware(program, check_descent=True)
 
-    for node in set(analysis.ifds.facts) | set(analysis.filtered.facts):
-        extra = analysis.filtered.facts_at(node) - analysis.ifds.facts_at(node)
+    plain = analysis.ifds.facts
+    for node, kept in analysis.filtered.facts.items():
+        extra = kept - plain.get(node, frozenset())
         if extra:
             names = analysis.domain.names_of(extra)
             violations.append(

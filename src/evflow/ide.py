@@ -124,35 +124,36 @@ class IdeResult:
         return fid is not None and (not filtered or feasible(self._fns[fid]))
 
     @cached_property
-    def _rows(self) -> dict[str, dict[int, int]]:
-        """Every node's row, unreached nodes' empty."""
-        row_of = self._row
-        return {n: row_of(n) for n in self._nodes}
-
-    def fact_sets(self, filtered: bool = False) -> dict[str, frozenset[int]]:
-        """Per reached node, the non-zero facts for which `holds`; nodes
-        without one have no entry."""
+    def fact_sets(self) -> tuple[dict[str, frozenset[int]],
+                                 dict[str, frozenset[int]]]:
+        """Per reached node, the non-zero facts for which `holds`, plain
+        and filtered; nodes without one have no entry.  One walk over the
+        rows builds both and tests each distinct transformer once, and a
+        node whose facts are all feasible has one set in both."""
         ok: dict[int, bool] = {}    # transformer id -> feasible
-        fns, members = self._fns, self._members
-        sets: dict[str, frozenset[int]] = {}
-        for node, row in self._rows.items():
-            facts: list[int] = []
-            for rep, fid in row.items():
-                if not rep:     # the tautological fact, 0
-                    continue
-                if filtered:
+        fns, members, row_of = self._fns, self._members, self._row
+        plain: dict[str, frozenset[int]] = {}
+        kept: dict[str, frozenset[int]] = {}
+        for node in self._nodes:
+            facts, infeasible = [], []
+            for rep, fid in row_of(node).items():
+                if rep:     # not the tautological fact, 0
+                    facts += members[rep]
                     if fid not in ok:
                         ok[fid] = feasible(fns[fid])
                     if not ok[fid]:
-                        continue
-                facts.extend(members[rep])
+                        infeasible += members[rep]
             if facts:
-                sets[node] = frozenset(facts)
-        return sets
+                held = plain[node] = frozenset(facts)
+                if not infeasible:
+                    kept[node] = held
+                elif len(infeasible) < len(facts):
+                    kept[node] = held.difference(infeasible)
+        return plain, kept
 
     @cached_property
     def reachable(self) -> frozenset[str]:
-        return frozenset(node for node, row in self._rows.items() if row)
+        return frozenset(node for node in self._nodes if self._row(node))
 
     @cached_property
     def envs(self) -> dict[str, dict[int, dict[str, HState]]]:
@@ -160,10 +161,10 @@ class IdeResult:
         with the tautological fact's row under index 0.  Built on first
         access; every member of a class shares its representative's map
         object."""
-        map_of, members = self._map_of, self._members
-        return {node: {d: map_of(fid) for rep, fid in row.items()
+        map_of, members, row_of = self._map_of, self._members, self._row
+        return {node: {d: map_of(fid) for rep, fid in row_of(node).items()
                        for d in members[rep]}
-                for node, row in self._rows.items() if row}
+                for node in self._nodes if row_of(node)}
 
 
 def _then(first: dict[int, tuple[int, ...]],

@@ -182,9 +182,9 @@ class IfdsResult:
     solve (`ide.IdeResult`).
 
     `holds(node, fact)` asks the solve at one pair.  `facts` (nodes
-    without facts have no entry) is built by the same query on first
-    access and then cached, so `facts_at` reads whatever `facts` holds;
-    so is the solve's `reachable`.
+    without facts have no entry) is this view's half of the solve's
+    fact sets (`IdeResult.fact_sets`), which one walk builds for both
+    views, and `facts_at` reads it; `reachable` is the solve's.
     """
 
     def __init__(self, solution, filtered: bool = False,
@@ -196,9 +196,9 @@ class IfdsResult:
     def holds(self, node: str, fact: int) -> bool:
         return self._solution.holds(node, fact, self._filtered)
 
-    @cached_property
+    @property
     def facts(self) -> dict[str, frozenset[int]]:
-        return self._solution.fact_sets(self._filtered)
+        return self._solution.fact_sets[self._filtered]   # (plain, filtered)
 
     @property
     def reachable(self) -> frozenset[str]:

@@ -1,11 +1,17 @@
 """Tokenizer, recursive-descent parser, name resolution and static
 validation for EVL.  Names resolve here alone, in one walk per function
-body."""
+body.
+
+A token is a plain `(kind, text, offset)` tuple from one regex pass.  A
+keyword's or an operator's kind is its own text, so the descent tests a
+token with one comparison.  Positions come from offsets where they are
+used: a statement's or a function's line by a bisect over the source's
+newlines, and a column only when a `ParseError` is raised."""
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from bisect import bisect_left
 
 from .ast import (
     Access,
@@ -79,57 +85,48 @@ class DuplicateVariableError(EvlError):
 
 KEYWORDS = {"var", "fn", "if", "else", "while", "return", "true", "false",
             "print", "register", "emit", "register_async"}
+_OPERATORS = ("==", "!=", "<=", ">=", "&&", "||", *"-+*/%<>=!(){},;")
 
 _TOKEN_RE = re.compile(r"""
-    (?P<skip>[ \t\r]+|//[^\n]*)
-  | (?P<nl>\n)
+    (?P<skip>[ \t\r\n]+|//[^\n]*)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"(?:\\.|[^"\\\n])*")
-  | (?P<op>==|!=|<=|>=|&&|\|\||[-+*/%<>=!(){},;])
+  | (?P<op>""" + "|".join(map(re.escape, _OPERATORS)) + r""")
   | (?P<bad>.)
 """, re.VERBOSE)
 
+# the texts that are their own kind: keywords and operators
+_OWN_KIND = {text: text for text in (*KEYWORDS, *_OPERATORS)}
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+Token = tuple[str, str, int]    # (kind, text, offset)
+
+
+def _error(source: str, offset: int, message: str, file: str) -> ParseError:
+    """A ParseError at `offset` of `source`, counting lines and columns
+    from 1."""
+    return ParseError(source.count("\n", 0, offset) + 1,
+                      offset - source.rfind("\n", 0, offset), message, file)
 
 
 def tokenize(source: str, file: str = "") -> list[Token]:
+    """The tokens of `source`, then an `eof` token at its end."""
     tokens: list[Token] = []
-    line, line_start = 1, 0
+    append, own_kind = tokens.append, _OWN_KIND.get
     for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind == "bad":
-            raise ParseError(line, m.start() - line_start + 1,
-                             f"unexpected character {m.group()!r}", file)
-        elif kind != "skip":
+        if kind != "skip":
             text = m.group()
-            if kind == "ident" and text in KEYWORDS:
-                kind = text
-            tokens.append(Token(kind, text, line, m.start() - line_start + 1))
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+            if kind == "bad":
+                raise _error(source, m.start(),
+                             f"unexpected character {text!r}", file)
+            append((own_kind(text, kind), text, m.start()))
+    append(("eof", "", len(source)))
     return tokens
 
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 _ESCAPE_RE = re.compile(r"\\(.)")
-
-
-def _unescape(raw: str, line: int, col: int, file: str) -> str:
-    def unescape_one(m: re.Match) -> str:
-        mapped = _ESCAPES.get(m.group(1))
-        if mapped is None:
-            raise ParseError(line, col, f"bad escape '\\{m.group(1)}'", file)
-        return mapped
-
-    return _ESCAPE_RE.sub(unescape_one, raw[1:-1])
 
 
 # The parser, the supergraph builder, the checks and the interpreter all
@@ -141,38 +138,34 @@ MAX_NESTING = 64
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str, next_sid: int):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, source: str, file: str, next_sid: int):
+        self.source = source
+        self.advance = iter(tokenize(source, file)).__next__
+        self.tok = self.advance()   # the next token; `eof` is never taken
         self.file = file
         self.next_sid = next_sid
         self.depth = 0  # blocks, parentheses and unary operators open
+        self.newlines = [m.start() for m in re.finditer("\n", source)]
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def line(self, tok: Token) -> int:
+        return bisect_left(self.newlines, tok[2]) + 1
 
-    def take(self, kind: str | None = None, text: str | None = None) -> Token:
-        tok = self.tokens[self.pos]
-        if kind is not None and tok.kind != kind or \
-           text is not None and tok.text != text:
-            expected = text or kind
-            raise ParseError(tok.line, tok.col,
-                             f"expected '{expected}', found '{tok.text or 'eof'}'",
-                             self.file)
-        self.pos += 1
+    def error(self, tok: Token, message: str) -> ParseError:
+        return _error(self.source, tok[2], message, self.file)
+
+    def take(self, kind: str) -> Token:
+        tok = self.tok
+        if tok[0] != kind:
+            raise self.error(tok, f"expected '{kind}', found "
+                                  f"'{tok[1] or 'eof'}'")
+        self.tok = self.advance()
         return tok
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
 
     def nest(self, tok: Token, extra: int) -> None:
         """Raise unless `extra` more levels at `tok` stay within
         MAX_NESTING."""
         if self.depth + extra > MAX_NESTING:
-            raise ParseError(tok.line, tok.col,
-                             f"nesting deeper than {MAX_NESTING} levels",
-                             self.file)
+            raise self.error(tok, f"nesting deeper than {MAX_NESTING} levels")
 
     def enter(self, tok: Token) -> None:
         """Enter one level of nesting at `tok`; the caller leaves it."""
@@ -189,136 +182,146 @@ class _Parser:
     def parse_unit(self) -> tuple[list[FunctionDecl], list[Stmt]]:
         functions: list[FunctionDecl] = []
         top: list[Stmt] = []
-        while not self.at("eof"):
-            if self.at("fn"):
+        while self.tok[0] != "eof":
+            if self.tok[0] == "fn":
                 functions.append(self.function_decl())
             else:
                 top.append(self.statement())
         return functions, top
 
     def function_decl(self) -> FunctionDecl:
-        start = self.take("fn")
-        name = self.take("ident").text
-        self.take("op", "(")
+        line = self.line(self.take("fn"))
+        name = self.take("ident")[1]
+        self.take("(")
         params: list[str] = []
-        while not self.at("op", ")"):
+        while self.tok[0] != ")":
             if params:
-                self.take("op", ",")
-            params.append(self.take("ident").text)
-        self.take("op", ")")
+                self.take(",")
+            params.append(self.take("ident")[1])
+        self.take(")")
         body = self.block()
         return FunctionDecl(name, tuple(params), tuple(body),
-                            line=start.line, file=self.file)
+                            line=line, file=self.file)
 
     def block(self) -> list[Stmt]:
-        self.enter(self.take("op", "{"))
+        self.enter(self.take("{"))
         body: list[Stmt] = []
-        while not self.at("op", "}"):
+        while self.tok[0] != "}":
             body.append(self.statement())
-        self.take("op", "}")
+        self.take("}")
         self.depth -= 1
         return body
 
     # -- statements --
 
     def statement(self) -> Stmt:
-        tok = self.peek()
-        if tok.kind == "var":
-            return self.var_decl()
-        if tok.kind == "if":
-            return self.if_stmt()
-        if tok.kind == "while":
-            return self.while_stmt()
-        if tok.kind == "return":
+        tok = self.tok
+        kind = tok[0]
+        line = self.line(tok)
+        if kind == "var":
+            return self.var_decl(line)
+        if kind == "if":
+            return self.if_stmt(line)
+        if kind == "while":
+            return self.while_stmt(line)
+        if kind == "return":
             self.take("return")
-            self.take("op", ";")
-            return Return(self.sid(), tok.line, self.file)
-        if tok.kind == "print":
+            self.take(";")
+            return Return(self.sid(), line, self.file)
+        if kind == "print":
             self.take("print")
-            self.take("op", "(")
+            self.take("(")
             value = self.expression()
-            self.take("op", ")")
-            self.take("op", ";")
-            return Print(self.sid(), tok.line, self.file, value)
-        if tok.kind in ("register", "emit", "register_async"):
-            return self.event_primitive(tok)
-        if tok.kind == "ident":
-            name = self.take("ident").text
-            if self.at("op", "("):
-                self.take("op", "(")
+            self.take(")")
+            self.take(";")
+            return Print(self.sid(), line, self.file, value)
+        if kind in ("register", "emit", "register_async"):
+            return self.event_primitive(kind, line)
+        if kind == "ident":
+            name = self.take("ident")[1]
+            if self.tok[0] == "(":
+                self.take("(")
                 args = []
-                while not self.at("op", ")"):
+                while self.tok[0] != ")":
                     if args:
-                        self.take("op", ",")
+                        self.take(",")
                     args.append(self.expression())
-                self.take("op", ")")
-                self.take("op", ";")
-                return Call(self.sid(), tok.line, self.file, name, tuple(args))
-            self.take("op", "=")
+                self.take(")")
+                self.take(";")
+                return Call(self.sid(), line, self.file, name, tuple(args))
+            self.take("=")
             value = self.expression()
-            self.take("op", ";")
-            return Assign(self.sid(), tok.line, self.file, name, value)
-        raise ParseError(tok.line, tok.col,
-                         f"expected a statement, found '{tok.text or 'eof'}'",
-                         self.file)
+            self.take(";")
+            return Assign(self.sid(), line, self.file, name, value)
+        raise self.error(tok, f"expected a statement, found "
+                              f"'{tok[1] or 'eof'}'")
 
-    def event_primitive(self, tok: Token) -> Stmt:
+    def event_primitive(self, kind: str, line: int) -> Stmt:
         """`register("e", h);`, `emit("e");` or `register_async(h, ...);`
         as a call, whose event semantics the model's built-in specs give."""
-        self.take(tok.kind)
-        self.take("op", "(")
+        self.take(kind)
+        self.take("(")
         args: list[Expr] = []
-        if tok.kind != "register_async":
+        if kind != "register_async":
             args.append(StrLit(self.string_literal("event name")))
-        if tok.kind != "emit":
+        if kind != "emit":
             if args:
-                self.take("op", ",")
-            args.append(Var(self.take("ident").text))
-        while tok.kind == "register_async" and self.at("op", ","):
-            self.take("op", ",")
+                self.take(",")
+            args.append(Var(self.take("ident")[1]))
+        while kind == "register_async" and self.tok[0] == ",":
+            self.take(",")
             args.append(self.expression())
-        self.take("op", ")")
-        self.take("op", ";")
-        return Call(self.sid(), tok.line, self.file, tok.kind, tuple(args))
+        self.take(")")
+        self.take(";")
+        return Call(self.sid(), line, self.file, kind, tuple(args))
 
-    def var_decl(self) -> Stmt:
-        tok = self.take("var")
-        name = self.take("ident").text
+    def var_decl(self, line: int) -> Stmt:
+        self.take("var")
+        name = self.take("ident")[1]
         init = None
-        if self.at("op", "="):
-            self.take("op", "=")
+        if self.tok[0] == "=":
+            self.take("=")
             init = self.expression()
-        self.take("op", ";")
-        return VarDecl(self.sid(), tok.line, self.file, name, init)
+        self.take(";")
+        return VarDecl(self.sid(), line, self.file, name, init)
 
-    def if_stmt(self) -> Stmt:
-        tok = self.take("if")
-        self.take("op", "(")
+    def if_stmt(self, line: int) -> Stmt:
+        self.take("if")
+        self.take("(")
         cond = self.expression()
-        self.take("op", ")")
+        self.take(")")
         then_body = self.block()
         else_body: list[Stmt] = []
-        if self.at("else"):
+        if self.tok[0] == "else":
             self.take("else")
             else_body = self.block()
-        return If(self.sid(), tok.line, self.file, cond,
+        return If(self.sid(), line, self.file, cond,
                   tuple(then_body), tuple(else_body))
 
-    def while_stmt(self) -> Stmt:
-        tok = self.take("while")
-        self.take("op", "(")
+    def while_stmt(self, line: int) -> Stmt:
+        self.take("while")
+        self.take("(")
         cond = self.expression()
-        self.take("op", ")")
+        self.take(")")
         body = self.block()
-        return While(self.sid(), tok.line, self.file, cond, tuple(body))
+        return While(self.sid(), line, self.file, cond, tuple(body))
 
     def string_literal(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "string":
-            raise ParseError(tok.line, tok.col,
-                             f"{what} must be a string literal", self.file)
-        self.take("string")
-        return _unescape(tok.text, tok.line, tok.col, self.file)
+        tok = self.tok
+        if tok[0] != "string":
+            raise self.error(tok, f"{what} must be a string literal")
+        return self.unescape(self.take("string"))
+
+    def unescape(self, tok: Token) -> str:
+        """The value of string token `tok`; a bad escape is an error at
+        its opening quote."""
+        def unescape_one(m: re.Match) -> str:
+            mapped = _ESCAPES.get(m.group(1))
+            if mapped is None:
+                raise self.error(tok, f"bad escape '\\{m.group(1)}'")
+            return mapped
+
+        return _ESCAPE_RE.sub(unescape_one, tok[1][1:-1])
 
     # -- expressions (precedence climbing over ast.PRECEDENCE) --
 
@@ -334,52 +337,48 @@ class _Parser:
         every level is left-associative."""
         left, depth = self.unary()
         while True:
-            tok = self.peek()
-            prec = PRECEDENCE.get(tok.text, 0) if tok.kind == "op" else 0
+            tok = self.tok
+            prec = PRECEDENCE.get(tok[0], 0)
             if prec < min_prec:
                 return left, depth
-            self.take("op")
+            self.take(tok[0])
             right, right_depth = self.binary(prec + 1)
-            left, depth = Binary(tok.text, left, right), \
+            left, depth = Binary(tok[1], left, right), \
                 1 + max(depth, right_depth)
             self.nest(tok, depth)
 
     def unary(self) -> tuple[Expr, int]:
-        if self.at("op", "-") or self.at("op", "!"):
-            tok = self.take("op")
-            self.enter(tok)
+        tok = self.tok
+        if tok[0] == "-" or tok[0] == "!":
+            self.enter(self.take(tok[0]))
             operand, depth = self.unary()
             self.depth -= 1
-            return Unary(tok.text, operand), depth + 1
+            return Unary(tok[1], operand), depth + 1
         return self.primary()
 
     def primary(self) -> tuple[Expr, int]:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.take("int")
-            return IntLit(int(tok.text)), 0
-        if tok.kind == "string":
-            self.take("string")
-            return StrLit(_unescape(tok.text, tok.line, tok.col, self.file)), 0
-        if tok.kind in ("true", "false"):
-            self.take(tok.kind)
-            return BoolLit(tok.kind == "true"), 0
-        if tok.kind == "ident":
+        tok = self.tok
+        kind = tok[0]
+        if kind == "int":
+            return IntLit(int(self.take("int")[1])), 0
+        if kind == "string":
+            return StrLit(self.unescape(self.take("string"))), 0
+        if kind == "true" or kind == "false":
+            self.take(kind)
+            return BoolLit(kind == "true"), 0
+        if kind == "ident":
             self.take("ident")
-            if self.at("op", "("):
-                raise ParseError(tok.line, tok.col,
-                                 "calls are statements, not expressions",
-                                 self.file)
-            return Var(tok.text), 0
-        if tok.kind == "op" and tok.text == "(":
-            self.enter(self.take("op", "("))
+            if self.tok[0] == "(":
+                raise self.error(tok, "calls are statements, not expressions")
+            return Var(tok[1]), 0
+        if kind == "(":
+            self.enter(self.take("("))
             inner = self.binary(1)
             self.depth -= 1
-            self.take("op", ")")
+            self.take(")")
             return inner
-        raise ParseError(tok.line, tok.col,
-                         f"expected an expression, found '{tok.text or 'eof'}'",
-                         self.file)
+        raise self.error(tok, f"expected an expression, found "
+                              f"'{tok[1] or 'eof'}'")
 
 
 def _walk(body, out: list[Stmt]) -> list[Stmt]:
@@ -496,8 +495,7 @@ def _assemble(units: list[tuple[list[FunctionDecl], list[Stmt]]],
 def parse(source: str, *, filename: str = "<input>", model=None) -> Program:
     """Parse one EVL source text into a validated program; `model`
     defaults to the built-in event model."""
-    parser = _Parser(tokenize(source, filename), filename, next_sid=0)
-    unit = parser.parse_unit()
+    unit = _Parser(source, filename, next_sid=0).parse_unit()
     return _assemble([unit], model or EventModel.default())
 
 
@@ -523,7 +521,7 @@ def parse_files(paths, *, model=None) -> Program:
     for path in paths:
         path = str(path)
         source = read_source(path)
-        parser = _Parser(tokenize(source, path), path, next_sid)
+        parser = _Parser(source, path, next_sid)
         units.append(parser.parse_unit())
         next_sid = parser.next_sid
     return _assemble(units, model or EventModel.default())

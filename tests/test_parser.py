@@ -1,4 +1,7 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evflow.lang import (
     Access,
@@ -21,6 +24,11 @@ from evflow.lang import (
     parse_files,
     to_source,
 )
+from evflow.lang.parser import tokenize
+from evflow.randgen import GenParams, gen_source
+
+from conftest import CORPUS_NAMES, corpus_dir, load_corpus_entry
+from helpers import iter_stmts
 
 
 def test_single_var_decl():
@@ -138,6 +146,123 @@ def test_parse_error_carries_position():
         parse("var x;\nvar y = @;")
     assert err.value.line == 2
     assert err.value.col >= 8
+
+
+# One case per raise site: (source, line, column, message).  A column
+# counts characters from 1, a tab and a `\r` included.
+POSITIONS = [
+    ("// note\nvar y = @;", 2, 9, "unexpected character '@'"),
+    ("var x;\r\nvar y = @;", 2, 9, "unexpected character '@'"),
+    ("var x;\n\tvar y = @;", 2, 10, "unexpected character '@'"),
+    ("var x\n", 2, 1, "expected ';', found 'eof'"),
+    ("var x", 1, 6, "expected ';', found 'eof'"),
+    ("var x = " + "-" * 65 + "1;", 1, 73, "nesting deeper than 64 levels"),
+    ("if (true) {\n" * 65 + "}", 65, 11, "nesting deeper than 64 levels"),
+    ("var e;\nregister(e, h);", 2, 10,
+     "event name must be a string literal"),
+    ('var s;\ns = "a\\qb";', 2, 5, "bad escape '\\q'"),   # the opening quote
+    ("var x;\nx = f();", 2, 5, "calls are statements, not expressions"),
+    ("var x;\n  );", 2, 3, "expected a statement, found ')'"),
+    ("fn f() {", 1, 9, "expected a statement, found 'eof'"),
+    ("print(1 +);", 1, 10, "expected an expression, found ')'"),
+    ("var x = 1 +\n", 2, 1, "expected an expression, found 'eof'"),
+]
+
+
+@pytest.mark.parametrize("source,line,col,message", POSITIONS)
+def test_parse_error_positions(source, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse(source, filename="p.evl")
+    e = err.value
+    assert (e.line, e.col, e.message, e.file) == (line, col, message, "p.evl")
+    assert str(e) == f"p.evl:{line}:{col}: {message}"
+
+
+def test_parse_error_in_a_later_file_counts_within_it(tmp_path):
+    a = tmp_path / "a.evl"
+    b = tmp_path / "b.evl"
+    a.write_text("var x;\nvar y;\nvar z;\n")
+    b.write_text("print(x);\n  x = @;\n")
+    with pytest.raises(ParseError) as err:
+        parse_files([a, b])
+    e = err.value
+    assert (e.file, e.line, e.col) == (str(b), 2, 7)
+    assert str(e) == f"{b}:2:7: unexpected character '@'"
+
+
+def _leading_text(s) -> str:
+    """The text of a statement's first token."""
+    if isinstance(s, Call):
+        return s.callee
+    if isinstance(s, Assign):
+        return s.name
+    return {"VarDecl": "var", "If": "if", "While": "while",
+            "Return": "return", "Print": "print"}[type(s).__name__]
+
+
+def assert_statement_lines(source, program):
+    """Each statement's line is the line of its first token: the (line,
+    text) pairs of the statements are those of the tokens that start
+    one, a token after `;`, `{` or `}` or first, other than `fn`, `else`
+    and `}`, with lines counted from the source's newlines."""
+    starts = Counter()
+    before = ";"
+    for kind, text, offset in tokenize(source)[:-1]:
+        if before in (";", "{", "}") and kind not in ("fn", "else", "}"):
+            starts[source.count("\n", 0, offset) + 1, text] += 1
+        before = kind
+    got = Counter((s.line, _leading_text(s)) for f in program.functions
+                  for s in iter_stmts(f.body))
+    assert got == starts
+
+
+# Edits that break a program at some position: stray characters, an
+# unclosed string or comment, line ends, tabs and keywords out of place.
+_INSERTS = ["@", '"', "\\", "\n", "\t", "\r\n", "(", ")", "{", "}", ";",
+            ",", "=", "-", "!", "//", "var ", "fn ", "if ", "else ", "print",
+            "emit", '"\\q"', "1", "x"]
+
+
+@st.composite
+def mutated_sources(draw):
+    source = gen_source(f"pos:{draw(st.integers(0, 10**6))}",
+                        GenParams(allow_while=True))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(source)))
+        edit = draw(st.sampled_from(["delete", "insert", "cut"]))
+        if edit == "delete":
+            source = source[:i] + source[i + 1:]
+        elif edit == "insert":
+            source = source[:i] + draw(st.sampled_from(_INSERTS)) + source[i:]
+        else:
+            source = source[:i]
+    return source
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_sources())
+def test_positions_lie_in_the_source(source):
+    """A ParseError points into its source, at most one past the end of
+    its line and never at a blank; a program that parses records each
+    statement at the line of its first token."""
+    try:
+        program = parse(source)
+    except ParseError as e:
+        lines = source.split("\n")
+        assert 1 <= e.line <= len(lines)
+        text = lines[e.line - 1]
+        assert 1 <= e.col <= len(text) + 1
+        assert e.col > len(text) or not text[e.col - 1].isspace()
+    except EvlError:
+        pass
+    else:
+        assert_statement_lines(source, program)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_statement_lines(name):
+    source = (corpus_dir() / f"{name}.evl").read_text(encoding="utf-8")
+    assert_statement_lines(source, load_corpus_entry(name)[0])
 
 
 @pytest.mark.parametrize("nest", [

@@ -1,6 +1,10 @@
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from evflow import ide
+from evflow.cli import check_program
 from evflow.event_lattice import (
     HState,
     MF_EMIT,
@@ -8,6 +12,7 @@ from evflow.event_lattice import (
     MF_INVOKE,
     MF_REGISTER,
 )
+from evflow.eventmodel import EventModel
 from evflow.ifds import ZERO
 from evflow.lang import parse
 from evflow.lang.ast import Assign, StrLit, Var
@@ -15,7 +20,7 @@ from evflow.lang.interp import interpret
 from evflow.supergraph import EVENT_LOOP, EdgeKind, node_for_sid
 from evflow.transform import analyze_event_aware, transform
 
-from conftest import CORPUS_NAMES, load_corpus_entry
+from conftest import CORPUS_NAMES, corpus_dir, load_corpus_entry
 from helpers import iter_stmts, pipeline, touched
 
 S, R, E, X = HState.S, HState.R, HState.E, HState.X
@@ -247,3 +252,41 @@ def test_filter_builds_no_map(monkeypatch):
                 assert analysis.filtered.holds(node, fact) == \
                     (fact in analysis.filtered.facts_at(node))
         assert calls == [], name
+
+
+def test_check_program_walks_the_rows_once(monkeypatch):
+    """`check_program` gets the plain and the filtered fact sets from one
+    walk: it reads each node's row once and tests each distinct
+    transformer for feasibility at most once."""
+    reads, tested = Counter(), Counter()
+
+    class CountedRow(dict):
+        def items(self):
+            reads[self.node] += 1
+            return super().items()
+
+    def counted(row_of):
+        def row_at(node):
+            row = CountedRow(row_of(node))
+            row.node = node
+            return row
+        return row_at
+
+    init, feasible = ide.IdeResult.__init__, ide.feasible
+    monkeypatch.setattr(ide.IdeResult, "__init__",
+                        lambda self, jump, row_of, *rest:
+                        init(self, jump, counted(row_of), *rest))
+    monkeypatch.setattr(ide, "feasible",
+                        lambda f: tested.update([f]) or feasible(f))
+    golden = Path(__file__).parent / "golden"
+    for path in [corpus_dir() / f"{n}.evl" for n in CORPUS_NAMES] + \
+            sorted(golden.glob("*.evl")):
+        model = path.with_suffix(".model.json")
+        model = EventModel.from_json_file(model) if model.exists() \
+            else EventModel.default()
+        reads.clear()
+        tested.clear()
+        assert check_program(path.read_text(encoding="utf-8"), model, 2,
+                             path.name) == [], path.name
+        assert reads and set(reads.values()) == {1}, path.name
+        assert tested and set(tested.values()) == {1}, path.name
