@@ -30,14 +30,10 @@ EXIT_ERROR = 2
 class RunConfig:
     inputs: list[str]
     mode: str = "diff"                 # ifds | ide | diff
-    format: str = "text"               # text | json
     event_model: str | None = None
     dump_supergraph: str | None = None
     dump_exploded: str | None = None
-    seed: int = 0
-    schedules: int = 6
-    random_count: int = 100
-    color: bool = True
+    color: bool = True                 # unread by `run`; `evbench/` passes it
 
 
 @record
@@ -229,10 +225,13 @@ def check_program(source: str, model: EventModel, schedules: int,
     return violations
 
 
-def run_oracle_suite(cfg: RunConfig, out=None) -> int:
+def run_oracle_suite(corpus: str | None, seed: int, schedules: int,
+                     count: int, out=None) -> int:
+    """Check each program of the `corpus` directory (the packaged one if
+    None) and `count` random programs of `seed` at bound `schedules`."""
     from .randgen import GenParams, gen_source
     out = out if out is not None else sys.stdout
-    corpus = Path(cfg.inputs[0]) if cfg.inputs else packaged_corpus_dir()
+    corpus = Path(corpus) if corpus else packaged_corpus_dir()
     if not corpus.is_dir():
         print(f"error: corpus directory {corpus} not found", file=out)
         return EXIT_ERROR
@@ -255,7 +254,7 @@ def run_oracle_suite(cfg: RunConfig, out=None) -> int:
         try:
             source = read_source(evl)
             violations = check_program(source, _load_model(model_path),
-                                       cfg.schedules, evl.name)
+                                       schedules, evl.name)
         except (EvlError, EventModelError) as e:
             violations = [f"error: {e}"]
         checked += 1
@@ -264,14 +263,14 @@ def run_oracle_suite(cfg: RunConfig, out=None) -> int:
         else:
             print(f"corpus {evl.name}: ok", file=out)
     params = GenParams(allow_while=True)
-    for i in range(cfg.random_count):
-        source = gen_source(f"{cfg.seed}:{i}", params)
-        violations = check_program(source, EventModel.default(), cfg.schedules)
+    for i in range(count):
+        source = gen_source(f"{seed}:{i}", params)
+        violations = check_program(source, EventModel.default(), schedules)
         checked += 1
         if violations:
-            fail(f"random {cfg.seed}:{i}", violations, source)
-    print(f"random programs: {cfg.random_count} checked "
-          f"(seed {cfg.seed}, schedule bound {cfg.schedules})", file=out)
+            fail(f"random {seed}:{i}", violations, source)
+    print(f"random programs: {count} checked "
+          f"(seed {seed}, schedule bound {schedules})", file=out)
     print(f"oracle suite: {checked - failures}/{checked} passed", file=out)
     return EXIT_CLEAN if failures == 0 else EXIT_DIAGNOSTICS
 
@@ -339,21 +338,17 @@ def _main(argv: list[str] | None) -> int:
         return EXIT_ERROR if e.code not in (0, None) else 0
     color = sys.stdout.isatty() and not os.environ.get("EVFLOW_NO_COLOR")
     if args.command == "oracle":
-        cfg = RunConfig(inputs=[args.corpus] if args.corpus else [],
-                        seed=args.seed,
-                        schedules=args.schedules, random_count=args.count)
-        return run_oracle_suite(cfg)
+        return run_oracle_suite(args.corpus, args.seed, args.schedules,
+                                args.count)
     cfg = RunConfig(
         inputs=list(args.inputs),
         mode=args.command,
-        format=args.format,
         event_model=args.event_model,
         dump_supergraph=args.dump_supergraph,
         dump_exploded=args.dump_exploded,
-        color=color,
     )
     status, report = run(cfg)
-    if cfg.format == "json":
+    if args.format == "json":
         sys.stdout.write(report.to_json())
     else:
         sys.stdout.write(report.render_text(color))

@@ -62,11 +62,13 @@ MF_INVOKE = mf_pack(HState.X, HState.X, HState.X, HState.E)
 _STATES = (HState.X, HState.S, HState.R, HState.E)
 
 
-def _compose(g: int, f: int) -> int:
+def mf_compose(g: int, f: int) -> int:
+    """g after f."""
     return mf_pack(*(mf_apply(g, mf_apply(f, s)) for s in _STATES))
 
 
-def _meet(f: int, g: int) -> int:
+def mf_meet(f: int, g: int) -> int:
+    """Pointwise meet."""
     return mf_pack(*(min(mf_apply(f, s), mf_apply(g, s)) for s in _STATES))
 
 
@@ -75,7 +77,8 @@ def _close_generators() -> tuple[int, ...]:
     meet, the identity first."""
     fns = {MF_ID, MF_REGISTER, MF_EMIT, MF_INVOKE}
     while True:
-        more = {op(a, b) for op in (_compose, _meet) for a in fns for b in fns}
+        more = {op(a, b) for op in (mf_compose, mf_meet)
+                for a in fns for b in fns}
         if more <= fns:
             return (MF_ID, *sorted(fns - {MF_ID}))
         fns |= more
@@ -94,18 +97,8 @@ def _lane_table(lane) -> bytes:
                  if ab >> 3 < n and ab & 7 < n else 0 for ab in range(256))
 
 
-_COMPOSE_T = _lane_table(lambda g, f: _INDEX[_compose(g, f)])
-_MEET_T = _lane_table(lambda f, g: _INDEX[_meet(f, g)])
-
-
-def mf_compose(g: int, f: int) -> int:
-    """g after f, for g and f in MF_CLOSURE."""
-    return MF_CLOSURE[_COMPOSE_T[(_INDEX[g] << 3) | _INDEX[f]]]
-
-
-def mf_meet(f: int, g: int) -> int:
-    """Pointwise meet, for f and g in MF_CLOSURE."""
-    return MF_CLOSURE[_MEET_T[(_INDEX[f] << 3) | _INDEX[g]]]
+_COMPOSE_T = _lane_table(lambda g, f: _INDEX[mf_compose(g, f)])
+_MEET_T = _lane_table(lambda f, g: _INDEX[mf_meet(f, g)])
 
 
 def mf_leq(f: int, g: int) -> bool:

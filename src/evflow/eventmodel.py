@@ -97,6 +97,9 @@ class EventModel:
                 doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise EventModelError(f"{path}: invalid JSON: {e}") from e
+        except RecursionError as e:
+            raise EventModelError(f"{path}: invalid JSON: nested too deeply"
+                                  ) from e
         except UnicodeDecodeError as e:
             raise EventModelError(f"{path}: not valid UTF-8 ({e.reason} "
                                   f"at byte {e.start})") from e

@@ -81,7 +81,7 @@ class IdeResult:
     chain functions distribute over the meet, so that is the meet along
     the path's edges.  A row is evaluated once, and `holds`, `fact_sets`,
     `reachable` and `envs` read the same rows.  The filter tests each
-    transformer id for feasibility, and builds no map.  `map_at(node,
+    transformer id for feasibility once, and builds no map.  `map_at(node,
     fact)` applies the fact's transformer to the entry map, every handler
     in S; a map is built once per distinct normal form (`s_normal`), so
     equal maps are one dict, and a caller must copy a map before changing
@@ -97,6 +97,7 @@ class IdeResult:
         self._fns = fns
         self._handlers = lxsg.handlers
         self._maps: dict[bytes, dict[str, HState]] = {}     # normal form -> map
+        self._ok: dict[int, bool] = {}      # transformer id -> feasible
         self._members = {ZERO: (ZERO,), **lxsg.xsg.classes}
         self._rep_of = {d: rep for rep, ds in self._members.items()
                         for d in ds}
@@ -121,17 +122,23 @@ class IdeResult:
         transformer is feasible; the tautological fact reaches every
         reached node."""
         fid = self._row(node).get(self._rep_of.get(fact))
-        return fid is not None and (not filtered or feasible(self._fns[fid]))
+        return fid is not None and (not filtered or self._feasible(fid))
+
+    def _feasible(self, fid: int) -> bool:
+        """Whether transformer `fid` is feasible, tested once per id."""
+        ok = self._ok.get(fid)
+        if ok is None:
+            ok = self._ok[fid] = feasible(self._fns[fid])
+        return ok
 
     @cached_property
     def fact_sets(self) -> tuple[dict[str, frozenset[int]],
                                  dict[str, frozenset[int]]]:
         """Per reached node, the non-zero facts for which `holds`, plain
         and filtered; nodes without one have no entry.  One walk over the
-        rows builds both and tests each distinct transformer once, and a
-        node whose facts are all feasible has one set in both."""
-        ok: dict[int, bool] = {}    # transformer id -> feasible
-        fns, members, row_of = self._fns, self._members, self._row
+        rows builds both, and a node whose facts are all feasible has one
+        set in both."""
+        is_feasible, members, row_of = self._feasible, self._members, self._row
         plain: dict[str, frozenset[int]] = {}
         kept: dict[str, frozenset[int]] = {}
         for node in self._nodes:
@@ -139,9 +146,7 @@ class IdeResult:
             for rep, fid in row_of(node).items():
                 if rep:     # not the tautological fact, 0
                     facts += members[rep]
-                    if fid not in ok:
-                        ok[fid] = feasible(fns[fid])
-                    if not ok[fid]:
+                    if not is_feasible(fid):
                         infeasible += members[rep]
             if facts:
                 held = plain[node] = frozenset(facts)
@@ -328,9 +333,6 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     # (call site, call fact) -> {(return site, return fact): the meet of
     # `return label o summary o call label` over its call edges}
     sedges: dict[tuple[str, int], dict[tuple[str, int], int]] = {}
-    # (start fact, call site) -> call facts, in the order their jump
-    # functions appeared
-    calls_out: dict[tuple[int, str], list[int]] = defaultdict(list)
     steps = 0
     max_label_entries = 0
 
@@ -340,22 +342,16 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         row = rows.get(d2)
         if row is None:
             row = rows[d2] = {}
-            old = None
-        else:
-            old = row.get(d1)
-        if old is None:
-            new = f
-            if n in call_sites:
-                calls_out[(d1, n)].append(d2)
-        else:
-            new = meet(old, f)
-            if new == old:
+        elif d1 in row:
+            old = row[d1]
+            f = meet(old, f)
+            if f == old:
                 return
-            if check_descent and not packed_leq(fns[new], fns[old]):
+            if check_descent and not packed_leq(fns[f], fns[old]):
                 raise AssertionError("jump function must only descend")
-        row[d1] = new
-        if fn_entries[new] > max_label_entries:
-            max_label_entries = fn_entries[new]
+        row[d1] = f
+        if fn_entries[f] > max_label_entries:
+            max_label_entries = fn_entries[f]
         work.append((d1, n, d2, row))
 
     def add_edge(edges: dict[tuple, int], key: tuple, t: int) -> int | None:
@@ -376,14 +372,14 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         if start is not None:
             skey = (start, d1)
             exits = summaries[skey]
-            old = exits.get(d2)
-            merged = f if old is None else meet(old, f)
-            if merged != old:
-                exits[d2] = merged
+            # the summary is an earlier value of this jump function, which
+            # only descends: f is their meet
+            if exits.get(d2) != f:
+                exits[d2] = f
                 for (caller, d_call), call in incoming[skey].items():
                     _, lab, _, ret_site, (ret_lab, ret_succ) = call
                     edges = sedges[(caller, d_call)]
-                    through = compose(ret_lab, compose(merged, lab))
+                    through = compose(ret_lab, compose(f, lab))
                     callers = None
                     for d5 in ret_succ.get(d2, ()):
                         t = add_edge(edges, (ret_site, d5), through)
@@ -452,8 +448,9 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         vsteps += 1
         value = val[key]
         for c in calls_from_start.get(n, ()):
-            for d2 in calls_out.get((d, c), ()):
-                meet_value(c, d2, compose(jump[c][d2][d], value))
+            for d2, fs in jump[c].items():
+                if d in fs:
+                    meet_value(c, d2, compose(fs[d], value))
         for callee, lab, targets, _, _ in calls_from.get(n, ()):
             for d3 in targets.get(d, ()):
                 meet_value(callee, d3, compose(lab, value))
@@ -510,10 +507,10 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     })
 
 
-def solve_ifds(xsg: ExplodedSupergraph, ide: IdeResult) -> IfdsResult:
-    """The plain IFDS result over `xsg`: the reached nodes and their
-    non-zero facts, as a view of `ide`, a solve over any labelling of
-    `xsg`.
+def solve_ifds(ide: IdeResult) -> IfdsResult:
+    """The plain IFDS result over the exploded supergraph `ide` solved:
+    the reached nodes and their non-zero facts, as a view of `ide`, a
+    solve over any labelling of it.
 
     Each jump function is one path edge (d1, n, d2) of the plain
     tabulation, which steps each path edge once.  The solve steps only

@@ -76,13 +76,6 @@ class ExecutionTrace:
         return [e for e in self.events if isinstance(e, UninitRead)]
 
 
-@record(frozen=True)
-class Choices:
-    """Dispatch decisions by index into the ready queue; 0 past the end."""
-
-    indices: tuple[int, ...] = ()
-
-
 class _Truncated(Exception):
     pass
 
@@ -100,6 +93,8 @@ def _render(value) -> str:
     return str(value)
 
 
+# Statements executed before a run is reported as truncation.
+STEP_LIMIT = 10_000
 _MAX_EMIT_DEPTH = 64
 # Calls, handler invocations and the bodies of `if` and `while` each run
 # one level deeper on the Python stack.  A run nested deeper than this
@@ -110,11 +105,10 @@ _MAX_CALL_DEPTH = 128
 
 
 class _Interp:
-    def __init__(self, program: Program, schedule, step_limit: int):
+    def __init__(self, program: Program, schedule: tuple[int, ...]):
         self.program = program
         self.scopes = program.scopes
-        self.step_limit = step_limit
-        self.choices = schedule.indices
+        self.choices = schedule
         self.trace = ExecutionTrace()
         self.genv = {g: _UNSET for g in self.scopes.globals}
         self.registered: dict[str, str] = {}  # handler -> event, first wins
@@ -263,7 +257,7 @@ class _Interp:
 
     def _step(self, s: Stmt) -> None:
         self.trace.steps += 1
-        if self.trace.steps > self.step_limit:
+        if self.trace.steps > STEP_LIMIT:
             raise _Truncated()
         self.trace.events.append(StmtExec(s.sid))
 
@@ -335,16 +329,15 @@ class _Interp:
         return self.trace
 
 
-def interpret(program: Program, schedule=Choices(),
-              step_limit: int = 10_000) -> ExecutionTrace:
-    """Run a program under the given dispatch schedule, collecting a trace."""
-    if step_limit <= 0:
-        raise ValueError("step_limit must be positive")
-    return _Interp(program, schedule, step_limit).run()
+def interpret(program: Program,
+              schedule: tuple[int, ...] = ()) -> ExecutionTrace:
+    """Run a program under `schedule`, its dispatch decisions by index
+    into the ready queue (0 past its end), collecting a trace."""
+    return _Interp(program, schedule).run()
 
 
-def explore_schedules(program: Program, _ignored=None, max_decisions: int = 6,
-                      step_limit: int = 10_000) -> list[ExecutionTrace]:
+def explore_schedules(program: Program, _ignored=None,
+                      max_decisions: int = 6) -> list[ExecutionTrace]:
     """Traces under FIFO plus every dispatch order within the decision bound.
 
     The first trace is the FIFO run; further traces flip one ready-queue
@@ -356,7 +349,7 @@ def explore_schedules(program: Program, _ignored=None, max_decisions: int = 6,
     results: list[ExecutionTrace] = []
 
     def go(prefix: tuple[int, ...]) -> None:
-        trace = interpret(program, Choices(prefix), step_limit)
+        trace = interpret(program, prefix)
         results.append(trace)
         arity = trace.decision_arity
         limit = min(len(arity), max_decisions)

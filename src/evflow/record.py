@@ -31,7 +31,7 @@ def field(*, default=_MISSING, default_factory=_MISSING, compare=True,
     return _Field(default, default_factory, compare, repr)
 
 
-def _frozen_setattr(self, name, value):
+def _frozen_setattr(self, name, _value):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 

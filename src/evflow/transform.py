@@ -86,7 +86,7 @@ def analyze_event_aware(program: Program,
     xsg = explode(build.graph, problem.domain, problem.flow_for)
     labeled = transform(xsg, build.ops, build.handlers)
     ide_result = solve_ide(labeled, check_descent=check_descent)
-    ifds_result = solve_ifds(xsg, ide_result)
+    ifds_result = solve_ifds(ide_result)
     filtered = untransform(ide_result)
     return EventAwareAnalysis(program, build, problem, xsg, labeled,
                               ifds_result, ide_result, filtered)

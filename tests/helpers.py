@@ -169,7 +169,7 @@ def pipeline(program):
 def solve_plain(xsg):
     """The plain IFDS result over `xsg`, read off the identity-labelled
     solve."""
-    return solve_ifds(xsg, solve_ide(LabeledExplodedSupergraph(xsg, {}, ())))
+    return solve_ifds(solve_ide(LabeledExplodedSupergraph(xsg, {}, ())))
 
 
 def sample_programs():

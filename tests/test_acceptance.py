@@ -17,6 +17,7 @@ from evflow.event_lattice import (
     mf_meet,
     mf_pack,
     packed_compose,
+    packed_meet,
 )
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import ZERO
@@ -156,11 +157,16 @@ def test_criterion_4_micro_function_algebra():
         generated |= new
     assert generated == set(MF_CLOSURE) and len(generated) == 7
 
-    # tabulated operators equal the definitional ones on all closure pairs
+    # tabulated operators equal the definitional ones on all closure
+    # pairs, the lane tables read through one-lane transformers
     for g in generated:
         for f in generated:
             assert mf_compose(g, f) == mf_compose_def(g, f)
             assert mf_meet(g, f) == mf_meet_def(g, f)
+            lanes = bytes([MF_CLOSURE.index(g)]), bytes([MF_CLOSURE.index(f)])
+            assert MF_CLOSURE[packed_compose(*lanes)[0]] == \
+                mf_compose_def(g, f)
+            assert MF_CLOSURE[packed_meet(*lanes)[0]] == mf_meet_def(g, f)
 
     # distributivity over the chain meet
     for f in generated:
@@ -205,8 +211,7 @@ def test_criterion_6_soundness():
     violations = []
     for tag, program in jobs:
         analysis = analyze_event_aware(program)
-        traces = explore_schedules(program, max_decisions=6,
-                                   step_limit=5_000)
+        traces = explore_schedules(program, max_decisions=6)
         for trace in traces:
             if check_trace_ordering(program, trace):
                 violations.append((tag, "trace ordering"))
@@ -239,7 +244,7 @@ def test_criterion_7_oracle_equivalence():
         assert brute.reachable == exact.reachable
         ide = solve_ide(LabeledExplodedSupergraph(xsg, {}, build.handlers))
         assert set(ide.envs) == brute.reachable
-        assert solve_ifds(xsg, ide).facts == brute.facts
+        assert solve_ifds(ide).facts == brute.facts
     assert checked >= 50
     _passed(7, f"oracle equivalence on {checked} enumerable programs",
             started, 30.0)

@@ -172,8 +172,7 @@ def test_multi_file_input(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_suite_small(capsys):
-    cfg = RunConfig([], seed=1, schedules=4, random_count=6)
-    status = run_oracle_suite(cfg)
+    status = run_oracle_suite(None, seed=1, schedules=4, count=6)
     out = capsys.readouterr().out
     assert status == EXIT_CLEAN, out
     assert "corpus door.evl: ok" in out
@@ -341,6 +340,8 @@ def test_oracle_goes_on_past_unreadable_files(tmp_path, capsys):
     (tmp_path / "ok.evl").write_text("var x = 1;\nprint(x);\n")
     (tmp_path / "timer.evl").write_text("print(1);\n")
     (tmp_path / "timer.model.json").symlink_to(tmp_path / "nowhere.json")
+    (tmp_path / "deep.evl").write_text("print(1);\n")
+    (tmp_path / "deep.model.json").write_text("[" * 100_000)
     status = main(["oracle", str(tmp_path), "--count", "0"])
     captured = capsys.readouterr()
     assert status == EXIT_DIAGNOSTICS
@@ -352,8 +353,10 @@ def test_oracle_goes_on_past_unreadable_files(tmp_path, capsys):
     assert "door.model.json: cannot read (Is a directory)" in out
     assert "corpus timer.evl: FAIL" in out
     assert "timer.model.json: cannot read (No such file or directory)" in out
+    assert "corpus deep.evl: FAIL" in out
+    assert "deep.model.json: invalid JSON: nested too deeply" in out
     assert "corpus ok.evl: ok" in out
-    assert "oracle suite: 1/4 passed" in out
+    assert "oracle suite: 1/5 passed" in out
 
 
 def test_oracle_rejects_negative_counts(capsys):
@@ -391,6 +394,7 @@ def test_unwritable_dump_path_is_an_input_error(tmp_path, capsys):
 def test_malformed_event_models_are_input_errors(tmp_path):
     f = tmp_path / "p.evl"
     f.write_text("print(1);")
+    m = tmp_path / "m.json"
     cases = [
         ({"event_arg": 0, "handler_arg": 1},
          "an entry of 'registrations' has no callee name"),
@@ -401,12 +405,15 @@ def test_malformed_event_models_are_input_errors(tmp_path):
         ({"callee": "on", "event_arg": 0},
          "'on': handler_arg must be a non-negative integer (missing)"),
     ]
-    for entry, message in cases:
-        m = tmp_path / "m.json"
-        m.write_text(json.dumps({"registrations": [entry]}))
+    texts = [(json.dumps({"registrations": [entry]}), message)
+             for entry, message in cases]
+    # deeper than the JSON decoder recurses
+    texts.append(("[" * 100_000, f"{m}: invalid JSON: nested too deeply"))
+    for text, message in texts:
+        m.write_text(text)
         status, report = run(RunConfig([str(f)], mode="diff",
                                        event_model=str(m)))
-        assert status == EXIT_ERROR and report.input_error, entry
+        assert status == EXIT_ERROR and report.input_error, text[:80]
         assert report.warnings == [message]
 
 
@@ -427,7 +434,7 @@ def test_reports_ask_at_read_sites_only(monkeypatch):
     # half the read nodes of wide_3x100 are interior nodes of blocks
     inputs = [corpus_path("door.evl"), str(golden / "chain_6x12.evl"),
               str(golden / "wide_3x100.evl")]
-    configs = [RunConfig(inputs=[path], mode=mode, format="json")
+    configs = [RunConfig(inputs=[path], mode=mode)
                for path in inputs for mode in ("diff", "ide", "ifds")]
     expected = [run(cfg) for cfg in configs]
 

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and no
-function, class or method is defined that nothing names."""
+"""Source hygiene: no module imports a name it never uses, no function
+takes a parameter it never reads, and no function, class or method is
+defined that nothing names."""
 
 import ast
 import re
@@ -44,6 +45,45 @@ def test_unused_imports_are_found():
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of the functions and lambdas of `source` that their
+    body never names; `self`, `cls` and names starting with `_` are
+    exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg,
+                                  *a.kwonlyargs, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        named = {n.id for stmt in body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        found += [f"line {node.lineno}: {name}({p})" for p in params
+                  if p not in named and p not in ("self", "cls")
+                  and not p.startswith("_")]
+    return found
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(a, b, *args, c, _d, **kw):\n    return a + c\n"
+              "class C:\n    def m(self, x):\n        return lambda y, z: z\n"
+              "    @classmethod\n    def k(cls, n):\n"
+              "        def inner():\n            return n\n"
+              "        return inner\n")
+    assert unread_parameters(source) == [
+        "line 1: f(b)", "line 1: f(args)", "line 1: f(kw)",
+        "line 4: m(x)", "line 5: <lambda>(y)"]
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
 
 def dead_definitions(modules: dict[str, str], texts: list[str]) -> list[str]:

@@ -80,7 +80,7 @@ def test_identity_labels_degenerate_to_ifds(door, dirstat, timer, server):
         brute = _brute(xsg)
         labeled = LabeledExplodedSupergraph(xsg, {}, build.handlers)
         ide = solve_ide(labeled)
-        plain = solve_ifds(xsg, ide)
+        plain = solve_ifds(ide)
         for node in set(brute.reachable) | set(ide.envs):
             assert plain.facts_at(node) == brute.facts_at(node), node
         assert set(ide.envs) == brute.reachable
@@ -98,7 +98,7 @@ def test_identity_degeneracy_on_random_programs():
         checked += 1
         ide = solve_ide(LabeledExplodedSupergraph(xsg, {}, build.handlers))
         assert set(ide.envs) == brute.reachable
-        plain = solve_ifds(xsg, ide)
+        plain = solve_ifds(ide)
         for node in brute.reachable:
             assert plain.facts_at(node) == brute.facts_at(node)
     assert checked >= 20
@@ -108,7 +108,7 @@ def _plain_readouts_agree(program):
     build, problem, xsg = pipeline(program)
     labeled = solve_ide(transform(xsg, build.ops, build.handlers))
     identity = solve_ide(LabeledExplodedSupergraph(xsg, {}, build.handlers))
-    a, b = solve_ifds(xsg, labeled), solve_ifds(xsg, identity)
+    a, b = solve_ifds(labeled), solve_ifds(identity)
     return (a.facts, a.reachable, a.stats) == (b.facts, b.reachable, b.stats)
 
 
@@ -193,7 +193,7 @@ def test_call_edge_returns_a_settled_summary_to_a_later_start_fact():
     oracle = brute_force_ide(xsg.graph, xsg.rel_of, labeled.labels,
                              build.handlers, max_len=40)
     assert {n: dict(table) for n, table in oracle.items()} == result.envs
-    plain = solve_ifds(xsg, result)
+    plain = solve_ifds(result)
     brute = _brute(xsg)
     assert plain.facts == brute.facts
     assert plain.reachable == brute.reachable
@@ -253,7 +253,7 @@ def test_summary_edges_answer_like_the_path_oracles(name):
     oracle = brute_force_ide(xsg.graph, xsg.rel_of, labeled.labels,
                              build.handlers, max_len=40)
     assert {n: dict(table) for n, table in oracle.items()} == result.envs
-    plain = solve_ifds(xsg, result)
+    plain = solve_ifds(result)
     brute = _brute(xsg)
     assert plain.facts == brute.facts
     assert plain.reachable == brute.reachable
@@ -448,7 +448,7 @@ def test_class_solve_equals_the_per_fact_oracles():
         checked += 1
         merged += len(xsg.classes) < len(problem.domain)
         assert {n: dict(t) for n, t in oracle.items()} == result.envs, i
-        plain = solve_ifds(xsg, result)
+        plain = solve_ifds(result)
         assert plain.facts == brute.facts, i
         assert plain.reachable == brute.reachable, i
     assert checked >= 100
@@ -567,7 +567,7 @@ def test_blocks_answer_like_the_path_oracles():
                                      max_len=60)
             assert {n for n, rows in result._jump.items() if rows} == \
                 brute.reachable - interior
-            plain, kept = solve_ifds(xsg, result), untransform(result)
+            plain, kept = solve_ifds(result), untransform(result)
             for node in g.nodes:
                 for d in (ZERO, *problem.domain.indices()):
                     want = oracle.get(node, {}).get(d)

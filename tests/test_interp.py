@@ -1,8 +1,6 @@
-import pytest
-
 from evflow.lang import parse
 from evflow.lang.interp import (
-    Choices,
+    STEP_LIMIT,
     HandlerInvoked,
     check_trace_ordering,
     explore_schedules,
@@ -80,10 +78,9 @@ def test_fifo_deterministic(dirstat):
 
 
 def test_step_limit_truncates():
-    trace = interpret(parse("var x; x = 1; while (true) { x = x + 1; }"),
-                      step_limit=50)
+    trace = interpret(parse("var x; x = 1; while (true) { x = x + 1; }"))
     assert trace.truncated
-    assert trace.steps == 51
+    assert trace.steps == STEP_LIMIT + 1
 
 
 def test_unbounded_recursion_truncates():
@@ -154,7 +151,7 @@ def test_schedule_choices_flip_order():
     fifo = interpret(program)
     assert fifo.outputs() == ["a", "b"]
     assert fifo.decision_arity == [2]
-    flipped = interpret(program, Choices((1,)))
+    flipped = interpret(program, (1,))
     assert flipped.outputs() == ["b", "a"]
 
 
@@ -184,8 +181,3 @@ def test_trace_ordering_detects_violation(door):
     bad = [HandlerInvoked("hdlClose")] + trace.events
     trace.events = bad
     assert check_trace_ordering(program, trace) != []
-
-
-def test_step_limit_validation():
-    with pytest.raises(ValueError):
-        interpret(parse("print(1);"), step_limit=0)

@@ -47,8 +47,7 @@ def test_precision_on_random_programs(random_programs):
 
 
 def _assert_sound(program, analysis, tag, max_decisions=6):
-    traces = explore_schedules(program, max_decisions=max_decisions,
-                               step_limit=5_000)
+    traces = explore_schedules(program, max_decisions=max_decisions)
     assert traces
     for trace in traces:
         assert check_trace_ordering(program, trace) == [], tag

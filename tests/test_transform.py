@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from evflow import ide
-from evflow.cli import check_program
+from evflow.cli import RunConfig, check_program, run
 from evflow.event_lattice import (
     HState,
     MF_EMIT,
@@ -257,7 +257,9 @@ def test_filter_builds_no_map(monkeypatch):
 def test_check_program_walks_the_rows_once(monkeypatch):
     """`check_program` gets the plain and the filtered fact sets from one
     walk: it reads each node's row once and tests each distinct
-    transformer for feasibility at most once."""
+    transformer for feasibility at most once.  A `diff` run, which asks
+    `holds` once per read site, also tests each transformer at most
+    once."""
     reads, tested = Counter(), Counter()
 
     class CountedRow(dict):
@@ -281,8 +283,9 @@ def test_check_program_walks_the_rows_once(monkeypatch):
     golden = Path(__file__).parent / "golden"
     for path in [corpus_dir() / f"{n}.evl" for n in CORPUS_NAMES] + \
             sorted(golden.glob("*.evl")):
-        model = path.with_suffix(".model.json")
-        model = EventModel.from_json_file(model) if model.exists() \
+        model_path = path.with_suffix(".model.json")
+        model_path = str(model_path) if model_path.exists() else None
+        model = EventModel.from_json_file(model_path) if model_path \
             else EventModel.default()
         reads.clear()
         tested.clear()
@@ -290,3 +293,7 @@ def test_check_program_walks_the_rows_once(monkeypatch):
                              path.name) == [], path.name
         assert reads and set(reads.values()) == {1}, path.name
         assert tested and set(tested.values()) == {1}, path.name
+        tested.clear()
+        status, report = run(RunConfig([str(path)], event_model=model_path))
+        assert not report.input_error, path.name
+        assert set(tested.values()) <= {1}, (path.name, tested.values())
