@@ -3,7 +3,9 @@
 Phase 1 tabulates jump functions: for each reachable exploded node
 <n, d2>, the per-handler transformer composed along same-procedure paths
 from <start_p, d1>, met over merging paths.  Summary edges carry callee
-transformers from each call site to its return site.  Phase 2 pushes
+transformers from each call site to its return site; they are returned
+in waves, each time the worklist drains, so an edge that drops several
+times while the worklist runs is sent once (see `solve_ide`).  Phase 2 pushes
 the met transformer from <entry, 0> through procedure starts and call
 sites.  The result (`IdeResult`) composes the jump functions at a node
 after those start values only where a client asks for the node.
@@ -88,10 +90,8 @@ class IdeResult:
     it.
     """
 
-    def __init__(self, jump: dict[str, dict[int, dict[int, int]]], row_of,
-                 fns: list[bytes], lxsg: LabeledExplodedSupergraph,
-                 stats: dict):
-        self._jump = jump           # node -> fact -> {start fact: fn id}
+    def __init__(self, row_of, fns: list[bytes],
+                 lxsg: LabeledExplodedSupergraph, stats: dict):
         self._nodes = lxsg.xsg.graph.nodes
         self._row = row_of          # node -> its row; {} if unreached
         self._fns = fns
@@ -197,10 +197,21 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     fact), the meet of `return label o summary o call label` over the
     callee's entry and exit facts and over the site's call edges, so all
     of the event loop's dispatches return through one edge.  A jump
-    function popped at a call site is sent through each edge; an edge
-    that drops is sent every jump function filed at its call site.  A
-    meet on the left distributes over composition, so this equals
-    returning each summary on its own.
+    function popped at a call site is sent through each edge.  A pop at
+    an exit only lists its jump function.  When the worklist is empty, a
+    return wave stores each listed one that differs from its summary,
+    meets it into the edges of the call sites filed for its callee entry,
+    and sends each edge that dropped once, at its final value, to every
+    jump function filed at its call site and call fact; phase 1 ends when
+    the worklist drains with no exit popped since the last wave.  A wave
+    is exact: with the worklist empty, every jump function has been
+    popped at its current value and sent every edge at its call site as
+    it stood, so the only sends missing are those of the edges the wave
+    lowers.  This is the outer-before-inner order of chaotic iteration
+    (Bourdoncle, FMPA 1993): an edge into the event loop that would drop
+    several times while the handlers settle goes to the loop's jump
+    functions once.  A meet on the left distributes over composition, so
+    this equals returning each summary on its own.
 
     Every transformer the solve touches (a `bytes`, one lane per handler;
     see `event_lattice`) is interned in a table that lives as long as the
@@ -333,7 +344,10 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     # (call site, call fact) -> {(return site, return fact): the meet of
     # `return label o summary o call label` over its call edges}
     sedges: dict[tuple[str, int], dict[tuple[str, int], int]] = {}
-    steps = 0
+    # (callee start, entry fact, exit fact, its row of jump) per pop at an
+    # exit since the last return wave
+    returning: list[tuple[str, int, int, dict[int, int]]] = []
+    steps = waves = 0
     max_label_entries = 0
 
     def propagate(d1: int, n: str, d2: int, f: int) -> None:
@@ -354,69 +368,77 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             max_label_entries = fn_entries[f]
         work.append((d1, n, d2, row))
 
-    def add_edge(edges: dict[tuple, int], key: tuple, t: int) -> int | None:
-        """Meet `t` into edge `key`: its new value if it dropped, or None."""
+    def add_edge(edges: dict[tuple, int], key: tuple, t: int) -> bool:
+        """Meet `t` into edge `key`; whether it dropped."""
         old = edges.get(key)
         new = t if old is None else meet(old, t)
         if new == old:
-            return None
+            return False
         edges[key] = new
-        return new
+        return True
 
     propagate(ZERO, entry, ZERO, ID)
-    while work:
-        d1, n, d2, row = work.popleft()
-        f = row[d1]
-        steps += 1
-        start = exit_start.get(n)
-        if start is not None:
-            skey = (start, d1)
-            exits = summaries[skey]
-            # the summary is an earlier value of this jump function, which
-            # only descends: f is their meet
-            if exits.get(d2) != f:
-                exits[d2] = f
-                for (caller, d_call), call in incoming[skey].items():
-                    _, lab, _, ret_site, (ret_lab, ret_succ) = call
-                    edges = sedges[(caller, d_call)]
-                    through = compose(ret_lab, compose(f, lab))
-                    callers = None
-                    for d5 in ret_succ.get(d2, ()):
-                        t = add_edge(edges, (ret_site, d5), through)
-                        if t is None:
-                            continue
-                        if callers is None:
-                            # a snapshot: a dispatch returns into the event
-                            # loop it was called from, so these propagations
-                            # can lower the very jump functions listed; a
-                            # lowered one is queued, and its pop sends t
-                            callers = tuple(jump[caller][d_call].items())
-                        for d3, f_caller in callers:
-                            propagate(d3, ret_site, d5, compose(t, f_caller))
-        if n in calls_from:
-            ckey = (n, d2)
-            edges = sedges.get(ckey)
-            if edges is None:
-                # the call fact's first pop: nothing here depends on d1
-                edges = sedges[ckey] = {}
-                for call in calls_from[n]:
-                    callee, lab, targets, ret_site, ret = call
-                    for d3 in targets.get(d2, ()):
-                        propagate(d3, callee, d3, ID)
-                        if ret is None:
-                            continue
-                        incoming[(callee, d3)][ckey] = call
-                        ret_lab, ret_succ = ret
-                        for d4, f_summary in summaries[(callee, d3)].items():
-                            through = compose(ret_lab, compose(f_summary, lab))
-                            for d5 in ret_succ.get(d4, ()):
-                                add_edge(edges, (ret_site, d5), through)
-            for (ret_site, d5), t in edges.items():
-                propagate(d1, ret_site, d5, compose(t, f))
-        for dst, lab, targets in steps_from[n]:
-            f_step = f if lab == ID else compose(lab, f)
-            for d3 in targets.get(d2, ()):
-                propagate(d1, dst, d3, f_step)
+    while True:
+        while work:
+            d1, n, d2, row = work.popleft()
+            f = row[d1]
+            steps += 1
+            start = exit_start.get(n)
+            if start is not None:
+                returning.append((start, d1, d2, row))
+            if n in calls_from:
+                ckey = (n, d2)
+                edges = sedges.get(ckey)
+                if edges is None:
+                    # the call fact's first pop: nothing here depends on d1
+                    edges = sedges[ckey] = {}
+                    for call in calls_from[n]:
+                        callee, lab, targets, ret_site, ret = call
+                        for d3 in targets.get(d2, ()):
+                            propagate(d3, callee, d3, ID)
+                            if ret is None:
+                                continue
+                            incoming[(callee, d3)][ckey] = call
+                            ret_lab, ret_succ = ret
+                            for d4, f_summary in summaries[(callee, d3)].items():
+                                through = compose(ret_lab, compose(f_summary, lab))
+                                for d5 in ret_succ.get(d4, ()):
+                                    add_edge(edges, (ret_site, d5), through)
+                for (ret_site, d5), t in edges.items():
+                    propagate(d1, ret_site, d5, compose(t, f))
+            for dst, lab, targets in steps_from[n]:
+                f_step = f if lab == ID else compose(lab, f)
+                for d3 in targets.get(d2, ()):
+                    propagate(d1, dst, d3, f_step)
+
+        # a return wave: every jump function has been popped at its value
+        # and has sent every summary edge at its call site, so only the
+        # edges this wave lowers are left to send.  A send lands in the
+        # row it reads only through a dispatch back to the event loop,
+        # with the start facts the row already has, so the row never grows
+        # while it is read.
+        if not returning:
+            break
+        waves += 1
+        dropped: dict[tuple[str, int, str, int], None] = {}
+        for start, d1, d2, row in returning:
+            f = row[d1]
+            exits = summaries[(start, d1)]
+            if exits.get(d2) == f:
+                continue
+            exits[d2] = f
+            for ckey, call in incoming[(start, d1)].items():
+                _, lab, _, ret_site, (ret_lab, ret_succ) = call
+                edges = sedges[ckey]
+                through = compose(ret_lab, compose(f, lab))
+                for d5 in ret_succ.get(d2, ()):
+                    if add_edge(edges, (ret_site, d5), through):
+                        dropped[(*ckey, ret_site, d5)] = None
+        returning.clear()
+        for caller, d_call, ret_site, d5 in dropped:
+            t = sedges[(caller, d_call)][(ret_site, d5)]
+            for d3, f_caller in jump[caller][d_call].items():
+                propagate(d3, ret_site, d5, compose(t, f_caller))
 
     # --- phase 2: values at procedure starts and call sites ---
     # (start or call site, fact) -> the id of the met transformer from
@@ -493,9 +515,11 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                 row = values_at(n) if n in jump else {}
         return row
 
-    return IdeResult(jump, row_of, fns, lxsg, {
+    return IdeResult(row_of, fns, lxsg, {
         "phase1_steps": steps,
         "phase2_steps": vsteps,
+        "return_waves": waves,
+        "heads": sum(map(bool, jump.values())),
         "jump_functions": sum(map(len, chain.from_iterable(
             map(dict.values, jump.values())))),
         "max_label_entries": max_label_entries,

@@ -276,8 +276,8 @@ def test_check_program_walks_the_rows_once(monkeypatch):
 
     init, feasible = ide.IdeResult.__init__, ide.feasible
     monkeypatch.setattr(ide.IdeResult, "__init__",
-                        lambda self, jump, row_of, *rest:
-                        init(self, jump, counted(row_of), *rest))
+                        lambda self, row_of, *rest:
+                        init(self, counted(row_of), *rest))
     monkeypatch.setattr(ide, "feasible",
                         lambda f: tested.update([f]) or feasible(f))
     golden = Path(__file__).parent / "golden"
