@@ -122,7 +122,7 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
         analysis = analyze_event_aware(program)
         if cfg.dump_supergraph:
             _dump(cfg.dump_supergraph, supergraph_dot(
-                analysis.build.graph, analysis.build.ops))
+                analysis.build.graph, analysis.build.ops, program))
         if cfg.dump_exploded:
             _dump(cfg.dump_exploded, exploded_dot(analysis.xsg))
     except (EvlError, EventModelError) as e:

@@ -130,8 +130,6 @@ class FunctionDecl:
     name: str
     params: tuple[str, ...]
     body: tuple[Stmt, ...]
-    line: int = 0
-    file: str = ""
 
 
 @record(frozen=True)

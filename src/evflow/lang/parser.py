@@ -5,8 +5,8 @@ body.
 A token is a plain `(kind, text, offset)` tuple from one regex pass.  A
 keyword's or an operator's kind is its own text, so the descent tests a
 token with one comparison.  Positions come from offsets where they are
-used: a statement's or a function's line by a bisect over the source's
-newlines, and a column only when a `ParseError` is raised."""
+used: a statement's line by a bisect over the source's newlines, and a
+column only when a `ParseError` is raised."""
 
 from __future__ import annotations
 
@@ -147,9 +147,6 @@ class _Parser:
         self.depth = 0  # blocks, parentheses and unary operators open
         self.newlines = [m.start() for m in re.finditer("\n", source)]
 
-    def line(self, tok: Token) -> int:
-        return bisect_left(self.newlines, tok[2]) + 1
-
     def error(self, tok: Token, message: str) -> ParseError:
         return _error(self.source, tok[2], message, self.file)
 
@@ -190,7 +187,7 @@ class _Parser:
         return functions, top
 
     def function_decl(self) -> FunctionDecl:
-        line = self.line(self.take("fn"))
+        self.take("fn")
         name = self.take("ident")[1]
         self.take("(")
         params: list[str] = []
@@ -200,8 +197,7 @@ class _Parser:
             params.append(self.take("ident")[1])
         self.take(")")
         body = self.block()
-        return FunctionDecl(name, tuple(params), tuple(body),
-                            line=line, file=self.file)
+        return FunctionDecl(name, tuple(params), tuple(body))
 
     def block(self) -> list[Stmt]:
         self.enter(self.take("{"))
@@ -217,7 +213,7 @@ class _Parser:
     def statement(self) -> Stmt:
         tok = self.tok
         kind = tok[0]
-        line = self.line(tok)
+        line = bisect_left(self.newlines, tok[2]) + 1
         if kind == "var":
             return self.var_decl(line)
         if kind == "if":

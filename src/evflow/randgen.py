@@ -19,12 +19,9 @@ class GenParams:
     max_events: int = 2
     max_stmts: int = 20
     allow_while: bool = False
-    allow_calls: bool = True
-    init_probability: float = 0.4
 
 
-SMALL = GenParams(max_handlers=2, max_events=1, max_stmts=8,
-                  allow_while=False, allow_calls=True)
+SMALL = GenParams(max_handlers=2, max_events=1, max_stmts=8)
 DEFAULT = GenParams()
 
 
@@ -35,7 +32,7 @@ class _Gen:
         self.globals = [f"g{i}" for i in range(rng.randint(1, 3))]
         self.handlers = [f"h{i}" for i in range(rng.randint(0, params.max_handlers))]
         self.events = [f"ev{i}" for i in range(1, rng.randint(1, params.max_events) + 1)]
-        self.helper = params.allow_calls and rng.random() < 0.5
+        self.helper = rng.random() < 0.5
         self._loop_count = 0
 
     def expr(self, depth: int = 0) -> str:
@@ -125,7 +122,7 @@ class _Gen:
             lines.append("}")
             lines.append("")
         for g in self.globals:
-            if r.random() < self.params.init_probability:
+            if r.random() < 0.4:
                 lines.append(f"var {g} = {r.randint(0, 9)};")
             else:
                 lines.append(f"var {g};")

@@ -7,6 +7,10 @@ emissions call into it and return to the emitter, the end of top-level
 calls into it with no return site, and dispatch calls leave it for every
 statically registered handler, whose end returns to it.
 
+A node holds structure only: its id, kind, procedure and the sid of its
+statement, by which a reader takes the statement's line, file or DOT
+text from the program.
+
 The event operations of each edge are read off the program's record of
 classified calls (`Program.events`) and kept per edge id; most edges
 have none.
@@ -20,7 +24,6 @@ from .lang.ast import (
     Assign,
     Call,
     If,
-    Print,
     Program,
     Return,
     Stmt,
@@ -55,9 +58,7 @@ class Node:
     id: str
     kind: NodeKind
     func: str                 # owning procedure; LOOP_PROC for the loop node
-    sid: int | None = None
-    line: int | None = None
-    label: str = ""
+    sid: int | None = None    # the statement it stands for, if any
 
 
 @record(frozen=True)
@@ -66,7 +67,6 @@ class Edge:
     src: str
     dst: str
     kind: EdgeKind
-    sid: int | None = None       # statement the edge originates from
     ret_site: str | None = None  # for call edges; None means no return
 
 
@@ -89,8 +89,8 @@ class Supergraph:
         return node.id
 
     def add_edge(self, src: str, dst: str, kind: EdgeKind,
-                 sid: int | None = None, ret_site: str | None = None) -> Edge:
-        edge = Edge(len(self.edges), src, dst, kind, sid, ret_site)
+                 ret_site: str | None = None) -> Edge:
+        edge = Edge(len(self.edges), src, dst, kind, ret_site)
         self.edges.append(edge)
         self._out[src].append(edge)
         return edge
@@ -151,14 +151,12 @@ class _Builder:
         self.warnings: list[UnknownEventWarning] = []
 
     def build(self) -> BuildResult:
-        self.g.add_node(Node(EVENT_LOOP, NodeKind.EVENT_LOOP, LOOP_PROC,
-                             label="event loop"))
+        self.g.add_node(Node(EVENT_LOOP, NodeKind.EVENT_LOOP, LOOP_PROC))
         self.g.funcs[LOOP_PROC] = (EVENT_LOOP, EVENT_LOOP)
         for f in self.program.functions:
             start = self.g.add_node(Node(f"start:{f.name}", NodeKind.START,
-                                         f.name, label=f"start {f.name}"))
-            end = self.g.add_node(Node(f"end:{f.name}", NodeKind.END,
-                                       f.name, label=f"end {f.name}"))
+                                         f.name))
+            end = self.g.add_node(Node(f"end:{f.name}", NodeKind.END, f.name))
             self.g.funcs[f.name] = (start, end)
         for f in self.program.functions:
             self._lower_function(f)
@@ -190,20 +188,20 @@ class _Builder:
             exits = s_exits
         return entry, exits
 
-    def _stmt_node(self, s: Stmt, func: str, text: str) -> str:
+    def _stmt_node(self, s: Stmt, func: str) -> str:
         return self.g.add_node(Node(f"stmt:{func}:{s.sid}", NodeKind.STMT,
-                                    func, s.sid, s.line, text))
+                                    func, s.sid))
 
-    def _call_pair(self, s: Stmt, func: str, text: str) -> tuple[str, str]:
+    def _call_pair(self, s: Stmt, func: str) -> tuple[str, str]:
         c = self.g.add_node(Node(f"call:{func}:{s.sid}", NodeKind.CALL_SITE,
-                                 func, s.sid, s.line, text))
+                                 func, s.sid))
         r = self.g.add_node(Node(f"ret:{func}:{s.sid}", NodeKind.RETURN_SITE,
-                                 func, s.sid, s.line, f"after {text}"))
+                                 func, s.sid))
         return c, r
 
     def _lower_stmt(self, s: Stmt, func: str):
         if isinstance(s, If):
-            cond = self._stmt_node(s, func, "if")
+            cond = self._stmt_node(s, func)
             exits: list[str] = []
             for body in (s.then_body, s.else_body):
                 entry, body_exits = self._lower_body(body, func)
@@ -215,7 +213,7 @@ class _Builder:
                     exits.extend(body_exits)
             return cond, exits
         if isinstance(s, While):
-            cond = self._stmt_node(s, func, "while")
+            cond = self._stmt_node(s, func)
             entry, body_exits = self._lower_body(s.body, func)
             if entry is not None:
                 self.g.add_edge(cond, entry, EdgeKind.INTRA)
@@ -223,21 +221,20 @@ class _Builder:
                     self.g.add_edge(node, cond, EdgeKind.INTRA)
             return cond, [cond]
         if isinstance(s, Return):
-            node = self._stmt_node(s, func, "return")
-            self.g.add_edge(node, self.g.end_of(func), EdgeKind.INTRA, sid=s.sid)
+            node = self._stmt_node(s, func)
+            self.g.add_edge(node, self.g.end_of(func), EdgeKind.INTRA)
             return node, []
         if isinstance(s, Call) and self.program.has_function(s.callee):
-            c, r = self._call_pair(s, func, f"{s.callee}(...)")
+            c, r = self._call_pair(s, func)
             callee_start, callee_end = self.g.funcs[s.callee]
-            self.g.add_edge(c, callee_start, EdgeKind.CALL, sid=s.sid,
-                            ret_site=r)
-            self.g.add_edge(callee_end, r, EdgeKind.RETURN, sid=s.sid)
-            self.g.add_edge(c, r, EdgeKind.CALL_TO_RETURN, sid=s.sid)
+            self.g.add_edge(c, callee_start, EdgeKind.CALL, ret_site=r)
+            self.g.add_edge(callee_end, r, EdgeKind.RETURN)
+            self.g.add_edge(c, r, EdgeKind.CALL_TO_RETURN)
             return c, [r]
         op = self.program.events[s.sid][0] if isinstance(s, Call) else None
         if op is not None and op[0] == "emit":
             return self._lower_emit(s, func, op[1])
-        node = self._stmt_node(s, func, _stmt_text(s))
+        node = self._stmt_node(s, func)
         if op is not None:
             kind = "emit_register" if op[3] else "register"
             self.pending_ops[node] = (EventOp(kind, op[2]),)
@@ -247,11 +244,10 @@ class _Builder:
         ops = tuple(EventOp("emit", h) for h in sorted(self.registry.get(event, ())))
         if not ops:
             self.warnings.append(UnknownEventWarning(event, s.line, s.file))
-        c, r = self._call_pair(s, func, f'emit "{event}"')
-        call_edge = self.g.add_edge(c, EVENT_LOOP, EdgeKind.CALL, sid=s.sid,
-                                    ret_site=r)
-        self.g.add_edge(EVENT_LOOP, r, EdgeKind.RETURN, sid=s.sid)
-        c2r = self.g.add_edge(c, r, EdgeKind.CALL_TO_RETURN, sid=s.sid)
+        c, r = self._call_pair(s, func)
+        call_edge = self.g.add_edge(c, EVENT_LOOP, EdgeKind.CALL, ret_site=r)
+        self.g.add_edge(EVENT_LOOP, r, EdgeKind.RETURN)
+        c2r = self.g.add_edge(c, r, EdgeKind.CALL_TO_RETURN)
         if ops:
             self.ops[call_edge.eid] = ops
             self.ops[c2r.eid] = ops
@@ -274,18 +270,6 @@ class _Builder:
                    if e.kind is EdgeKind.INTRA]
             assert len(out) == 1, f"event statement {node_id} must have one exit"
             self.ops[out[0].eid] = ops
-
-
-def _stmt_text(s: Stmt) -> str:
-    if isinstance(s, VarDecl):
-        return f"var {s.name}"
-    if isinstance(s, Assign):
-        return f"{s.name} = ..."
-    if isinstance(s, Print):
-        return "print"
-    if isinstance(s, Call):
-        return f"{s.callee}(...)"
-    return type(s).__name__.lower()
 
 
 def build_supergraph(program: Program) -> BuildResult:
@@ -315,9 +299,10 @@ _DOT_STYLES = {
 }
 
 
-def supergraph_dot(graph: Supergraph,
-                   ops: dict[int, tuple[EventOp, ...]]) -> str:
-    """Render the supergraph in DOT: one cluster per function, dashed
+def supergraph_dot(graph: Supergraph, ops: dict[int, tuple[EventOp, ...]],
+                   program: Program) -> str:
+    """Render the supergraph in DOT: one cluster per function, each node
+    labelled with the text of its statement in `program`, dashed
     interprocedural edges, each edge labelled with its event operations."""
     lines = ["digraph supergraph {", '  node [shape=box fontsize=10];']
     funcs: dict[str, list[Node]] = {}
@@ -326,13 +311,13 @@ def supergraph_dot(graph: Supergraph,
     for i, (func, nodes) in enumerate(sorted(funcs.items())):
         if func == LOOP_PROC:
             for node in nodes:
-                lines.append(f'  "{node.id}" [label="{node.label}" shape=ellipse];')
+                lines.append(f'  "{node.id}" [label="event loop" shape=ellipse];')
             continue
         lines.append(f'  subgraph cluster_{i} {{')
         lines.append(f'    label="{func}";')
         for node in nodes:
-            label = node.label or node.id
-            lines.append(f'    "{node.id}" [label="{_dot_escape(label)}"];')
+            label = _dot_escape(_node_text(node, program))
+            lines.append(f'    "{node.id}" [label="{label}"];')
         lines.append("  }")
     for edge in graph.edges:
         style = _DOT_STYLES[edge.kind]
@@ -344,6 +329,25 @@ def supergraph_dot(graph: Supergraph,
         lines.append(f'  "{edge.src}" -> "{edge.dst}"{attr_text};')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _node_text(node: Node, program: Program) -> str:
+    """The DOT label of a node in a procedure's cluster."""
+    if node.sid is None:
+        return f"{node.kind.value} {node.func}"
+    s = program.stmt(node.sid)
+    event = program.events.get(node.sid)
+    if event is not None and event[0][0] == "emit":
+        text = f'emit "{event[0][1]}"'
+    elif isinstance(s, VarDecl):
+        text = f"var {s.name}"
+    elif isinstance(s, Assign):
+        text = f"{s.name} = ..."
+    elif isinstance(s, Call):
+        text = f"{s.callee}(...)"
+    else:
+        text = type(s).__name__.lower()     # print, if, while, return
+    return f"after {text}" if node.kind is NodeKind.RETURN_SITE else text
 
 
 def _dot_escape(text: str) -> str:

@@ -88,13 +88,14 @@ class UninitProblem:
         # variables read by their actuals.  A recursive call that binds a
         # parameter to itself keeps it.  Event calls and dispatches bind
         # nothing.
-        if edge.sid is None or edge.sid in self.program.events:
+        sid = self.graph.nodes[edge.src].sid
+        if sid is None or sid in self.program.events:
             return Patch(self._non_globals, ())
         index_of = self.domain.index_of
-        params = self.scopes.params_by_func[self.program.stmt(edge.sid).callee]
+        params = self.scopes.params_by_func[self.program.stmt(sid).callee]
         bound = {(index_of(v), index_of(param))
                  for param, actual in zip(params,
-                                          self.program.access(edge.sid).reads)
+                                          self.program.access(sid).reads)
                  for v in actual}
         kept = {d1 for d1, d2 in bound if d1 == d2}
         return Patch(tuple(d for d in self._non_globals if d not in kept),
@@ -130,10 +131,9 @@ def report_uses(problem: UninitProblem, result: IfdsResult
     for node_id in sorted(graph.nodes):
         for fact in problem.reads_at(node_id):
             if result.holds(node_id, fact):
-                node = graph.nodes[node_id]
+                stmt = problem.program.stmt(graph.nodes[node_id].sid)
                 qualified = problem.domain.name_of(fact)
                 out.append(Diagnostic(node_id, Scopes.display(qualified),
-                                      qualified, node.line or 0,
-                                      problem.program.stmt(node.sid).file))
+                                      qualified, stmt.line, stmt.file))
     out.sort(key=lambda d: (d.file, d.line, d.var, d.node))
     return out

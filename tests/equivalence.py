@@ -1,0 +1,142 @@
+"""Digests of everything a behaviour-preserving change must keep, one
+JSON line per program, for diffing two trees of evflow.
+
+The program set is the packaged corpus with its event models, the golden
+sources in `golden/`, the seed-3 `chain` and `wide` benchmark decks and
+the `randgen` programs `eq:0`-`eq:399` (`GenParams(allow_while=True)`):
+435 programs.  Each line holds the digests of the `ifds`, `ide` and
+`diff` reports, JSON with `wall_ms` masked and text, of both DOT dumps,
+of the plain and the filtered fact sets, of the environments and of the
+IDE solve's stats.  Reports and dumps come through `cli.run`, so the
+script reads only names every tree has; run it against each tree:
+
+    PYTHONPATH=<tree>/src python tests/equivalence.py > <tree>.jsonl
+    PYTHONPATH=<tree>/src python tests/equivalence.py corpus
+
+and `diff` the outputs.  `corpus` limits the run to the corpus.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+from evflow import cli
+from evflow.lang import EvlError, parse
+from evflow.eventmodel import EventModel, EventModelError
+from evflow.transform import analyze_event_aware
+
+TESTS = Path(__file__).resolve().parent
+RANDGEN_COUNT = 400
+DECK_SEED = 3
+_WALL_MS = re.compile(r'("wall_ms": |wall_ms=)[0-9.eE+-]+')
+
+
+def corpus_programs() -> list[tuple[str, str, str | None]]:
+    """(program id, source, event-model path or None) per corpus file."""
+    return [(evl.stem, evl.read_text(encoding="utf-8"), model)
+            for evl, model in cli.iter_corpus(cli.packaged_corpus_dir())]
+
+
+def all_programs() -> list[tuple[str, str, str | None]]:
+    sys.path.insert(0, str(TESTS.parent))   # the benchmark's generators
+    from evbench.gen import deck
+    from evflow.randgen import GenParams, gen_source
+    programs = corpus_programs()
+    programs += [(evl.stem, evl.read_text(encoding="utf-8"), None)
+                 for evl in sorted((TESTS / "golden").glob("*.evl"))]
+    for workload in ("chain", "wide"):
+        programs += [(pid, source, None)
+                     for pid, source in deck(workload, DECK_SEED)]
+    params = GenParams(allow_while=True)
+    programs += [(f"eq:{i}", gen_source(f"eq:{i}", params), None)
+                 for i in range(RANDGEN_COUNT)]
+    return programs
+
+
+def _digest(value) -> str:
+    text = value if isinstance(value, str) else \
+        json.dumps(value, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _reports(name: str, model: str | None) -> dict[str, str]:
+    """The digests of every report of `name` in the working directory
+    and of both DOT dumps."""
+    out = {}
+    for mode in ("ifds", "ide", "diff"):
+        dumps = {"dump_supergraph": f"{name}.supergraph.dot",
+                 "dump_exploded": f"{name}.exploded.dot"} \
+            if mode == "diff" else {}
+        status, report = cli.run(cli.RunConfig([name], mode=mode,
+                                               event_model=model, **dumps))
+        out[f"{mode}_json"] = _digest(_WALL_MS.sub(r"\1null",
+                                                   report.to_json()))
+        out[f"{mode}_text"] = _digest(
+            f"{status}\n" + _WALL_MS.sub(r"\1null", report.render_text(False)))
+        for key, path in dumps.items():
+            out[key] = _digest(Path(path).read_text(encoding="utf-8")
+                               if os.path.exists(path) else "")
+    return out
+
+
+def _solution(name: str, source: str, model: str | None) -> dict[str, str]:
+    """The digests of the fact sets, environments and stats of one solve,
+    or of the error that stopped it."""
+    try:
+        program = parse(source, filename=name, model=EventModel.from_json_file(
+            model) if model else EventModel.default())
+        analysis = analyze_event_aware(program)
+    except (EvlError, EventModelError) as e:
+        return {"error": _digest(f"{type(e).__name__}: {e}")}
+    domain = analysis.domain
+
+    def named(facts):
+        return {node: sorted(domain.name_of(d) for d in ds)
+                for node, ds in facts.items()}
+
+    envs = {node: {(domain.name_of(d) if d else "0"):
+                   {h: s.name for h, s in hsm.items()}
+                   for d, hsm in env.items()}
+            for node, env in analysis.ide.envs.items()}
+    return {"plain_facts": _digest(named(analysis.ifds.facts)),
+            "filtered_facts": _digest(named(analysis.filtered.facts)),
+            "envs": _digest(envs),
+            "ide_stats": _digest(analysis.ide.stats)}
+
+
+def digest_lines(programs) -> list[str]:
+    """One JSON line of digests per (id, source, model path) program."""
+    lines = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for pid, source, model in programs:
+                name = pid.replace(":", "_") + ".evl"
+                Path(name).write_text(source, encoding="utf-8")
+                row = {"id": pid, **_reports(name, model),
+                       **_solution(name, source, model)}
+                lines.append(json.dumps(row, sort_keys=True))
+        finally:
+            os.chdir(cwd)
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["corpus"]):
+        print("usage: equivalence.py [corpus]", file=sys.stderr)
+        return 2
+    programs = corpus_programs() if argv else all_programs()
+    for line in digest_lines(programs):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,7 +7,7 @@ from evflow.ifds import (
     exploded_dot,
 )
 from evflow.lang import parse
-from evflow.lang.ast import TOP_LEVEL, Assign
+from evflow.lang.ast import TOP_LEVEL, Assign, Print
 from evflow.randgen import SMALL, gen_source
 from evflow.supergraph import (
     EdgeKind,
@@ -61,7 +61,8 @@ def test_straight_line_kill():
     build, problem, xsg = pipeline(program)
     result = solve_plain(xsg)
     print_node = next(n for n in build.graph.nodes.values()
-                      if n.label == "print")
+                      if n.sid is not None
+                      and isinstance(program.stmt(n.sid), Print))
     assert problem.domain.index_of("x") not in result.facts_at(print_node.id)
     assert report_uses(problem, result) == []
 

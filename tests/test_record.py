@@ -40,8 +40,8 @@ def test_frozen_records_reject_assignment_and_deletion():
 
 
 def test_equal_frozen_records_hash_equal():
-    a = Edge(3, "a", "b", EdgeKind.CALL, sid=7, ret_site="r")
-    b = Edge(3, "a", "b", EdgeKind.CALL, 7, "r")
+    a = Edge(3, "a", "b", EdgeKind.CALL, ret_site="r")
+    b = Edge(3, "a", "b", EdgeKind.CALL, "r")
     assert a == b and hash(a) == hash(b)
     assert len({a, b, Edge(3, "a", "b", EdgeKind.CALL)}) == 2
     assert hash(Var("x")) == hash(("x",))
@@ -84,7 +84,7 @@ def test_fields_bind_in_order_header_first():
 
 
 def test_defaults():
-    assert GenParams() == GenParams(3, 2, 20, False, True, 0.4)
+    assert GenParams() == GenParams(3, 2, 20, False)
     assert GenParams(allow_while=True).allow_while
     assert RunConfig(["a.evl"]).mode == "diff"
 

@@ -16,7 +16,7 @@ from evflow.supergraph import (
     node_for_sid,
     supergraph_dot,
 )
-from evflow.lang.ast import Call, StrLit, Var
+from evflow.lang.ast import Call, StrLit, Var, While
 
 from helpers import iter_stmts, sample_programs
 
@@ -34,7 +34,7 @@ def dispatch_edges(g):
 def emit_calls(g):
     """The call edges of emit statements into the event loop."""
     return [e for e in g.edges if e.kind is EdgeKind.CALL
-            and e.dst == EVENT_LOOP and e.sid is not None]
+            and e.dst == EVENT_LOOP and g.nodes[e.src].sid is not None]
 
 
 def stmt_out_edge(result, program, pred):
@@ -223,14 +223,15 @@ def test_only_top_level_and_handlers_reach_loop():
            'emit("e");\n')
     g = build_supergraph(parse(src)).graph
     to_loop = {g.proc_of(e.src) for e in g.edges
-               if e.dst == EVENT_LOOP and e.sid is None}
+               if e.dst == EVENT_LOOP and g.nodes[e.src].sid is None}
     assert to_loop == {"top-level", "h"}
 
 
 def test_while_loop_shape():
-    g = build_supergraph(parse(
-        "var i; i = 2; while (i > 0) { i = i - 1; } print(i);")).graph
-    cond = [n for n in g.nodes.values() if n.label == "while"][0]
+    program = parse("var i; i = 2; while (i > 0) { i = i - 1; } print(i);")
+    g = build_supergraph(program).graph
+    cond = [n for n in g.nodes.values() if n.sid is not None
+            and isinstance(program.stmt(n.sid), While)][0]
     out = g.out_edges(cond.id)
     assert len(out) == 2  # into body and past the loop
     back = [e for e in g.edges if e.dst == cond.id]
@@ -261,11 +262,72 @@ def test_node_for_sid_maps_calls_to_call_sites(door):
 def test_dot_export(door):
     program, _ = door
     result = build_supergraph(program)
-    dot = supergraph_dot(result.graph, result.ops)
+    dot = supergraph_dot(result.graph, result.ops, program)
     assert dot.startswith("digraph supergraph {")
     assert 'style="dashed"' in dot
     assert "invoke hdlOpen" in dot or "invoke hdlClose" in dot
     assert "cluster" in dot
+
+
+def test_dot_node_labels():
+    # every label shape: both ends of a procedure, declarations with and
+    # without an initializer, an assignment, print, if, while, return, a
+    # declared call, registrations, the built-in and a model-configured
+    # emitter, the return site after each call, and an escaped quote
+    src = ('fn helper(a) {\n'
+           '  var t = a;\n'
+           '  if (t > 0) { return; }\n'
+           '  print(t);\n'
+           '}\n'
+           'fn h() { g = 1; }\n'
+           'fn k() { print(g); }\n'
+           'var g;\n'
+           'register("e", h);\n'
+           'register_async(k);\n'
+           'helper(2);\n'
+           'var i = 2;\n'
+           'while (i > 0) { i = i - 1; }\n'
+           'emit("e");\n'
+           'fire("e", i);\n'
+           'emit("q\\"t");\n')
+    model = EventModel.from_dict(
+        {"emissions": [{"callee": "fire", "event_arg": 0}]})
+    program = parse(src, model=model)
+    result = build_supergraph(program)
+    dot = supergraph_dot(result.graph, result.ops, program)
+    node_lines = [line.strip() for line in dot.splitlines()
+                  if line.lstrip().startswith('"') and "->" not in line]
+    assert node_lines == [
+        '"loop" [label="event loop" shape=ellipse];',
+        '"start:h" [label="start h"];',
+        '"end:h" [label="end h"];',
+        '"stmt:h:4" [label="g = ..."];',
+        '"start:helper" [label="start helper"];',
+        '"end:helper" [label="end helper"];',
+        '"stmt:helper:0" [label="var t"];',
+        '"stmt:helper:2" [label="if"];',
+        '"stmt:helper:1" [label="return"];',
+        '"stmt:helper:3" [label="print"];',
+        '"start:k" [label="start k"];',
+        '"end:k" [label="end k"];',
+        '"stmt:k:5" [label="print"];',
+        '"start:top-level" [label="start top-level"];',
+        '"end:top-level" [label="end top-level"];',
+        '"stmt:top-level:6" [label="var g"];',
+        '"stmt:top-level:7" [label="register(...)"];',
+        '"stmt:top-level:8" [label="register_async(...)"];',
+        '"call:top-level:9" [label="helper(...)"];',
+        '"ret:top-level:9" [label="after helper(...)"];',
+        '"stmt:top-level:10" [label="var i"];',
+        '"stmt:top-level:12" [label="while"];',
+        '"stmt:top-level:11" [label="i = ..."];',
+        '"call:top-level:13" [label="emit \\"e\\""];',
+        '"ret:top-level:13" [label="after emit \\"e\\""];',
+        '"call:top-level:14" [label="emit \\"e\\""];',
+        '"ret:top-level:14" [label="after emit \\"e\\""];',
+        '"call:top-level:15" [label="emit \\"q\\"t\\""];',
+        '"ret:top-level:15" [label="after emit \\"q\\"t\\""];',
+    ]
 
 
 def test_event_model_validation():

@@ -95,7 +95,8 @@ def test_dispatch_edges_invoke(door):
 def test_emit_call_and_c2r_labels(door):
     program, build, xsg, labeled = labeled_for(door)
     emit_calls = [e for e in build.graph.edges if e.kind is EdgeKind.CALL
-                  and e.dst == EVENT_LOOP and e.sid is not None]
+                  and e.dst == EVENT_LOOP
+                  and build.graph.nodes[e.src].sid is not None]
     assert emit_calls
     for e in emit_calls:
         hmf = labeled.labels[e.eid]

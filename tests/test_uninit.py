@@ -3,7 +3,7 @@ import random
 
 from evflow.ifds import IDENTITY, ZERO, ExplodedSupergraph
 from evflow.lang import parse
-from evflow.lang.ast import Assign, Call, VarDecl, expr_vars
+from evflow.lang.ast import Assign, Call, If, VarDecl, expr_vars
 from evflow.lang.interp import interpret
 from evflow.supergraph import EdgeKind, NodeKind, node_for_sid
 from evflow.uninit import report_uses
@@ -92,8 +92,9 @@ def test_condition_and_print_are_identity():
     program = parse("var x; if (x > 0) { print(x); }")
     _, problem, xsg = pipeline(program)
     x = problem.domain.index_of("x")
-    cond_edges = [e for e in xsg.graph.edges
-                  if xsg.graph.nodes[e.src].label == "if"]
+    nodes = xsg.graph.nodes
+    cond_edges = [e for e in xsg.graph.edges if nodes[e.src].sid is not None
+                  and isinstance(program.stmt(nodes[e.src].sid), If)]
     for e in cond_edges:
         assert (x, x) in xsg.rel_of[e.eid]
         assert (ZERO, x) not in xsg.rel_of[e.eid]
@@ -283,7 +284,8 @@ def test_call_edges_that_bind_no_parameter_share_one_relation():
         for e in xsg.graph.edges:
             if e.kind is not EdgeKind.CALL:
                 continue
-            stmt = None if e.sid is None else program.stmt(e.sid)
+            sid = xsg.graph.nodes[e.src].sid
+            stmt = None if sid is None else program.stmt(sid)
             binds = isinstance(stmt, Call) and \
                 program.has_function(stmt.callee) and \
                 any(expr_vars(a) for a in stmt.args)
