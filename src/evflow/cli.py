@@ -158,7 +158,7 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
     }
     report = Report(files=list(cfg.inputs), mode=cfg.mode,
                     diagnostics=diagnostics,
-                    warnings=[str(w) for w in analysis.build.warnings],
+                    warnings=analysis.build.warnings,
                     stats=stats)
     reported = any(d["status"] == "reported" for d in diagnostics)
     return (EXIT_DIAGNOSTICS if reported else EXIT_CLEAN), report

@@ -1,45 +1,34 @@
 """Declarative mapping from call-site callee names to event semantics.
 
-An event model says which callees register handlers (and at which
-argument positions the event name and the handler sit, and whether the
-emission is implicit, callback-style) and which callees emit events.
-The EVL primitives are pre-seeded: the parser turns them into calls
-that these specs classify like those of any callee.  The parser's
-validation is the only code that classifies calls: it classifies each
-call once and records the result in the program, which the analysis,
-the interpreter and its trace check read.  A JSON config extends the
-model for library-style functions that have no EVL body.
+An event model is one table from callee name to `Spec`.  The EVL
+primitives are pre-seeded: the parser turns them into calls whose specs
+it looks up like those of any callee.  The model knows nothing of the
+AST: the parser's `_check_call` is the one function that classifies a
+call and reads the operands its spec names, once per call, and records
+the result in the program, which the analysis, the interpreter and its
+trace check read.  A JSON config extends the table for library-style
+functions that have no EVL body.
 """
 
 from __future__ import annotations
-
-from .record import record
 
 
 class EventModelError(Exception):
     pass
 
 
-@record(frozen=True)
-class RegistrationSpec:
-    callee: str
-    event_arg: int | None  # None: no event-name argument, name is synthesized
-    handler_arg: int
-    implicit_emit: bool
+# callee -> (event_arg, handler_arg, implicit_emit): the 0-based argument
+# positions of the event name and of the handler, and whether registering
+# also emits (callback style).  `event_arg` None: the event name is
+# synthesized from the handler's; `handler_arg` None: the call emits.
+Spec = tuple[int | None, int | None, bool]
 
-
-@record(frozen=True)
-class EmissionSpec:
-    callee: str
-    event_arg: int
-
-
-BUILTIN_REGISTRATIONS = (
-    RegistrationSpec("register", 0, 1, False),
-    RegistrationSpec("register_async", None, 0, True),
-)
-BUILTIN_EMISSIONS = (EmissionSpec("emit", 0),)
-_RESERVED = {"register", "emit", "register_async", "print"}
+_BUILTINS: dict[str, Spec] = {
+    "register": (0, 1, False),
+    "register_async": (None, 0, True),
+    "emit": (0, None, False),
+}
+_RESERVED = {*_BUILTINS, "print"}
 
 
 def synthetic_event(handler: str) -> str:
@@ -48,19 +37,8 @@ def synthetic_event(handler: str) -> str:
 
 
 class EventModel:
-    def __init__(self, registrations=(), emissions=()):
-        self._registrations: dict[str, RegistrationSpec] = {}
-        self._emissions: dict[str, EmissionSpec] = {}
-        for spec in (*BUILTIN_REGISTRATIONS, *registrations):
-            if spec.callee in self._registrations or spec.callee in self._emissions:
-                raise EventModelError(
-                    f"callee '{spec.callee}' configured more than once")
-            self._registrations[spec.callee] = spec
-        for spec in (*BUILTIN_EMISSIONS, *emissions):
-            if spec.callee in self._registrations or spec.callee in self._emissions:
-                raise EventModelError(
-                    f"callee '{spec.callee}' configured more than once")
-            self._emissions[spec.callee] = spec
+    def __init__(self, specs: dict[str, Spec] | None = None):
+        self._specs = {**_BUILTINS, **(specs or {})}
 
     @classmethod
     def default(cls) -> "EventModel":
@@ -68,7 +46,7 @@ class EventModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EventModel":
-        registrations = []
+        entries = []
         for entry in _section(doc, "registrations"):
             callee = _callee(entry, "registrations")
             event_arg = _position(entry, "event_arg", callee, optional=True)
@@ -80,14 +58,19 @@ class EventModel:
             if event_arg == handler_arg:
                 raise EventModelError(
                     f"event_arg and handler_arg collide for '{callee}'")
-            registrations.append(
-                RegistrationSpec(callee, event_arg, handler_arg, implicit))
-        emissions = []
+            entries.append((callee, (event_arg, handler_arg, implicit)))
         for entry in _section(doc, "emissions"):
             callee = _callee(entry, "emissions")
-            emissions.append(
-                EmissionSpec(callee, _position(entry, "event_arg", callee)))
-        return cls(tuple(registrations), tuple(emissions))
+            entries.append(
+                (callee, (_position(entry, "event_arg", callee), None, False)))
+        # after every entry is read, so a malformed entry is reported first
+        specs: dict[str, Spec] = {}
+        for callee, spec in entries:
+            if callee in specs:
+                raise EventModelError(
+                    f"callee '{callee}' configured more than once")
+            specs[callee] = spec
+        return cls(specs)
 
     @classmethod
     def from_json_file(cls, path) -> "EventModel":
@@ -110,37 +93,9 @@ class EventModel:
             raise EventModelError(f"{path}: expected a JSON object")
         return cls.from_dict(doc)
 
-    def classify(self, call):
-        """The event operation of a call to a classified callee and the
-        argument positions that hold the event name or the handler
-        (names, not values the call reads): (("reg", event, handler,
-        implicit_emit), positions) or (("emit", event), positions); None
-        if the model does not classify the callee."""
-        reg = self._registrations.get(call.callee)
-        if reg is not None:
-            handler = _operand(call, reg.handler_arg, Var,
-                               "a function name").name
-            if reg.event_arg is None:
-                event = synthetic_event(handler)
-            else:
-                event = _operand(call, reg.event_arg, StrLit,
-                                 "a string literal").value
-            return (("reg", event, handler, reg.implicit_emit),
-                    (reg.event_arg, reg.handler_arg))
-        emi = self._emissions.get(call.callee)
-        if emi is not None:
-            return (("emit", _operand(call, emi.event_arg, StrLit,
-                                      "a string literal").value),
-                    (emi.event_arg,))
-        return None
-
-
-def _operand(call, pos: int, node_type, what: str):
-    """The argument at `pos`, which must be a `node_type` node."""
-    if pos >= len(call.args) or not isinstance(call.args[pos], node_type):
-        raise EventModelError(f"line {call.line}: '{call.callee}' needs "
-                              f"{what} at argument {pos}")
-    return call.args[pos]
+    def classify(self, callee: str) -> Spec | None:
+        """The spec of `callee`, None if the model does not classify it."""
+        return self._specs.get(callee)
 
 
 def _section(doc: dict, name: str) -> list:
@@ -172,6 +127,3 @@ def _position(entry: dict, key: str, callee: str, optional: bool = False):
             f"'{callee}': {key} must be a non-negative integer ({got})")
     return value
 
-
-# imported last because evflow.lang imports this module
-from .lang.ast import StrLit, Var  # noqa: E402

@@ -1,6 +1,9 @@
 """Tokenizer, recursive-descent parser, name resolution and static
 validation for EVL.  Names resolve here alone, in one walk per function
-body.
+body.  Calls are classified here alone: `_check_call` looks each callee
+that is not a declared function up in the event model's table of specs,
+reads the event name and the handler off the operands its spec names and
+records the call's event operation in `Program.events`.
 
 A token is a plain `(kind, text, offset)` tuple from one regex pass.  A
 keyword's or an operator's kind is its own text, so the descent tests a
@@ -37,7 +40,7 @@ from .ast import (
     While,
     expr_vars,
 )
-from ..eventmodel import EventModel
+from ..eventmodel import EventModel, EventModelError, synthetic_event
 
 
 class EvlError(Exception):
@@ -450,26 +453,45 @@ def _link(functions: list[FunctionDecl], model: EventModel) -> Program:
 
 def _check_call(s: Call, declared: dict[str, tuple[str, ...]],
                 model: EventModel, events: dict) -> tuple[int, ...]:
-    """Check one call and record its event operation, if it has one;
-    returns the positions of its operands that are names, not reads."""
+    """Check one call and, if the model classifies its callee, read the
+    event name and the handler off the operands its spec names and record
+    the call's event operation in `events`; returns the positions of its
+    operands that are names, not reads."""
     if s.callee in declared:
         params = declared[s.callee]
         if len(s.args) != len(params):
             raise EvlError(f"line {s.line}: '{s.callee}' takes "
                            f"{len(params)} arguments, got {len(s.args)}")
         return ()
-    entry = model.classify(s)
-    if entry is None:
+    spec = model.classify(s.callee)
+    if spec is None:
         raise UnresolvedCalleeError(s.callee, s.line)
-    op, positions = entry
-    if op[0] == "reg":
-        if op[2] not in declared:
-            raise UnknownHandlerError(op[2], s.line)
-        if declared[op[2]]:
-            raise EvlError(f"line {s.line}: handler '{op[2]}' takes "
+    event_arg, handler_arg, implicit = spec
+    if handler_arg is None:
+        op = ("emit", _operand(s, event_arg, StrLit, "a string literal").value)
+        positions = (event_arg,)
+    else:
+        handler = _operand(s, handler_arg, Var, "a function name").name
+        event = synthetic_event(handler) if event_arg is None else \
+            _operand(s, event_arg, StrLit, "a string literal").value
+        if handler not in declared:
+            raise UnknownHandlerError(handler, s.line)
+        if declared[handler]:
+            raise EvlError(f"line {s.line}: handler '{handler}' takes "
                            f"parameters; handlers take none")
-    events[s.sid] = entry
+        op = ("reg", event, handler, implicit)
+        positions = (event_arg, handler_arg)
+    events[s.sid] = op, positions
     return positions
+
+
+def _operand(s: Call, pos: int, node_type, what: str):
+    """The argument at `pos` of call `s`, which must be a `node_type`
+    node."""
+    if pos >= len(s.args) or not isinstance(s.args[pos], node_type):
+        raise EventModelError(f"line {s.line}: '{s.callee}' needs "
+                              f"{what} at argument {pos}")
+    return s.args[pos]
 
 
 def _assemble(units: list[tuple[list[FunctionDecl], list[Stmt]]],

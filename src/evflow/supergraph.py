@@ -31,7 +31,7 @@ from .lang.ast import (
     VarDecl,
     While,
 )
-from .record import field, record
+from .record import record
 
 EVENT_LOOP = "loop"
 LOOP_PROC = "@loop"
@@ -111,22 +111,12 @@ class Supergraph:
         return self.start_of(TOP_LEVEL)
 
 
-class UnknownEventWarning:
-    def __init__(self, event: str, line: int, file: str):
-        self.event, self.line, self.file = event, line, file
-
-    def __str__(self):
-        where = f"{self.file}:" if self.file else ""
-        return (f"{where}{self.line}: event '{self.event}' is emitted but has "
-                f"no registered handler anywhere")
-
-
 @record
 class BuildResult:
     graph: Supergraph
     ops: dict[int, tuple[EventOp, ...]]  # edge id -> its event operations
     handlers: tuple[str, ...]
-    warnings: list = field(default_factory=list)
+    warnings: list[str]
 
 
 def handler_registry(program: Program) -> dict[str, frozenset[str]]:
@@ -148,7 +138,7 @@ class _Builder:
                                       for h in hs}))
         self.pending_ops: dict[str, tuple[EventOp, ...]] = {}  # node -> ops
         self.ops: dict[int, tuple[EventOp, ...]] = {}
-        self.warnings: list[UnknownEventWarning] = []
+        self.warnings: list[str] = []
 
     def build(self) -> BuildResult:
         self.g.add_node(Node(EVENT_LOOP, NodeKind.EVENT_LOOP, LOOP_PROC))
@@ -243,7 +233,10 @@ class _Builder:
     def _lower_emit(self, s: Stmt, func: str, event: str):
         ops = tuple(EventOp("emit", h) for h in sorted(self.registry.get(event, ())))
         if not ops:
-            self.warnings.append(UnknownEventWarning(event, s.line, s.file))
+            where = f"{s.file}:" if s.file else ""
+            self.warnings.append(f"{where}{s.line}: event '{event}' is "
+                                 f"emitted but has no registered handler "
+                                 f"anywhere")
         c, r = self._call_pair(s, func)
         call_edge = self.g.add_edge(c, EVENT_LOOP, EdgeKind.CALL, ret_site=r)
         self.g.add_edge(EVENT_LOOP, r, EdgeKind.RETURN)

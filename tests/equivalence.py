@@ -13,7 +13,9 @@ script reads only names every tree has; run it against each tree:
     PYTHONPATH=<tree>/src python tests/equivalence.py > <tree>.jsonl
     PYTHONPATH=<tree>/src python tests/equivalence.py corpus
 
-and `diff` the outputs.  `corpus` limits the run to the corpus.
+and `diff` the outputs.  `corpus` limits the run to the corpus, and
+`errors` prints instead one line per malformed event model or program of
+`MALFORMED`, with the type and the message of the error it raises.
 """
 
 from __future__ import annotations
@@ -128,12 +130,99 @@ def digest_lines(programs) -> list[str]:
     return lines
 
 
+_ON = {"callee": "on", "event_arg": 0, "handler_arg": 1}
+_MODEL = json.dumps({"registrations": [
+    _ON, {"callee": "later", "handler_arg": 0, "implicit_emit": True},
+    {"callee": "ping", "event_arg": 1, "handler_arg": 0}],
+    "emissions": [{"callee": "fire", "event_arg": 0}]})
+_DECLS = "fn h() { print(1); }\nfn p(a) { print(a); }\nvar x;\n"
+
+# (id, event-model file text, program source or None)
+MALFORMED = [
+    ("dup-in-section", json.dumps({"registrations": [_ON, _ON]}), None),
+    ("dup-across-sections", json.dumps({"registrations": [_ON], "emissions": [
+        {"callee": "on", "event_arg": 0}]}), None),
+    ("implicit-not-bool", json.dumps({"registrations": [
+        dict(_ON, implicit_emit=1)]}), None),
+    ("positions-collide", json.dumps({"registrations": [
+        dict(_ON, handler_arg=0)]}), None),
+    ("section-not-list", json.dumps({"registrations": {"callee": "on"}}),
+     None),
+    ("entry-not-object", json.dumps({"emissions": [1]}), None),
+    ("dup-then-bad-emission", json.dumps({"registrations": [_ON, _ON],
+                                          "emissions": [{"callee": "x",
+                                                         "event_arg": -1}]}),
+     None),
+    ("top-level-list", "[]", None),
+    ("invalid-json", "{not json", None),
+    ("too-deep", "[" * 100_000, None),
+    ("reserved-registration", json.dumps({"registrations": [
+        dict(_ON, callee="register")]}), None),
+    ("reserved-emission", json.dumps({"emissions": [
+        {"callee": "print", "event_arg": 0}]}), None),
+    ("no-callee", json.dumps({"registrations": [{"event_arg": 0,
+                                                 "handler_arg": 1}]}), None),
+    ("callee-not-string", json.dumps({"emissions": [{"callee": 3,
+                                                     "event_arg": 0}]}), None),
+    ("no-handler-arg", json.dumps({"registrations": [{"callee": "on",
+                                                      "event_arg": 0}]}),
+     None),
+    ("event-arg-string", json.dumps({"registrations": [
+        dict(_ON, event_arg="0")]}), None),
+    ("event-arg-bool", json.dumps({"registrations": [
+        dict(_ON, event_arg=True)]}), None),
+    ("handler-arg-negative", json.dumps({"registrations": [
+        dict(_ON, handler_arg=-2)]}), None),
+    ("emission-no-event-arg", json.dumps({"emissions": [{"callee": "e2"}]}),
+     None),
+    ("event-not-literal", _MODEL, _DECLS + "on(1, h);"),
+    ("no-handler-operand", _MODEL, _DECLS + 'on("e");'),
+    ("emitted-not-literal", _MODEL, _DECLS + "fire(x);"),
+    ("emitted-handler-name", _MODEL, _DECLS + "fire(h);"),
+    ("handler-not-name", _MODEL, _DECLS + 'later("x");'),
+    ("event-past-the-end", _MODEL, _DECLS + "ping(h);"),
+    ("handler-undeclared", _MODEL, _DECLS + 'on("e", g);'),
+    ("handler-is-a-variable", _MODEL, _DECLS + 'on("e", x);'),
+    ("handler-takes-params", _MODEL, _DECLS + 'on("e", p);'),
+    ("builtin-handler-undeclared", _MODEL, _DECLS + 'register("e", nope);'),
+    ("unresolved-callee", _MODEL, _DECLS + "foo();"),
+    ("call-arity", _MODEL, _DECLS + "p(1, 2);"),
+]
+
+
+def error_lines() -> list[str]:
+    """One JSON line per `MALFORMED` case: the type and the message of
+    the error loading its model and parsing its program raises, or "ok"."""
+    lines = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for cid, model_text, source in MALFORMED:
+                Path("case.model.json").write_text(model_text,
+                                                   encoding="utf-8")
+                try:
+                    model = EventModel.from_json_file("case.model.json")
+                    if source is not None:
+                        parse(source, filename="case.evl", model=model)
+                    error = "ok"
+                except (EvlError, EventModelError) as e:
+                    error = f"{type(e).__name__}: {e}"
+                lines.append(json.dumps({"id": cid, "error": error}))
+        finally:
+            os.chdir(cwd)
+    return lines
+
+
 def main(argv: list[str]) -> int:
-    if argv not in ([], ["corpus"]):
-        print("usage: equivalence.py [corpus]", file=sys.stderr)
+    if argv not in ([], ["corpus"], ["errors"]):
+        print("usage: equivalence.py [corpus | errors]", file=sys.stderr)
         return 2
-    programs = corpus_programs() if argv else all_programs()
-    for line in digest_lines(programs):
+    if argv == ["errors"]:
+        lines = error_lines()
+    else:
+        lines = digest_lines(corpus_programs() if argv else all_programs())
+    for line in lines:
         print(line)
     return 0
 

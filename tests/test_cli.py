@@ -67,6 +67,17 @@ def test_unhandled_event_warning_in_report(tmp_path):
     assert any("ghost" in w for w in report.warnings)
 
 
+def test_text_report_renders_the_unhandled_event_warning(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EVFLOW_NO_COLOR", "1")
+    f = tmp_path / "ghost.evl"
+    f.write_text('print(1);\nemit("ghost");\n')
+    assert main(["diff", str(f)]) == EXIT_CLEAN
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"warning: {f}:2: event 'ghost' is emitted but has no registered "
+        f"handler anywhere")
+
+
 def test_parse_error_exit_2(tmp_path):
     f = tmp_path / "broken.evl"
     f.write_text("var ;")
@@ -284,6 +295,19 @@ def test_text_report_on_a_missing_second_file(capsys):
                  "/nonexistent/x.evl"]) == EXIT_ERROR
     _assert_text_input_error(capsys.readouterr(),
                              "no such file: /nonexistent/x.evl")
+
+
+def test_text_report_on_a_directory(tmp_path, capsys):
+    assert main(["diff", str(tmp_path)]) == EXIT_ERROR
+    _assert_text_input_error(capsys.readouterr(),
+                             f"{tmp_path}: cannot read (Is a directory)")
+
+
+def test_oracle_on_a_missing_corpus_directory(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["oracle", str(missing), "--count", "0"]) == EXIT_ERROR
+    assert capsys.readouterr().out == \
+        f"error: corpus directory {missing} not found\n"
 
 
 def test_json_report_on_an_input_error_lists_it_as_a_warning(capsys):

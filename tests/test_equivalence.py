@@ -28,3 +28,10 @@ def test_corpus_digests_are_reproducible():
     rows = [json.loads(line) for line in lines]
     assert sorted(row["id"] for row in rows) == sorted(CORPUS_NAMES)
     assert all(set(row) == KEYS for row in rows)
+
+
+def test_every_malformed_case_raises():
+    lines = equivalence.error_lines()
+    errors = [json.loads(line)["error"] for line in lines]
+    assert len(errors) == len(equivalence.MALFORMED)
+    assert all(e.split(":")[0].endswith("Error") for e in errors), errors

@@ -311,3 +311,21 @@ def test_only_the_parser_classifies_calls():
         if found:
             calls[str(p.relative_to(SRC))] = len(found)
     assert calls == {"lang/parser.py": 1}
+
+
+# The event model is a table the parser reads; it knows nothing of the
+# AST, so the front end depends on it and not the other way round.  The
+# package's `__init__` imports the front end, so the module is loaded
+# under a bare package that runs none of it.
+def test_event_model_loads_no_front_end_module():
+    code = ("import sys, types\n"
+            "pkg = types.ModuleType('evflow')\n"
+            "pkg.__path__ = [sys.argv[1] + '/evflow']\n"
+            "sys.modules['evflow'] = pkg\n"
+            "import evflow.eventmodel\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('evflow.lang')))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

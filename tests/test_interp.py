@@ -1,3 +1,5 @@
+import pytest
+
 from evflow.lang import parse
 from evflow.lang.interp import (
     STEP_LIMIT,
@@ -181,3 +183,35 @@ def test_trace_ordering_detects_violation(door):
     bad = [HandlerInvoked("hdlClose")] + trace.events
     trace.events = bad
     assert check_trace_ordering(program, trace) != []
+
+
+def test_operators():
+    src = ("print(-7 / 2); print(-7 % 2); print(true);\n"
+           "print(false && 1 / 0 == 0); print(true || 1 / 0 == 0);\n"
+           "print(!false);\n")
+    trace = interpret(parse(src))
+    assert trace.outputs() == ["-4", "1", "true", "false", "true", "true"]
+    assert trace.error is None
+
+
+@pytest.mark.parametrize("source,error", [
+    ("print(1 / 0);", "line 1: division by zero"),
+    ('print(1 + "a");', "line 1: '+' needs two integers or two strings"),
+    ('print(1 == "a");', "line 1: '==' needs matching types"),
+    ("if (1) { print(1); }", "line 1: condition must be a boolean"),
+    ("print(-true);", "line 1: unary '-' needs an integer"),
+    ("print(!1);", "line 1: '!' needs a boolean"),
+    ("print(1 && true);", "line 1: '&&' needs booleans"),
+    ('print("a" < "b");', "line 1: '<' needs integers"),
+])
+def test_runtime_errors_end_the_run(source, error):
+    trace = interpret(parse(source + ' print("after");'))
+    assert trace.error == error
+    assert trace.outputs() == [] and not trace.truncated
+
+
+def test_schedule_index_out_of_range():
+    program = parse("fn a() { print(1); }\nfn b() { print(2); }\n"
+                    "register_async(a);\nregister_async(b);\n")
+    with pytest.raises(ValueError, match="schedule index 5 out of range"):
+        interpret(program, (5,))

@@ -290,7 +290,14 @@ def test_roundtrip_through_pretty_printer(door, dirstat, timer, server):
 
 
 def test_roundtrip_nested_control_flow():
-    src = ("var x;\n"
+    src = ("fn f() {\n"
+           "  var y = 2 * (3 + 1);\n"
+           "  if (y > 1) {\n"
+           "    return;\n"
+           "  }\n"
+           "  print(y);\n"
+           "}\n"
+           "var x;\n"
            "x = 0;\n"
            "while (x < 3) {\n"
            "  if (x == 1) {\n"
@@ -299,8 +306,11 @@ def test_roundtrip_nested_control_flow():
            "    x = x + 1;\n"
            "  }\n"
            "  x = x + 1;\n"
-           "}\n")
+           "}\n"
+           "f();\n")
     p = parse(src)
+    assert "var y = 2 * (3 + 1);" in to_source(p)
+    assert "return;" in to_source(p)
     assert to_source(parse(to_source(p))) == to_source(p)
 
 

@@ -348,12 +348,59 @@ def test_event_model_validation():
         sids["register"]: (("reg", "f", "h", False), (0, 1))}
 
 
+ON = {"callee": "on", "event_arg": 0, "handler_arg": 1}
+NOT_NON_NEGATIVE = "'x': event_arg must be a non-negative integer (got -1)"
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"registrations": [ON, ON]}, "callee 'on' configured more than once"),
+    ({"registrations": [ON], "emissions": [{"callee": "on", "event_arg": 0}]},
+     "callee 'on' configured more than once"),
+    ({"registrations": [dict(ON, implicit_emit=1)]},
+     "'on': implicit_emit must be true or false"),
+    ({"registrations": [dict(ON, handler_arg=0)]},
+     "event_arg and handler_arg collide for 'on'"),
+    ({"registrations": {"callee": "on"}},
+     "'registrations' must be a list of objects"),
+    ({"emissions": [1]}, "'emissions' must be a list of objects"),
+    # every entry is read before duplicates are looked for
+    ({"registrations": [ON, ON], "emissions": [{"callee": "x",
+                                                "event_arg": -1}]},
+     NOT_NON_NEGATIVE),
+])
+def test_event_model_messages(doc, message):
+    with pytest.raises(EventModelError) as err:
+        EventModel.from_dict(doc)
+    assert str(err.value) == message
+
+
+def test_event_model_file_must_hold_an_object(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[]")
+    with pytest.raises(EventModelError) as err:
+        EventModel.from_json_file(path)
+    assert str(err.value) == f"{path}: expected a JSON object"
+
+
+@pytest.mark.parametrize("call,message", [
+    ('on(1, h);', "line 2: 'on' needs a string literal at argument 0"),
+    ('var x; fire(x);', "line 2: 'fire' needs a string literal at argument 0"),
+])
+def test_event_operand_messages(call, message):
+    model = EventModel.from_dict({"registrations": [ON], "emissions": [
+        {"callee": "fire", "event_arg": 0}]})
+    with pytest.raises(EventModelError) as err:
+        parse('fn h() { print(1); }\n' + call, model=model)
+    assert str(err.value) == message
+
+
 def test_model_call_arity_checked():
     model = EventModel.from_dict({"registrations": [
         {"callee": "on", "event_arg": 0, "handler_arg": 1,
          "implicit_emit": False}]})
-    with pytest.raises(EventModelError):
+    with pytest.raises(EventModelError) as err:
         parse('fn h() { print(1); }\non("e");', model=model)
+    assert str(err.value) == "line 2: 'on' needs a function name at argument 1"
 
 
 def test_no_edge_carries_two_ops_for_one_handler():
