@@ -1,5 +1,5 @@
-"""EVL mini-language: AST, parser and pretty printer.  The interpreter,
-which only the oracle runs, is `evflow.lang.interp`, imported on its own."""
+"""EVL mini-language: AST and parser.  The interpreter, which only the
+oracle runs, is `evflow.lang.interp`, imported on its own."""
 
 from .ast import (
     Access,
@@ -22,7 +22,6 @@ from .ast import (
     While,
     Scopes,
     TOP_LEVEL,
-    to_source,
 )
 from .parser import (
     DuplicateFunctionError,

@@ -1,5 +1,4 @@
-"""AST node types, the record of resolved names and the canonical pretty
-printer.
+"""AST node types and the record of resolved names.
 
 The parser (`parser.py`) is the only code that resolves names, in one
 walk per function body: it fills each `Program`'s `Scopes` and the
@@ -218,88 +217,3 @@ class Scopes:
     def display(qualified: str) -> str:
         return qualified.rsplit(".", 1)[-1]
 
-
-# --- pretty printer --------------------------------------------------------
-
-# Binding strength of each binary operator, loosest first; the parser
-# reads it too.  Every level is left-associative.
-PRECEDENCE = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
-_UNARY_PREC = 7
-
-
-def _expr(e: Expr, parent_prec: int = 0) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, StrLit):
-        escaped = e.value.replace("\\", "\\\\").replace('"', '\\"')
-        escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")
-        return f'"{escaped}"'
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Unary):
-        s = f"{e.op}{_expr(e.operand, _UNARY_PREC)}"
-        return f"({s})" if parent_prec > _UNARY_PREC else s
-    if isinstance(e, Binary):
-        prec = PRECEDENCE[e.op]
-        s = f"{_expr(e.left, prec)} {e.op} {_expr(e.right, prec + 1)}"
-        return f"({s})" if parent_prec > prec else s
-    raise TypeError(f"unknown expression node {e!r}")
-
-
-def _stmt(s: Stmt, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(s, VarDecl):
-        if s.init is None:
-            out.append(f"{pad}var {s.name};")
-        else:
-            out.append(f"{pad}var {s.name} = {_expr(s.init)};")
-    elif isinstance(s, Assign):
-        out.append(f"{pad}{s.name} = {_expr(s.value)};")
-    elif isinstance(s, If):
-        out.append(f"{pad}if ({_expr(s.cond)}) {{")
-        for t in s.then_body:
-            _stmt(t, indent + 1, out)
-        if s.else_body:
-            out.append(f"{pad}}} else {{")
-            for t in s.else_body:
-                _stmt(t, indent + 1, out)
-        out.append(f"{pad}}}")
-    elif isinstance(s, While):
-        out.append(f"{pad}while ({_expr(s.cond)}) {{")
-        for t in s.body:
-            _stmt(t, indent + 1, out)
-        out.append(f"{pad}}}")
-    elif isinstance(s, Call):
-        args = ", ".join(_expr(a) for a in s.args)
-        out.append(f"{pad}{s.callee}({args});")
-    elif isinstance(s, Print):
-        out.append(f"{pad}print({_expr(s.value)});")
-    elif isinstance(s, Return):
-        out.append(f"{pad}return;")
-    else:
-        raise TypeError(f"unknown statement node {s!r}")
-
-
-def to_source(program: Program) -> str:
-    """Emit canonical EVL: declared functions first, then top-level code."""
-    out: list[str] = []
-    for f in program.functions:
-        if f.name == TOP_LEVEL:
-            continue
-        params = ", ".join(f.params)
-        out.append(f"fn {f.name}({params}) {{")
-        for s in f.body:
-            _stmt(s, 1, out)
-        out.append("}")
-        out.append("")
-    for s in program.top_level.body:
-        _stmt(s, 0, out)
-    return "\n".join(out).rstrip() + "\n"

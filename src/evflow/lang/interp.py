@@ -135,11 +135,7 @@ class _Interp:
     # -- expressions --
 
     def eval(self, e: Expr, func: str, frame: dict, sid: int, line: int):
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, StrLit):
-            return e.value
-        if isinstance(e, BoolLit):
+        if isinstance(e, (IntLit, StrLit, BoolLit)):
             return e.value
         if isinstance(e, Var):
             return self._read(func, e.name, frame, sid)

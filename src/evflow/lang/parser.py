@@ -26,7 +26,6 @@ from .ast import (
     FunctionDecl,
     If,
     IntLit,
-    PRECEDENCE,
     Print,
     Program,
     Return,
@@ -98,6 +97,16 @@ _TOKEN_RE = re.compile(r"""
   | (?P<op>""" + "|".join(map(re.escape, _OPERATORS)) + r""")
   | (?P<bad>.)
 """, re.VERBOSE)
+
+# Binding strength of each binary operator, loosest first.  Every level
+# is left-associative.
+PRECEDENCE = {
+    "||": 1, "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
 
 # the texts that are their own kind: keywords and operators
 _OWN_KIND = {text: text for text in (*KEYWORDS, *_OPERATORS)}
@@ -322,7 +331,7 @@ class _Parser:
 
         return _ESCAPE_RE.sub(unescape_one, tok[1][1:-1])
 
-    # -- expressions (precedence climbing over ast.PRECEDENCE) --
+    # -- expressions (precedence climbing over PRECEDENCE) --
 
     def expression(self) -> Expr:
         return self.binary(1)[0]

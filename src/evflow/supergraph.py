@@ -182,12 +182,19 @@ class _Builder:
         return self.g.add_node(Node(f"stmt:{func}:{s.sid}", NodeKind.STMT,
                                     func, s.sid))
 
-    def _call_pair(self, s: Stmt, func: str) -> tuple[str, str]:
+    def _call(self, s: Stmt, func: str, callee_proc: str):
+        """Lower `s` to a call-site/return-site pair that calls
+        `callee_proc` (LOOP_PROC for an emit) and returns
+        `(call site, return site, call edge, call-to-return edge)`."""
         c = self.g.add_node(Node(f"call:{func}:{s.sid}", NodeKind.CALL_SITE,
                                  func, s.sid))
         r = self.g.add_node(Node(f"ret:{func}:{s.sid}", NodeKind.RETURN_SITE,
                                  func, s.sid))
-        return c, r
+        callee_start, callee_end = self.g.funcs[callee_proc]
+        call_edge = self.g.add_edge(c, callee_start, EdgeKind.CALL, ret_site=r)
+        self.g.add_edge(callee_end, r, EdgeKind.RETURN)
+        c2r = self.g.add_edge(c, r, EdgeKind.CALL_TO_RETURN)
+        return c, r, call_edge, c2r
 
     def _lower_stmt(self, s: Stmt, func: str):
         if isinstance(s, If):
@@ -215,11 +222,7 @@ class _Builder:
             self.g.add_edge(node, self.g.end_of(func), EdgeKind.INTRA)
             return node, []
         if isinstance(s, Call) and self.program.has_function(s.callee):
-            c, r = self._call_pair(s, func)
-            callee_start, callee_end = self.g.funcs[s.callee]
-            self.g.add_edge(c, callee_start, EdgeKind.CALL, ret_site=r)
-            self.g.add_edge(callee_end, r, EdgeKind.RETURN)
-            self.g.add_edge(c, r, EdgeKind.CALL_TO_RETURN)
+            c, r, _, _ = self._call(s, func, s.callee)
             return c, [r]
         op = self.program.events[s.sid][0] if isinstance(s, Call) else None
         if op is not None and op[0] == "emit":
@@ -237,10 +240,7 @@ class _Builder:
             self.warnings.append(f"{where}{s.line}: event '{event}' is "
                                  f"emitted but has no registered handler "
                                  f"anywhere")
-        c, r = self._call_pair(s, func)
-        call_edge = self.g.add_edge(c, EVENT_LOOP, EdgeKind.CALL, ret_site=r)
-        self.g.add_edge(EVENT_LOOP, r, EdgeKind.RETURN)
-        c2r = self.g.add_edge(c, r, EdgeKind.CALL_TO_RETURN)
+        c, r, call_edge, c2r = self._call(s, func, LOOP_PROC)
         if ops:
             self.ops[call_edge.eid] = ops
             self.ops[c2r.eid] = ops

@@ -6,9 +6,11 @@ sources in `golden/`, the seed-3 `chain` and `wide` benchmark decks and
 the `randgen` programs `eq:0`-`eq:399` (`GenParams(allow_while=True)`):
 435 programs.  Each line holds the digests of the `ifds`, `ide` and
 `diff` reports, JSON with `wall_ms` masked and text, of both DOT dumps,
-of the plain and the filtered fact sets, of the environments and of the
-IDE solve's stats.  Reports and dumps come through `cli.run`, so the
-script reads only names every tree has; run it against each tree:
+of the parse result (functions, event calls, each statement's `Access`
+and the `Scopes`), of each edge's flow-function patch, of the plain and
+the filtered fact sets, of the environments and of the IDE solve's
+stats.  Reports and dumps come through `cli.run`, so the script reads
+only names every tree has; run it against each tree:
 
     PYTHONPATH=<tree>/src python tests/equivalence.py > <tree>.jsonl
     PYTHONPATH=<tree>/src python tests/equivalence.py corpus
@@ -32,6 +34,8 @@ from evflow import cli
 from evflow.lang import EvlError, parse
 from evflow.eventmodel import EventModel, EventModelError
 from evflow.transform import analyze_event_aware
+
+from helpers import iter_stmts
 
 TESTS = Path(__file__).resolve().parent
 RANDGEN_COUNT = 400
@@ -88,8 +92,9 @@ def _reports(name: str, model: str | None) -> dict[str, str]:
 
 
 def _solution(name: str, source: str, model: str | None) -> dict[str, str]:
-    """The digests of the fact sets, environments and stats of one solve,
-    or of the error that stopped it."""
+    """The digests of the parse result, the flow-function patches, the
+    fact sets, environments and stats of one solve, or of the error that
+    stopped it."""
     try:
         program = parse(source, filename=name, model=EventModel.from_json_file(
             model) if model else EventModel.default())
@@ -97,6 +102,14 @@ def _solution(name: str, source: str, model: str | None) -> dict[str, str]:
     except (EvlError, EventModelError) as e:
         return {"error": _digest(f"{type(e).__name__}: {e}")}
     domain = analysis.domain
+    scopes = program.scopes
+    parsed = {"functions": repr(program.functions),
+              "events": program.events,
+              "access": {s.sid: program.access(s.sid)
+                         for f in program.functions
+                         for s in iter_stmts(f.body)},
+              "scopes": [scopes.globals, scopes.locals_by_func,
+                         scopes.params_by_func, scopes.visible]}
 
     def named(facts):
         return {node: sorted(domain.name_of(d) for d in ds)
@@ -106,7 +119,9 @@ def _solution(name: str, source: str, model: str | None) -> dict[str, str]:
                    {h: s.name for h, s in hsm.items()}
                    for d, hsm in env.items()}
             for node, env in analysis.ide.envs.items()}
-    return {"plain_facts": _digest(named(analysis.ifds.facts)),
+    return {"parse": _digest(parsed),
+            "patches": _digest(sorted(analysis.xsg.patch_of.items())),
+            "plain_facts": _digest(named(analysis.ifds.facts)),
             "filtered_facts": _digest(named(analysis.filtered.facts)),
             "envs": _digest(envs),
             "ide_stats": _digest(analysis.ide.stats)}

@@ -11,7 +11,7 @@ import equivalence
 from conftest import CORPUS_NAMES
 
 TESTS = Path(__file__).parent
-KEYS = {"id", "plain_facts", "filtered_facts", "envs", "ide_stats",
+KEYS = {"id", "parse", "patches", "plain_facts", "filtered_facts", "envs", "ide_stats",
         "dump_supergraph", "dump_exploded",
         *(f"{mode}_{form}" for mode in ("ifds", "ide", "diff")
           for form in ("json", "text"))}
