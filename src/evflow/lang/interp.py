@@ -342,19 +342,23 @@ def explore_schedules(program: Program, _ignored=None,
     model there, and ROADMAP item 1, which drops that argument, removes
     the parameter.
     """
+    # An explicit stack, not a closure that calls itself: such a closure
+    # is a reference cycle, which `cli.check_program` must not make (see
+    # the `cli` docstring).  Children go on in reverse, so that they come
+    # off in the order a recursive walk visits them.
     results: list[ExecutionTrace] = []
-
-    def go(prefix: tuple[int, ...]) -> None:
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
         trace = interpret(program, prefix)
         results.append(trace)
         arity = trace.decision_arity
         limit = min(len(arity), max_decisions)
+        children = []
         for pos in range(len(prefix), limit):
-            taken = list(prefix) + [0] * (pos - len(prefix))
-            for choice in range(1, arity[pos]):
-                go(tuple(taken + [choice]))
-
-    go(())
+            taken = prefix + (0,) * (pos - len(prefix))
+            children += [(*taken, choice) for choice in range(1, arity[pos])]
+        stack += reversed(children)
     return results
 
 

@@ -3,12 +3,18 @@ takes a parameter it never reads, and no function, class or method is
 defined that nothing names."""
 
 import ast
+import gc
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from evflow import cli
+from evflow.eventmodel import EventModel
+from evflow.lang import EvlError
+from evflow.randgen import GenParams, gen_source
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "evflow"
@@ -220,15 +226,16 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 # The analysis does not load what only other commands use: the oracle's
-# interpreter and program generator, and `json`, which only JSON reports
-# and event-model files need.
+# interpreter and program generator, `json`, which only JSON reports and
+# event-model files need, and `argparse`, which only the command line
+# needs.
 def test_cli_diff_loads_neither_the_interpreter_nor_randgen_nor_json():
     code = ("import sys\nsys.path.insert(0, sys.argv[1])\n"
             "import evflow.cli as cli\n"
             "status, _ = cli.run(cli.RunConfig(\n"
             "    [str(cli.packaged_corpus_dir() / 'door.evl')]))\n"
             "print(status, sorted({'evflow.lang.interp', 'evflow.randgen',\n"
-            "                      'json'} & set(sys.modules)))\n")
+            "                      'json', 'argparse'} & set(sys.modules)))\n")
     done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -329,3 +336,81 @@ def test_event_model_loads_no_front_end_module():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# Nothing evflow builds sits in a reference cycle, so reference counting
+# frees whatever a run drops, and `cli.run` and `cli.check_program` hold
+# the cycle collector off while they run (the `cli` docstring).
+@pytest.fixture
+def collector():
+    """Puts the cycle collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_runs_leave_no_cyclic_garbage(collector, tmp_path):
+    """With the collector off, the runs of the corpus (with its models),
+    of the golden sources and of both input errors, and 100 oracle
+    checks, leave nothing for a collection to free."""
+    import evflow.lang.interp  # noqa: F401  loaded before the baseline
+    import json  # noqa: F401  loaded by the corpus models
+    bad = tmp_path / "bad.evl"
+    bad.write_text("var x = ;\n", encoding="utf-8")
+    params = GenParams(allow_while=True)
+    sources = [gen_source(f"cycles:{i}", params) for i in range(100)]
+    model = EventModel.default()
+    gc.collect()
+    gc.disable()
+    configs = [cli.RunConfig([str(evl)], event_model=model_path)
+               for evl, model_path in cli.iter_corpus(cli.packaged_corpus_dir())]
+    configs += [cli.RunConfig([str(evl)])
+                for evl in sorted((ROOT / "tests" / "golden").glob("*.evl"))]
+    statuses = [cli.run(cfg)[0] for cfg in configs]
+    assert len(statuses) == 7 and cli.EXIT_ERROR not in statuses
+    for path in (bad, tmp_path / "missing.evl"):
+        assert cli.run(cli.RunConfig([str(path)]))[0] == cli.EXIT_ERROR
+    assert gc.collect() == 0
+    for source in sources:
+        assert cli.check_program(source, model, 6) == []
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_entry_points_pause_and_restore_the_collector(collector, monkeypatch,
+                                                      tmp_path, enabled):
+    """Both entry points run with the collector off and leave it as the
+    caller had it: on a normal return, on an input error and when a
+    stage raises."""
+    door = cli.packaged_corpus_dir() / "door.evl"
+    source = door.read_text(encoding="utf-8")
+    bad = tmp_path / "bad.evl"
+    bad.write_text("var x = ;\n", encoding="utf-8")
+    model = EventModel.default()
+    (gc.enable if enabled else gc.disable)()
+
+    assert cli.run(cli.RunConfig([str(door)]))[0] != cli.EXIT_ERROR
+    assert gc.isenabled() is enabled
+    for path in (bad, tmp_path / "missing.evl"):
+        assert cli.run(cli.RunConfig([str(path)]))[0] == cli.EXIT_ERROR
+        assert gc.isenabled() is enabled
+    assert cli.check_program(source, model, 6) == []
+    assert gc.isenabled() is enabled
+    with pytest.raises(EvlError):
+        cli.check_program("var x = ;\n", model, 6)
+    assert gc.isenabled() is enabled
+
+    seen = []
+
+    def failing_stage(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(cli, "analyze_event_aware", failing_stage)
+    with pytest.raises(RuntimeError, match="stage failed"):
+        cli.run(cli.RunConfig([str(door)]))
+    assert gc.isenabled() is enabled
+    with pytest.raises(RuntimeError, match="stage failed"):
+        cli.check_program(source, model, 6)
+    assert gc.isenabled() is enabled
+    assert seen == [False, False]

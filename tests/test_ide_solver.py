@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import defaultdict
@@ -16,17 +17,18 @@ from evflow.event_lattice import (
     Transformer,
 )
 from evflow.ide import LabeledExplodedSupergraph, _then, solve_ide, solve_ifds
-from evflow.ifds import ZERO
+from evflow.ifds import IDENTITY, ExplodedSupergraph, FactDomain, Patch, ZERO
 from evflow.lang import parse
 from evflow.lang.ast import If, Print, While
 from evflow.randgen import GenParams, SMALL, gen_source
-from evflow.supergraph import EdgeKind, node_for_sid
+from evflow.supergraph import EdgeKind, build_supergraph, node_for_sid
 from evflow.transform import analyze_event_aware, transform, untransform
 
 from conftest import CORPUS_NAMES, load_corpus_entry
 from helpers import (
     brute_force_ide,
     chain_source,
+    filtered_by_hand,
     iter_stmts,
     mvp_bruteforce,
     packed,
@@ -480,6 +482,68 @@ def test_class_solve_equals_the_per_fact_oracles():
         assert plain.reachable == brute.reachable, i
     assert checked >= 100
     assert merged >= 5
+
+
+def _random_patch(rng, facts):
+    """A patch over `facts` that drops some `(d, d)` pairs, gens some
+    facts from 0 and adds some pairs between two non-zero facts."""
+    dropped = sorted(rng.sample(facts, rng.randint(0, len(facts))))
+    added = {(ZERO, d) for d in facts if rng.random() < 0.3}
+    if len(facts) > 1:
+        added |= {tuple(rng.sample(facts, 2)) for _ in range(rng.randint(0, 3))}
+    return Patch(tuple(dropped), tuple(sorted(added)))
+
+
+def _fans_out(patch, d):
+    """Whether `patch` maps the non-zero fact `d` to two or more facts."""
+    kept = d not in patch.dropped
+    return kept + sum(d1 == d for d1, _ in patch.added) >= 2
+
+
+def test_random_ifds_problems_equal_the_path_oracles():
+    """Random flow functions on the supergraphs of random programs, with
+    their event labels: 1-5 facts, 1-4 distinct patches besides the
+    identity, pairs between non-zero facts.  The environments equal the
+    path oracle's, and the plain and filtered results equal
+    `mvp_bruteforce` and the oracle's filter.  Some of these shapes the
+    uninit client never makes, such as a return edge that maps a reached
+    non-zero fact to several facts."""
+    checked = merged = fanned_returns = filtered = 0
+    for i in range(80):
+        rng = random.Random(f"ifds:{i}")
+        program = parse(gen_source(f"ifds:{i}", SMALL))
+        build = build_supergraph(program)
+        domain = FactDomain(f"f{k}" for k in range(rng.randint(1, 5)))
+        facts = list(domain.indices())
+        patches = [IDENTITY, *(_random_patch(rng, facts)
+                               for _ in range(rng.randint(1, 4)))]
+        xsg = ExplodedSupergraph(build.graph, domain, {
+            e.eid: rng.choice(patches) for e in build.graph.edges})
+        labeled = transform(xsg, build.ops, build.handlers)
+        result = solve_ide(labeled, check_descent=True)
+        try:
+            oracle = brute_force_ide(xsg.graph, xsg.rel_of, labeled.labels,
+                                     build.handlers, max_len=40,
+                                     path_budget=150_000)
+            brute = _brute(xsg)
+        except (RuntimeError, PathBudgetExceededError):
+            continue
+        checked += 1
+        assert {n: dict(t) for n, t in oracle.items()} == result.envs, i
+        plain, kept = solve_ifds(result), untransform(result)
+        assert plain.facts == brute.facts, i
+        assert plain.reachable == brute.reachable, i
+        by_hand = filtered_by_hand(oracle, build.handlers)
+        assert kept.facts == {n: ds for n, ds in by_hand.items() if ds}, i
+        merged += len(xsg.classes) < len(domain)
+        filtered += kept.facts != plain.facts
+        fanned_returns += any(
+            _fans_out(xsg.patch_of[e.eid], d)
+            for e in build.graph.edges if e.kind is EdgeKind.RETURN
+            for d in brute.facts_at(e.src))
+    assert checked >= 75, checked
+    assert merged >= 3 and filtered >= 10 and fanned_returns >= 10, \
+        (merged, filtered, fanned_returns)
 
 
 # Straight-line shapes that `solve_ide` folds into blocks: a `while` body,
