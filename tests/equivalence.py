@@ -18,6 +18,14 @@ only names every tree has; run it against each tree:
 and `diff` the outputs.  `corpus` limits the run to the corpus, and
 `errors` prints instead one line per malformed event model or program of
 `MALFORMED`, with the type and the message of the error it raises.
+
+`golden` rewrites `golden/equivalence.jsonl`, which
+`test_equivalence.py` checks on every run: the same lines without
+`ide_stats`, each report's `stats` (and so `wall_ms`) masked, so that
+they hold only what no behaviour-preserving change may move.  It prints
+each program whose line changed, with the keys that moved:
+
+    PYTHONPATH=src python tests/equivalence.py golden
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from evflow import cli
 from evflow.lang import EvlError, parse
@@ -38,6 +47,7 @@ from evflow.transform import analyze_event_aware
 from helpers import iter_stmts
 
 TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden" / "equivalence.jsonl"
 RANDGEN_COUNT = 400
 DECK_SEED = 3
 _WALL_MS = re.compile(r'("wall_ms": |wall_ms=)[0-9.eE+-]+')
@@ -71,9 +81,11 @@ def _digest(value) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _reports(name: str, model: str | None) -> dict[str, str]:
+def _reports(name: str, model: str | None,
+             masked: bool = False) -> dict[str, str]:
     """The digests of every report of `name` in the working directory
-    and of both DOT dumps."""
+    and of both DOT dumps; with `masked`, of each report with its
+    `stats` emptied."""
     out = {}
     for mode in ("ifds", "ide", "diff"):
         dumps = {"dump_supergraph": f"{name}.supergraph.dot",
@@ -81,6 +93,8 @@ def _reports(name: str, model: str | None) -> dict[str, str]:
             if mode == "diff" else {}
         status, report = cli.run(cli.RunConfig([name], mode=mode,
                                                event_model=model, **dumps))
+        if masked:
+            report.stats = {}
         out[f"{mode}_json"] = _digest(_WALL_MS.sub(r"\1null",
                                                    report.to_json()))
         out[f"{mode}_text"] = _digest(
@@ -91,16 +105,19 @@ def _reports(name: str, model: str | None) -> dict[str, str]:
     return out
 
 
-def _solution(name: str, source: str, model: str | None) -> dict[str, str]:
+def _solution(name: str, source: str, model: str | None,
+              analysis=None) -> dict[str, str]:
     """The digests of the parse result, the flow-function patches, the
-    fact sets, environments and stats of one solve, or of the error that
-    stopped it."""
-    try:
-        program = parse(source, filename=name, model=EventModel.from_json_file(
-            model) if model else EventModel.default())
-        analysis = analyze_event_aware(program)
-    except (EvlError, EventModelError) as e:
-        return {"error": _digest(f"{type(e).__name__}: {e}")}
+    fact sets, environments and stats of `analysis`, or of a new solve,
+    or of the error that stopped it."""
+    if analysis is None:
+        try:
+            analysis = analyze_event_aware(parse(
+                source, filename=name, model=EventModel.from_json_file(
+                    model) if model else EventModel.default()))
+        except (EvlError, EventModelError) as e:
+            return {"error": _digest(f"{type(e).__name__}: {e}")}
+    program = analysis.program
     domain = analysis.domain
     scopes = program.scopes
     parsed = {"functions": repr(program.functions),
@@ -127,7 +144,29 @@ def _solution(name: str, source: str, model: str | None) -> dict[str, str]:
             "ide_stats": _digest(analysis.ide.stats)}
 
 
-def digest_lines(programs) -> list[str]:
+def _row(name: str, source: str, model: str | None) -> dict[str, str]:
+    return {**_reports(name, model), **_solution(name, source, model)}
+
+
+def _golden_row(name: str, source: str,
+                model: str | None) -> dict[str, str]:
+    """`_row` with the reports masked and without `ide_stats`, from one
+    solve: the three `cli.run` calls share the first one's analysis."""
+    solved = []
+
+    def analyze_once(program):
+        if not solved:
+            solved.append(analyze_event_aware(program))
+        return solved[0]
+
+    with mock.patch.object(cli, "analyze_event_aware", analyze_once):
+        row = _reports(name, model, masked=True)
+    row.update(_solution(name, source, model, *solved))
+    row.pop("ide_stats", None)
+    return row
+
+
+def digest_lines(programs, row=_row) -> list[str]:
     """One JSON line of digests per (id, source, model path) program."""
     lines = []
     cwd = os.getcwd()
@@ -137,12 +176,37 @@ def digest_lines(programs) -> list[str]:
             for pid, source, model in programs:
                 name = pid.replace(":", "_") + ".evl"
                 Path(name).write_text(source, encoding="utf-8")
-                row = {"id": pid, **_reports(name, model),
-                       **_solution(name, source, model)}
-                lines.append(json.dumps(row, sort_keys=True))
+                lines.append(json.dumps({"id": pid, **row(name, source, model)},
+                                        sort_keys=True))
         finally:
             os.chdir(cwd)
     return lines
+
+
+def golden_lines() -> list[str]:
+    """The lines `golden/equivalence.jsonl` must hold."""
+    return digest_lines(all_programs(), _golden_row)
+
+
+def moved_keys(old: str, new: str) -> list[str]:
+    """The keys whose digests differ between two lines of one program."""
+    a, b = json.loads(old), json.loads(new)
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def record_golden() -> None:
+    """Rewrite `golden/equivalence.jsonl`, printing each program whose
+    line changed with the keys that moved."""
+    old = GOLDEN.read_text(encoding="utf-8").splitlines() \
+        if GOLDEN.exists() else []
+    new = golden_lines()
+    for before, after in zip(old, new):
+        if before != after:
+            print(f"{json.loads(after)['id']}: "
+                  f"{', '.join(moved_keys(before, after))}")
+    if len(old) != len(new):
+        print(f"{len(old)} lines -> {len(new)}")
+    GOLDEN.write_text("".join(line + "\n" for line in new), encoding="utf-8")
 
 
 _ON = {"callee": "on", "event_arg": 0, "handler_arg": 1}
@@ -230,9 +294,13 @@ def error_lines() -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if argv not in ([], ["corpus"], ["errors"]):
-        print("usage: equivalence.py [corpus | errors]", file=sys.stderr)
+    if argv not in ([], ["corpus"], ["errors"], ["golden"]):
+        print("usage: equivalence.py [corpus | errors | golden]",
+              file=sys.stderr)
         return 2
+    if argv == ["golden"]:
+        record_golden()
+        return 0
     if argv == ["errors"]:
         lines = error_lines()
     else:

@@ -1,11 +1,14 @@
 """The parent-vs-change check `equivalence.py` gives the same lines on
-every run: on the corpus, in a fresh interpreter and in this one."""
+every run: on the corpus, in a fresh interpreter and in this one; and
+every program of its set keeps the digests in `golden/equivalence.jsonl`."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import equivalence
 from conftest import CORPUS_NAMES
@@ -35,3 +38,16 @@ def test_every_malformed_case_raises():
     errors = [json.loads(line)["error"] for line in lines]
     assert len(errors) == len(equivalence.MALFORMED)
     assert all(e.split(":")[0].endswith("Error") for e in errors), errors
+
+
+def test_digests_match_the_golden():
+    """Re-record only under the goldens' rules (ROADMAP), with
+    `PYTHONPATH=src python tests/equivalence.py golden`."""
+    want = equivalence.GOLDEN.read_text(encoding="utf-8").splitlines()
+    got = equivalence.golden_lines()
+    for old, new in zip(want, got):
+        if old != new:
+            pytest.fail(f"{json.loads(old)['id']}: "
+                        f"{', '.join(equivalence.moved_keys(old, new))} "
+                        f"moved from {equivalence.GOLDEN.name}")
+    assert len(got) == len(want)
