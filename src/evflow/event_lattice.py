@@ -6,17 +6,17 @@ and X (infeasible: invoked too early).  The chain is ordered
 X > S > R > E and meet is the minimum, so X acts as "unreachable" and E
 as "every ordering constraint satisfied".
 
-A function over the chain is total and packs into one byte, two bits per
-output value.  Registration, emission and invocation, closed under
-composition and meet together with the identity, give only seven such
-functions (`MF_CLOSURE`).  A transformer maps each handler of a program
-by one of them: it is a `bytes` with one byte, or lane, per handler,
-holding the function's index in `MF_CLOSURE`; `Transformer.of` builds
-one from a {handler: chain function} map, and no other module reads the
-lane values.  An index fits in three
-bits, so one transformer shifted three bits up and or-ed with another
-holds each pair of lanes in one byte, with no carry between lanes, and
-one `bytes.translate` through a 256-entry table built at import
+Registration, emission and invocation, closed under composition and
+meet together with the identity, give seven functions over the chain
+(`MF_CLOSURE`).  Each is its lane value 0-6, stated once by its images
+of E, R, S and X (`_IMAGES`); every table below is built from those
+images.  A transformer maps each handler of a program by one of them:
+it is a `bytes` with one byte, or lane, per handler, holding the
+function's lane value; `Transformer.of` builds one from a {handler:
+chain function} map, and no other module reads the lane values.  A lane
+value fits in three bits, so one transformer shifted three bits up and
+or-ed with another holds each pair of lanes in one byte, with no carry
+between lanes, and one `bytes.translate` through a 256-entry table
 composes or meets every lane at once.
 """
 
@@ -26,97 +26,64 @@ from enum import IntEnum
 
 
 class HState(IntEnum):
-    """Abstract state of one event handler.
+    """Abstract state of one event handler; the values follow the chain
+    order, so meet is `min`."""
 
-    The 2-bit encoding makes the chain meet an unsigned min.
-    """
-
-    E = 0b00
-    R = 0b01
-    S = 0b10
-    X = 0b11
+    E = 0
+    R = 1
+    S = 2
+    X = 3
 
     def __str__(self) -> str:
         return self.name
 
 
-def mf_pack(fx: HState, fs: HState, fr: HState, fe: HState) -> int:
-    """Pack the four output values of a chain function into one byte."""
-    return (fx << 6) | (fs << 4) | (fr << 2) | fe
+E, R, S, X = HState
 
-
-_HSTATES = (HState.E, HState.R, HState.S, HState.X)  # indexed by bit value
+# The seven chain functions, by lane value, and their images of E, R, S
+# and X: f(s) is _IMAGES[f][s].
+(MF_ID, MF_EMIT_REGISTER, MF_REGISTER_MEET_EMIT, MF_REGISTER, MF_EMIT,
+ MF_INVOKE_EMIT, MF_INVOKE) = MF_CLOSURE = tuple(range(7))
+_IMAGES = (
+    (E, R, S, X),   # identity
+    (E, E, E, X),   # emit after register
+    (E, E, R, X),   # the meet of register and emit
+    (E, R, R, X),   # register
+    (E, E, S, X),   # emit
+    (E, E, X, X),   # invoke after emit
+    (E, X, X, X),   # invoke
+)
 
 
 def mf_apply(f: int, s: HState) -> HState:
-    """Look up f(s) in the packed table."""
-    return _HSTATES[(f >> (2 * s)) & 0b11]
+    """f(s)."""
+    return _IMAGES[f][s]
 
 
-# The identity and the three generators.
-MF_ID = mf_pack(HState.X, HState.S, HState.R, HState.E)
-MF_REGISTER = mf_pack(HState.X, HState.R, HState.R, HState.E)
-MF_EMIT = mf_pack(HState.X, HState.S, HState.E, HState.E)
-MF_INVOKE = mf_pack(HState.X, HState.X, HState.X, HState.E)
+def _lane_table(op) -> bytes:
+    """A `bytes.translate` table sending byte (a << 3) | b to op(images
+    of a, images of b)."""
+    n = len(_IMAGES)
+    return bytes(op(_IMAGES[ab >> 3], _IMAGES[ab & 7])
+                 if ab >> 3 < n and ab & 7 < n else 0 for ab in range(256))
 
-_STATES = (HState.X, HState.S, HState.R, HState.E)
+
+_COMPOSE_T = _lane_table(lambda g, f: _IMAGES.index(tuple(g[s] for s in f)))
+_MEET_T = _lane_table(lambda f, g: _IMAGES.index(tuple(map(min, f, g))))
+# the pointwise order on its own, so that a descent check does not test
+# the meet with the meet
+_LEQ_T = _lane_table(lambda f, g: all(a <= b for a, b in zip(f, g)))
+# lane -> its image of S, as an HState value
+_AT_S_T = bytes(f[S] for f in _IMAGES).ljust(256, b"\0")
+# lane -> the function of the identity, register, emit after register
+# and invoke that sends S where the lane does, indexed by that image
+_VIA_S = (MF_EMIT_REGISTER, MF_REGISTER, MF_ID, MF_INVOKE)
+_S_NORMAL_T = bytes(_VIA_S[f[S]] for f in _IMAGES).ljust(256, b"\0")
 
 
 def mf_compose(g: int, f: int) -> int:
     """g after f."""
-    return mf_pack(*(mf_apply(g, mf_apply(f, s)) for s in _STATES))
-
-
-def mf_meet(f: int, g: int) -> int:
-    """Pointwise meet."""
-    return mf_pack(*(min(mf_apply(f, s), mf_apply(g, s)) for s in _STATES))
-
-
-def _close_generators() -> tuple[int, ...]:
-    """The identity and the generators closed under composition and
-    meet, the identity first."""
-    fns = {MF_ID, MF_REGISTER, MF_EMIT, MF_INVOKE}
-    while True:
-        more = {op(a, b) for op in (mf_compose, mf_meet)
-                for a in fns for b in fns}
-        if more <= fns:
-            return (MF_ID, *sorted(fns - {MF_ID}))
-        fns |= more
-
-
-# Every chain function the generators can produce; seven of them.
-MF_CLOSURE = _close_generators()
-_INDEX = {f: i for i, f in enumerate(MF_CLOSURE)}     # function -> lane value
-
-
-def _lane_table(lane) -> bytes:
-    """A `bytes.translate` table sending byte (a << 3) | b to
-    lane(MF_CLOSURE[a], MF_CLOSURE[b])."""
-    n = len(MF_CLOSURE)
-    return bytes(lane(MF_CLOSURE[ab >> 3], MF_CLOSURE[ab & 7])
-                 if ab >> 3 < n and ab & 7 < n else 0 for ab in range(256))
-
-
-_COMPOSE_T = _lane_table(lambda g, f: _INDEX[mf_compose(g, f)])
-_MEET_T = _lane_table(lambda f, g: _INDEX[mf_meet(f, g)])
-
-
-def mf_leq(f: int, g: int) -> bool:
-    """Pointwise order: f(s) below-or-equal g(s) for all four states."""
-    return all(mf_apply(f, s) <= mf_apply(g, s) for s in _STATES)
-
-
-MF_EMIT_REGISTER = mf_compose(MF_EMIT, MF_REGISTER)
-# the pointwise order on its own, so that a descent check does not test
-# the meet with the meet
-_LEQ_T = _lane_table(mf_leq)
-# lane -> its image of S, as an HState value
-_AT_S_T = bytes(mf_apply(f, HState.S) for f in MF_CLOSURE).ljust(256, b"\0")
-# lane -> the closure function that sends S where the lane does
-_VIA_S = {HState.S: MF_ID, HState.R: MF_REGISTER, HState.E: MF_EMIT_REGISTER,
-          HState.X: MF_INVOKE}
-_S_NORMAL_T = bytes(_INDEX[_VIA_S[mf_apply(f, HState.S)]]
-                    for f in MF_CLOSURE).ljust(256, b"\0")
+    return _COMPOSE_T[g << 3 | f]
 
 
 class Transformer(bytes):
@@ -134,7 +101,7 @@ class Transformer(bytes):
     def of(cls, handlers: tuple[str, ...], fns: dict[str, int]) -> Transformer:
         """Each handler mapped by its chain function in `fns`, by the
         identity where `fns` has none."""
-        return cls(_INDEX[fns.get(h, MF_ID)] for h in handlers)
+        return cls(fns.get(h, MF_ID) for h in handlers)
 
     def is_identity(self) -> bool:
         return not any(self)
@@ -183,4 +150,4 @@ def feasible(f: bytes) -> bool:
 def map_at_s(f: bytes, handlers: tuple[str, ...]) -> dict[str, HState]:
     """The handler-state map that `f` gives the entry map, every handler
     in S."""
-    return dict(zip(handlers, map(_HSTATES.__getitem__, f.translate(_AT_S_T))))
+    return dict(zip(handlers, map(HState, f.translate(_AT_S_T))))

@@ -4,7 +4,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from evflow.event_lattice import MF_CLOSURE, MF_ID, HState, Transformer
+from evflow.event_lattice import (
+    MF_CLOSURE, MF_ID, HState, Transformer, mf_apply)
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import Patch, ZERO, explode
 from evflow.lang import If, While, parse
@@ -26,26 +27,56 @@ def iter_stmts(body):
             yield from iter_stmts(s.body)
 
 
-def _out(f, s):
-    return (f >> (2 * s)) & 0b11
+# The definitional lattice.  A chain function is the tuple of its images
+# of E, R, S and X, written out by hand for the identity and the three
+# generators; compose, meet and order are defined on those tuples, and
+# the closure is derived with them.  `event_lattice`'s lane values are
+# checked against it through `mf_apply`, their one view here.
+
+STATES = tuple(HState)          # E, R, S, X: the order of an image tuple
+E, R, S, X = STATES
+ID_IMAGES = (E, R, S, X)
+REGISTER_IMAGES = (E, R, R, X)      # S -> R
+EMIT_IMAGES = (E, E, S, X)          # R -> E
+INVOKE_IMAGES = (E, X, X, X)        # only E survives
 
 
-def mf_compose_def(g, f):
-    """g after f on packed chain functions, straight from the bit layout
-    (two bits per input state, the image of state s at bits 2s..2s+1)."""
-    return sum(_out(g, _out(f, s)) << (2 * s) for s in range(4))
+def compose_def(g, f):
+    """g after f, on image tuples."""
+    return tuple(g[s] for s in f)
 
 
-def mf_meet_def(f, g):
-    """Pointwise chain meet on packed chain functions: the unsigned min of
-    each two-bit image."""
-    return sum(min(_out(f, s), _out(g, s)) << (2 * s) for s in range(4))
+def meet_def(f, g):
+    """The pointwise chain meet, on image tuples."""
+    return tuple(min(a, b) for a, b in zip(f, g))
 
 
-def mf_leq_def(f, g):
-    """Pointwise chain order on packed chain functions: each two-bit
-    image of f at most g's."""
-    return all(_out(f, s) <= _out(g, s) for s in range(4))
+def leq_def(f, g):
+    """The pointwise chain order, on image tuples."""
+    return all(a <= b for a, b in zip(f, g))
+
+
+def closure_def():
+    """The identity and the generators closed under `compose_def` and
+    `meet_def`."""
+    generated = {ID_IMAGES, REGISTER_IMAGES, EMIT_IMAGES, INVOKE_IMAGES}
+    while True:
+        new = {op(a, b) for op in (compose_def, meet_def)
+               for a in generated for b in generated}
+        if new <= generated:
+            return generated
+        generated |= new
+
+
+def image(f):
+    """The images of E, R, S and X under the chain function with lane
+    value `f`."""
+    return tuple(mf_apply(f, s) for s in STATES)
+
+
+def lane_of(images):
+    """The lane value of the chain function with these images."""
+    return next(f for f in MF_CLOSURE if image(f) == images)
 
 
 def hstate_meet(a, b):
@@ -53,7 +84,7 @@ def hstate_meet(a, b):
     return min(a, b)
 
 
-# The definitional transformer: a dict {handler: packed chain function},
+# The definitional transformer: a dict {handler: chain function},
 # a handler without an entry mapped by the identity.  The solver's packed
 # transformers are checked against it lane by lane.
 
@@ -65,7 +96,7 @@ def all_s(handlers):
 def touched(t, handlers):
     """The non-identity lanes of a packed transformer, as a dict
     transformer."""
-    return {h: MF_CLOSURE[i] for h, i in zip(handlers, t) if i}
+    return {h: f for h, f in zip(handlers, t) if f != MF_ID}
 
 
 def packed(handlers, f):
@@ -75,19 +106,21 @@ def packed(handlers, f):
 
 def hmf_apply(f, m):
     """A dict transformer applied to a handler-state map."""
-    return {h: HState(_out(f.get(h, MF_ID), s)) for h, s in m.items()}
+    return {h: mf_apply(f.get(h, MF_ID), s) for h, s in m.items()}
 
 
 def hmf_compose(g, f):
     """g after f, handler by handler, identity entries dropped."""
-    out = {h: mf_compose_def(g.get(h, MF_ID), f.get(h, MF_ID))
+    out = {h: lane_of(compose_def(image(g.get(h, MF_ID)),
+                                  image(f.get(h, MF_ID))))
            for h in f.keys() | g.keys()}
     return {h: fn for h, fn in out.items() if fn != MF_ID}
 
 
 def hmf_meet(f, g):
     """The pointwise meet, handler by handler, identity entries dropped."""
-    out = {h: mf_meet_def(f.get(h, MF_ID), g.get(h, MF_ID))
+    out = {h: lane_of(meet_def(image(f.get(h, MF_ID)),
+                               image(g.get(h, MF_ID))))
            for h in f.keys() | g.keys()}
     return {h: fn for h, fn in out.items() if fn != MF_ID}
 

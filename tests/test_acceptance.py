@@ -14,9 +14,8 @@ from evflow.event_lattice import (
     map_at_s,
     mf_apply,
     mf_compose,
-    mf_meet,
-    mf_pack,
     packed_compose,
+    packed_leq,
     packed_meet,
 )
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
@@ -31,10 +30,16 @@ from evflow.uninit import report_uses
 
 from conftest import CORPUS_NAMES, load_corpus_entry
 from helpers import (
+    EMIT_IMAGES,
+    INVOKE_IMAGES,
+    REGISTER_IMAGES,
+    closure_def,
+    compose_def,
     hstate_meet,
+    image,
     iter_stmts,
-    mf_compose_def,
-    mf_meet_def,
+    leq_def,
+    meet_def,
     mvp_bruteforce,
     PathBudgetExceededError,
     pipeline,
@@ -136,40 +141,30 @@ def test_criterion_3_timer_and_server():
 
 def test_criterion_4_micro_function_algebra():
     started = time.perf_counter()
-    # the three generators, bit-exact
-    assert MF_REGISTER == mf_pack(X, R, R, E) == 0b11_01_01_00
-    assert MF_EMIT == mf_pack(X, S, E, E) == 0b11_10_00_00
-    assert MF_INVOKE == mf_pack(X, X, X, E) == 0b11_11_11_00
-    assert MF_ID == 0b11_10_01_00
-
-    # all 256 functions enumerate and pack uniquely
-    seen = {mf_pack(*(mf_apply(f, s) for s in STATES)) for f in range(256)}
-    assert seen == set(range(256))
+    # the three generators, by their images
+    assert image(MF_REGISTER) == REGISTER_IMAGES
+    assert image(MF_EMIT) == EMIT_IMAGES
+    assert image(MF_INVOKE) == INVOKE_IMAGES
+    assert MF_ID == 0
 
     # everything the generators can produce: seven functions, closed
     # under the definitional operators
-    generated = {MF_ID, MF_REGISTER, MF_EMIT, MF_INVOKE}
-    while True:
-        new = {mf_compose_def(a, b) for a in generated for b in generated} | \
-              {mf_meet_def(a, b) for a in generated for b in generated}
-        if new <= generated:
-            break
-        generated |= new
-    assert generated == set(MF_CLOSURE) and len(generated) == 7
+    generated = closure_def()
+    assert generated == {image(f) for f in MF_CLOSURE} and len(generated) == 7
 
     # tabulated operators equal the definitional ones on all closure
     # pairs, the lane tables read through one-lane transformers
-    for g in generated:
-        for f in generated:
-            assert mf_compose(g, f) == mf_compose_def(g, f)
-            assert mf_meet(g, f) == mf_meet_def(g, f)
-            lanes = bytes([MF_CLOSURE.index(g)]), bytes([MF_CLOSURE.index(f)])
-            assert MF_CLOSURE[packed_compose(*lanes)[0]] == \
-                mf_compose_def(g, f)
-            assert MF_CLOSURE[packed_meet(*lanes)[0]] == mf_meet_def(g, f)
+    for g in MF_CLOSURE:
+        for f in MF_CLOSURE:
+            lanes = bytes([g]), bytes([f])
+            assert packed_compose(*lanes)[0] == mf_compose(g, f)
+            assert image(mf_compose(g, f)) == compose_def(image(g), image(f))
+            assert image(packed_meet(*lanes)[0]) == \
+                meet_def(image(g), image(f))
+            assert packed_leq(*lanes) == leq_def(image(g), image(f))
 
     # distributivity over the chain meet
-    for f in generated:
+    for f in MF_CLOSURE:
         for a in STATES:
             for b in STATES:
                 assert mf_apply(f, hstate_meet(a, b)) == \
