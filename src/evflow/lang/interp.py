@@ -12,6 +12,8 @@ reads; the interpreter classifies no call itself.
 
 from __future__ import annotations
 
+import operator
+
 from ..record import field, record
 from .ast import (
     Assign,
@@ -85,6 +87,22 @@ class _ReturnSignal(Exception):
 
 
 _UNSET = object()
+
+# binary operator -> its function, the operand types it takes (both
+# operands of one type) and what its run-time error says it needs
+_BINOPS = {
+    "+": (operator.add, (int, str), "two integers or two strings"),
+    "-": (operator.sub, (int,), "integers"),
+    "*": (operator.mul, (int,), "integers"),
+    "/": (operator.floordiv, (int,), "integers"),
+    "%": (operator.mod, (int,), "integers"),
+    "<": (operator.lt, (int,), "integers"),
+    "<=": (operator.le, (int,), "integers"),
+    ">": (operator.gt, (int,), "integers"),
+    ">=": (operator.ge, (int,), "integers"),
+    "==": (operator.eq, (int, bool, str), "matching types"),
+    "!=": (operator.ne, (int, bool, str), "matching types"),
+}
 
 
 def _render(value) -> str:
@@ -166,36 +184,13 @@ class _Interp:
             return self._binop(e.op, left, right, line)
         raise TypeError(f"unknown expression {e!r}")
 
-    @staticmethod
-    def _is_int(v) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool)
-
     def _binop(self, op: str, a, b, line: int):
-        if op == "+":
-            if self._is_int(a) and self._is_int(b):
-                return a + b
-            if isinstance(a, str) and isinstance(b, str):
-                return a + b
-            raise EvlRuntimeError("'+' needs two integers or two strings", line)
-        if op in ("-", "*", "/", "%"):
-            if not (self._is_int(a) and self._is_int(b)):
-                raise EvlRuntimeError(f"'{op}' needs integers", line)
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if b == 0:
-                raise EvlRuntimeError("division by zero", line)
-            return a // b if op == "/" else a % b
-        if op in ("<", "<=", ">", ">="):
-            if not (self._is_int(a) and self._is_int(b)):
-                raise EvlRuntimeError(f"'{op}' needs integers", line)
-            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
-        if op in ("==", "!="):
-            if type(a) is not type(b):
-                raise EvlRuntimeError(f"'{op}' needs matching types", line)
-            return (a == b) if op == "==" else (a != b)
-        raise TypeError(f"unknown operator {op!r}")
+        fn, types, needs = _BINOPS[op]
+        if type(a) is not type(b) or type(a) not in types:
+            raise EvlRuntimeError(f"'{op}' needs {needs}", line)
+        if op in ("/", "%") and b == 0:
+            raise EvlRuntimeError("division by zero", line)
+        return fn(a, b)
 
     def _cond(self, e: Expr, func: str, frame: dict, sid: int, line: int) -> bool:
         v = self.eval(e, func, frame, sid, line)
