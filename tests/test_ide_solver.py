@@ -205,6 +205,52 @@ def test_call_edge_returns_a_settled_summary_to_a_later_start_fact():
     assert problem.domain.index_of("g") in plain.facts_at(print_g)
 
 
+# q is called twice from top-level, with h registered in between.  In
+# the test below, the first call's return edge maps q's exit fact f1 to
+# f1 and f4, and the second call edge maps f4, and only f4, to q's f1.  So
+# f4 reaches the second call site only after q's summary from f1 settled
+# in a return wave, and that site's first pop with f4 reads it.  Its
+# return edge maps f1 to f1, f2 and f3: a fan-out the uninit client never
+# makes.
+SETTLED_FAN_OUT_SOURCE = """fn h() { print(1); }
+fn q() { print(2); }
+q();
+register("e", h);
+q();
+emit("e");
+"""
+
+
+def test_a_settled_summary_fans_out_at_a_later_call_site():
+    program = parse(SETTLED_FAN_OUT_SOURCE)
+    build = build_supergraph(program)
+    g = build.graph
+    domain = FactDomain(("f1", "f2", "f3", "f4"))
+    f1, f2, f3, f4 = domain.indices()
+    first, second = [e for e in g.edges if e.kind is EdgeKind.CALL
+                     and g.proc_of(e.dst) == "q"]
+    patch_of = {e.eid: IDENTITY for e in g.edges}
+    for e in g.out_edges(g.entry()):
+        patch_of[e.eid] = Patch((), ((ZERO, f1),))
+    patch_of[second.eid] = Patch((f1, f4), ((f4, f1),))
+    for e in g.edges:
+        if e.kind is EdgeKind.RETURN and e.dst == first.ret_site:
+            patch_of[e.eid] = Patch((), ((f1, f4),))
+        elif e.kind is EdgeKind.RETURN and e.dst == second.ret_site:
+            patch_of[e.eid] = Patch((), ((f1, f2), (f1, f3)))
+    xsg = ExplodedSupergraph(g, domain, patch_of)
+    labeled = transform(xsg, build.ops, build.handlers)
+    result = solve_ide(labeled, check_descent=True)
+    oracle = brute_force_ide(g, xsg.rel_of, labeled.labels, build.handlers,
+                             max_len=40)
+    assert {n: dict(table) for n, table in oracle.items()} == result.envs
+    plain = solve_ifds(result)
+    brute = _brute(xsg)
+    assert plain.facts == brute.facts
+    assert plain.reachable == brute.reachable
+    assert plain.facts_at(second.ret_site) == {f1, f2, f3, f4}
+
+
 # Programs whose callee summaries reach a call site in every order the
 # summary-edge rule has to handle:
 # - merge: three handlers return into the one loop edge per (loop, fact);
