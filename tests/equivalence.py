@@ -176,8 +176,8 @@ def digest_lines(programs, row=_row) -> list[str]:
             for pid, source, model in programs:
                 name = pid.replace(":", "_") + ".evl"
                 Path(name).write_text(source, encoding="utf-8")
-                lines.append(json.dumps({"id": pid, **row(name, source, model)},
-                                        sort_keys=True))
+                digests = {"id": pid, **row(name, source, model)}
+                lines.append(json.dumps(digests, sort_keys=True))
         finally:
             os.chdir(cwd)
     return lines
