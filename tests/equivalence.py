@@ -19,11 +19,12 @@ and `diff` the outputs.  `corpus` limits the run to the corpus, and
 `errors` prints instead one line per malformed event model or program of
 `MALFORMED`, with the type and the message of the error it raises.
 
-`golden` rewrites `golden/equivalence.jsonl`, which
-`test_equivalence.py` checks on every run: the same lines without
-`ide_stats`, each report's `stats` (and so `wall_ms`) masked, so that
-they hold only what no behaviour-preserving change may move.  It prints
-each program whose line changed, with the keys that moved:
+`golden` rewrites `golden/equivalence.jsonl` and `golden/errors.jsonl`,
+which `test_equivalence.py` checks on every run.  The first holds the
+same lines without `ide_stats`, each report's `stats` (and so `wall_ms`)
+masked, so that they hold only what no behaviour-preserving change may
+move; the second holds each `MALFORMED` case's message without its
+type.  It prints each line that changed, with the keys that moved:
 
     PYTHONPATH=src python tests/equivalence.py golden
 """
@@ -48,6 +49,7 @@ from helpers import iter_stmts
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden" / "equivalence.jsonl"
+ERRORS_GOLDEN = TESTS / "golden" / "errors.jsonl"
 RANDGEN_COUNT = 400
 DECK_SEED = 3
 _WALL_MS = re.compile(r'("wall_ms": |wall_ms=)[0-9.eE+-]+')
@@ -195,18 +197,20 @@ def moved_keys(old: str, new: str) -> list[str]:
 
 
 def record_golden() -> None:
-    """Rewrite `golden/equivalence.jsonl`, printing each program whose
-    line changed with the keys that moved."""
-    old = GOLDEN.read_text(encoding="utf-8").splitlines() \
-        if GOLDEN.exists() else []
-    new = golden_lines()
-    for before, after in zip(old, new):
-        if before != after:
-            print(f"{json.loads(after)['id']}: "
-                  f"{', '.join(moved_keys(before, after))}")
-    if len(old) != len(new):
-        print(f"{len(old)} lines -> {len(new)}")
-    GOLDEN.write_text("".join(line + "\n" for line in new), encoding="utf-8")
+    """Rewrite both goldens, printing each line that changed with the
+    keys that moved."""
+    for path, new in ((GOLDEN, golden_lines()),
+                      (ERRORS_GOLDEN, golden_error_lines())):
+        old = path.read_text(encoding="utf-8").splitlines() \
+            if path.exists() else []
+        for before, after in zip(old, new):
+            if before != after:
+                print(f"{path.name} {json.loads(after)['id']}: "
+                      f"{', '.join(moved_keys(before, after))}")
+        if len(old) != len(new):
+            print(f"{path.name}: {len(old)} lines -> {len(new)}")
+        path.write_text("".join(line + "\n" for line in new),
+                        encoding="utf-8")
 
 
 _ON = {"callee": "on", "event_arg": 0, "handler_arg": 1}
@@ -266,6 +270,9 @@ MALFORMED = [
     ("builtin-handler-undeclared", _MODEL, _DECLS + 'register("e", nope);'),
     ("unresolved-callee", _MODEL, _DECLS + "foo();"),
     ("call-arity", _MODEL, _DECLS + "p(1, 2);"),
+    ("undeclared-variable", _MODEL, _DECLS + "y = 1;"),
+    ("variable-declared-twice", _MODEL, _DECLS + "var x;"),
+    ("function-declared-twice", _MODEL, _DECLS + "fn h() { print(2); }"),
 ]
 
 
@@ -291,6 +298,14 @@ def error_lines() -> list[str]:
         finally:
             os.chdir(cwd)
     return lines
+
+
+def golden_error_lines() -> list[str]:
+    """The lines `golden/errors.jsonl` must hold: `error_lines` with
+    each message without its type."""
+    return [json.dumps({"id": row["id"],
+                        "message": row["error"].partition(": ")[2]})
+            for row in map(json.loads, error_lines())]
 
 
 def main(argv: list[str]) -> int:

@@ -1,6 +1,7 @@
 """The parent-vs-change check `equivalence.py` gives the same lines on
 every run: on the corpus, in a fresh interpreter and in this one; and
-every program of its set keeps the digests in `golden/equivalence.jsonl`."""
+every program of its set keeps the digests in `golden/equivalence.jsonl`,
+and every malformed input the message in `golden/errors.jsonl`."""
 
 import json
 import os
@@ -51,3 +52,10 @@ def test_digests_match_the_golden():
                         f"{', '.join(equivalence.moved_keys(old, new))} "
                         f"moved from {equivalence.GOLDEN.name}")
     assert len(got) == len(want)
+
+
+def test_error_messages_match_the_golden():
+    """Each input error keeps its message byte for byte; its type is not
+    recorded.  Re-record as `test_digests_match_the_golden` says."""
+    want = equivalence.ERRORS_GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert equivalence.golden_error_lines() == want
