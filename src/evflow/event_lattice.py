@@ -34,9 +34,6 @@ class HState(IntEnum):
     S = 2
     X = 3
 
-    def __str__(self) -> str:
-        return self.name
-
 
 E, R, S, X = HState
 

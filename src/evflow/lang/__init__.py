@@ -24,13 +24,8 @@ from .ast import (
     TOP_LEVEL,
 )
 from .parser import (
-    DuplicateFunctionError,
-    DuplicateVariableError,
     EvlError,
     ParseError,
-    UndeclaredVariableError,
-    UnknownHandlerError,
-    UnresolvedCalleeError,
     parse,
     parse_files,
     read_source,

@@ -38,7 +38,6 @@ from .parser import EvlError
 
 class EvlRuntimeError(EvlError):
     def __init__(self, message: str, line: int = 0):
-        self.line = line
         super().__init__(f"line {line}: {message}")
 
 
@@ -113,6 +112,10 @@ def _render(value) -> str:
 
 # Statements executed before a run is reported as truncation.
 STEP_LIMIT = 10_000
+# The longest string a run may build; a longer one ends the run as
+# truncation, as doubling a string within STEP_LIMIT could exhaust memory.
+# Integers are not bounded.
+STRING_LIMIT = 1 << 16
 _MAX_EMIT_DEPTH = 64
 # Calls, handler invocations and the bodies of `if` and `while` each run
 # one level deeper on the Python stack.  A run nested deeper than this
@@ -190,6 +193,8 @@ class _Interp:
             raise EvlRuntimeError(f"'{op}' needs {needs}", line)
         if op in ("/", "%") and b == 0:
             raise EvlRuntimeError("division by zero", line)
+        if op == "+" and type(a) is str and len(a) + len(b) > STRING_LIMIT:
+            raise _Truncated()
         return fn(a, b)
 
     def _cond(self, e: Expr, func: str, frame: dict, sid: int, line: int) -> bool:

@@ -43,7 +43,7 @@ from ..eventmodel import EventModel, EventModelError, synthetic_event
 
 
 class EvlError(Exception):
-    pass
+    """An input error: its message says what is wrong, and where."""
 
 
 class ParseError(EvlError):
@@ -51,38 +51,6 @@ class ParseError(EvlError):
         self.line, self.col, self.message, self.file = line, col, message, file
         where = f"{file}:" if file else ""
         super().__init__(f"{where}{line}:{col}: {message}")
-
-
-class DuplicateFunctionError(EvlError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"function '{name}' is declared more than once")
-
-
-class UnresolvedCalleeError(EvlError):
-    def __init__(self, name: str, line: int = 0):
-        self.name, self.line = name, line
-        super().__init__(
-            f"line {line}: call to '{name}' does not resolve to a declared "
-            f"function or a known event primitive")
-
-
-class UnknownHandlerError(EvlError):
-    def __init__(self, name: str, line: int = 0):
-        self.name, self.line = name, line
-        super().__init__(f"line {line}: handler '{name}' is not a declared function")
-
-
-class UndeclaredVariableError(EvlError):
-    def __init__(self, name: str, func: str, line: int = 0):
-        self.name, self.func, self.line = name, func, line
-        super().__init__(f"line {line}: variable '{name}' is not declared in '{func}'")
-
-
-class DuplicateVariableError(EvlError):
-    def __init__(self, name: str, func: str, line: int = 0):
-        self.name, self.func, self.line = name, func, line
-        super().__init__(f"line {line}: variable '{name}' declared twice in '{func}'")
 
 
 KEYWORDS = {"var", "fn", "if", "else", "while", "return", "true", "false",
@@ -440,7 +408,8 @@ def _link(functions: list[FunctionDecl], model: EventModel) -> Program:
         for s in stmts:
             if isinstance(s, VarDecl):
                 if s.name in seen:
-                    raise DuplicateVariableError(s.name, f.name, s.line)
+                    raise EvlError(f"line {s.line}: variable '{s.name}' "
+                                   f"declared twice in '{f.name}'")
                 seen.add(s.name)
         names = visible[f.name]
         for s in stmts:
@@ -454,8 +423,8 @@ def _link(functions: list[FunctionDecl], model: EventModel) -> Program:
                 writes = names[s.name] \
                     if isinstance(s, (Assign, VarDecl)) and reads else None
             except KeyError as missing:
-                raise UndeclaredVariableError(missing.args[0], f.name,
-                                              s.line) from None
+                raise EvlError(f"line {s.line}: variable '{missing.args[0]}' "
+                               f"is not declared in '{f.name}'") from None
             by_sid[s.sid] = f.name, s, Access(writes, reads)
     return Program(tuple(functions), scopes, events, by_sid)
 
@@ -474,7 +443,9 @@ def _check_call(s: Call, declared: dict[str, tuple[str, ...]],
         return ()
     spec = model.classify(s.callee)
     if spec is None:
-        raise UnresolvedCalleeError(s.callee, s.line)
+        raise EvlError(f"line {s.line}: call to '{s.callee}' does not "
+                       f"resolve to a declared function or a known event "
+                       f"primitive")
     event_arg, handler_arg, implicit = spec
     if handler_arg is None:
         op = ("emit", _operand(s, event_arg, StrLit, "a string literal").value)
@@ -484,7 +455,8 @@ def _check_call(s: Call, declared: dict[str, tuple[str, ...]],
         event = synthetic_event(handler) if event_arg is None else \
             _operand(s, event_arg, StrLit, "a string literal").value
         if handler not in declared:
-            raise UnknownHandlerError(handler, s.line)
+            raise EvlError(f"line {s.line}: handler '{handler}' is not a "
+                           f"declared function")
         if declared[handler]:
             raise EvlError(f"line {s.line}: handler '{handler}' takes "
                            f"parameters; handlers take none")
@@ -511,7 +483,8 @@ def _assemble(units: list[tuple[list[FunctionDecl], list[Stmt]]],
     for fns, stmts in units:
         for f in fns:
             if f.name in names or f.name == TOP_LEVEL:
-                raise DuplicateFunctionError(f.name)
+                raise EvlError(f"function '{f.name}' is declared more than "
+                               f"once")
             names.add(f.name)
             functions.append(f)
         top.extend(stmts)

@@ -49,10 +49,8 @@ class _Gen:
         op = r.choice(["<", "<=", ">", ">=", "==", "!="])
         return f"{self.expr(1)} {op} {self.expr(1)}"
 
-    def event_stmt(self) -> str | None:
+    def event_stmt(self) -> str:
         r = self.rng
-        if not self.handlers:
-            return None
         kind = r.random()
         handler = r.choice(self.handlers)
         if kind < 0.45:
@@ -77,9 +75,7 @@ class _Gen:
         pad = "  " * depth
         roll = r.random()
         if roll < 0.35 and self.handlers:
-            s = self.event_stmt()
-            if s is not None:
-                return [pad + s]
+            return [pad + self.event_stmt()]
         if roll < 0.5 and budget >= 3 and depth < 2:
             inner = self.body(r.randint(1, 2), depth + 1)
             lines = [f"{pad}if ({self.cond()}) {{", *inner]

@@ -25,10 +25,9 @@ class _Field(NamedTuple):
     repr: bool = True
 
 
-def field(*, default=_MISSING, default_factory=_MISSING, compare=True,
-          repr=True):
+def field(*, default_factory=_MISSING, compare=True, repr=True):
     """A field's options, given as its class attribute's value."""
-    return _Field(default, default_factory, compare, repr)
+    return _Field(_MISSING, default_factory, compare, repr)
 
 
 def _frozen_setattr(self, name, _value):
@@ -62,10 +61,7 @@ def _build(cls, frozen: bool):
     for name in cls.__dict__.get("__annotations__", {}):
         f = cls.__dict__.get(name, _MISSING)
         if isinstance(f, _Field):
-            if f.default is _MISSING:
-                delattr(cls, name)
-            else:
-                setattr(cls, name, f.default)
+            delattr(cls, name)
         else:
             f = _Field(default=f)
         fields[name] = f

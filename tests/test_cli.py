@@ -536,6 +536,73 @@ def test_a_label_of_the_wrong_length_is_reported(monkeypatch):
         in violations
 
 
+class _Filtered:
+    """A stand-in for the filtered result: the given fact sets."""
+
+    def __init__(self, facts: dict):
+        self.facts = facts
+
+    def facts_at(self, node: str) -> frozenset:
+        return self.facts.get(node, frozenset())
+
+
+def test_a_read_the_filter_drops_is_reported(monkeypatch):
+    """A filter that drops every fact loses the interpreter's
+    uninitialized read, and the oracle's soundness check names it."""
+    from evflow import cli, transform
+    from evflow.eventmodel import EventModel
+    monkeypatch.setattr(transform, "untransform", lambda ide: _Filtered({}))
+    violations = cli.check_program("var x;\nprint(x);", EventModel.default(), 2)
+    assert violations == [
+        "soundness: run-time uninitialized read of 'x' at stmt:top-level:1 "
+        "missing from the filtered result"]
+
+
+def test_a_fact_the_filter_adds_is_reported(monkeypatch):
+    """A filter that keeps a fact the plain result lacks breaks filtered
+    within plain, and the oracle's precision check names it."""
+    from evflow import cli, transform
+    from evflow.eventmodel import EventModel
+    untransform = transform.untransform
+    monkeypatch.setattr(transform, "untransform", lambda ide: _Filtered(
+        {**untransform(ide).facts, "stmt:top-level:2": frozenset({1})}))
+    violations = cli.check_program("var x;\nx = 1;\nprint(x);",
+                                   EventModel.default(), 2)
+    assert violations == [
+        "precision: facts ['x'] at stmt:top-level:2 survive filtering but "
+        "are not in the plain result"]
+
+
+def test_a_trace_out_of_order_is_reported(monkeypatch):
+    """A trace the ordering check rejects is reported; this program runs
+    one trace."""
+    from evflow import cli
+    from evflow.eventmodel import EventModel
+    from evflow.lang import interp
+    monkeypatch.setattr(interp, "check_trace_ordering",
+                        lambda program, trace: ["planted"])
+    violations = cli.check_program("var x;\nprint(x);", EventModel.default(), 2)
+    assert violations == ["interpreter: trace breaks the "
+                          "registration/emission ordering invariant"]
+
+
+def test_a_failing_random_program_is_printed(tmp_path, capsys, monkeypatch):
+    """The suite prints a failing random program's violations and source
+    and exits 1."""
+    from evflow import cli
+    from evflow.randgen import GenParams, gen_source
+    monkeypatch.setattr(cli, "check_program",
+                        lambda source, model, schedules: ["planted"])
+    status = run_oracle_suite(str(tmp_path), seed=7, schedules=2, count=1)
+    source = gen_source("7:0", GenParams(allow_while=True))
+    assert status == EXIT_DIAGNOSTICS
+    assert capsys.readouterr().out == (
+        "random 7:0: FAIL\n  planted\n  counterexample:\n"
+        + "".join(f"    {line}\n" for line in source.splitlines())
+        + "random programs: 1 checked (seed 7, schedule bound 2)\n"
+        "oracle suite: 0/1 passed\n")
+
+
 def test_check_program_runs_the_interpreter_through_its_cli_name(
         monkeypatch):
     """`check_program` reaches the interpreter through

@@ -16,6 +16,7 @@ from evflow.event_lattice import (
     MF_REGISTER,
     Transformer,
 )
+from evflow import ide
 from evflow.ide import LabeledExplodedSupergraph, _then, solve_ide, solve_ifds
 from evflow.ifds import IDENTITY, ExplodedSupergraph, FactDomain, Patch, ZERO
 from evflow.lang import parse
@@ -366,6 +367,19 @@ def test_descent_check_survives_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           timeout=60)
     assert done.returncode == 0
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_a_meet_that_rises_fails_the_descent_check(name, monkeypatch):
+    """A meet that returns its second operand lets a jump function rise
+    where paths merge: the descent check raises, and a solve without it
+    runs to its end."""
+    monkeypatch.setattr(ide, "packed_meet", lambda f, g: g)
+    program = load_corpus_entry(name)[0]
+    analyze_event_aware(program)
+    with pytest.raises(AssertionError) as err:
+        analyze_event_aware(program, check_descent=True)
+    assert str(err.value) == "jump function must only descend"
 
 
 def _chain_labeled(h, g):

@@ -1,8 +1,9 @@
 import pytest
 
-from evflow.lang import parse
+from evflow.lang import interp, parse
 from evflow.lang.interp import (
     STEP_LIMIT,
+    STRING_LIMIT,
     HandlerInvoked,
     check_trace_ordering,
     explore_schedules,
@@ -188,9 +189,15 @@ def test_trace_ordering_detects_violation(door):
 def test_operators():
     src = ("print(-7 / 2); print(-7 % 2); print(true);\n"
            "print(false && 1 / 0 == 0); print(true || 1 / 0 == 0);\n"
-           "print(!false);\n")
+           "print(!false);\n"
+           "print(true && true); print(true && false);\n"
+           "print(false && true); print(false && false);\n"
+           "print(true || true); print(true || false);\n"
+           "print(false || true); print(false || false);\n")
     trace = interpret(parse(src))
-    assert trace.outputs() == ["-4", "1", "true", "false", "true", "true"]
+    assert trace.outputs() == ["-4", "1", "true", "false", "true", "true",
+                               "true", "false", "false", "false",
+                               "true", "true", "true", "false"]
     assert trace.error is None
 
 
@@ -202,12 +209,37 @@ def test_operators():
     ("print(-true);", "line 1: unary '-' needs an integer"),
     ("print(!1);", "line 1: '!' needs a boolean"),
     ("print(1 && true);", "line 1: '&&' needs booleans"),
+    ("print(true && 1);", "line 1: '&&' needs booleans"),
+    ("print(false || 1);", "line 1: '||' needs booleans"),
     ('print("a" < "b");', "line 1: '<' needs integers"),
 ])
 def test_runtime_errors_end_the_run(source, error):
     trace = interpret(parse(source + ' print("after");'))
     assert trace.error == error
     assert trace.outputs() == [] and not trace.truncated
+
+
+def test_a_string_past_the_limit_ends_the_run(monkeypatch):
+    """Doubling a string 40 times would build 2**41 characters; the run
+    ends as truncation once the next string would pass STRING_LIMIT."""
+    built = []
+    binop = interp._Interp._binop
+
+    def recording(self, op, a, b, line):
+        # without the bound, fail here rather than build gigabytes
+        assert type(a) is not str or len(a) + len(b) <= 2 * STRING_LIMIT
+        value = binop(self, op, a, b, line)
+        if type(value) is str:
+            built.append(len(value))
+        return value
+
+    monkeypatch.setattr(interp._Interp, "_binop", recording)
+    trace = interpret(parse('var s = "ab";\nvar i = 0;\n'
+                            "while (i < 40) { s = s + s; i = i + 1; }\n"
+                            "print(i);\n"))
+    assert trace.truncated and trace.error is None
+    assert trace.outputs() == []
+    assert STRING_LIMIT // 2 < max(built) <= STRING_LIMIT
 
 
 def test_schedule_index_out_of_range():

@@ -8,8 +8,6 @@ from evflow.lang import (
     Assign,
     Binary,
     BoolLit,
-    DuplicateFunctionError,
-    DuplicateVariableError,
     Call,
     EvlError,
     If,
@@ -19,9 +17,6 @@ from evflow.lang import (
     Return,
     StrLit,
     TOP_LEVEL,
-    UndeclaredVariableError,
-    UnknownHandlerError,
-    UnresolvedCalleeError,
     Unary,
     Var,
     VarDecl,
@@ -117,27 +112,45 @@ def test_comments_and_strings():
     assert decl.init.value == 'a"b\n'
 
 
-@pytest.mark.parametrize("source,error", [
-    ("var x", ParseError),
-    ("x = ;", ParseError),
-    ("x = 1;", UndeclaredVariableError),
-    ("print(1 +);", ParseError),
-    ('register(open, f);', ParseError),          # event must be a literal
-    ("fn f() {} fn f() {}", DuplicateFunctionError),
-    ("var x; var x;", DuplicateVariableError),
-    ("print(y);", UndeclaredVariableError),
-    ("nosuch(1);", UnresolvedCalleeError),
-    ('register("e", nosuch);', UnknownHandlerError),
-    ("var x; x = f();", ParseError),             # calls are statements only
+_UNRESOLVED = "does not resolve to a declared function or a known event primitive"
+
+# (source, error type, its message)
+REJECTS = [
+    ("var x", ParseError, "<input>:1:6: expected ';', found 'eof'"),
+    ("x = ;", ParseError, "<input>:1:5: expected an expression, found ';'"),
+    ("x = 1;", EvlError, "line 1: variable 'x' is not declared in 'top-level'"),
+    ("print(1 +);", ParseError,
+     "<input>:1:10: expected an expression, found ')'"),
+    ('register(open, f);', ParseError,
+     "<input>:1:10: event name must be a string literal"),
+    ("fn f() {} fn f() {}", EvlError,
+     "function 'f' is declared more than once"),
+    ("var x; var x;", EvlError,
+     "line 1: variable 'x' declared twice in 'top-level'"),
+    ("print(y);", EvlError,
+     "line 1: variable 'y' is not declared in 'top-level'"),
+    ("nosuch(1);", EvlError, f"line 1: call to 'nosuch' {_UNRESOLVED}"),
+    ('register("e", nosuch);', EvlError,
+     "line 1: handler 'nosuch' is not a declared function"),
+    ("var x; x = f();", ParseError,
+     "<input>:1:12: calls are statements, not expressions"),
     # two faults: a function's duplicates are checked before its reads,
     # each function before the next, and calls and reads in statement order
-    ("fn f() { print(y); var x; var x; }", DuplicateVariableError),
-    ("fn f() { print(y); }\nfn g() { var x; var x; }", UndeclaredVariableError),
-    ("fn f() { h(); print(y); }", UnresolvedCalleeError),
-])
-def test_rejects(source, error):
-    with pytest.raises(error):
+    ("fn f() { print(y); var x; var x; }", EvlError,
+     "line 1: variable 'x' declared twice in 'f'"),
+    ("fn f() { print(y); }\nfn g() { var x; var x; }", EvlError,
+     "line 1: variable 'y' is not declared in 'f'"),
+    ("fn f() { h(); print(y); }", EvlError,
+     f"line 1: call to 'h' {_UNRESOLVED}"),
+]
+
+
+@pytest.mark.parametrize("source,error,message", REJECTS, ids=[
+    f"{source}-{error.__name__}" for source, error, _ in REJECTS])
+def test_rejects(source, error, message):
+    with pytest.raises(error) as err:
         parse(source)
+    assert str(err.value) == message
 
 
 def test_parse_error_carries_position():
