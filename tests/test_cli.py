@@ -551,7 +551,7 @@ def test_a_read_the_filter_drops_is_reported(monkeypatch):
     uninitialized read, and the oracle's soundness check names it."""
     from evflow import cli, transform
     from evflow.eventmodel import EventModel
-    monkeypatch.setattr(transform, "untransform", lambda ide: _Filtered({}))
+    monkeypatch.setattr(transform, "untransform", lambda result: _Filtered({}))
     violations = cli.check_program("var x;\nprint(x);", EventModel.default(), 2)
     assert violations == [
         "soundness: run-time uninitialized read of 'x' at stmt:top-level:1 "
@@ -564,8 +564,8 @@ def test_a_fact_the_filter_adds_is_reported(monkeypatch):
     from evflow import cli, transform
     from evflow.eventmodel import EventModel
     untransform = transform.untransform
-    monkeypatch.setattr(transform, "untransform", lambda ide: _Filtered(
-        {**untransform(ide).facts, "stmt:top-level:2": frozenset({1})}))
+    monkeypatch.setattr(transform, "untransform", lambda result: _Filtered(
+        {**untransform(result).facts, "stmt:top-level:2": frozenset({1})}))
     violations = cli.check_program("var x;\nx = 1;\nprint(x);",
                                    EventModel.default(), 2)
     assert violations == [
