@@ -7,12 +7,3 @@ the plain exploded-supergraph reachability result off the same solve,
 and filters out facts that are only reachable along impossible handler
 orderings.
 """
-
-__version__ = "0.1.0"
-
-from .eventmodel import EventModel
-from .lang import parse, parse_files
-from .transform import analyze_event_aware
-
-__all__ = ["EventModel", "analyze_event_aware", "parse", "parse_files",
-           "__version__"]

@@ -23,7 +23,7 @@ from pathlib import Path
 from .event_lattice import HState
 from .eventmodel import EventModel, EventModelError
 from .ifds import exploded_dot
-from .lang import EvlError, parse, parse_files, read_source
+from .lang.parser import EvlError, parse, parse_files, read_source
 from .lang.ast import Scopes
 from .record import field, record
 from .supergraph import node_for_sid, supergraph_dot

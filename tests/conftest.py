@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from evflow.eventmodel import EventModel
-from evflow.lang import parse
+from evflow.lang.parser import parse
 
 
 def corpus_dir() -> Path:

@@ -41,7 +41,7 @@ from pathlib import Path
 from unittest import mock
 
 from evflow import cli
-from evflow.lang import EvlError, parse
+from evflow.lang.parser import EvlError, parse
 from evflow.eventmodel import EventModel, EventModelError
 from evflow.transform import analyze_event_aware
 

@@ -8,7 +8,8 @@ from evflow.event_lattice import (
     MF_CLOSURE, MF_ID, HState, Transformer, mf_apply)
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import Patch, ZERO, explode
-from evflow.lang import If, While, parse
+from evflow.lang.ast import If, While
+from evflow.lang.parser import parse
 from evflow.randgen import GenParams, gen_source
 from evflow.supergraph import EdgeKind, Supergraph, build_supergraph
 from evflow.uninit import UninitProblem

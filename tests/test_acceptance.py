@@ -20,7 +20,7 @@ from evflow.event_lattice import (
 )
 from evflow.ide import LabeledExplodedSupergraph, solve_ide, solve_ifds
 from evflow.ifds import ZERO
-from evflow.lang import parse
+from evflow.lang.parser import parse
 from evflow.lang.ast import Assign
 from evflow.lang.interp import check_trace_ordering, explore_schedules
 from evflow.randgen import DEFAULT, SMALL, gen_source

@@ -626,7 +626,7 @@ def test_check_program_runs_the_interpreter_through_its_cli_name(
 def test_analysis_reads_the_event_model_off_the_program(monkeypatch):
     from evflow import cli
     from evflow.eventmodel import EventModel
-    from evflow.lang import parse_files
+    from evflow.lang.parser import parse_files
     from evflow.transform import analyze_event_aware
     seen = []
 

@@ -13,14 +13,13 @@ import pytest
 
 from evflow import cli
 from evflow.eventmodel import EventModel
-from evflow.lang import EvlError
+from evflow.lang.parser import EvlError
 from evflow.randgen import GenParams, gen_source
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "evflow"
 
-# package __init__ modules import names to re-export them
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,6 +50,20 @@ def test_unused_imports_are_found():
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Each name has one home, the module that defines it: a package's
+# `__init__` re-exports nothing, so importing a module loads only the
+# modules it imports itself.
+INITS = sorted((ROOT / "src").rglob("__init__.py"))
+
+
+@pytest.mark.parametrize("path", INITS,
+                         ids=[str(p.relative_to(SRC)) for p in INITS])
+def test_package_inits_import_nothing(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
 
 
 def unread_parameters(source: str) -> list[str]:
@@ -205,11 +218,8 @@ def test_dataclass_imports_are_found():
         "line 1: dataclasses", "line 3: dataclasses"]
 
 
-ALL_SRC = sorted(SRC.rglob("*.py"))
-
-
-@pytest.mark.parametrize("path", ALL_SRC,
-                         ids=[str(p.relative_to(SRC)) for p in ALL_SRC])
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_module_imports_dataclasses(path):
     assert dataclass_imports(path.read_text(encoding="utf-8")) == []
 
@@ -321,14 +331,9 @@ def test_only_the_parser_classifies_calls():
 
 
 # The event model is a table the parser reads; it knows nothing of the
-# AST, so the front end depends on it and not the other way round.  The
-# package's `__init__` imports the front end, so the module is loaded
-# under a bare package that runs none of it.
+# AST, so the front end depends on it and not the other way round.
 def test_event_model_loads_no_front_end_module():
-    code = ("import sys, types\n"
-            "pkg = types.ModuleType('evflow')\n"
-            "pkg.__path__ = [sys.argv[1] + '/evflow']\n"
-            "sys.modules['evflow'] = pkg\n"
+    code = ("import sys\nsys.path.insert(0, sys.argv[1])\n"
             "import evflow.eventmodel\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.startswith('evflow.lang')))\n")

@@ -19,7 +19,7 @@ from evflow.event_lattice import (
 from evflow import ide
 from evflow.ide import LabeledExplodedSupergraph, _then, solve_ide, solve_ifds
 from evflow.ifds import IDENTITY, ExplodedSupergraph, FactDomain, Patch, ZERO
-from evflow.lang import parse
+from evflow.lang.parser import parse
 from evflow.lang.ast import If, Print, While
 from evflow.randgen import GenParams, SMALL, gen_source
 from evflow.supergraph import EdgeKind, build_supergraph, node_for_sid
@@ -425,7 +425,7 @@ def test_stats_do_not_depend_on_string_hashing():
         "import json\n"
         "from pathlib import Path\n"
         "from helpers import chain_source, pipeline\n"
-        "from evflow.lang import parse\n"
+        "from evflow.lang.parser import parse\n"
         "from evflow.ide import solve_ide\n"
         "from evflow.transform import transform\n"
         "wide = Path('tests/golden/wide_3x100.evl').read_text()\n"

@@ -6,7 +6,7 @@ from evflow.ifds import (
     ZERO,
     exploded_dot,
 )
-from evflow.lang import parse
+from evflow.lang.parser import parse
 from evflow.lang.ast import TOP_LEVEL, Assign, Print
 from evflow.randgen import SMALL, gen_source
 from evflow.supergraph import (

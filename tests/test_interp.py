@@ -1,6 +1,6 @@
 import pytest
 
-from evflow.lang import interp, parse
+from evflow.lang import interp
 from evflow.lang.interp import (
     STEP_LIMIT,
     STRING_LIMIT,
@@ -9,6 +9,7 @@ from evflow.lang.interp import (
     explore_schedules,
     interpret,
 )
+from evflow.lang.parser import parse
 
 
 def test_uninit_read_yields_sentinel_and_continues():

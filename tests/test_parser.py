@@ -3,16 +3,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evflow.lang import (
+from evflow.lang.ast import (
     Access,
     Assign,
     Binary,
     BoolLit,
     Call,
-    EvlError,
     If,
     IntLit,
-    ParseError,
     Print,
     Return,
     StrLit,
@@ -21,10 +19,8 @@ from evflow.lang import (
     Var,
     VarDecl,
     While,
-    parse,
-    parse_files,
 )
-from evflow.lang.parser import tokenize
+from evflow.lang.parser import EvlError, ParseError, parse, parse_files, tokenize
 from evflow.randgen import GenParams, gen_source
 
 from conftest import CORPUS_NAMES, corpus_dir, load_corpus_entry

@@ -3,7 +3,7 @@ of the plain one, and no run-time uninitialized read ever escapes it."""
 
 import pytest
 
-from evflow.lang import parse
+from evflow.lang.parser import parse
 from evflow.lang.interp import check_trace_ordering, explore_schedules
 from evflow.randgen import GenParams, gen_source
 from evflow.supergraph import node_for_sid

@@ -5,7 +5,7 @@ it."""
 import pytest
 
 from evflow.cli import RunConfig
-from evflow.lang import parse
+from evflow.lang.parser import parse
 from evflow.lang.ast import Assign, IntLit, Program, StrLit, Var
 from evflow.lang.interp import ExecutionTrace, HandlerInvoked, Output
 from evflow.randgen import GenParams

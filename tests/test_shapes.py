@@ -8,8 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from evflow import cli
 from evflow.eventmodel import EventModel, EventModelError
-from evflow.lang import EvlError
-from evflow.lang.parser import MAX_NESTING
+from evflow.lang.parser import MAX_NESTING, EvlError
 
 
 def _nested(kind: str, depth: int, p: str) -> str:

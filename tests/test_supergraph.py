@@ -3,7 +3,7 @@ from collections import defaultdict
 import pytest
 
 from evflow.eventmodel import EventModel, EventModelError, synthetic_event
-from evflow.lang import parse
+from evflow.lang.parser import parse
 from evflow.lang.interp import interpret
 from evflow.supergraph import (
     EVENT_LOOP,

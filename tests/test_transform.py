@@ -14,7 +14,7 @@ from evflow.event_lattice import (
 )
 from evflow.eventmodel import EventModel
 from evflow.ifds import ZERO
-from evflow.lang import parse
+from evflow.lang.parser import parse
 from evflow.lang.ast import Assign, StrLit, Var
 from evflow.lang.interp import interpret
 from evflow.supergraph import EVENT_LOOP, EdgeKind, node_for_sid

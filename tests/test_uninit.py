@@ -2,7 +2,7 @@ import itertools
 import random
 
 from evflow.ifds import IDENTITY, ZERO, ExplodedSupergraph
-from evflow.lang import parse
+from evflow.lang.parser import parse
 from evflow.lang.ast import Assign, Call, If, VarDecl, expr_vars
 from evflow.lang.interp import interpret
 from evflow.supergraph import EdgeKind, NodeKind, node_for_sid
