@@ -86,6 +86,9 @@ class EventModel:
         except UnicodeDecodeError as e:
             raise EventModelError(f"{path}: not valid UTF-8 ({e.reason} "
                                   f"at byte {e.start})") from e
+        except ValueError as e:  # a number past Python's digit limit
+            raise EventModelError(f"{path}: invalid JSON: a number has too "
+                                  f"many digits") from e
         except OSError as e:
             raise EventModelError(f"{path}: cannot read ({e.strerror or e})"
                                   ) from e

@@ -107,7 +107,10 @@ _BINOPS = {
 def _render(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # an integer past Python's int-to-str digit limit
+        raise _Truncated() from None
 
 
 # Statements executed before a run is reported as truncation.

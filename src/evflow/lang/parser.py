@@ -336,7 +336,11 @@ class _Parser:
         tok = self.tok
         kind = tok[0]
         if kind == "int":
-            return IntLit(int(self.take("int")[1])), 0
+            self.take("int")
+            try:
+                return IntLit(int(tok[1])), 0
+            except ValueError:  # past Python's int-to-str digit limit
+                raise self.error(tok, "integer literal too long") from None
         if kind == "string":
             return StrLit(self.unescape(self.take("string"))), 0
         if kind == "true" or kind == "false":

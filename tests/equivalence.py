@@ -273,6 +273,10 @@ MALFORMED = [
     ("undeclared-variable", _MODEL, _DECLS + "y = 1;"),
     ("variable-declared-twice", _MODEL, _DECLS + "var x;"),
     ("function-declared-twice", _MODEL, _DECLS + "fn h() { print(2); }"),
+    # past Python's 4,300-digit limit on converting a string to an integer
+    ("integer-literal-too-long", _MODEL, _DECLS + f"x = {'9' * 5000};"),
+    ("model-number-too-long", '{"emissions": [{"callee": "e2", "event_arg": '
+     + "9" * 5000 + "}]}", None),
 ]
 
 

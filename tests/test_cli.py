@@ -270,6 +270,40 @@ def test_oracle_goes_on_past_a_corpus_file_that_does_not_parse(
     assert "oracle suite: 3/4 passed" in out
 
 
+def test_oracle_goes_on_past_numbers_python_cannot_convert(tmp_path, capsys):
+    """Python converts no decimal string of more than 4,300 digits to or
+    from an integer: a literal or an event-model number that long fails
+    its file with an input error, a run that prints an integer that long
+    ends as truncation, and the suite goes on to the next file."""
+    import io
+    (tmp_path / "a_literal.evl").write_text(f"var x = {'9' * 5000};\n")
+    (tmp_path / "b_model.evl").write_text("var y = 1;\nprint(y);\n")
+    (tmp_path / "b_model.model.json").write_text(
+        f'{{"event_arg": {"9" * 5000}}}')
+    (tmp_path / "c_squaring.evl").write_text(
+        "var x = 10; var i = 0;\n"
+        "while (i < 20) { x = x * x; i = i + 1; }\nprint(x);\n")
+    (tmp_path / "d_uninit.evl").write_text("var y;\nprint(y);\n")
+    out = io.StringIO()
+    assert run_oracle_suite(str(tmp_path), 0, 6, 0, out) == EXIT_DIAGNOSTICS
+    lines = out.getvalue().splitlines()
+    assert [line for line in lines if line.startswith("corpus ")] == [
+        "corpus a_literal.evl: FAIL", "corpus b_model.evl: FAIL",
+        "corpus c_squaring.evl: ok", "corpus d_uninit.evl: ok"]
+    literal_error = "a_literal.evl:1:9: integer literal too long"
+    model_error = (f"{tmp_path / 'b_model.model.json'}: invalid JSON: "
+                   f"a number has too many digits")
+    assert f"  error: {literal_error}" in lines
+    assert f"  error: {model_error}" in lines
+    assert lines[-1] == "oracle suite: 2/4 passed"
+    for args, message in (
+            ([str(tmp_path / "a_literal.evl")], literal_error),
+            ([str(tmp_path / "b_model.evl"), "--event-model",
+              str(tmp_path / "b_model.model.json")], model_error)):
+        assert main(["diff", *args]) == EXIT_ERROR
+        _assert_text_input_error(capsys.readouterr(), message)
+
+
 def _assert_text_input_error(captured, message: str):
     lines = captured.out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.out

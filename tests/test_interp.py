@@ -243,6 +243,16 @@ def test_a_string_past_the_limit_ends_the_run(monkeypatch):
     assert STRING_LIMIT // 2 < max(built) <= STRING_LIMIT
 
 
+def test_an_integer_too_long_to_print_ends_the_run():
+    """Python renders no integer of more than 4,300 decimal digits; a
+    print of one ends the run as truncation, before it outputs anything."""
+    trace = interpret(parse("var x = 10; var i = 0;\n"
+                            "while (i < 20) { x = x * x; i = i + 1; }\n"
+                            "print(1 < 2); print(x);\n"))
+    assert trace.truncated and trace.error is None
+    assert trace.outputs() == ["true"]
+
+
 def test_schedule_index_out_of_range():
     program = parse("fn a() { print(1); }\nfn b() { print(2); }\n"
                     "register_async(a);\nregister_async(b);\n")
