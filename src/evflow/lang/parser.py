@@ -339,7 +339,7 @@ class _Parser:
             self.take("int")
             try:
                 return IntLit(int(tok[1])), 0
-            except ValueError:  # past Python's int-to-str digit limit
+            except ValueError:  # past Python's str-to-int digit limit
                 raise self.error(tok, "integer literal too long") from None
         if kind == "string":
             return StrLit(self.unescape(self.take("string"))), 0

@@ -275,7 +275,6 @@ def test_oracle_goes_on_past_numbers_python_cannot_convert(tmp_path, capsys):
     from an integer: a literal or an event-model number that long fails
     its file with an input error, a run that prints an integer that long
     ends as truncation, and the suite goes on to the next file."""
-    import io
     (tmp_path / "a_literal.evl").write_text(f"var x = {'9' * 5000};\n")
     (tmp_path / "b_model.evl").write_text("var y = 1;\nprint(y);\n")
     (tmp_path / "b_model.model.json").write_text(
@@ -284,9 +283,8 @@ def test_oracle_goes_on_past_numbers_python_cannot_convert(tmp_path, capsys):
         "var x = 10; var i = 0;\n"
         "while (i < 20) { x = x * x; i = i + 1; }\nprint(x);\n")
     (tmp_path / "d_uninit.evl").write_text("var y;\nprint(y);\n")
-    out = io.StringIO()
-    assert run_oracle_suite(str(tmp_path), 0, 6, 0, out) == EXIT_DIAGNOSTICS
-    lines = out.getvalue().splitlines()
+    assert run_oracle_suite(str(tmp_path), 0, 6, 0) == EXIT_DIAGNOSTICS
+    lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith("corpus ")] == [
         "corpus a_literal.evl: FAIL", "corpus b_model.evl: FAIL",
         "corpus c_squaring.evl: ok", "corpus d_uninit.evl: ok"]

@@ -245,7 +245,7 @@ def test_a_string_past_the_limit_ends_the_run(monkeypatch):
 
 def test_an_integer_too_long_to_print_ends_the_run():
     """Python renders no integer of more than 4,300 decimal digits; a
-    print of one ends the run as truncation, before it outputs anything."""
+    print of one ends the run as truncation and outputs nothing."""
     trace = interpret(parse("var x = 10; var i = 0;\n"
                             "while (i < 20) { x = x * x; i = i + 1; }\n"
                             "print(1 < 2); print(x);\n"))

@@ -174,7 +174,8 @@ POSITIONS = [
     ("fn f() {", 1, 9, "expected a statement, found 'eof'"),
     ("print(1 +);", 1, 10, "expected an expression, found ')'"),
     ("var x = 1 +\n", 2, 1, "expected an expression, found 'eof'"),
-    ("var x;\nx = 1 + " + "9" * 5000 + ";", 2, 9, "integer literal too long"),
+    pytest.param("var x;\nx = 1 + " + "9" * 5000 + ";", 2, 9,
+                 "integer literal too long", id="integer-literal-too-long"),
 ]
 
 
