@@ -57,19 +57,16 @@ class Report:
     # the run stopped on an input error, which `warnings` holds
     input_error: bool = False
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        import json
+        return json.dumps({
             "version": REPORT_VERSION,
             "files": self.files,
             "mode": self.mode,
             "diagnostics": self.diagnostics,
             "warnings": self.warnings,
             "stats": self.stats,
-        }
-
-    def to_json(self) -> str:
-        import json
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        }, indent=2, sort_keys=True) + "\n"
 
     def render_text(self, color: bool) -> str:
         red = "\x1b[31m" if color else ""
@@ -120,7 +117,7 @@ def _dump(path: str, text: str) -> None:
 
 
 def _hsm_json(hsm: dict[str, HState]) -> dict[str, str]:
-    return {h: s.name for h, s in sorted(hsm.items())}
+    return {h: s.name for h, s in hsm.items()}
 
 
 def _collector_paused(fn):
@@ -177,7 +174,7 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
         "edges": len(analysis.build.graph.edges),
         "facts": len(analysis.domain),
         "fact_classes": analysis.ide.stats["fact_classes"],
-        "handlers": len(analysis.handlers),
+        "handlers": len(analysis.build.handlers),
         "ifds_worklist_steps": analysis.ifds.stats["worklist_steps"],
         "ide_phase1_steps": analysis.ide.stats["phase1_steps"],
         "ide_phase2_steps": analysis.ide.stats["phase2_steps"],
@@ -233,7 +230,7 @@ def check_program(source: str, model: EventModel, schedules: int,
                 f"precision: facts {sorted(names)} at {node} survive "
                 f"filtering but are not in the plain result")
 
-    n_handlers = len(analysis.handlers)
+    n_handlers = len(analysis.build.handlers)
     if any(len(t) != n_handlers for t in analysis.labeled.labels.values()):
         violations.append("representation: a label's length is not the "
                           "handler count")

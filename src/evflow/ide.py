@@ -223,8 +223,10 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     interior nodes and one per out-edge of its end (see the module
     docstring).  Phase 2 keeps each value in its normal form at S
     (`s_normal`), so it stops where a value would drop to one with the
-    same maps.  The rows carry ids through the same memos, and the
-    result builds a map per distinct normal form it reads.
+    same maps.  A summary edge and a phase-2 value drop through one step,
+    `lower`.  The rows carry ids through the same memos, and the result
+    builds a map per distinct normal form it reads; `max_label_entries`
+    is read once, over the jump functions phase 1 stored.
     """
     xsg = lxsg.xsg
     g = xsg.graph
@@ -234,7 +236,6 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     # --- the per-solve intern table and operator memos ---
     fns: list[bytes] = []                   # id -> transformer
     ids: dict[bytes, int] = {}              # transformer -> id
-    fn_entries: list[int] = []              # id -> entries(fns[id])
     compose_memo: dict[tuple[int, int], int] = {}
     meet_memo: dict[tuple[int, int], int] = {}
 
@@ -243,7 +244,6 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         if fid is None:
             fid = ids[f] = len(fns)
             fns.append(f)
-            fn_entries.append(entries(f))
         return fid
 
     ID = intern(Transformer.identity(len(lxsg.handlers)))
@@ -268,6 +268,15 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         if h_id is None:
             h_id = meet_memo[key] = intern(packed_meet(fns[f_id], fns[g_id]))
         return h_id
+
+    def lower(table: dict, key: tuple, t: int) -> bool:
+        """Meet `t` into `table[key]`; whether the entry dropped."""
+        old = table.get(key)
+        new = t if old is None else meet(old, t)
+        if new == old:
+            return False
+        table[key] = new
+        return True
 
     # edge id -> label id; an edge without a label carries the identity
     label = {eid: intern(f) for eid, f in lxsg.labels.items()}
@@ -348,10 +357,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     # exit since the last return wave
     returning: list[tuple[str, int, int, dict[int, int]]] = []
     steps = waves = 0
-    max_label_entries = 0
 
     def propagate(d1: int, n: str, d2: int, f: int) -> None:
-        nonlocal max_label_entries
         rows = jump[n]
         row = rows.get(d2)
         if row is None:
@@ -364,18 +371,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             if check_descent and not packed_leq(fns[f], fns[old]):
                 raise AssertionError("jump function must only descend")
         row[d1] = f
-        if fn_entries[f] > max_label_entries:
-            max_label_entries = fn_entries[f]
         work.append((d1, n, d2, row))
-
-    def add_edge(edges: dict[tuple, int], key: tuple, t: int) -> bool:
-        """Meet `t` into edge `key`; whether it dropped."""
-        old = edges.get(key)
-        new = t if old is None else meet(old, t)
-        if new == old:
-            return False
-        edges[key] = new
-        return True
 
     propagate(ZERO, entry, ZERO, ID)
     while True:
@@ -403,7 +399,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                             for d4, f_summary in summaries[(callee, d3)].items():
                                 through = compose(ret_lab, compose(f_summary, lab))
                                 for d5 in ret_succ.get(d4, ()):
-                                    add_edge(edges, (ret_site, d5), through)
+                                    lower(edges, (ret_site, d5), through)
                 for (ret_site, d5), t in edges.items():
                     propagate(d1, ret_site, d5, compose(t, f))
             for dst, lab, targets in steps_from[n]:
@@ -432,7 +428,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                 edges = sedges[ckey]
                 through = compose(ret_lab, compose(f, lab))
                 for d5 in ret_succ.get(d2, ()):
-                    if add_edge(edges, (ret_site, d5), through):
+                    if lower(edges, (ret_site, d5), through):
                         dropped[(*ckey, ret_site, d5)] = None
         returning.clear()
         for caller, d_call, ret_site, d5 in dropped:
@@ -451,14 +447,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
 
     def meet_value(n: str, d: int, value: int) -> None:
         key = (n, d)
-        value = intern(s_normal(fns[value]))
-        old = val.get(key)
-        if old is not None:
-            value = meet(old, value)
-            if value == old:
-                return
-        val[key] = value
-        vwork.append(key)
+        if lower(val, key, intern(s_normal(fns[value]))):
+            vwork.append(key)
 
     calls_from_start: dict[str, list[str]] = defaultdict(list)
     for n in call_sites:
@@ -522,7 +512,9 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         "heads": sum(map(bool, jump.values())),
         "jump_functions": sum(map(len, chain.from_iterable(
             map(dict.values, jump.values())))),
-        "max_label_entries": max_label_entries,
+        "max_label_entries": max(map(entries, {
+            fns[f] for rows in jump.values() for row in rows.values()
+            for f in row.values()}), default=0),
         "summary_edges": sum(map(len, sedges.values())),
         "compositions": len(compose_memo),
         "meets": len(meet_memo),

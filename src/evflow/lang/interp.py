@@ -42,8 +42,8 @@ class EvlRuntimeError(EvlError):
 
 
 @record(frozen=True)
-class StmtExec:
-    sid: int
+class EventCall:
+    sid: int  # of an executed call that `Program.events` classifies
 
 
 @record(frozen=True)
@@ -164,27 +164,20 @@ class _Interp:
         if isinstance(e, Var):
             return self._read(func, e.name, frame, sid)
         if isinstance(e, Unary):
+            if e.op == "!":
+                return not self._bool(e.operand, func, frame, sid, line,
+                                      "'!' needs a boolean")
             v = self.eval(e.operand, func, frame, sid, line)
-            if e.op == "-":
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise EvlRuntimeError("unary '-' needs an integer", line)
-                return -v
-            if not isinstance(v, bool):
-                raise EvlRuntimeError("'!' needs a boolean", line)
-            return not v
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise EvlRuntimeError("unary '-' needs an integer", line)
+            return -v
         if isinstance(e, Binary):
             if e.op in ("&&", "||"):
-                left = self.eval(e.left, func, frame, sid, line)
-                if not isinstance(left, bool):
-                    raise EvlRuntimeError(f"'{e.op}' needs booleans", line)
-                if e.op == "&&" and not left:
-                    return False
-                if e.op == "||" and left:
-                    return True
-                right = self.eval(e.right, func, frame, sid, line)
-                if not isinstance(right, bool):
-                    raise EvlRuntimeError(f"'{e.op}' needs booleans", line)
-                return right
+                needs = f"'{e.op}' needs booleans"
+                left = self._bool(e.left, func, frame, sid, line, needs)
+                if left == (e.op == "||"):  # the left operand decides
+                    return left
+                return self._bool(e.right, func, frame, sid, line, needs)
             left = self.eval(e.left, func, frame, sid, line)
             right = self.eval(e.right, func, frame, sid, line)
             return self._binop(e.op, left, right, line)
@@ -200,10 +193,12 @@ class _Interp:
             raise _Truncated()
         return fn(a, b)
 
-    def _cond(self, e: Expr, func: str, frame: dict, sid: int, line: int) -> bool:
+    def _bool(self, e: Expr, func: str, frame: dict, sid: int, line: int,
+              needs: str) -> bool:
+        """`e`'s value; unless it is a boolean, error `needs` ends the run."""
         v = self.eval(e, func, frame, sid, line)
         if not isinstance(v, bool):
-            raise EvlRuntimeError("condition must be a boolean", line)
+            raise EvlRuntimeError(needs, line)
         return v
 
     # -- event runtime --
@@ -254,29 +249,27 @@ class _Interp:
         finally:
             self.depth -= 1
 
-    def _step(self, s: Stmt) -> None:
+    def _step(self) -> None:
         self.trace.steps += 1
         if self.trace.steps > STEP_LIMIT:
             raise _Truncated()
-        self.trace.events.append(StmtExec(s.sid))
 
     def exec_stmt(self, s: Stmt, func: str, frame: dict) -> None:
-        self._step(s)
-        if isinstance(s, VarDecl):
-            if s.init is not None:
-                value = self.eval(s.init, func, frame, s.sid, s.line)
-                self._write(func, s.name, frame, value)
-        elif isinstance(s, Assign):
-            value = self.eval(s.value, func, frame, s.sid, s.line)
-            self._write(func, s.name, frame, value)
+        self._step()
+        if isinstance(s, (VarDecl, Assign)):
+            value = s.init if isinstance(s, VarDecl) else s.value
+            if value is not None:
+                self._write(func, s.name, frame,
+                            self.eval(value, func, frame, s.sid, s.line))
         elif isinstance(s, If):
-            branch = s.then_body if self._cond(s.cond, func, frame, s.sid, s.line) \
-                else s.else_body
-            self._run_body(branch, func, frame)
+            cond = self._bool(s.cond, func, frame, s.sid, s.line,
+                              "condition must be a boolean")
+            self._run_body(s.then_body if cond else s.else_body, func, frame)
         elif isinstance(s, While):
-            while self._cond(s.cond, func, frame, s.sid, s.line):
+            while self._bool(s.cond, func, frame, s.sid, s.line,
+                             "condition must be a boolean"):
                 self._run_body(s.body, func, frame)
-                self._step(s)
+                self._step()
         elif isinstance(s, Print):
             value = self.eval(s.value, func, frame, s.sid, s.line)
             self.trace.events.append(Output(_render(value)))
@@ -292,6 +285,7 @@ class _Interp:
             values = [self.eval(a, func, frame, s.sid, s.line) for a in s.args]
             self._run_function(self.program.function(s.callee), values)
             return
+        self.trace.events.append(EventCall(s.sid))
         op, names = self.program.events[s.sid]
         for i, a in enumerate(s.args):
             if i not in names:
@@ -368,18 +362,15 @@ def explore_schedules(program: Program, _ignored=None,
 def check_trace_ordering(program: Program, trace: ExecutionTrace) -> list[str]:
     """Structural check: every handler invocation in a trace was preceded
     by its registration and a subsequent emission (explicit or implicit),
-    reading each executed call's event operation from `program.events`.
+    reading each executed event call's operation from `program.events`.
     Returns human-readable violations; an empty list means the trace is
     consistent."""
     registered: dict[str, str] = {}
     state: dict[str, str] = {}  # handler -> "R" | "E"
     violations: list[str] = []
     for ev in trace.events:
-        if isinstance(ev, StmtExec):
-            entry = program.events.get(ev.sid)
-            if entry is None:
-                continue
-            op = entry[0]
+        if isinstance(ev, EventCall):
+            op = program.events[ev.sid][0]
             if op[0] == "reg" and op[2] not in registered:
                 registered[op[2]] = op[1]
                 state[op[2]] = "E" if op[3] else "R"

@@ -169,15 +169,20 @@ class _Parser:
     def function_decl(self) -> FunctionDecl:
         self.take("fn")
         name = self.take("ident")[1]
-        self.take("(")
-        params: list[str] = []
-        while self.tok[0] != ")":
-            if params:
-                self.take(",")
-            params.append(self.take("ident")[1])
-        self.take(")")
+        params = self.parenthesized(lambda: self.take("ident")[1])
         body = self.block()
-        return FunctionDecl(name, tuple(params), tuple(body))
+        return FunctionDecl(name, params, tuple(body))
+
+    def parenthesized(self, item) -> tuple:
+        """`( item, item, ... )`: what `item()` reads for each item."""
+        self.take("(")
+        items = []
+        while self.tok[0] != ")":
+            if items:
+                self.take(",")
+            items.append(item())
+        self.take(")")
+        return tuple(items)
 
     def block(self) -> list[Stmt]:
         self.enter(self.take("{"))
@@ -216,15 +221,9 @@ class _Parser:
         if kind == "ident":
             name = self.take("ident")[1]
             if self.tok[0] == "(":
-                self.take("(")
-                args = []
-                while self.tok[0] != ")":
-                    if args:
-                        self.take(",")
-                    args.append(self.expression())
-                self.take(")")
+                args = self.parenthesized(self.expression)
                 self.take(";")
-                return Call(self.sid(), line, self.file, name, tuple(args))
+                return Call(self.sid(), line, self.file, name, args)
             self.take("=")
             value = self.expression()
             self.take(";")

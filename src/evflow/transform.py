@@ -72,10 +72,6 @@ class EventAwareAnalysis:
     def domain(self):
         return self.problem.domain
 
-    @property
-    def handlers(self) -> tuple[str, ...]:
-        return self.build.handlers
-
 
 def analyze_event_aware(program: Program,
                         check_descent: bool = False) -> EventAwareAnalysis:

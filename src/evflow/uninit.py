@@ -125,10 +125,11 @@ class Diagnostic:
 def report_uses(problem: UninitProblem, result: IfdsResult
                 ) -> list[Diagnostic]:
     """One diagnostic per (read site, variable) whose fact holds at the
-    reading node in `result`, which is asked at read sites only."""
+    reading node in `result`, which is asked at read sites only, sorted
+    by (file, line, variable, node), a key no two diagnostics share."""
     out: list[Diagnostic] = []
     graph = problem.graph
-    for node_id in sorted(graph.nodes):
+    for node_id in graph.nodes:
         for fact in problem.reads_at(node_id):
             if result.holds(node_id, fact):
                 stmt = problem.program.stmt(graph.nodes[node_id].sid)

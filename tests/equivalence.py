@@ -19,6 +19,13 @@ and `diff` the outputs.  `corpus` limits the run to the corpus, and
 `errors` prints instead one line per malformed event model or program of
 `MALFORMED`, with the type and the message of the error it raises.
 
+`compare <tree>` does both diffs in one command: it runs the default
+mode and `errors` under `<tree>/src` and under this tree's `src`, each
+in a subprocess, prints each line that differs as its id and the keys
+that moved, and exits 1 if any did:
+
+    python tests/equivalence.py compare <parent tree>
+
 `golden` rewrites `golden/equivalence.jsonl` and `golden/errors.jsonl`,
 which `test_equivalence.py` checks on every run.  The first holds the
 same lines without `ide_stats`, each report's `stats` (and so `wall_ms`)
@@ -35,10 +42,14 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
+
+# this tree's `src` after any on PYTHONPATH, so `compare` needs none
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 from evflow import cli
 from evflow.lang.parser import EvlError, parse
@@ -196,6 +207,21 @@ def moved_keys(old: str, new: str) -> list[str]:
     return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
 
 
+def print_moved(label: str, old: list[str], new: list[str]) -> bool:
+    """Print, under `label`, each line of `new` that differs from `old`'s
+    with the keys that moved, and a changed line count; whether any
+    did."""
+    moved = len(old) != len(new)
+    for before, after in zip(old, new):
+        if before != after:
+            moved = True
+            print(f"{label} {json.loads(after)['id']}: "
+                  f"{', '.join(moved_keys(before, after))}")
+    if len(old) != len(new):
+        print(f"{label}: {len(old)} lines -> {len(new)}")
+    return moved
+
+
 def record_golden() -> None:
     """Rewrite both goldens, printing each line that changed with the
     keys that moved."""
@@ -203,14 +229,23 @@ def record_golden() -> None:
                       (ERRORS_GOLDEN, golden_error_lines())):
         old = path.read_text(encoding="utf-8").splitlines() \
             if path.exists() else []
-        for before, after in zip(old, new):
-            if before != after:
-                print(f"{path.name} {json.loads(after)['id']}: "
-                      f"{', '.join(moved_keys(before, after))}")
-        if len(old) != len(new):
-            print(f"{path.name}: {len(old)} lines -> {len(new)}")
+        print_moved(path.name, old, new)
         path.write_text("".join(line + "\n" for line in new),
                         encoding="utf-8")
+
+
+def compare(tree: str) -> int:
+    """Print what moved between the default and `errors` outputs under
+    `<tree>/src` and under this tree's; 1 if anything did."""
+    moved = False
+    for label, mode in (("digests", []), ("errors", ["errors"])):
+        old, new = (subprocess.run(
+            [sys.executable, __file__, *mode], check=True, text=True,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(root) / "src")},
+        ).stdout.splitlines() for root in (tree, TESTS.parent))
+        moved |= print_moved(label, old, new)
+    return 1 if moved else 0
 
 
 _ON = {"callee": "on", "event_arg": 0, "handler_arg": 1}
@@ -313,9 +348,11 @@ def golden_error_lines() -> list[str]:
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "compare":
+        return compare(argv[1])
     if argv not in ([], ["corpus"], ["errors"], ["golden"]):
-        print("usage: equivalence.py [corpus | errors | golden]",
-              file=sys.stderr)
+        print("usage: equivalence.py [corpus | errors | golden | "
+              "compare <tree>]", file=sys.stderr)
         return 2
     if argv == ["golden"]:
         record_golden()

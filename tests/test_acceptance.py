@@ -105,7 +105,7 @@ def test_criterion_2_dirstat():
     g = analysis.build.graph
     by_handler = {g.proc_of(e.dst): labels[e.eid] for e in g.edges
                   if e.kind is EdgeKind.CALL and e.src == EVENT_LOOP}
-    handlers = analysis.handlers
+    handlers = analysis.build.handlers
     reg_f = next(t for t in labels.values()
                  if touched(t, handlers) == {"f": MF_EMIT_REGISTER})
     reg_h = next(t for t in labels.values()
@@ -251,9 +251,9 @@ def test_criterion_8_handler_work_bound():
     programs += [(p, None) for p in _random_programs(30, "accept8", DEFAULT)]
     for program, _ in programs:
         analysis = analyze_event_aware(program, check_descent=True)
-        bound = max(1, len(analysis.handlers))
+        bound = max(1, len(analysis.build.handlers))
         for hmf in analysis.labeled.labels.values():
-            assert len(hmf) == len(analysis.handlers)
+            assert len(hmf) == len(analysis.build.handlers)
         assert analysis.ide.stats["max_label_entries"] <= bound
     _passed(8, "per-composition work bounded by the handler count",
             started, 30.0)

@@ -465,7 +465,7 @@ def test_environments_only_for_reachable(door):
 def test_label_sizes_bounded_by_handlers(door, dirstat, timer, server):
     for program, _ in (door, dirstat, timer, server):
         analysis = analyze_event_aware(program)
-        n_handlers = len(analysis.handlers)
+        n_handlers = len(analysis.build.handlers)
         for hmf in analysis.labeled.labels.values():
             assert len(hmf) == n_handlers
         assert analysis.ide.stats["max_label_entries"] <= n_handlers

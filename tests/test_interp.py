@@ -1,15 +1,20 @@
 import pytest
 
 from evflow.lang import interp
+from evflow.lang.ast import Call
 from evflow.lang.interp import (
     STEP_LIMIT,
     STRING_LIMIT,
+    EventCall,
     HandlerInvoked,
+    Output,
     check_trace_ordering,
     explore_schedules,
     interpret,
 )
 from evflow.lang.parser import parse
+
+from helpers import iter_stmts
 
 
 def test_uninit_read_yields_sentinel_and_continues():
@@ -178,6 +183,44 @@ def test_trace_ordering_invariant_on_corpus(door, dirstat, timer, server):
             assert check_trace_ordering(program, trace) == []
 
 
+def test_trace_records_each_executed_event_call_in_order():
+    program = parse('fn second() { print("second"); }\n'
+                    'fn first() { print("first"); register("done", second);'
+                    ' emit("done"); }\n'
+                    'var x = 1;\n'
+                    'register("go", first);\n'
+                    'print(x);\n'
+                    'emit("go");\n'
+                    'x = 2;\n')
+    sid = {(s.callee, s.args[0].value): s.sid for f in program.functions
+           for s in iter_stmts(f.body) if isinstance(s, Call)}
+    trace = interpret(program)
+    # no record stands for a plain statement, and the calls a handler
+    # runs come between its invocation and the next record of its caller
+    assert trace.events == [
+        EventCall(sid[("register", "go")]), Output("1"),
+        EventCall(sid[("emit", "go")]), HandlerInvoked("first"),
+        Output("first"), EventCall(sid[("register", "done")]),
+        EventCall(sid[("emit", "done")]), HandlerInvoked("second"),
+        Output("second")]
+
+
+def test_trace_ordering_reads_event_call_order(door):
+    program = door[0]
+    trace = interpret(program)
+    assert check_trace_ordering(program, trace) == []
+    events = trace.events
+    first = next(i for i, e in enumerate(events)
+                 if isinstance(e, HandlerInvoked))
+    emit = events[first - 1]
+    assert isinstance(emit, EventCall)
+    assert program.events[emit.sid][0] == ("emit", "open")
+    # the handler now runs before the emit that dispatched it
+    events[first - 1], events[first] = events[first], emit
+    assert check_trace_ordering(program, trace) == [
+        "handler 'hdlOpen' invoked in state R"]
+
+
 def test_trace_ordering_detects_violation(door):
     program = door[0]
     trace = interpret(program)
@@ -207,11 +250,13 @@ def test_operators():
     ('print(1 + "a");', "line 1: '+' needs two integers or two strings"),
     ('print(1 == "a");', "line 1: '==' needs matching types"),
     ("if (1) { print(1); }", "line 1: condition must be a boolean"),
+    ("while (1) { print(1); }", "line 1: condition must be a boolean"),
     ("print(-true);", "line 1: unary '-' needs an integer"),
     ("print(!1);", "line 1: '!' needs a boolean"),
     ("print(1 && true);", "line 1: '&&' needs booleans"),
     ("print(true && 1);", "line 1: '&&' needs booleans"),
     ("print(false || 1);", "line 1: '||' needs booleans"),
+    ("print(1 || true);", "line 1: '||' needs booleans"),
     ('print("a" < "b");', "line 1: '<' needs integers"),
 ])
 def test_runtime_errors_end_the_run(source, error):

@@ -72,10 +72,10 @@ def test_handler_work_bound_on_random_programs(random_programs):
     # composed transformers never touch more handlers than the program has
     for seed, _source, program in random_programs[:25]:
         analysis = analyze_event_aware(program, check_descent=True)
-        bound = max(1, len(analysis.handlers))
+        bound = max(1, len(analysis.build.handlers))
         assert analysis.ide.stats["max_label_entries"] <= bound, seed
         for hmf in analysis.labeled.labels.values():
-            assert len(hmf) == len(analysis.handlers)
+            assert len(hmf) == len(analysis.build.handlers)
 
 
 def test_schedule_exploration_finds_order_bugs():

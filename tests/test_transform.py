@@ -146,7 +146,7 @@ def test_untransform_dirstat(dirstat):
 def test_untransform_vacuous_without_handlers():
     program = parse("var x; print(x); x = 1; print(x);")
     analysis = analyze_event_aware(program)
-    assert analysis.handlers == ()
+    assert analysis.build.handlers == ()
     for node in analysis.ifds.reachable:
         assert analysis.filtered.facts_at(node) == \
             analysis.ifds.facts_at(node)
