@@ -5,20 +5,23 @@ Phase 1 tabulates jump functions: for each reachable exploded node
 from <start_p, d1>, met over merging paths.  Summary edges carry callee
 transformers from each call site to its return site; they are returned
 in waves, each time the worklist drains, so an edge that drops several
-times while the worklist runs is sent once (see `solve_ide`).  Phase 2 pushes
-the met transformer from <entry, 0> through procedure starts and call
-sites.  The result (`IdeResult`) composes the jump functions at a node
-after those start values only where a client asks for the node.
+times while the worklist runs is sent once (see `solve_ide`).  An emit
+that ends a handler only the event loop calls is a tail call: it returns
+its handler to the loop instead of entering a nested one.  Phase 2
+pushes the met transformer from <entry, 0> through procedure starts and
+call sites.  The result (`IdeResult`) composes the jump functions at a
+node after those start values only where a client asks for the node.
 
 Straight-line code is solved per basic block.  A node is interior if its
 only in-edge is intraprocedural and comes from a node with one out-edge,
-and it is neither a call site nor an exit; a block is a head (any other
-node) and the run of interior nodes after it.  No path merges inside a
-block, so the path from its head to each node of the run, and on through
-each out-edge of the run's end, compiles to one edge: the composed label,
-which is the path function (Kildall, POPL 1973), and the composed
-successor table.  Jump functions live only at heads, and a query at an
-interior node steps once along its edge from the head.
+and it is not a call site; a block is a head (any other node) and the
+run of interior nodes after it, which may end at its procedure's exit.
+No path merges inside a block, so the path from its head to each node of
+the run, and on through each out-edge of the run's end but an exit's,
+compiles to one edge: the composed label, which is the path function
+(Kildall, POPL 1973), and the composed successor table.  Jump functions
+live only at heads, and a query at an interior node steps once along its
+edge from the head.
 
 The filter reads a fact's transformer alone (`event_lattice.feasible`);
 a handler-state map, the all-S entry map under a transformer, is built
@@ -54,7 +57,7 @@ from .event_lattice import (
 )
 from .ifds import IDENTITY, ExplodedSupergraph, IfdsResult, ZERO
 from .record import record
-from .supergraph import Edge, EdgeKind
+from .supergraph import EVENT_LOOP, Edge, EdgeKind
 
 
 @record
@@ -199,11 +202,12 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     of the event loop's dispatches return through one edge.  A jump
     function popped at a call site is sent through each edge.  A pop at
     an exit only lists its jump function.  When the worklist is empty, a
-    return wave stores each listed one that differs from its summary,
-    meets it into the edges of the call sites filed for its callee entry,
-    and sends each edge that dropped once, at its final value, to every
-    jump function filed at its call site and call fact; phase 1 ends when
-    the worklist drains with no exit popped since the last wave.  A wave
+    return wave meets each listed one into its summary, meets each
+    summary that dropped into the edges of the call sites filed for its
+    callee entry, and sends each edge that dropped once, at its final
+    value, to every jump function filed at its call site and call fact;
+    phase 1 ends when the worklist drains with nothing listed since the
+    last wave.  A wave
     is exact: with the worklist empty, every jump function has been
     popped at its current value and sent every edge at its call site as
     it stood, so the only sends missing are those of the edges the wave
@@ -213,6 +217,37 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     functions once.  A meet on the left distributes over composition, so
     this equals returning each summary on its own.
 
+    An exit whose only in-edge is a straight-line edge ends its head's
+    block, so a pop at the head lists the exit's jump function: the
+    head's composed with the block's label, under the block's table.
+    Several head facts can reach one exit fact, hence the meet into the
+    summary; at an exit head it gives the listed function itself, since
+    a jump function only descends.
+
+    An emit is a tail emit if its only call edge enters the event loop
+    and returns to a site whose one out-edge, unlabelled and the
+    identity, enters the exit of a procedure that only the loop's
+    dispatch edges enter, and if the loop's return edges carry every
+    fact that reaches the loop to itself, unlabelled.  That last holds
+    when every edge at the loop has one patch that only drops facts (the
+    uninit problem's all drop the non-globals) and no return edge there
+    has a label (the event labelling puts none there).  A pop at a tail
+    emit enters nothing into the loop: it lists `call label o f`, under
+    the call edge's table, as an exit of its own procedure, so the
+    loop's dispatch edge for the handler carries `emit o prefix o
+    invoke`, and the loop's own closure supplies the rest; phase 2 sends
+    no value through that call edge.  This is exact.  The loop is one
+    node that is both start and exit, its return edges are the identity
+    on its facts, composition distributes over the meet, and L* o L* =
+    L*, since a sequence of dispatch sequences is a dispatch sequence;
+    so "run the nested loop, return, then continue the outer loop" meets
+    over the same label sequences as "continue the outer loop".  Only
+    the readout still needs what the nested loop returns: at a tail
+    emit's return site, and at the exit that site enters, a row meets in
+    the call site's row sent through the call edge, closed over the
+    loop's summary edges and sent through the return edge.  A report
+    reads neither node.
+
     Every transformer the solve touches (a `bytes`, one lane per handler;
     see `event_lattice`) is interned in a table that lives as long as the
     solve, named by a dense int id.  The solver carries the ids, so
@@ -220,13 +255,14 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     run once per distinct pair of ids.  The supergraph is compiled into
     per-node tables first, so the worklist loops make no graph calls, and
     each block into composed edges from its head, one to each of its
-    interior nodes and one per out-edge of its end (see the module
-    docstring).  Phase 2 keeps each value in its normal form at S
-    (`s_normal`), so it stops where a value would drop to one with the
-    same maps.  A summary edge and a phase-2 value drop through one step,
-    `lower`.  The rows carry ids through the same memos, and the result
-    builds a map per distinct normal form it reads; `max_label_entries`
-    is read once, over the jump functions phase 1 stored.
+    interior nodes and one per out-edge of its end if that is not an
+    exit (see the module docstring).  Phase 2 keeps each value in its
+    normal form at S (`s_normal`), so it stops where a value would drop
+    to one with the same maps.  A summary edge and a phase-2 value drop
+    through one step, `lower`.  The rows carry ids through the same
+    memos, and the result builds a map per distinct normal form it reads;
+    `max_label_entries` is read once, over the jump functions phase 1
+    stored.
     """
     xsg = lxsg.xsg
     g = xsg.graph
@@ -298,7 +334,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     interior = {n for n, e in only_in.items()
                 if e is not None and e.kind is EdgeKind.INTRA
                 and len(out_edges(e.src)) == 1}
-    interior.difference_update(call_sites, exit_start)
+    interior.difference_update(call_sites)
     proc_start = {n: g.start_of(node.func) for n, node in g.nodes.items()
                   if n not in interior}
     # node -> its intraprocedural and block out-edges as (dst, label id,
@@ -310,6 +346,16 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     # interior node -> (head, label id, successor table) of the path from
     # its block's head
     blocks: dict[str, tuple[str, int, dict]] = {}
+    # head -> (start, label id, successor table) of what a pop there lists
+    # as its procedure's exit: itself, the exit its block ends at, or the
+    # loop entry of a tail emit; None for the table of the identity
+    exit_of: dict[str, tuple[str, int, dict | None]] = {
+        end: (start, ID, None) for end, start in exit_start.items()
+        if end not in interior}
+    # tail emit's return site, and exit head it flows into -> the tail
+    # emits (call site, label id, call table, return table) it reads
+    tails_into: dict[str, list[tuple]] = defaultdict(list)
+    loop_kept = None    # read off the loop's edges at the first tail emit
     for n in proc_start:
         row = []
         for edge in out_edges(n):
@@ -318,9 +364,35 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             if edge.kind is EdgeKind.CALL:
                 r = edge.ret_site
                 ret = r and returns[(g.end_of(g.proc_of(edge.dst)), r)]
-                calls_from.setdefault(n, []).append(
-                    (edge.dst, label.get(edge.eid, ID), succ[edge.eid], r,
-                     ret and (label.get(ret.eid, ID), succ[ret.eid])))
+                call = (edge.dst, label.get(edge.eid, ID), succ[edge.eid], r,
+                        ret and (label.get(ret.eid, ID), succ[ret.eid]))
+                if edge.dst == EVENT_LOOP and r and len(out_edges(n)) == 2:
+                    # maybe a tail emit (see `solve_ide`): the site's one
+                    # call returns to a site whose one out-edge,
+                    # unlabelled and the identity, enters the exit of a
+                    # procedure whose start only a dispatch enters (the
+                    # loop has one per handler)
+                    start, end = proc_start[n], g.end_of(g.proc_of(n))
+                    caller = only_in.get(start)
+                    tail = caller and caller.src == EVENT_LOOP and [
+                        (e.dst, e.eid in label, patch_of[e.eid])
+                        for e in out_edges(r)] == [(end, False, IDENTITY)]
+                    if tail and loop_kept is None:
+                        # the loop's return edges carry each fact that
+                        # reaches the loop to itself, unlabelled, if every
+                        # edge at the loop has one patch that only drops
+                        # facts and no return edge there has a label
+                        loop_kept = [(p.added, labelled) for p, labelled in {
+                            (patch_of[e.eid], e.kind is EdgeKind.RETURN
+                             and e.eid in label) for e in g.edges
+                            if EVENT_LOOP in (e.src, e.dst)}] == [((), False)]
+                    if tail and loop_kept:
+                        _, lab, table, _, (_, ret_table) = call
+                        exit_of[n] = (start, lab, table)
+                        for m in (r,) if end in interior else (r, end):
+                            tails_into[m].append((n, lab, table, ret_table))
+                        continue
+                calls_from.setdefault(n, []).append(call)
                 continue
             # the paths from `n` on through the block it heads, if any, as
             # (last edge, label id, successor table); an identity patch
@@ -331,6 +403,9 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                     row.append((e.dst, lab, table))
                     continue
                 blocks[e.dst] = (n, lab, table)
+                if e.dst in exit_start:
+                    exit_of[n] = (exit_start[e.dst], lab, table)
+                    continue
                 for out in out_edges(e.dst):
                     paths.append((out, compose(label.get(out.eid, ID), lab),
                                   table if patch_of[out.eid] == IDENTITY
@@ -353,9 +428,9 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     # (call site, call fact) -> {(return site, return fact): the meet of
     # `return label o summary o call label` over its call edges}
     sedges: dict[tuple[str, int], dict[tuple[str, int], int]] = {}
-    # (callee start, entry fact, exit fact, its row of jump) per pop at an
-    # exit since the last return wave
-    returning: list[tuple[str, int, int, dict[int, int]]] = []
+    # (callee start, entry fact, the popped row of jump, label id, exit
+    # facts) per pop that lists an exit (`exit_of`) since the last wave
+    returning: list[tuple[str, int, dict[int, int], int, tuple]] = []
     steps = waves = 0
 
     def propagate(d1: int, n: str, d2: int, f: int) -> None:
@@ -379,9 +454,12 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             d1, n, d2, row = work.popleft()
             f = row[d1]
             steps += 1
-            start = exit_start.get(n)
-            if start is not None:
-                returning.append((start, d1, d2, row))
+            listed = exit_of.get(n)
+            if listed is not None:
+                start, lab, table = listed
+                exits = (d2,) if table is None else table.get(d2)
+                if exits:
+                    returning.append((start, d1, row, lab, exits))
             if n in calls_from:
                 ckey = (n, d2)
                 edges = sedges.get(ckey)
@@ -417,19 +495,19 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             break
         waves += 1
         dropped: dict[tuple[str, int, str, int], None] = {}
-        for start, d1, d2, row in returning:
-            f = row[d1]
-            exits = summaries[(start, d1)]
-            if exits.get(d2) == f:
-                continue
-            exits[d2] = f
-            for ckey, call in incoming[(start, d1)].items():
-                _, lab, _, ret_site, (ret_lab, ret_succ) = call
-                edges = sedges[ckey]
-                through = compose(ret_lab, compose(f, lab))
-                for d5 in ret_succ.get(d2, ()):
-                    if lower(edges, (ret_site, d5), through):
-                        dropped[(*ckey, ret_site, d5)] = None
+        for start, d1, row, lab, exits in returning:
+            f = compose(lab, row[d1])
+            summary = summaries[(start, d1)]
+            for d2 in exits:
+                if not lower(summary, d2, f):
+                    continue
+                for ckey, call in incoming[(start, d1)].items():
+                    _, call_lab, _, ret_site, (ret_lab, ret_succ) = call
+                    edges = sedges[ckey]
+                    through = compose(ret_lab, compose(f, call_lab))
+                    for d5 in ret_succ.get(d2, ()):
+                        if lower(edges, (ret_site, d5), through):
+                            dropped[(*ckey, ret_site, d5)] = None
         returning.clear()
         for caller, d_call, ret_site, d5 in dropped:
             t = sedges[(caller, d_call)][(ret_site, d5)]
@@ -452,7 +530,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
 
     calls_from_start: dict[str, list[str]] = defaultdict(list)
     for n in call_sites:
-        calls_from_start[proc_start[n]].append(n)
+        if n in calls_from:
+            calls_from_start[proc_start[n]].append(n)
 
     meet_value(entry, ZERO, ID)
     while vwork:
@@ -483,11 +562,34 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
             row[d2] = met
         return row
 
+    def with_tails(n: str) -> dict[int, int]:
+        """The row of a tail emit's return site, or of an exit head it
+        enters: `values_at`, met with what the nested loop returns there,
+        the call site's row sent through the call edge, closed over the
+        loop's summary edges and sent through the return edge."""
+        row = values_at(n)
+        for c, lab, table, ret_table in tails_into[n]:
+            at_loop: dict[int, int] = {}
+            for d, t in (rows[c] if c in rows else values_at(c)).items():
+                for d3 in table.get(d, ()):
+                    lower(at_loop, d3, compose(lab, t))
+            todo = list(at_loop)
+            while todo:
+                d = todo.pop()
+                for (_, d4), s in sedges[(EVENT_LOOP, d)].items():
+                    if lower(at_loop, d4, compose(s, at_loop[d])):
+                        todo.append(d4)
+            for d, t in at_loop.items():
+                for d5 in ret_table.get(d, ()):
+                    lower(row, d5, t)
+        return row
+
     def step(head: str, lab: int, table: dict) -> dict[int, int]:
         """An interior node's row: its head's row, each entry composed
         with the path's label and looked up in its table, then met."""
         # not `row_of`: closures calling each other hold the solve in a cycle
-        row = rows[head] if head in rows else values_at(head)
+        row = rows[head] if head in rows else \
+            with_tails(head) if head in tails_into else values_at(head)
         out: dict[int, int] = {}
         for d, t in row.items():
             t = compose(lab, t)
@@ -501,6 +603,8 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
         if row is None:
             if n in blocks:
                 row = rows[n] = step(*blocks[n])
+            elif n in tails_into:
+                row = with_tails(n)
             else:
                 row = values_at(n) if n in jump else {}
         return row

@@ -172,10 +172,14 @@ def assign_rel_def(domain, target, reads):
     return frozenset(pairs)
 
 
-def chain_source(h, g, l, a=7, b=3):
+def chain_source(h, g, l, a=7, b=3, init=False):
     """The synthetic chain program: handler h_i does `l` assignments
     g[(a*i+j) % g] = g[(b*i+j) % g] + j, then an if/print on two globals,
-    then registers and emits h_{i+1}; top-level registers and emits h0."""
+    then registers and emits h_{i+1}; top-level registers and emits h0.
+    With `init`, h_i then prints t_{i-1} and writes t_i before it
+    registers h_{i+1}, the door idiom: each of the h - 1 reads of a t is
+    uninitialized only if its handler runs before it is registered, so
+    the filter drops it."""
     lines = []
     for i in range(h):
         lines.append(f"fn h{i}() {{")
@@ -183,11 +187,16 @@ def chain_source(h, g, l, a=7, b=3):
             lines.append(f"  g{(a * i + j) % g} = g{(b * i + j) % g} + {j};")
         p, q = (a * i + l) % g, (b * i + l) % g
         lines.append(f"  if (g{p} < g{q}) {{ print(g{p}); }}")
+        if init:
+            if i:
+                lines.append(f"  print(t{i - 1});")
+            lines.append(f"  t{i} = 1;")
         if i + 1 < h:
             lines.append(f'  register("e{i + 1}", h{i + 1});')
             lines.append(f'  emit("e{i + 1}");')
         lines.append("}")
     lines.extend(f"var g{k};" for k in range(g))
+    lines.extend(f"var t{k};" for k in range(h if init else 0))
     lines += ['register("e0", h0);', 'emit("e0");']
     return "\n".join(lines) + "\n"
 

@@ -22,7 +22,12 @@ from evflow.ifds import IDENTITY, ExplodedSupergraph, FactDomain, Patch, ZERO
 from evflow.lang.parser import parse
 from evflow.lang.ast import If, Print, While
 from evflow.randgen import GenParams, SMALL, gen_source
-from evflow.supergraph import EdgeKind, build_supergraph, node_for_sid
+from evflow.supergraph import (
+    EVENT_LOOP,
+    EdgeKind,
+    build_supergraph,
+    node_for_sid,
+)
 from evflow.transform import analyze_event_aware, transform, untransform
 
 from conftest import CORPUS_NAMES, load_corpus_entry
@@ -607,10 +612,11 @@ def test_random_ifds_problems_equal_the_path_oracles():
 
 
 # Straight-line shapes that `solve_ide` folds into blocks: a `while` body,
-# an `if` without `else`, runs that end at a call site and at an exit, a
-# block headed by a return site, an empty function, a run through two
-# registrations in order, and a handler whose event is never emitted, so
-# that the filter drops every fact in its blocks.
+# an `if` without `else`, runs that end at a call site and at top-level's
+# exit, exits inside a block, a block headed by a return site, an empty
+# function, a run through two registrations in order, and a handler whose
+# event is never emitted, so that the filter drops every fact in its
+# blocks.
 BLOCK_SOURCES = ("""var g;
 var x;
 var y;
@@ -638,22 +644,23 @@ print(z);
 
 def _interior(g):
     """The nodes whose only in-edge is intraprocedural and comes from a
-    node with one out-edge, call sites and exits aside."""
+    node with one out-edge, call sites aside: an exit so entered ends its
+    head's block."""
     into = defaultdict(list)
     for e in g.edges:
         into[e.dst].append(e)
     call_sites = {e.src for e in g.edges if e.kind is EdgeKind.CALL}
-    exits = {end for _, end in g.funcs.values()}
     return {n for n, es in into.items()
             if len(es) == 1 and es[0].kind is EdgeKind.INTRA
             and len(g.out_edges(es[0].src)) == 1
-            and n not in call_sites and n not in exits}
+            and n not in call_sites}
 
 
 def _block_shapes(program, g, labels, interior) -> set[str]:
     """Which of the shapes of `BLOCK_SOURCES` the blocks of `g` show."""
     shapes = set()
     identity = Transformer()    # the label of an edge without one
+    exits = {end for _, end in g.funcs.values()}
     for func in program.functions:
         for s in iter_stmts(func.body):
             body = s.then_body if isinstance(s, If) else \
@@ -674,6 +681,9 @@ def _block_shapes(program, g, labels, interior) -> set[str]:
                 break
             e = outs[0]
             run_labels.append(labels.get(e.eid, identity))
+        if e.dst in exits:
+            shapes.add("exit inside a block")
+            continue
         for out in outs:
             shapes.add(f"ends at {g.nodes[out.dst].kind.value}")
             if sum(not f.is_identity() for f in (
@@ -735,9 +745,152 @@ def test_blocks_answer_like_the_path_oracles():
                         shapes.add("filtered inside a block")
     assert shapes == {"While body", "If body", "headed by start",
                       "headed by ret", "headed by stmt", "ends at call",
-                      "ends at end", "ends at stmt", "two labels in a block",
-                      "filtered inside a block"}, shapes
+                      "ends at end", "ends at stmt", "exit inside a block",
+                      "two labels in a block", "filtered inside a block"}, \
+        shapes
 
+
+# Emits at the end of a handler, which `solve_ide` treats as tail calls
+# into the event loop when the handler is only ever dispatched, and emits
+# it must not:
+# - tail: h's and k's emits are tail emits, and the loop they enter runs
+#   k and j, which h and k register first;
+# - then_statement: h registers k after its first emit and then emits
+#   k's event, so only a path that returns from that emit reaches k's
+#   print with k registered;
+# - one_branch: h's tail emit is in one branch of an `if`, so its exit is
+#   a head that the path around the emit also enters, and x is
+#   uninitialized there only after the loop nested in the emit ran k;
+# - called_directly: top-level calls h, which registers and emits k, and
+#   k registers j, which top-level then emits, so j runs feasibly only
+#   after the loop nested in that call;
+# - no_handler: `randgen` program `eq:299`, whose handler, registered by
+#   `register_async`, emits an event that has none;
+# - register_async: h, registered by `register_async`, registers k and
+#   emits its event;
+# - self_emit: h emits its own event.
+TAIL_SOURCES = {
+    "tail": """var x;
+var y;
+fn j() { print(x); x = 1; }
+fn k() { print(y); register("g", j); emit("g"); }
+fn h() { print(x); y = 1; register("f", k); emit("f"); }
+register("e", h);
+emit("e");
+""",
+    "then_statement": """var x;
+fn k() { print(x); }
+fn h() { emit("e"); register("g", k); print(x); emit("g"); }
+register("e", h);
+emit("e");
+""",
+    "one_branch": """var x;
+var y;
+fn k() { print(y); x = y; }
+fn h() { x = 1; if (y < 1) { register("f", k); emit("f"); } }
+register("e", h);
+emit("e");
+""",
+    "called_directly": """var x;
+fn j() { print(x); }
+fn k() { register("g", j); }
+fn h() { register("f", k); emit("f"); }
+register("e", h);
+h();
+emit("g");
+""",
+    "no_handler": gen_source("eq:299", GenParams(allow_while=True)),
+    "register_async": """var x;
+fn k() { print(x); x = 1; }
+fn h() { register("f", k); print(x); emit("f"); }
+register_async(h);
+print(x);
+""",
+    "self_emit": """var x;
+var y;
+fn h() { print(y); y = x; x = 1; emit("e"); }
+register("e", h);
+emit("e");
+""",
+}
+# per shape above, the procedures whose emits are tail emits
+TAILS = {"tail": {"h", "k"}, "then_statement": {"h"}, "one_branch": {"h"},
+         "called_directly": set(), "no_handler": {"h0"},
+         "register_async": {"h"}, "self_emit": {"h"}}
+
+
+def _tail_return_sites(g):
+    """The return sites of the emits whose return site's one out-edge
+    enters its exit, in a procedure only the event loop calls."""
+    callers = defaultdict(set)
+    for e in g.edges:
+        if e.kind is EdgeKind.CALL:
+            callers[e.dst].add(e.src)
+    return {e.ret_site for e in g.edges
+            if e.kind is EdgeKind.CALL and e.dst == EVENT_LOOP and e.ret_site
+            and [out.dst for out in g.out_edges(e.ret_site)]
+            == [g.end_of(g.proc_of(e.src))]
+            and callers[g.start_of(g.proc_of(e.src))] == {EVENT_LOOP}}
+
+
+@pytest.mark.parametrize("name", TAIL_SOURCES)
+def test_tail_emits_answer_like_the_path_oracles(name):
+    """At every node and fact, the tail emits' return sites and exits
+    included, the maps and both memberships equal the path oracles'."""
+    program = parse(TAIL_SOURCES[name])
+    build, problem, xsg, labeled, result = ide_for(program,
+                                                   check_descent=True)
+    g = xsg.graph
+    tails = _tail_return_sites(g)
+    assert {g.proc_of(r) for r in tails} == TAILS[name]
+    oracle = brute_force_ide(g, xsg.rel_of, labeled.labels, build.handlers,
+                             max_len=40)
+    brute = _brute(xsg)
+    plain, kept = solve_ifds(result), untransform(result)
+    assert all(brute.facts_at(r) for r in tails)
+    for node in g.nodes:
+        for d in (ZERO, *problem.domain.indices()):
+            want = oracle.get(node, {}).get(d)
+            assert result.map_at(node, d) == want, (node, d)
+            assert plain.holds(node, d) == (
+                node in brute.reachable if d == ZERO
+                else d in brute.facts_at(node)), (node, d)
+            assert kept.holds(node, d) == (
+                want is not None and X not in want.values()), (node, d)
+
+
+# h's emit is a tail emit under the uninit problem's patches, which drop
+# only what every edge at the loop drops.  In the test below the return
+# edge from the loop to h renames f1 to f2, so f2 reaches the loop only
+# by returning from that emit, and a tail call there would lose it.
+TAIL_RENAME_SOURCE = """fn h() { emit("e"); }
+register("e", h);
+emit("e");
+"""
+
+
+def test_a_return_edge_that_renames_keeps_the_nested_loop():
+    program = parse(TAIL_RENAME_SOURCE)
+    build = build_supergraph(program)
+    g = build.graph
+    assert {g.proc_of(r) for r in _tail_return_sites(g)} == {"h"}
+    domain = FactDomain(("f1", "f2"))
+    f1, f2 = domain.indices()
+    patch_of = {e.eid: IDENTITY for e in g.edges}
+    for e in g.out_edges(g.entry()):
+        patch_of[e.eid] = Patch((), ((ZERO, f1),))
+    for e in g.edges:
+        if e.kind is EdgeKind.RETURN and g.proc_of(e.dst) == "h":
+            patch_of[e.eid] = Patch((f1,), ((f1, f2),))
+    xsg = ExplodedSupergraph(g, domain, patch_of)
+    labeled = transform(xsg, build.ops, build.handlers)
+    result = solve_ide(labeled, check_descent=True)
+    oracle = brute_force_ide(g, xsg.rel_of, labeled.labels, build.handlers,
+                             max_len=40)
+    assert {n: dict(table) for n, table in oracle.items()} == result.envs
+    plain = solve_ifds(result)
+    assert plain.facts == _brute(xsg).facts
+    assert plain.facts_at(EVENT_LOOP) == {f1, f2}
 
 # a successor table over six facts: sources with one successor, with two
 # or more, with an empty tuple, and absent ones.  The facts are multiples
