@@ -214,21 +214,22 @@ def explore_schedules(program, max_decisions: int):
 @_collector_paused
 def check_program(source: str, model: EventModel, schedules: int,
                   filename: str = "<generated>") -> list[str]:
-    """Precision, soundness and representation-size checks for one
-    program; returns human-readable violations."""
+    """Representation, interpreter and per-read checks for one program;
+    returns human-readable violations.
+
+    Each uninitialized read the interpreter observes within the schedule
+    bound asks the solve for its own row, three times:
+    - soundness: the filtered result holds the read's fact at its node;
+    - subset: so does the plain result, as the filtered one is within it;
+    - agreement: the fact's handler-state map (`IdeResult.map_at`) puts
+      no handler in X, as the filter (`event_lattice.feasible`) and the
+      map a report prints are computed apart.
+    No whole-program fact set is built, so memory stays linear in the
+    program."""
     from .lang.interp import check_trace_ordering
     violations: list[str] = []
     program = parse(source, filename=filename, model=model)
     analysis = analyze_event_aware(program, check_descent=True)
-
-    plain = analysis.ifds.facts
-    for node, kept in analysis.filtered.facts.items():
-        extra = kept - plain.get(node, frozenset())
-        if extra:
-            names = analysis.domain.names_of(extra)
-            violations.append(
-                f"precision: facts {sorted(names)} at {node} survive "
-                f"filtering but are not in the plain result")
 
     n_handlers = len(analysis.build.handlers)
     if any(len(t) != n_handlers for t in analysis.labeled.labels.values()):
@@ -242,11 +243,23 @@ def check_program(source: str, model: EventModel, schedules: int,
         for read in trace.uninit_reads():
             node = node_for_sid(analysis.build.graph, program, read.sid)
             fact = analysis.domain.index_of(read.var)
-            if fact not in analysis.filtered.facts_at(node):
+            name = Scopes.display(read.var)
+            if not analysis.filtered.holds(node, fact):
                 violations.append(
                     f"soundness: run-time uninitialized read of "
-                    f"'{Scopes.display(read.var)}' at {node} missing from "
-                    f"the filtered result")
+                    f"'{name}' at {node} missing from the filtered result")
+            elif not analysis.ifds.holds(node, fact):
+                violations.append(
+                    f"subset: '{name}' at {node} survives filtering but "
+                    f"is not in the plain result")
+            else:
+                hsm = analysis.ide.map_at(node, fact)
+                if HState.X in hsm.values():
+                    violations.append(
+                        f"agreement: '{name}' at {node} survives filtering "
+                        f"but its handler-state map puts "
+                        f"{sorted(h for h, s in hsm.items() if s is HState.X)}"
+                        f" in X")
     return violations
 
 

@@ -140,7 +140,9 @@ class IdeResult:
         """Per reached node, the non-zero facts for which `holds`, plain
         and filtered; nodes without one have no entry.  One walk over the
         rows builds both, and a node whose facts are all feasible has one
-        set in both."""
+        set in both.  The sets grow with nodes times facts, so neither the
+        report nor the oracle reads them; the benchmark's gate, the
+        equivalence digests and tests do, through `IfdsResult.facts`."""
         is_feasible, members, row_of = self._feasible, self._members, self._row
         plain: dict[str, frozenset[int]] = {}
         kept: dict[str, frozenset[int]] = {}

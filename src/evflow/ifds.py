@@ -181,10 +181,12 @@ class IfdsResult:
     `filtered`, the facts the event-aware filter keeps, as a view of one
     solve (`ide.IdeResult`).
 
-    `holds(node, fact)` asks the solve at one pair.  `facts` (nodes
-    without facts have no entry) is this view's half of the solve's
-    fact sets (`IdeResult.fact_sets`), which one walk builds for both
-    views, and `facts_at` reads it; `reachable` is the solve's.
+    `holds(node, fact)` asks the solve at one pair, and is all that the
+    report and the oracle ask.  `facts` (nodes without facts have no
+    entry) is this view's half of the solve's fact sets
+    (`IdeResult.fact_sets`), which one walk builds for both views, and
+    `facts_at` reads it; the benchmark's gate, the equivalence digests
+    and tests read them.  `reachable` is the solve's.
     """
 
     def __init__(self, solution, filtered: bool = False,

@@ -568,14 +568,14 @@ def test_a_label_of_the_wrong_length_is_reported(monkeypatch):
         in violations
 
 
-class _Filtered:
-    """A stand-in for the filtered result: the given fact sets."""
+class _View:
+    """A stand-in for a result view: the given fact sets."""
 
     def __init__(self, facts: dict):
         self.facts = facts
 
-    def facts_at(self, node: str) -> frozenset:
-        return self.facts.get(node, frozenset())
+    def holds(self, node: str, fact: int) -> bool:
+        return fact in self.facts.get(node, frozenset())
 
 
 def test_a_read_the_filter_drops_is_reported(monkeypatch):
@@ -583,7 +583,7 @@ def test_a_read_the_filter_drops_is_reported(monkeypatch):
     uninitialized read, and the oracle's soundness check names it."""
     from evflow import cli, transform
     from evflow.eventmodel import EventModel
-    monkeypatch.setattr(transform, "untransform", lambda result: _Filtered({}))
+    monkeypatch.setattr(transform, "untransform", lambda result: _View({}))
     violations = cli.check_program("var x;\nprint(x);", EventModel.default(), 2)
     assert violations == [
         "soundness: run-time uninitialized read of 'x' at stmt:top-level:1 "
@@ -591,18 +591,34 @@ def test_a_read_the_filter_drops_is_reported(monkeypatch):
 
 
 def test_a_fact_the_filter_adds_is_reported(monkeypatch):
-    """A filter that keeps a fact the plain result lacks breaks filtered
-    within plain, and the oracle's precision check names it."""
+    """A filter that keeps, at an observed read, a fact the plain result
+    lacks breaks filtered within plain, and the oracle's subset check
+    names it."""
     from evflow import cli, transform
     from evflow.eventmodel import EventModel
-    untransform = transform.untransform
-    monkeypatch.setattr(transform, "untransform", lambda result: _Filtered(
-        {**untransform(result).facts, "stmt:top-level:2": frozenset({1})}))
-    violations = cli.check_program("var x;\nx = 1;\nprint(x);",
-                                   EventModel.default(), 2)
+    monkeypatch.setattr(transform, "solve_ifds", lambda result: _View({}))
+    monkeypatch.setattr(transform, "untransform", lambda result: _View(
+        {"stmt:top-level:1": frozenset({1})}))
+    violations = cli.check_program("var x;\nprint(x);", EventModel.default(), 2)
     assert violations == [
-        "precision: facts ['x'] at stmt:top-level:2 survive filtering but "
-        "are not in the plain result"]
+        "subset: 'x' at stmt:top-level:1 survives filtering but is not in "
+        "the plain result"]
+
+
+def test_a_map_that_disagrees_with_the_filter_is_reported(monkeypatch):
+    """A handler-state map that puts a handler in X, for a fact the
+    filter keeps at an observed read, is a solver fault the oracle's
+    agreement check names: the filter and the map are computed apart."""
+    from evflow import cli, ide
+    from evflow.event_lattice import HState
+    from evflow.eventmodel import EventModel
+    monkeypatch.setattr(ide, "map_at_s",
+                        lambda f, handlers: dict.fromkeys(handlers, HState.X))
+    source = 'var x;\nfn h() { print(x); }\nregister("e", h);\nemit("e");\n'
+    violations = cli.check_program(source, EventModel.default(), 2)
+    assert violations == [
+        "agreement: 'x' at stmt:h:1 survives filtering but its "
+        "handler-state map puts ['h'] in X"]
 
 
 def test_a_trace_out_of_order_is_reported(monkeypatch):

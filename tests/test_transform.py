@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from evflow import ide
-from evflow.cli import RunConfig, check_program, run
+from evflow.cli import RunConfig, check_program, explore_schedules, run
 from evflow.event_lattice import (
     HState,
     MF_EMIT,
@@ -17,7 +17,12 @@ from evflow.ifds import ZERO
 from evflow.lang.parser import parse
 from evflow.lang.ast import Assign, StrLit, Var
 from evflow.lang.interp import interpret
-from evflow.supergraph import EVENT_LOOP, EdgeKind, node_for_sid
+from evflow.supergraph import (
+    EVENT_LOOP,
+    EdgeKind,
+    build_supergraph,
+    node_for_sid,
+)
 from evflow.transform import analyze_event_aware, transform
 
 from conftest import CORPUS_NAMES, corpus_dir, load_corpus_entry
@@ -255,21 +260,22 @@ def test_filter_builds_no_map(monkeypatch):
         assert calls == [], name
 
 
-def test_check_program_walks_the_rows_once(monkeypatch):
-    """`check_program` gets the plain and the filtered fact sets from one
-    walk: it reads each node's row once and tests each distinct
-    transformer for feasibility at most once.  A `diff` run, which asks
-    `holds` once per read site, also tests each transformer at most
-    once."""
-    reads, tested = Counter(), Counter()
+def test_check_program_asks_the_solve_at_observed_reads_only(monkeypatch):
+    """`check_program` walks no row whole: it asks the solve at the nodes
+    of the reads the interpreter observes and nowhere else, and tests
+    each distinct transformer for feasibility at most once.  A `diff`
+    run, which asks `holds` once per read site, also tests each
+    transformer at most once."""
+    walks, asked, tested = Counter(), set(), Counter()
 
     class CountedRow(dict):
         def items(self):
-            reads[self.node] += 1
+            walks[self.node] += 1
             return super().items()
 
     def counted(row_of):
         def row_at(node):
+            asked.add(node)
             row = CountedRow(row_of(node))
             row.node = node
             return row
@@ -288,12 +294,20 @@ def test_check_program_walks_the_rows_once(monkeypatch):
         model_path = str(model_path) if model_path.exists() else None
         model = EventModel.from_json_file(model_path) if model_path \
             else EventModel.default()
-        reads.clear()
+        source = path.read_text(encoding="utf-8")
+        program = parse(source, filename=path.name, model=model)
+        graph = build_supergraph(program).graph
+        observed = {node_for_sid(graph, program, read.sid)
+                    for trace in explore_schedules(program, 2)
+                    for read in trace.uninit_reads()}
+        walks.clear()
+        asked.clear()
         tested.clear()
-        assert check_program(path.read_text(encoding="utf-8"), model, 2,
-                             path.name) == [], path.name
-        assert reads and set(reads.values()) == {1}, path.name
-        assert tested and set(tested.values()) == {1}, path.name
+        assert check_program(source, model, 2, path.name) == [], path.name
+        assert not walks, path.name
+        assert asked == observed, path.name
+        assert bool(tested) == bool(observed), path.name
+        assert set(tested.values()) <= {1}, path.name
         tested.clear()
         status, report = run(RunConfig([str(path)], event_model=model_path))
         assert not report.input_error, path.name
