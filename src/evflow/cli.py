@@ -220,7 +220,9 @@ def check_program(source: str, model: EventModel, schedules: int,
     Each uninitialized read the interpreter observes within the schedule
     bound asks the solve for its own row, three times:
     - soundness: the filtered result holds the read's fact at its node;
-    - subset: so does the plain result, as the filtered one is within it;
+    - subset: so does the plain result, as the filtered one is within it
+      (both are views of one solve, so today this holds by construction;
+      it guards a future separate plain solve);
     - agreement: the fact's handler-state map (`IdeResult.map_at`) puts
       no handler in X, as the filter (`event_lattice.feasible`) and the
       map a report prints are computed apart.

@@ -3,20 +3,21 @@ file.
 
 For each workload and seed it runs `--pairs` pairs of
 
-    python3 evbench/run.py --workload W --seed S --seconds 25
+    python3 evbench/run.py --workload W --seed S
 
 once in a `git archive` of the parent revision and once in this working
 tree, alternating which side runs first, and writes to `--out` each
 run's final JSON line and, per side and end-to-end metric, the median
 and quartiles of the runs, and per metric the pairs the change won:
 
-    python tests/bench_record.py --out BENCH_37.json --pairs 10 \\
-        --workload oracle --seed 3 --seed 7
+    python tests/bench_record.py --parent f2d66f5 --out BENCH_37.json \\
+        --pairs 10 --workload oracle --seed 3 --seed 7
 
-`--parent` is the parent revision, `HEAD` by default, which before a
-commit is the parent of the working tree.  An existing `--out` file
-keeps its entries for other workloads and seeds, so they can be
-recorded one command at a time.
+The run length is the benchmark's own default.  `--parent` names the
+revision to compare against and must differ from `HEAD` when the working
+tree is clean, so that a pair never compares a tree with itself.  An
+existing `--out` file keeps its entries for other workloads and seeds,
+so they can be recorded one command at a time.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ def end_to_end() -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(tree: Path, workload: str, seed: int) -> dict:
     """One benchmark run in `tree`: its final JSON line, or its exit
     status and the end of its error output if it failed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "evbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed)],
         cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -82,23 +83,32 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def rev_parse(rev: str) -> str:
+    return subprocess.run(["git", "rev-parse", rev], cwd=ROOT,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True)
-    ap.add_argument("--parent", default="HEAD")
+    ap.add_argument("--parent", required=True)
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seed", type=int, action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0)
     args = ap.parse_args(argv)
     better = end_to_end()
     out_path = Path(args.out)
     record = (json.loads(out_path.read_text(encoding="utf-8"))
               if out_path.exists() else {})
-    parent = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
-                            capture_output=True, text=True, check=True)
-    record.update(parent=parent.stdout.strip(), seconds=args.seconds,
-                  python=sys.version.split()[0])
+    parent = rev_parse(args.parent)
+    dirty = subprocess.run(["git", "status", "--porcelain",
+                            "--untracked-files=no"], cwd=ROOT,
+                           capture_output=True, text=True, check=True)
+    if parent == rev_parse("HEAD") and not dirty.stdout.strip():
+        ap.error(f"--parent {args.parent} is the clean working tree itself")
+    record.pop("seconds", None)
+    record.update(parent=parent, python=sys.version.split()[0])
     runs = record.setdefault("runs", {})
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
@@ -114,8 +124,7 @@ def main(argv: list[str] | None = None) -> int:
                     order = SIDES if i % 2 == 0 else SIDES[::-1]
                     pair = {"first": order[0]}
                     for side in order:
-                        pair[side] = bench_run(trees[side], workload, seed,
-                                               args.seconds)
+                        pair[side] = bench_run(trees[side], workload, seed)
                     pairs.append(pair)
                     print(key, i, {s: pair[s]["metrics"]["program_s_p50"]
                                    if "metrics" in pair[s] else pair[s]
