@@ -218,7 +218,8 @@ def check_program(source: str, model: EventModel, schedules: int,
     returns human-readable violations.
 
     Each uninitialized read the interpreter observes within the schedule
-    bound asks the solve for its own row, three times:
+    bound, a (statement, variable) pair however many traces observe it,
+    asks the solve for its own row, three times:
     - soundness: the filtered result holds the read's fact at its node;
     - subset: so does the plain result, as the filtered one is within it
       (both are views of one solve, so today this holds by construction;
@@ -238,11 +239,15 @@ def check_program(source: str, model: EventModel, schedules: int,
         violations.append("representation: a label's length is not the "
                           "handler count")
 
+    checked: set[tuple[int, str]] = set()
     for trace in explore_schedules(program, max_decisions=schedules):
         if check_trace_ordering(program, trace):
             violations.append("interpreter: trace breaks the "
                               "registration/emission ordering invariant")
         for read in trace.uninit_reads():
+            if (read.sid, read.var) in checked:
+                continue
+            checked.add((read.sid, read.var))
             node = node_for_sid(analysis.build.graph, program, read.sid)
             fact = analysis.domain.index_of(read.var)
             name = Scopes.display(read.var)

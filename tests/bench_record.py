@@ -8,7 +8,9 @@ For each workload and seed it runs `--pairs` pairs of
 once in a `git archive` of the parent revision and once in this working
 tree, alternating which side runs first, and writes to `--out` each
 run's final JSON line and, per side and end-to-end metric, the median
-and quartiles of the runs, and per metric the pairs the change won:
+and quartiles of the runs, and per metric the pairs the change won.
+Before the pairs it runs `tests/scaling.py 24 48 96` once in each tree
+and writes both sides' rows of its table as the `scaling` section:
 
     python tests/bench_record.py --parent f2d66f5 --out BENCH_37.json \\
         --pairs 10 --workload oracle --seed 3 --seed 7
@@ -35,6 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+# the columns of the table `tests/scaling.py` prints, one row per line
+SCALING_COLUMNS = ("variant", "h", "g", "jump_functions", "phase1_steps",
+                   "reported", "filtered", "cli_run_s", "peak_rss_mb")
 
 
 def end_to_end() -> dict[str, str]:
@@ -43,18 +48,38 @@ def end_to_end() -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
+def run_in(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """A script of `tree` run from `tree`, which imports that tree's
+    `src`, not one on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run([sys.executable, *args], cwd=tree, env=env,
+                          capture_output=True, text=True)
+
+
+def failure(done: subprocess.CompletedProcess) -> dict:
+    return {"exit": done.returncode, "stderr": done.stderr[-2000:]}
+
+
 def bench_run(tree: Path, workload: str, seed: int) -> dict:
     """One benchmark run in `tree`: its final JSON line, or its exit
     status and the end of its error output if it failed."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run(
-        [sys.executable, "evbench/run.py", "--workload", workload,
-         "--seed", str(seed)],
-        cwd=tree, env=env, capture_output=True, text=True)
+    done = run_in(tree, "evbench/run.py", "--workload", workload,
+                  "--seed", str(seed))
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        return {"exit": done.returncode, "stderr": done.stderr[-2000:]}
+        return failure(done)
     return json.loads(lines[-1])
+
+
+def scaling_rows(tree: Path) -> list[dict] | dict:
+    """`tests/scaling.py 24 48 96` in `tree`: one dict per row of its
+    table, or its exit status and error output if it failed."""
+    done = run_in(tree, "tests/scaling.py", "24", "48", "96")
+    if done.returncode != 0:
+        return failure(done)
+    return [dict(zip(SCALING_COLUMNS, [variant, *map(json.loads, numbers)]))
+            for variant, *numbers in (line.replace(",", "").split()
+                                      for line in done.stdout.splitlines()[1:])]
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -116,6 +141,8 @@ def main(argv: list[str] | None = None) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp)
         trees = {"parent": Path(tmp), "change": ROOT}
+        record["scaling"] = {side: scaling_rows(trees[side])
+                             for side in SIDES}
         for workload in args.workload:
             for seed in args.seed:
                 key = f"{workload}/{seed}"

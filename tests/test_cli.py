@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 from evflow import ide
@@ -590,6 +594,25 @@ def test_a_read_the_filter_drops_is_reported(monkeypatch):
         "missing from the filtered result"]
 
 
+def test_a_read_two_traces_observe_is_reported_once(monkeypatch):
+    """Both orderings of two async handlers observe h's read of x, and a
+    filter that drops it gives one soundness line, not one per trace."""
+    from evflow import cli, transform
+    from evflow.eventmodel import EventModel
+    from evflow.lang.interp import explore_schedules
+    from evflow.lang.parser import parse
+    source = ('var x;\nfn h() { print(x); }\nfn k() { }\n'
+              'register_async(h);\nregister_async(k);\n')
+    traces = list(explore_schedules(parse(source), 2))
+    assert [[(r.sid, r.var) for r in t.uninit_reads()] for t in traces] \
+        == [[(1, "x")]] * 2
+    monkeypatch.setattr(transform, "untransform", lambda result: _View({}))
+    violations = cli.check_program(source, EventModel.default(), 2)
+    assert violations == [
+        "soundness: run-time uninitialized read of 'x' at stmt:h:1 "
+        "missing from the filtered result"]
+
+
 def test_a_fact_the_filter_adds_is_reported(monkeypatch):
     """A filter that keeps, at an observed read, a fact the plain result
     lacks breaks filtered within plain, and the oracle's subset check
@@ -746,3 +769,18 @@ def test_diff_builds_maps_only_for_filtered_diagnostics(monkeypatch):
     assert all(d["status"] == "filtered" for d in report.diagnostics)
     # one map per distinct normal form, so one call per distinct map
     assert len(calls) == len({json.dumps(m, sort_keys=True) for m in maps})
+
+
+def test_python_m_evflow_runs_the_command_line():
+    """`python -m evflow` prints what `python -m evflow.cli` prints, with
+    the same exit status, wall time aside."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = [subprocess.run([sys.executable, "-m", module, "diff", "door.evl"],
+                           cwd=packaged_corpus_dir(), env=env,
+                           capture_output=True, text=True, timeout=60)
+            for module in ("evflow", "evflow.cli")]
+    shown = [(d.returncode, re.sub(r"wall_ms=[0-9.]+", "wall_ms=", d.stdout),
+              d.stderr) for d in done]
+    assert shown[0] == shown[1]
+    assert shown[0][0] == EXIT_CLEAN and "door.evl:13" in shown[0][1]

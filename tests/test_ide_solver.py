@@ -13,6 +13,7 @@ from hypothesis import example, given, strategies as st
 from evflow.event_lattice import (
     HState,
     MF_EMIT,
+    MF_EMIT_REGISTER,
     MF_REGISTER,
     Transformer,
 )
@@ -843,11 +844,18 @@ def test_tail_emits_answer_like_the_path_oracles(name):
     g = xsg.graph
     tails = _tail_return_sites(g)
     assert {g.proc_of(r) for r in tails} == TAILS[name]
+    assert all(_brute(xsg).facts_at(r) for r in tails)
+    _assert_like_the_path_oracles(build, problem, xsg, labeled, result)
+
+
+def _assert_like_the_path_oracles(build, problem, xsg, labeled, result):
+    """At every node and fact, `result`'s map and both memberships equal
+    the path oracles'."""
+    g = xsg.graph
     oracle = brute_force_ide(g, xsg.rel_of, labeled.labels, build.handlers,
                              max_len=40)
     brute = _brute(xsg)
     plain, kept = solve_ifds(result), untransform(result)
-    assert all(brute.facts_at(r) for r in tails)
     for node in g.nodes:
         for d in (ZERO, *problem.domain.indices()):
             want = oracle.get(node, {}).get(d)
@@ -870,17 +878,39 @@ emit("e");
 
 
 def test_a_return_edge_that_renames_keeps_the_nested_loop():
-    program = parse(TAIL_RENAME_SOURCE)
+    _assert_the_renamed_fact_reaches_the_loop(TAIL_RENAME_SOURCE, "h")
+
+
+# With no handler emitting, the loop would join top-level; here the return
+# edge from the loop to top-level's emit renames f1 to f2, so the loop
+# stays a procedure, or f2 would not reach it.
+JOIN_RENAME_SOURCE = """fn h() { }
+register("e", h);
+emit("e");
+"""
+
+
+def test_a_top_level_return_edge_that_renames_keeps_the_loop_apart():
+    _assert_the_renamed_fact_reaches_the_loop(JOIN_RENAME_SOURCE,
+                                              "top-level")
+
+
+def _assert_the_renamed_fact_reaches_the_loop(source, proc):
+    """The return edges from the loop into `proc` rename f1, which top-level
+    generates, to f2; the solve equals the path oracles and holds both at
+    the loop."""
+    program = parse(source)
     build = build_supergraph(program)
     g = build.graph
-    assert {g.proc_of(r) for r in _tail_return_sites(g)} == {"h"}
+    assert {g.proc_of(r) for r in _tail_return_sites(g)} == \
+        ({"h"} if proc == "h" else set())
     domain = FactDomain(("f1", "f2"))
     f1, f2 = domain.indices()
     patch_of = {e.eid: IDENTITY for e in g.edges}
     for e in g.out_edges(g.entry()):
         patch_of[e.eid] = Patch((), ((ZERO, f1),))
     for e in g.edges:
-        if e.kind is EdgeKind.RETURN and g.proc_of(e.dst) == "h":
+        if e.kind is EdgeKind.RETURN and g.proc_of(e.dst) == proc:
             patch_of[e.eid] = Patch((f1,), ((f1, f2),))
     xsg = ExplodedSupergraph(g, domain, patch_of)
     labeled = transform(xsg, build.ops, build.handlers)
@@ -891,6 +921,93 @@ def test_a_return_edge_that_renames_keeps_the_nested_loop():
     plain = solve_ifds(result)
     assert plain.facts == _brute(xsg).facts
     assert plain.facts_at(EVENT_LOOP) == {f1, f2}
+
+
+# Shapes for the event loop's join with top-level (see `solve_ide`):
+# - chain: top-level ends with `register; emit`, the `chain` deck's shape;
+# - no_handler: `randgen` program `accept5:28`, whose top-level emits an
+#   event no handler is registered for, so the joined loop dispatches
+#   nothing;
+# - in_if: top-level's emit is in a branch of its last `if`;
+# - labelled_exit: top-level's exit call labelled as an emit after
+#   register of k, which no program's labelling does; x reaches the loop
+#   through that call only after the nested loop of top-level's emit
+#   returns, and only there does k's read of x run feasibly, so the loop
+#   stays a procedure;
+# - then_statement: a top-level emit followed by an assignment;
+# - handler_then: a handler whose emit is not its last statement.
+JOIN_SOURCES = {
+    "chain": """var x;
+var y;
+fn k() { print(y); x = 1; }
+fn h() { print(x); y = 1; register("f", k); emit("f"); }
+register("e", h);
+emit("e");
+""",
+    "no_handler": gen_source("accept5:28", GenParams()),
+    "in_if": """var x;
+var y;
+fn h() { print(y); y = x; }
+register("e", h);
+if (y < 1) { x = 1; emit("e"); }
+""",
+    "labelled_exit": """var x;
+fn k() { print(x); }
+fn h() { print(x); }
+fn later() { register("f", k); }
+register("e", h);
+emit("e");
+""",
+    "then_statement": """var x;
+var y;
+fn h() { print(x); y = 1; }
+register("e", h);
+emit("e");
+x = 1;
+print(y);
+""",
+    "handler_then": """var x;
+var y;
+fn k() { print(y); }
+fn h() { register("f", k); emit("f"); y = x; }
+register("e", h);
+emit("e");
+""",
+}
+JOINS = {"chain": True, "no_handler": True, "in_if": True,
+         "labelled_exit": False, "then_statement": False,
+         "handler_then": False}
+
+
+def _loop_joins(g, labels):
+    """Whether top-level's exit only calls the loop, unlabelled, and every
+    call into the loop that returns is a tail emit or an emit of top-level
+    whose return site's one out-edge enters that exit."""
+    top_end = g.end_of(g.proc_of(g.entry()))
+    tails = _tail_return_sites(g)
+    return [(e.dst, e.eid in labels) for e in g.out_edges(top_end)] == \
+        [(EVENT_LOOP, False)] and all(
+            e.ret_site in tails or g.proc_of(e.src) == g.proc_of(top_end)
+            and [out.dst for out in g.out_edges(e.ret_site)] == [top_end]
+            for e in g.edges if e.dst == EVENT_LOOP and e.ret_site)
+
+
+@pytest.mark.parametrize("name", JOIN_SOURCES)
+def test_the_loop_joins_top_level_as_the_path_oracles_answer(name):
+    """At every node and fact, the maps and both memberships equal the
+    path oracles', whether or not the loop joins top-level."""
+    program = parse(JOIN_SOURCES[name])
+    build, problem, xsg, labeled, _ = ide_for(program)
+    g = xsg.graph
+    if name == "labelled_exit":
+        exit_call, = g.out_edges(g.end_of(g.proc_of(g.entry())))
+        labeled = LabeledExplodedSupergraph(
+            xsg, {**labeled.labels, exit_call.eid: packed(
+                build.handlers, {"k": MF_EMIT_REGISTER})}, build.handlers)
+    assert _loop_joins(g, labeled.labels) == JOINS[name]
+    _assert_like_the_path_oracles(build, problem, xsg, labeled,
+                                  solve_ide(labeled, check_descent=True))
+
 
 # a successor table over six facts: sources with one successor, with two
 # or more, with an empty tuple, and absent ones.  The facts are multiples
