@@ -230,44 +230,50 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     summary; at an exit head it gives the listed function itself, since
     a jump function only descends.
 
+    In the paper's model an emit runs the event loop nested inside its
+    handler.  The two rules below skip that nested loop; both need the
+    loop's return edges to carry every fact that reaches the loop to
+    itself, unlabelled.  That holds when every edge at the loop has one
+    patch that only drops facts (the uninit problem's all drop the
+    non-globals) and no return edge there has a label (the event
+    labelling puts none there).  Both rules are exact for one reason:
+    the loop is one node that is both start and exit, its return edges
+    are then the identity on its facts, composition distributes over the
+    meet, and L* o L* = L*, since a sequence of dispatch sequences is a
+    dispatch sequence; so "run the nested loop, return, then continue
+    the outer loop" meets over the same label sequences as "continue the
+    outer loop".  Only the readout still needs what the nested loop
+    returns: at the emit's return site, and at the exit that site
+    enters, a row meets in the call site's row sent through the call
+    edge, closed over the loop's summary edges and sent through the
+    return edge.  A report reads neither node.
+
     An emit is a tail emit if its only call edge enters the event loop
     and returns to a site whose one out-edge, unlabelled and the
     identity, enters the exit of a procedure that only the loop's
-    dispatch edges enter, and if the loop's return edges carry every
-    fact that reaches the loop to itself, unlabelled.  That last holds
-    when every edge at the loop has one patch that only drops facts (the
-    uninit problem's all drop the non-globals) and no return edge there
-    has a label (the event labelling puts none there).  A pop at a tail
-    emit enters nothing into the loop: it lists `call label o f`, under
-    the call edge's table, as an exit of its own procedure, so the
-    loop's dispatch edge for the handler carries `emit o prefix o
-    invoke`, and the loop's own closure supplies the rest; phase 2 sends
-    no value through that call edge.  This is exact.  The loop is one
-    node that is both start and exit, its return edges are the identity
-    on its facts, composition distributes over the meet, and L* o L* =
-    L*, since a sequence of dispatch sequences is a dispatch sequence;
-    so "run the nested loop, return, then continue the outer loop" meets
-    over the same label sequences as "continue the outer loop".  Only
-    the readout still needs what the nested loop returns: at a tail
-    emit's return site, and at the exit that site enters, a row meets in
-    the call site's row sent through the call edge, closed over the
-    loop's summary edges and sent through the return edge.  A report
-    reads neither node.
+    dispatch edges enter.  A pop at a tail emit enters nothing into the
+    loop: it lists `call label o f`, under the call edge's table, as an
+    exit of its own procedure, so the loop's dispatch edge for the
+    handler carries `emit o prefix o invoke`, and the loop's own closure
+    supplies the rest; phase 2 sends no value through that call edge.
+    This is exact by the argument above.
 
     The loop joins top-level if top-level's exit has one out-edge, an
-    unlabelled call into the loop, the loop's return edges are as above,
-    and no call into the loop returns but top-level emits whose return
-    site only enters that exit, unlabelled and the identity.  The loop
-    is then a node of top-level: the exit's call and each such emit's
-    call are steps into it, under the call edge's label and table, the
-    emit keeps its call-to-return step, and the loop lists no exit, so
-    its jump functions are kept for top-level's one start fact instead
-    of for every fact that enters it.  This is exact, by the argument
-    above: top-level's exit is reached once and its call into the loop
-    never returns, so no caller reads the loop's summaries, and running
-    the nested loop at such an emit, returning, and entering the loop
-    again from the exit meets over L* o L* = L*.  The emit's return site
-    and the exit read the nested loop's share as a tail emit's do.
+    unlabelled call into the loop, and no call into the loop returns but
+    top-level emits whose return site only enters that exit, unlabelled
+    and the identity.  The loop is then a node of top-level: the exit's
+    call and each such emit's call are steps into it, under the call
+    edge's label and table, and the emit keeps its call-to-return step,
+    so the loop's jump functions are kept for top-level's one start fact
+    instead of for every fact that enters it.  Top-level's exit is
+    reached once and its call into the loop never returns, so no caller
+    reads the loop's summaries; at such an emit, running the nested
+    loop, returning and entering the loop again from the exit meets over
+    L* o L* = L*, as above.
+
+    A pop lists an exit only for a procedure that some call with a
+    return site enters, since only such a call reads its summaries:
+    never top-level's, which nothing calls, nor the joined loop's.
 
     Every transformer the solve touches (a `bytes`, one lane per handler;
     see `event_lattice`) is interned in a table that lives as long as the
@@ -344,12 +350,21 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     only_in: dict[str, Edge | None] = {}    # node -> its one in-edge
     call_sites: dict[str, None] = {}        # in order of first call edge
     returns: dict[tuple[str, str], Edge] = {}   # by (exit, return site)
+    loop_edges = set()  # (patch, labelled return edge?) of each loop edge
     for e in g.edges:
         only_in[e.dst] = None if e.dst in only_in else e
         if e.kind is EdgeKind.CALL:
             call_sites[e.src] = None
         elif e.kind is EdgeKind.RETURN:
             returns[(e.src, e.dst)] = e
+        if e.src == EVENT_LOOP or e.dst == EVENT_LOOP:
+            loop_edges.add((patch_of[e.eid],
+                            e.kind is EdgeKind.RETURN and e.eid in label))
+    # the loop's return edges carry each fact that reaches the loop to
+    # itself, unlabelled: every edge there has one patch that only drops
+    # facts, and no return edge there has a label
+    loop_keeps = [(p.added, labelled) for p, labelled in loop_edges] == [
+        ((), False)]
     out_edges = g.out_edges
     # nothing merges at an interior node and no phase-1 rule fires there
     interior = {n for n, e in only_in.items()
@@ -377,20 +392,6 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     # loop, and exit head it flows into -> the emits (call site, label id,
     # call table, return table) it reads
     tails_into: dict[str, list[tuple]] = defaultdict(list)
-    loop_kept = None    # read off the loop's edges when first asked
-
-    def loop_keeps() -> bool:
-        """Whether the loop's return edges carry each fact that reaches
-        the loop to itself, unlabelled: every edge at the loop has one
-        patch that only drops facts and no return edge there has a
-        label."""
-        nonlocal loop_kept
-        if loop_kept is None:
-            loop_kept = [(p.added, labelled) for p, labelled in {
-                (patch_of[e.eid], e.kind is EdgeKind.RETURN
-                 and e.eid in label) for e in g.edges
-                if EVENT_LOOP in (e.src, e.dst)}] == [((), False)]
-        return loop_kept
 
     def only_into(r: str, end: str) -> bool:
         """Whether `r`'s one out-edge, unlabelled and the identity, enters
@@ -417,7 +418,7 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
                     start, end = proc_start[n], g.end_of(g.proc_of(n))
                     caller = only_in.get(start)
                     if (caller and caller.src == EVENT_LOOP
-                            and only_into(r, end) and loop_keeps()):
+                            and only_into(r, end) and loop_keeps):
                         _, lab, table, _, (_, ret_table) = call
                         exit_of[n] = (start, lab, table)
                         for m in (r,) if end in interior else (r, end):
@@ -452,14 +453,20 @@ def solve_ide(lxsg: LabeledExplodedSupergraph,
     if [(e.kind, e.dst, e.eid in label) for e in out_edges(top_end)] == [
             (EdgeKind.CALL, EVENT_LOOP, False)] and all(
             proc_start[n] == entry and only_into(r, top_end)
-            for n, r in finals) and loop_keeps():
+            for n, r in finals) and loop_keeps:
         proc_start[EVENT_LOOP] = entry
-        del exit_of[EVENT_LOOP]
         for n in [n for n, _ in finals] + [top_end]:
             (_, lab, table, r, ret), = calls_from.pop(n)
             steps_from[n] += ((EVENT_LOOP, lab, table),)
             for m in (r, top_end) if r else ():
                 tails_into[m].append((n, lab, table, ret[1]))
+
+    # a pop lists an exit only for a procedure that some call with a
+    # return site enters: no other summary is read.  Top-level's is not,
+    # nor, once it joins, the loop's
+    entered = {callee for calls in calls_from.values()
+               for callee, _, _, r, _ in calls if r}
+    exit_of = {n: x for n, x in exit_of.items() if x[0] in entered}
 
     # --- phase 1: jump functions ---
     # node -> {fact: {start fact: jump function}}, at every node that

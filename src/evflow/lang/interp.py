@@ -336,7 +336,7 @@ def explore_schedules(program: Program, _ignored=None,
     The first trace is the FIFO run; further traces flip one ready-queue
     decision at a time, depth-first, up to max_decisions decisions.  The
     second parameter is ignored: `evbench/gen.py` still passes an event
-    model there, and ROADMAP item 1, which drops that argument, removes
+    model there, and ROADMAP item 9, which drops that argument, removes
     the parameter.
     """
     # An explicit stack, not a closure that calls itself: such a closure

@@ -8,7 +8,9 @@ For each workload and seed it runs `--pairs` pairs of
 once in a `git archive` of the parent revision and once in this working
 tree, alternating which side runs first, and writes to `--out` each
 run's final JSON line and, per side and end-to-end metric, the median
-and quartiles of the runs, and per metric the pairs the change won.
+and quartiles of the runs, and per metric the pairs the change won and
+the verdict on it (`better`, `worse`, `unresolved` or `level`; see
+`verdict`), from the metric's `better` and `bound` in `BENCHMARK.json`.
 Before the pairs it runs `tests/scaling.py 24 48 96` once in each tree
 and writes both sides' rows of its table as the `scaling` section:
 
@@ -42,10 +44,11 @@ SCALING_COLUMNS = ("variant", "h", "g", "jump_functions", "phase1_steps",
                    "reported", "filtered", "cli_run_s", "peak_rss_mb")
 
 
-def end_to_end() -> dict[str, str]:
-    """Each end-to-end metric of the benchmark and its better direction."""
+def end_to_end() -> dict[str, dict]:
+    """Each end-to-end metric of the benchmark by name: its `better`
+    direction and the `bound` by which it may worsen."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def run_in(tree: Path, *args: str) -> subprocess.CompletedProcess:
@@ -89,23 +92,54 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per side and metric the spread of the runs that finished, and per
-    metric the pairs the change won (ties count for neither side)."""
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per side and metric the spread of the runs that finished, per
+    metric the pairs the change won (ties count for neither side) and
+    the verdict on it (`verdict`)."""
     done = [p for p in pairs if all("metrics" in p[s] for s in SIDES)]
     out: dict = {"pairs_done": len(done)}
     if not done:
         return out
+    # per metric and side, each run's value, signed so that higher is better
+    signed = {m: {side: [(1 if spec["better"] == "higher" else -1)
+                         * p[side]["metrics"][m]["value"] for p in done]
+                  for side in SIDES}
+              for m, spec in metrics.items()}
     for side in SIDES:
         out[side] = {m: spread([p[side]["metrics"][m]["value"] for p in done])
-                     for m in better}
-    sign = {"lower": -1, "higher": 1}
-    out["change_wins"] = {
-        m: sum(1 for p in done
-               if sign[b] * (p["change"]["metrics"][m]["value"]
-                             - p["parent"]["metrics"][m]["value"]) > 0)
-        for m, b in better.items()}
+                     for m in metrics}
+    out["change_wins"] = {m: sum(c > p for p, c in zip(runs["parent"],
+                                                         runs["change"]))
+                          for m, runs in signed.items()}
+    out["verdict"] = {m: verdict(runs["parent"], runs["change"],
+                                 out["change_wins"][m], metrics[m]["bound"])
+                      for m, runs in signed.items()}
     return out
+
+
+def verdict(parent: list[float], change: list[float], wins: int,
+            bound: float) -> str:
+    """The verdict on one metric over paired runs whose values are signed
+    so that higher is better; `bound` is the share of the parent's
+    median by which the change may worsen.
+
+    `better`: the change won at least nine tenths of the pairs, and its
+    median is above the parent's by more than the parent's quartile
+    spread.  `worse`: the change's median is below the parent's by more
+    than the bound.  `unresolved`: the parent's quartile spread is wider
+    than the bound, and not every run of the change beats every run of
+    the parent.  `level`: otherwise.
+    """
+    p, c = spread(parent), spread(change)
+    iqr = p["q3"] - p["q1"]
+    allowed = bound * abs(p["median"])
+    if 10 * wins >= 9 * len(parent) and c["median"] - p["median"] > iqr:
+        return "better"
+    if p["median"] - c["median"] > allowed:
+        return "worse"
+    if iqr > allowed and min(change) <= max(parent):
+        return "unresolved"
+    return "level"
 
 
 def rev_parse(rev: str) -> str:
@@ -122,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
-    better = end_to_end()
+    metrics = end_to_end()
     out_path = Path(args.out)
     record = (json.loads(out_path.read_text(encoding="utf-8"))
               if out_path.exists() else {})
@@ -156,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(key, i, {s: pair[s]["metrics"]["program_s_p50"]
                                    if "metrics" in pair[s] else pair[s]
                                    for s in SIDES}, flush=True)
-                runs[key] = {"pairs": pairs, **summarize(pairs, better)}
+                runs[key] = {"pairs": pairs, **summarize(pairs, metrics)}
                 out_path.write_text(json.dumps(record, indent=1) + "\n",
                                     encoding="utf-8")
     return 0

@@ -8,9 +8,9 @@ the `randgen` programs `eq:0`-`eq:399` (`GenParams(allow_while=True)`):
 `diff` reports, JSON with `wall_ms` masked and text, of both DOT dumps,
 of the parse result (functions, event calls, each statement's `Access`
 and the `Scopes`), of each edge's flow-function patch, of the plain and
-the filtered fact sets, of the environments and of the IDE solve's
-stats.  Reports and dumps come through `cli.run`, so the script reads
-only names every tree has; run it against each tree:
+the filtered fact sets and of the environments, and the IDE solve's
+stats themselves.  Reports and dumps come through `cli.run`, so the
+script reads only names every tree has; run it against each tree:
 
     PYTHONPATH=<tree>/src python tests/equivalence.py > <tree>.jsonl
     PYTHONPATH=<tree>/src python tests/equivalence.py corpus
@@ -22,7 +22,8 @@ and `diff` the outputs.  `corpus` limits the run to the corpus, and
 `compare <tree>` does both diffs in one command: it runs the default
 mode and `errors` under `<tree>/src` and under this tree's `src`, each
 in a subprocess, prints each line that differs as its id and the keys
-that moved, and exits 1 if any did:
+that moved (each solver counter that moved as `ide_stats.<counter>`),
+and exits 1 if any did:
 
     python tests/equivalence.py compare <parent tree>
 
@@ -119,10 +120,10 @@ def _reports(name: str, model: str | None,
 
 
 def _solution(name: str, source: str, model: str | None,
-              analysis=None) -> dict[str, str]:
+              analysis=None) -> dict:
     """The digests of the parse result, the flow-function patches, the
-    fact sets, environments and stats of `analysis`, or of a new solve,
-    or of the error that stopped it."""
+    fact sets and environments of `analysis`, or of a new solve, and its
+    solver stats; or the digest of the error that stopped it."""
     if analysis is None:
         try:
             analysis = analyze_event_aware(parse(
@@ -154,10 +155,10 @@ def _solution(name: str, source: str, model: str | None,
             "plain_facts": _digest(named(analysis.ifds.facts)),
             "filtered_facts": _digest(named(analysis.filtered.facts)),
             "envs": _digest(envs),
-            "ide_stats": _digest(analysis.ide.stats)}
+            "ide_stats": analysis.ide.stats}
 
 
-def _row(name: str, source: str, model: str | None) -> dict[str, str]:
+def _row(name: str, source: str, model: str | None) -> dict:
     return {**_reports(name, model), **_solution(name, source, model)}
 
 
@@ -202,9 +203,22 @@ def golden_lines() -> list[str]:
 
 
 def moved_keys(old: str, new: str) -> list[str]:
-    """The keys whose digests differ between two lines of one program."""
-    a, b = json.loads(old), json.loads(new)
+    """The keys whose values differ between two lines of one program;
+    of `ide_stats`, each counter that differs, as `ide_stats.<counter>`."""
+    a, b = (_flat(json.loads(line)) for line in (old, new))
     return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def _flat(row: dict) -> dict:
+    """`row` with each dict value replaced by its items, under
+    `<key>.<item key>`."""
+    flat = {}
+    for key, value in row.items():
+        if isinstance(value, dict):
+            flat.update((f"{key}.{k}", v) for k, v in value.items())
+        else:
+            flat[key] = value
+    return flat
 
 
 def print_moved(label: str, old: list[str], new: list[str]) -> bool:

@@ -59,3 +59,12 @@ def test_error_messages_match_the_golden():
     recorded.  Re-record as `test_digests_match_the_golden` says."""
     want = equivalence.ERRORS_GOLDEN.read_text(encoding="utf-8").splitlines()
     assert equivalence.golden_error_lines() == want
+
+
+def test_moved_keys_name_each_solver_counter_that_moved():
+    old = json.dumps({"id": "p", "parse": "a", "ide_stats": {
+        "meets": 3, "phase1_steps": 9, "return_waves": 2}})
+    new = json.dumps({"id": "p", "parse": "b", "ide_stats": {
+        "meets": 2, "phase1_steps": 9, "return_waves": 1}})
+    assert equivalence.moved_keys(old, new) == [
+        "ide_stats.meets", "ide_stats.return_waves", "parse"]

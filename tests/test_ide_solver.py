@@ -751,9 +751,9 @@ def test_blocks_answer_like_the_path_oracles():
         shapes
 
 
-# Emits at the end of a handler, which `solve_ide` treats as tail calls
-# into the event loop when the handler is only ever dispatched, and emits
-# it must not:
+# Shapes of the calls into the event loop, for `solve_ide`'s tail emits
+# (emits at the end of a handler that only the loop dispatches) and for
+# the loop's join with top-level:
 # - tail: h's and k's emits are tail emits, and the loop they enter runs
 #   k and j, which h and k register first;
 # - then_statement: h registers k after its first emit and then emits
@@ -769,83 +769,174 @@ def test_blocks_answer_like_the_path_oracles():
 #   `register_async`, emits an event that has none;
 # - register_async: h, registered by `register_async`, registers k and
 #   emits its event;
-# - self_emit: h emits its own event.
-TAIL_SOURCES = {
-    "tail": """var x;
+# - self_emit: h emits its own event;
+# - chain: top-level ends with `register; emit`, the `chain` deck's shape;
+# - top_level_unhandled: `randgen` program `accept5:28`, whose top-level
+#   emits an event no handler is registered for, so the joined loop
+#   dispatches nothing;
+# - in_if: top-level's emit is in a branch of its last `if`;
+# - labelled_exit: top-level's exit call labelled as an emit after
+#   register of k, which no program's labelling does; x reaches the loop
+#   through that call only after the nested loop of top-level's emit
+#   returns, and only there does k's read of x run feasibly, so the loop
+#   stays a procedure;
+# - top_level_then: a top-level emit followed by an assignment;
+# - handler_then: a handler whose emit is not its last statement;
+# - no_emit: nothing emits, so only top-level's exit calls the loop.
+# Per shape: its source, the procedures whose emits are tail emits,
+# whether the loop joins top-level, and the solve's return waves: a pop
+# lists an exit only for a procedure that a returning call enters, so a
+# joined loop and top-level never take one.
+LOOP_SHAPES = {
+    "tail": ("""var x;
 var y;
 fn j() { print(x); x = 1; }
 fn k() { print(y); register("g", j); emit("g"); }
 fn h() { print(x); y = 1; register("f", k); emit("f"); }
 register("e", h);
 emit("e");
-""",
-    "then_statement": """var x;
+""", {"h", "k"}, True, 1),
+    "then_statement": ("""var x;
 fn k() { print(x); }
 fn h() { emit("e"); register("g", k); print(x); emit("g"); }
 register("e", h);
 emit("e");
-""",
-    "one_branch": """var x;
+""", {"h"}, False, 4),
+    "one_branch": ("""var x;
 var y;
 fn k() { print(y); x = y; }
 fn h() { x = 1; if (y < 1) { register("f", k); emit("f"); } }
 register("e", h);
 emit("e");
-""",
-    "called_directly": """var x;
+""", {"h"}, True, 1),
+    "called_directly": ("""var x;
 fn j() { print(x); }
 fn k() { register("g", j); }
 fn h() { register("f", k); emit("f"); }
 register("e", h);
 h();
 emit("g");
-""",
-    "no_handler": gen_source("eq:299", GenParams(allow_while=True)),
-    "register_async": """var x;
+""", set(), False, 3),
+    "no_handler": (gen_source("eq:299", GenParams(allow_while=True)),
+                   {"h0"}, True, 1),
+    "register_async": ("""var x;
 fn k() { print(x); x = 1; }
 fn h() { register("f", k); print(x); emit("f"); }
 register_async(h);
 print(x);
-""",
-    "self_emit": """var x;
+""", {"h"}, True, 1),
+    "self_emit": ("""var x;
 var y;
 fn h() { print(y); y = x; x = 1; emit("e"); }
 register("e", h);
 emit("e");
-""",
+""", {"h"}, True, 1),
+    "chain": ("""var x;
+var y;
+fn k() { print(y); x = 1; }
+fn h() { print(x); y = 1; register("f", k); emit("f"); }
+register("e", h);
+emit("e");
+""", {"h"}, True, 1),
+    "top_level_unhandled": (gen_source("accept5:28", GenParams()),
+                            set(), True, 0),
+    "in_if": ("""var x;
+var y;
+fn h() { print(y); y = x; }
+register("e", h);
+if (y < 1) { x = 1; emit("e"); }
+""", set(), True, 1),
+    "labelled_exit": ("""var x;
+fn k() { print(x); }
+fn h() { print(x); }
+fn later() { register("f", k); }
+register("e", h);
+emit("e");
+""", set(), False, 1),
+    "top_level_then": ("""var x;
+var y;
+fn h() { print(x); y = 1; }
+register("e", h);
+emit("e");
+x = 1;
+print(y);
+""", set(), False, 1),
+    "handler_then": ("""var x;
+var y;
+fn k() { print(y); }
+fn h() { register("f", k); emit("f"); y = x; }
+register("e", h);
+emit("e");
+""", set(), False, 3),
+    "no_emit": ("""var x;
+print(x);
+""", set(), True, 0),
 }
-# per shape above, the procedures whose emits are tail emits
-TAILS = {"tail": {"h", "k"}, "then_statement": {"h"}, "one_branch": {"h"},
-         "called_directly": set(), "no_handler": {"h0"},
-         "register_async": {"h"}, "self_emit": {"h"}}
 
 
-def _tail_return_sites(g):
-    """The return sites of the emits whose return site's one out-edge
-    enters its exit, in a procedure only the event loop calls."""
+def _loop_shape(g, labels):
+    """The return sites of the tail emits, the emits whose return site's
+    one out-edge enters their exit, in a procedure only the event loop
+    calls; and whether the loop joins top-level: top-level's exit only
+    calls the loop, unlabelled, and every other call into the loop that
+    returns is a tail emit or an emit of top-level whose return site's
+    one out-edge enters that exit."""
     callers = defaultdict(set)
     for e in g.edges:
         if e.kind is EdgeKind.CALL:
             callers[e.dst].add(e.src)
-    return {e.ret_site for e in g.edges
-            if e.kind is EdgeKind.CALL and e.dst == EVENT_LOOP and e.ret_site
-            and [out.dst for out in g.out_edges(e.ret_site)]
-            == [g.end_of(g.proc_of(e.src))]
-            and callers[g.start_of(g.proc_of(e.src))] == {EVENT_LOOP}}
+    top_end = g.end_of(g.proc_of(g.entry()))
+    tails = set()
+    joins = [(e.dst, e.eid in labels) for e in g.out_edges(top_end)] == [
+        (EVENT_LOOP, False)]
+    for e in g.edges:
+        if e.kind is not EdgeKind.CALL or e.dst != EVENT_LOOP \
+                or not e.ret_site:
+            continue
+        proc = g.proc_of(e.src)
+        only_into_exit = [out.dst for out in g.out_edges(e.ret_site)] == [
+            g.end_of(proc)]
+        if only_into_exit and callers[g.start_of(proc)] == {EVENT_LOOP}:
+            tails.add(e.ret_site)
+        elif not (only_into_exit and g.end_of(proc) == top_end):
+            joins = False
+    return tails, joins
 
 
-@pytest.mark.parametrize("name", TAIL_SOURCES)
-def test_tail_emits_answer_like_the_path_oracles(name):
-    """At every node and fact, the tail emits' return sites and exits
-    included, the maps and both memberships equal the path oracles'."""
-    program = parse(TAIL_SOURCES[name])
-    build, problem, xsg, labeled, result = ide_for(program,
-                                                   check_descent=True)
+def _assert_the_loop_shape(name):
+    """`name`'s row of `LOOP_SHAPES` holds, and at every node and fact,
+    the tail emits' return sites and exits included, the maps and both
+    memberships equal the path oracles'."""
+    source, tail_procs, joins, waves = LOOP_SHAPES[name]
+    build, problem, xsg = pipeline(parse(source))
+    labeled = transform(xsg, build.ops, build.handlers)
     g = xsg.graph
-    tails = _tail_return_sites(g)
-    assert {g.proc_of(r) for r in tails} == TAILS[name]
+    if name == "labelled_exit":
+        exit_call, = g.out_edges(g.end_of(g.proc_of(g.entry())))
+        labeled = LabeledExplodedSupergraph(
+            xsg, {**labeled.labels, exit_call.eid: packed(
+                build.handlers, {"k": MF_EMIT_REGISTER})}, build.handlers)
+    tails, joined = _loop_shape(g, labeled.labels)
+    assert {g.proc_of(r) for r in tails} == tail_procs
     assert all(_brute(xsg).facts_at(r) for r in tails)
+    assert joined == joins
+    result = solve_ide(labeled, check_descent=True)
+    assert result.stats["return_waves"] == waves
     _assert_like_the_path_oracles(build, problem, xsg, labeled, result)
+
+
+@pytest.mark.parametrize("name", ["tail", "then_statement", "one_branch",
+                                  "called_directly", "no_handler",
+                                  "register_async", "self_emit"])
+def test_tail_emits_answer_like_the_path_oracles(name):
+    _assert_the_loop_shape(name)
+
+
+@pytest.mark.parametrize("name", ["chain", "top_level_unhandled", "in_if",
+                                  "labelled_exit", "top_level_then",
+                                  "handler_then", "no_emit"])
+def test_the_loop_joins_top_level_as_the_path_oracles_answer(name):
+    _assert_the_loop_shape(name)
 
 
 def _assert_like_the_path_oracles(build, problem, xsg, labeled, result):
@@ -902,7 +993,7 @@ def _assert_the_renamed_fact_reaches_the_loop(source, proc):
     program = parse(source)
     build = build_supergraph(program)
     g = build.graph
-    assert {g.proc_of(r) for r in _tail_return_sites(g)} == \
+    assert {g.proc_of(r) for r in _loop_shape(g, {})[0]} == \
         ({"h"} if proc == "h" else set())
     domain = FactDomain(("f1", "f2"))
     f1, f2 = domain.indices()
@@ -921,92 +1012,6 @@ def _assert_the_renamed_fact_reaches_the_loop(source, proc):
     plain = solve_ifds(result)
     assert plain.facts == _brute(xsg).facts
     assert plain.facts_at(EVENT_LOOP) == {f1, f2}
-
-
-# Shapes for the event loop's join with top-level (see `solve_ide`):
-# - chain: top-level ends with `register; emit`, the `chain` deck's shape;
-# - no_handler: `randgen` program `accept5:28`, whose top-level emits an
-#   event no handler is registered for, so the joined loop dispatches
-#   nothing;
-# - in_if: top-level's emit is in a branch of its last `if`;
-# - labelled_exit: top-level's exit call labelled as an emit after
-#   register of k, which no program's labelling does; x reaches the loop
-#   through that call only after the nested loop of top-level's emit
-#   returns, and only there does k's read of x run feasibly, so the loop
-#   stays a procedure;
-# - then_statement: a top-level emit followed by an assignment;
-# - handler_then: a handler whose emit is not its last statement.
-JOIN_SOURCES = {
-    "chain": """var x;
-var y;
-fn k() { print(y); x = 1; }
-fn h() { print(x); y = 1; register("f", k); emit("f"); }
-register("e", h);
-emit("e");
-""",
-    "no_handler": gen_source("accept5:28", GenParams()),
-    "in_if": """var x;
-var y;
-fn h() { print(y); y = x; }
-register("e", h);
-if (y < 1) { x = 1; emit("e"); }
-""",
-    "labelled_exit": """var x;
-fn k() { print(x); }
-fn h() { print(x); }
-fn later() { register("f", k); }
-register("e", h);
-emit("e");
-""",
-    "then_statement": """var x;
-var y;
-fn h() { print(x); y = 1; }
-register("e", h);
-emit("e");
-x = 1;
-print(y);
-""",
-    "handler_then": """var x;
-var y;
-fn k() { print(y); }
-fn h() { register("f", k); emit("f"); y = x; }
-register("e", h);
-emit("e");
-""",
-}
-JOINS = {"chain": True, "no_handler": True, "in_if": True,
-         "labelled_exit": False, "then_statement": False,
-         "handler_then": False}
-
-
-def _loop_joins(g, labels):
-    """Whether top-level's exit only calls the loop, unlabelled, and every
-    call into the loop that returns is a tail emit or an emit of top-level
-    whose return site's one out-edge enters that exit."""
-    top_end = g.end_of(g.proc_of(g.entry()))
-    tails = _tail_return_sites(g)
-    return [(e.dst, e.eid in labels) for e in g.out_edges(top_end)] == \
-        [(EVENT_LOOP, False)] and all(
-            e.ret_site in tails or g.proc_of(e.src) == g.proc_of(top_end)
-            and [out.dst for out in g.out_edges(e.ret_site)] == [top_end]
-            for e in g.edges if e.dst == EVENT_LOOP and e.ret_site)
-
-
-@pytest.mark.parametrize("name", JOIN_SOURCES)
-def test_the_loop_joins_top_level_as_the_path_oracles_answer(name):
-    """At every node and fact, the maps and both memberships equal the
-    path oracles', whether or not the loop joins top-level."""
-    program = parse(JOIN_SOURCES[name])
-    build, problem, xsg, labeled, _ = ide_for(program)
-    g = xsg.graph
-    if name == "labelled_exit":
-        exit_call, = g.out_edges(g.end_of(g.proc_of(g.entry())))
-        labeled = LabeledExplodedSupergraph(
-            xsg, {**labeled.labels, exit_call.eid: packed(
-                build.handlers, {"k": MF_EMIT_REGISTER})}, build.handlers)
-    assert _loop_joins(g, labeled.labels) == JOINS[name]
-    _assert_like_the_path_oracles(build, problem, xsg, labeled,
-                                  solve_ide(labeled, check_descent=True))
 
 
 # a successor table over six facts: sources with one successor, with two
